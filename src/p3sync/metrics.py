@@ -67,6 +67,10 @@ class NetSampler:
 
     def _snapshot(self, t_ms: int) -> None:
         b_in, b_out = self.counters.totals()
+        if self.samples and self.samples[-1].t_ms == t_ms:
+            # a late tick or the final snapshot rounded into the millisecond of
+            # the last sample: the newer totals replace it, keeping t_ms strict
+            self.samples.pop()
         self.samples.append(Sample(t_ms=t_ms, bytes_in=b_in, bytes_out=b_out))
 
     def _run(self) -> None:

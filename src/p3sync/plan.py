@@ -60,12 +60,6 @@ class SlicePlan:
             raise PlanError(f"no layer {layer_index} in plan")
         return found
 
-    def slices_on_server(self, server: int) -> list[Slice]:
-        return [s for s in self.slices if s.server == server]
-
-    def layer_indices(self) -> list[int]:
-        return sorted({s.key.layer_index for s in self.slices})
-
 
 def priority_sort_key(priority: int, key: SliceKey) -> tuple[int, int, int]:
     """Total-order key: lower priority value first, ties by layer then slice index."""

@@ -10,6 +10,13 @@ Policies:
   aggressive-coarse  -- whole layers, links serve in generation (FIFO) order
   aggressive-sliced  -- slices of ``slice_ticks`` granularity, FIFO order
   priority-sliced    -- same slicing, links serve the most urgent slice first
+
+Tie-breaks on a serial link: the FIFO policies serve by arrival; priority-sliced
+serves the smallest (priority, layer, slice, iteration, arrival), where a
+slice's priority is its layer's forward index. Each link keeps a deque (FIFO)
+or a heap (priority), so a link pick costs O(1) or O(log n) in the number of
+queued slices. Forwards wait in a ready-set that whichever of their two
+conditions arrives last fills, so a run costs O(n log n) in its entries.
 """
 
 from __future__ import annotations
@@ -17,11 +24,12 @@ from __future__ import annotations
 import heapq
 import io
 import json
+from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 from .model import ModelProfile, profile_from_dict, profile_to_dict
-from .plan import SliceKey, priority_sort_key
 
 AGGRESSIVE_COARSE = "aggressive-coarse"
 AGGRESSIVE_SLICED = "aggressive-sliced"
@@ -140,6 +148,9 @@ class TimelineEntry:
     end: int
 
 
+_ENTRY_ORDER = attrgetter("start", "end", "resource", "item")
+
+
 @dataclass
 class Timeline:
     entries: list[TimelineEntry] = field(default_factory=list)
@@ -171,13 +182,6 @@ class Timeline:
         span = self.makespan - spans[0][0]
         return busy / span if span else 0.0
 
-    def compute_event(self, kind: str, iteration: int, layer: int) -> TimelineEntry | None:
-        item = f"{kind}:{iteration}:L{layer}"
-        for e in self.entries:
-            if e.resource == COMPUTE and e.item == item:
-                return e
-        return None
-
     def inter_iteration_delay(self) -> int:
         delays = self.all_inter_iteration_delays()
         if not delays:
@@ -185,11 +189,13 @@ class Timeline:
         return delays[-1]
 
     def all_inter_iteration_delays(self) -> list[int]:
+        # reversed, so that the first entry of a repeated item wins
+        compute = {e.item: e for e in reversed(self.entries) if e.resource == COMPUTE}
         delays = []
         k = 0
         while True:
-            b = self.compute_event("bwd", k, 0)
-            f = self.compute_event("fwd", k + 1, 0)
+            b = compute.get(f"bwd:{k}:L0")
+            f = compute.get(f"fwd:{k + 1}:L0")
             if b is None or f is None:
                 break
             delays.append(f.start - b.end)
@@ -199,7 +205,7 @@ class Timeline:
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("resource,item,start,end\n")
-        for e in sorted(self.entries, key=lambda e: (e.start, e.end, e.resource, e.item)):
+        for e in sorted(self.entries, key=_ENTRY_ORDER):
             buf.write(f"{e.resource},{e.item},{e.start},{e.end}\n")
         return buf.getvalue()
 
@@ -218,24 +224,39 @@ class Timeline:
 _BOOT, _FWD_DONE, _BWD_DONE, _UP_DONE, _UPDATE_DONE, _DOWN_DONE = range(6)
 
 
-@dataclass
-class _LinkState:
-    busy: bool = False
-    pending: list = field(default_factory=list)  # (arrival, iteration, layer, slice)
-    arrivals: int = 0
+class _FifoLink:
+    """Serial resource serving queued slices in arrival order."""
+
+    def __init__(self) -> None:
+        self.busy = False
+        self.pending: deque[tuple[int, int, int]] = deque()  # (iteration, layer, slice)
 
     def enqueue(self, iteration: int, layer: int, sl: int) -> None:
-        self.pending.append((self.arrivals, iteration, layer, sl))
+        self.pending.append((iteration, layer, sl))
+
+    def pick(self) -> tuple[int, int, int]:
+        return self.pending.popleft()
+
+
+class _PriorityLink:
+    """Serial resource serving the most urgent queued slice first.
+
+    A slice's priority is its layer's forward index, as in ``plan``; the heap
+    key is (priority, layer, slice, iteration, arrival).
+    """
+
+    def __init__(self) -> None:
+        self.busy = False
+        self.pending: list[tuple[int, int, int, int, int]] = []
+        self.arrivals = 0
+
+    def enqueue(self, iteration: int, layer: int, sl: int) -> None:
+        heapq.heappush(self.pending, (layer, layer, sl, iteration, self.arrivals))
         self.arrivals += 1
 
-    def pick(self, policy: str) -> tuple[int, int, int]:
-        if policy == PRIORITY_SLICED:
-            key = lambda it: (*priority_sort_key(it[2], SliceKey(it[2], it[3])), it[1], it[0])
-        else:
-            key = lambda it: it[0]
-        best = min(self.pending, key=key)
-        self.pending.remove(best)
-        return best[1], best[2], best[3]
+    def pick(self) -> tuple[int, int, int]:
+        _, layer, sl, iteration, _ = heapq.heappop(self.pending)
+        return iteration, layer, sl
 
 
 def simulate(scenario: Scenario) -> Timeline:
@@ -247,28 +268,38 @@ def simulate(scenario: Scenario) -> Timeline:
     n_slices = [scenario.num_slices(i) for i in range(L)]
     chunks = [scenario.chunk_costs(i) for i in range(L)]
     ovh = scenario.per_slice_overhead
-
-    def up_cost(layer: int) -> int:
-        c = chunks[layer].up
-        return c + ovh if c > 0 else 0
-
-    def down_cost(layer: int) -> int:
-        c = chunks[layer].down
-        return c + ovh if c > 0 else 0
+    up_cost = [c.up + ovh if c.up > 0 else 0 for c in chunks]
+    update_cost = [c.update for c in chunks]
+    down_cost = [c.down + ovh if c.down > 0 else 0 for c in chunks]
+    serial_update = scenario.serial_update
 
     entries: list[TimelineEntry] = []
     events: list[tuple[int, int, int, int, int]] = []  # (tick, kind, iteration, layer, slice)
     heapq.heappush(events, (0, _BOOT, 0, 0, 0))
 
-    uplink = _LinkState()
-    downlink = _LinkState()
-    update_link = _LinkState()  # used only when serial_update
+    Link = _PriorityLink if scenario.policy == PRIORITY_SLICED else _FifoLink
+    uplink = Link()
+    downlink = Link()
+    update_link = Link()  # used only when serial_update
 
     bwd_ready: set[tuple[int, int]] = set()
+    # a forward (k, l) needs forward (k, l-1) or backward (k-1, 0) done (its
+    # chain) and every slice of (k-1, l) downloaded (its params); whichever
+    # comes last moves the key into fwd_ready
     fwd_chain_ok: set[tuple[int, int]] = set()
     fwd_params_ok: set[tuple[int, int]] = set()
-    fwd_started: set[tuple[int, int]] = set()
+    fwd_ready: set[tuple[int, int]] = set()
     down_remaining = {(k, l): n_slices[l] for k in range(n_iter) for l in range(L)}
+
+    def chain_ok(key: tuple[int, int]) -> None:
+        fwd_chain_ok.add(key)
+        if key in fwd_params_ok:
+            fwd_ready.add(key)
+
+    def params_ok(key: tuple[int, int]) -> None:
+        fwd_params_ok.add(key)
+        if key in fwd_chain_ok:
+            fwd_ready.add(key)
 
     def start_ready_computes(t: int) -> None:
         while bwd_ready:
@@ -278,20 +309,16 @@ def simulate(scenario: Scenario) -> Timeline:
             heapq.heappush(events, (t + bwd_time[l], _BWD_DONE, k, l, 0))
             if bwd_time[l] > 0:
                 break  # completion arrives later; chain resumes then
-        for k in range(1, n_iter + 1):
-            for l in range(L):
-                key = (k, l)
-                if key in fwd_started or key not in fwd_chain_ok or key not in fwd_params_ok:
-                    continue
-                fwd_started.add(key)
-                entries.append(TimelineEntry(COMPUTE, f"fwd:{k}:L{l}", t, t + fwd_time[l]))
-                heapq.heappush(events, (t + fwd_time[l], _FWD_DONE, k, l, 0))
+        for k, l in sorted(fwd_ready):
+            entries.append(TimelineEntry(COMPUTE, f"fwd:{k}:L{l}", t, t + fwd_time[l]))
+            heapq.heappush(events, (t + fwd_time[l], _FWD_DONE, k, l, 0))
+        fwd_ready.clear()
 
     def into_update(t: int, k: int, l: int, s: int) -> None:
-        cost = chunks[l].update
+        cost = update_cost[l]
         if cost == 0:
             heapq.heappush(events, (t, _UPDATE_DONE, k, l, s))
-        elif scenario.serial_update:
+        elif serial_update:
             update_link.enqueue(k, l, s)
         else:
             entries.append(TimelineEntry(UPDATE, f"upd:{k}:L{l}:s{s}", t, t + cost))
@@ -303,52 +330,54 @@ def simulate(scenario: Scenario) -> Timeline:
             bwd_ready.add((0, L - 1))
         elif kind == _BWD_DONE:
             for sl in range(n_slices[l]):
-                if up_cost(l) == 0:
+                if up_cost[l] == 0:
                     heapq.heappush(events, (t, _UP_DONE, k, l, sl))
                 else:
                     uplink.enqueue(k, l, sl)
             if l > 0:
                 bwd_ready.add((k, l - 1))
             else:
-                fwd_chain_ok.add((k + 1, 0))
+                chain_ok((k + 1, 0))
         elif kind == _FWD_DONE:
             if l < L - 1:
-                fwd_chain_ok.add((k, l + 1))
+                chain_ok((k, l + 1))
             elif k < n_iter:
                 bwd_ready.add((k, L - 1))
         elif kind == _UP_DONE:
-            uplink.busy = False if up_cost(l) > 0 else uplink.busy
+            if up_cost[l] > 0:
+                uplink.busy = False
             into_update(t, k, l, s)
         elif kind == _UPDATE_DONE:
-            if scenario.serial_update and chunks[l].update > 0:
+            if serial_update and update_cost[l] > 0:
                 update_link.busy = False
-            if down_cost(l) == 0:
+            if down_cost[l] == 0:
                 heapq.heappush(events, (t, _DOWN_DONE, k, l, s))
             else:
                 downlink.enqueue(k, l, s)
         elif kind == _DOWN_DONE:
-            downlink.busy = False if down_cost(l) > 0 else downlink.busy
+            if down_cost[l] > 0:
+                downlink.busy = False
             down_remaining[(k, l)] -= 1
             if down_remaining[(k, l)] == 0:
-                fwd_params_ok.add((k + 1, l))
+                params_ok((k + 1, l))
 
     def dispatch_links(t: int) -> None:
         if not uplink.busy and uplink.pending:
-            k, l, s = uplink.pick(scenario.policy)
+            k, l, s = uplink.pick()
             uplink.busy = True
-            entries.append(TimelineEntry(UPLINK, f"up:{k}:L{l}:s{s}", t, t + up_cost(l)))
-            heapq.heappush(events, (t + up_cost(l), _UP_DONE, k, l, s))
-        if scenario.serial_update and not update_link.busy and update_link.pending:
-            k, l, s = update_link.pick(scenario.policy)
+            entries.append(TimelineEntry(UPLINK, f"up:{k}:L{l}:s{s}", t, t + up_cost[l]))
+            heapq.heappush(events, (t + up_cost[l], _UP_DONE, k, l, s))
+        if serial_update and not update_link.busy and update_link.pending:
+            k, l, s = update_link.pick()
             update_link.busy = True
-            cost = chunks[l].update
+            cost = update_cost[l]
             entries.append(TimelineEntry(UPDATE, f"upd:{k}:L{l}:s{s}", t, t + cost))
             heapq.heappush(events, (t + cost, _UPDATE_DONE, k, l, s))
         if not downlink.busy and downlink.pending:
-            k, l, s = downlink.pick(scenario.policy)
+            k, l, s = downlink.pick()
             downlink.busy = True
-            entries.append(TimelineEntry(DOWNLINK, f"down:{k}:L{l}:s{s}", t, t + down_cost(l)))
-            heapq.heappush(events, (t + down_cost(l), _DOWN_DONE, k, l, s))
+            entries.append(TimelineEntry(DOWNLINK, f"down:{k}:L{l}:s{s}", t, t + down_cost[l]))
+            heapq.heappush(events, (t + down_cost[l], _DOWN_DONE, k, l, s))
 
     while events:
         t = events[0][0]
@@ -361,8 +390,7 @@ def simulate(scenario: Scenario) -> Timeline:
             start_ready_computes(t)
         dispatch_links(t)
 
-    timeline = Timeline(entries=sorted(entries, key=lambda e: (e.start, e.end, e.resource, e.item)))
-    return timeline
+    return Timeline(entries=sorted(entries, key=_ENTRY_ORDER))
 
 
 def sweep_slice_size(scenario: Scenario, sizes: list[int]) -> list[tuple[int, int]]:

@@ -135,7 +135,7 @@ class TrainingWorker:
 
     def _connect_all(self) -> None:
         for srank, (host, port) in enumerate(self.cfg.servers):
-            sock = connect_with_retry(host, port)
+            sock = connect_with_retry(host, port, self.cfg.deadlock_timeout)
             conn = FrameConnection(sock, counters=self.counters, shaper=self._shaper)
             conn.send_frame(Frame(msg_type=MsgType.HELLO, worker_rank=self.cfg.rank))
             self._conns[srank] = conn

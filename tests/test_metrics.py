@@ -40,6 +40,17 @@ def test_sampler_monotone():
     assert samples[-1].bytes_out >= 1000
 
 
+def test_sampler_final_sample_same_millisecond():
+    # stop() right after start() lands in the millisecond of the first sample
+    c = NetCounters()
+    s = NetSampler(c, period_ms=10_000)
+    s.start()
+    c.record_bytes("out", 7)
+    s.stop()
+    assert all(a.t_ms < b.t_ms for a, b in zip(s.samples, s.samples[1:]))
+    assert s.samples[-1].bytes_out == 7
+
+
 def test_idle_samples_equal():
     c = NetCounters()
     s = NetSampler(c, period_ms=5)

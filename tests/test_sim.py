@@ -1,3 +1,5 @@
+import hashlib
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p3sync.model import LayerSpec, ModelProfile
+from p3sync.model import LayerSpec, ModelProfile, builtin_profile
 from p3sync.sim import (
     AGGRESSIVE_COARSE,
     AGGRESSIVE_SLICED,
@@ -383,3 +385,94 @@ def test_timeline_csv_shape():
 def test_empty_link_utilization():
     tl = simulate(fig4(AGGRESSIVE_COARSE))
     assert tl.link_utilization(DOWNLINK) == 0.0
+
+
+# -- golden timeline digests --------------------------------------------------
+
+
+def linkbound_scenario(policy, num_iterations):
+    """``resnet50-like`` made link-bound: ticks of 100 us, links move 250
+    params per tick each way, the update stage 1000 per tick, 4-tick slices."""
+    profile = builtin_profile("resnet50-like")
+    layers = tuple(
+        replace(l, fwd_time=max(1, round(l.fwd_time / 100)), bwd_time=max(1, round(l.bwd_time / 100)))
+        for l in profile.layers
+    )
+    stages = tuple(
+        StageCost(l.param_count // 250, l.param_count // 1000, l.param_count // 250)
+        for l in profile.layers
+    )
+    return Scenario(
+        profile=replace(profile, layers=layers),
+        stages=stages,
+        policy=policy,
+        slice_ticks=4,
+        num_iterations=num_iterations,
+    )
+
+
+# SHA-256 of Timeline.to_csv(): every schedule is frozen byte for byte
+TIMELINE_DIGESTS = {
+    "fig4-coarse-serial0-ovh0": "0e7bfd7f25a7adc3a62e5e616376460d7e2c9636a3dbde45b9af5e82383d7975",
+    "fig4-coarse-serial0-ovh1": "ff5c5f8a76c94f16714665e0f4a64edcf0b9d628615f0df6cb47b4763a9f7cc2",
+    "fig4-coarse-serial1-ovh0": "0e7bfd7f25a7adc3a62e5e616376460d7e2c9636a3dbde45b9af5e82383d7975",
+    "fig4-coarse-serial1-ovh1": "ff5c5f8a76c94f16714665e0f4a64edcf0b9d628615f0df6cb47b4763a9f7cc2",
+    "fig4-priority-serial0-ovh0": "c28259bd032293bdfb2d272dc647b155f5693990e8f96531b79a0d4ed9406982",
+    "fig4-priority-serial0-ovh1": "185db41525174e036d666d2abd1d2f7b490fbd1ecfec1cdbe58a215c112a6641",
+    "fig4-priority-serial1-ovh0": "c28259bd032293bdfb2d272dc647b155f5693990e8f96531b79a0d4ed9406982",
+    "fig4-priority-serial1-ovh1": "185db41525174e036d666d2abd1d2f7b490fbd1ecfec1cdbe58a215c112a6641",
+    "fig4-sliced-serial0-ovh0": "4e33f892c67ed3b87906ff809b317aec6afabc38c2f897c2e0c16f484547c989",
+    "fig4-sliced-serial0-ovh1": "7e055dcc64e24191dd4f014d14f3e6ac6a067f05e1bdaf6e21c7668777c417bf",
+    "fig4-sliced-serial1-ovh0": "4e33f892c67ed3b87906ff809b317aec6afabc38c2f897c2e0c16f484547c989",
+    "fig4-sliced-serial1-ovh1": "7e055dcc64e24191dd4f014d14f3e6ac6a067f05e1bdaf6e21c7668777c417bf",
+    "fig6-coarse-serial0-ovh0": "c8b066ebabd48919eb0c7b32f87d281e9de539321f86ea48d05e6f6102b8d074",
+    "fig6-coarse-serial0-ovh1": "ec5e603296f542a1231b256bf4cd6aecbf80608c66a8d38e0c9eb66ceecb92a1",
+    "fig6-coarse-serial1-ovh0": "d3c71ace9598c7fad3212091ef230fac06069d4701d56f5b9a88c95d57b2354f",
+    "fig6-coarse-serial1-ovh1": "13d1dc3e959eaccde915ff5505a7aa0dfb65d49c373ed5ca2bfa5a14651c31b3",
+    "fig6-priority-serial0-ovh0": "b7413f8102e202df51fd647bc43001676a1f8f082e93e7419cbbdd5763d7bfca",
+    "fig6-priority-serial0-ovh1": "40593134ebbc9a889df5bb7a32b358b24c523baf5f452a88807bbead2a6e65b2",
+    "fig6-priority-serial1-ovh0": "b7413f8102e202df51fd647bc43001676a1f8f082e93e7419cbbdd5763d7bfca",
+    "fig6-priority-serial1-ovh1": "40593134ebbc9a889df5bb7a32b358b24c523baf5f452a88807bbead2a6e65b2",
+    "fig6-sliced-serial0-ovh0": "b09082f24b1171a4fdaef1dc938e7d92ac206cb3e6dc41781786ea6956bc9283",
+    "fig6-sliced-serial0-ovh1": "2704ff0739c00b0bb573b37ff33f6a2334392a4522e8a0d6821eb52eebacf4bd",
+    "fig6-sliced-serial1-ovh0": "b09082f24b1171a4fdaef1dc938e7d92ac206cb3e6dc41781786ea6956bc9283",
+    "fig6-sliced-serial1-ovh1": "2704ff0739c00b0bb573b37ff33f6a2334392a4522e8a0d6821eb52eebacf4bd",
+    "resnet50-linkbound-coarse": "101fa37a50a8d52438318f78ec9ef500b238e77ab27c7a2058c64b8227093fb0",
+    "resnet50-linkbound-priority": "594df0ae634211e4251b7c466c44409c59692b39a6434d6abeaec23ff8e79464",
+    "resnet50-linkbound-sliced": "b9007efff8e674c6261041b6a0622a0c146b908f19425468d8f5d4ef742c0746",
+}
+
+POLICY_NAMES = {AGGRESSIVE_COARSE: "coarse", AGGRESSIVE_SLICED: "sliced", PRIORITY_SLICED: "priority"}
+
+
+def digest_cases():
+    for make in (fig4, fig6):
+        for policy in (AGGRESSIVE_COARSE, AGGRESSIVE_SLICED, PRIORITY_SLICED):
+            for serial in (False, True):
+                for ovh in (0, 1):
+                    name = f"{make.__name__}-{POLICY_NAMES[policy]}-serial{int(serial)}-ovh{ovh}"
+                    yield name, replace(make(policy), serial_update=serial, per_slice_overhead=ovh)
+    for policy in (AGGRESSIVE_COARSE, AGGRESSIVE_SLICED, PRIORITY_SLICED):
+        yield f"resnet50-linkbound-{POLICY_NAMES[policy]}", linkbound_scenario(policy, 2)
+
+
+DIGEST_CASES = dict(digest_cases())
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_CASES))
+def test_timeline_digest_golden(name):
+    csv = simulate(DIGEST_CASES[name]).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == TIMELINE_DIGESTS[name]
+
+
+def test_priority_sliced_61k_entries_within_wall_bound():
+    # 44 link-bound iterations give about 61k entries: over 30 s when every
+    # pick scans the queued slices, under a second with per-link heaps
+    sc = linkbound_scenario(PRIORITY_SLICED, 44)
+    t0 = time.perf_counter()
+    tl = simulate(sc)
+    tl.to_csv()
+    tl.summary()
+    wall = time.perf_counter() - t0
+    assert len(tl.entries) > 60_000
+    assert wall < 5.0
