@@ -1,6 +1,6 @@
 """Priority-scheduled parameter synchronization: runtime, baseline, and simulator."""
 
-from .hashing import GradGen, fnv1a64, gradient_block, gradient_value, splitmix64_mix
+from .hashing import fnv1a64, gradient_block, gradient_value, splitmix64_mix
 from .model import BUILTIN_NAMES, LayerSpec, ModelProfile, builtin_profile, load_profile, save_profile, total_params
 from .plan import (
     BASELINE_MODE,
@@ -8,9 +8,9 @@ from .plan import (
     Slice,
     SliceKey,
     SlicePlan,
-    compare_priority,
     make_baseline_plan,
     make_p3_plan,
+    make_plan,
     priority_sort_key,
 )
 from .proto import Frame, FrameDecoder, MsgType, ProtocolError, encode_frame, try_decode

@@ -22,11 +22,11 @@ from .metrics import (
     idle_fraction,
     iteration_starts_from_csv,
     iterations_from_csv,
+    measurement_window,
     samples_from_csv,
-    throughput,
     write_text,
 )
-from .model import BUILTIN_NAMES, ModelProfile, ProfileError, builtin_profile, resolve_profile, save_profile, total_params
+from .model import BUILTIN_NAMES, ModelProfile, ProfileError, resolve_profile, save_profile
 from .plan import (
     BASELINE_MODE,
     DEFAULT_BIG_THRESHOLD,
@@ -34,10 +34,10 @@ from .plan import (
     P3_MODE,
     PlanError,
     load_plan,
-    make_baseline_plan,
-    make_p3_plan,
+    make_plan,
     plan_to_csv,
     save_plan,
+    validate_plan,
 )
 from .proto import ProtocolError
 from .queues import DeadlockError
@@ -76,7 +76,6 @@ class RunConfig:
     skip_iterations: int = 5
     idle_threshold: int = 4096
     timeout: float = 240.0
-    dump_params: bool = True
 
     def resolved_servers(self) -> int:
         return self.num_servers if self.num_servers > 0 else self.num_workers
@@ -98,21 +97,14 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _make_plan(cfg: RunConfig, profile: ModelProfile):
-    if cfg.mode == P3_MODE:
-        return make_p3_plan(profile, cfg.resolved_servers(), cfg.max_slice)
-    return make_baseline_plan(profile, cfg.resolved_servers(), cfg.big_threshold, cfg.seed)
-
-
 # -- plan ---------------------------------------------------------------
 
 
 def cmd_plan(args) -> int:
     profile = resolve_profile(args.profile)
-    if args.mode == P3_MODE:
-        plan = make_p3_plan(profile, args.num_servers, args.max_slice)
-    else:
-        plan = make_baseline_plan(profile, args.num_servers, args.big_threshold, args.seed)
+    plan = make_plan(
+        args.mode, profile, args.num_servers, args.max_slice, args.big_threshold, args.seed
+    )
     sys.stdout.write(plan_to_csv(plan))
     return EXIT_OK
 
@@ -180,23 +172,23 @@ def cmd_server(args) -> int:
 def cmd_worker(args) -> int:
     profile = resolve_profile(args.profile)
     plan = load_plan(args.plan)
+    validate_plan(plan, profile)
     servers = [parse_addr(a) for a in args.servers.split(",") if a]
     cfg = WorkerConfig(
         rank=args.rank,
         mode=args.mode,
         servers=servers,
         iterations=args.iterations,
-        lr=args.lr,
-        batch_size=args.batch_size,
         throttle_rate=args.throttle_rate or None,
         throttle_burst=args.throttle_burst,
         deadlock_timeout=args.deadlock_timeout,
     )
     worker = TrainingWorker(cfg, profile, plan)
     worker.run()
+    digest = worker.params_digest()  # one pass of a pure-Python hash over every parameter
     if args.outdir:
-        worker.write_outputs(args.outdir, dump_params=args.dump_params)
-    print(f"DONE rank={args.rank} digest={worker.params_digest():016x}", flush=True)
+        worker.write_outputs(args.outdir, digest, dump_params=args.dump_params)
+    print(f"DONE rank={args.rank} digest={digest:016x}", flush=True)
     return EXIT_OK
 
 
@@ -244,7 +236,9 @@ def run_bench(cfg: RunConfig) -> dict:
     profile = resolve_profile(cfg.profile)
     profile_path = outdir / "profile.json"
     save_profile(profile, profile_path)
-    plan = _make_plan(cfg, profile)
+    plan = make_plan(
+        cfg.mode, profile, cfg.resolved_servers(), cfg.max_slice, cfg.big_threshold, cfg.seed
+    )
     plan_path = outdir / "plan.csv"
     save_plan(plan, plan_path)
 
@@ -255,11 +249,9 @@ def run_bench(cfg: RunConfig) -> dict:
     throttle = ["--throttle-rate", str(cfg.throttle_rate), "--throttle-burst", str(cfg.throttle_burst)]
 
     def spawn(cmd_args, log_name):
-        log = open(outdir / log_name, "w")
-        p = subprocess.Popen(
-            base + cmd_args, stdout=subprocess.PIPE, stderr=log, text=True
-        )
-        p._log_handle = log  # closed with the process
+        # the child writes to its own copy of the log's descriptor
+        with open(outdir / log_name, "w") as log:
+            p = subprocess.Popen(base + cmd_args, stdout=subprocess.PIPE, stderr=log, text=True)
         procs.append(p)
         return p
 
@@ -295,10 +287,8 @@ def run_bench(cfg: RunConfig) -> dict:
                     "--profile", str(profile_path),
                     "--plan", str(plan_path),
                     "--iterations", str(cfg.iterations),
-                    "--lr", str(cfg.lr),
-                    "--batch-size", str(cfg.batch_size),
                     "--outdir", str(outdir),
-                    *(["--dump-params"] if (cfg.dump_params and rank == 0) else []),
+                    *(["--dump-params"] if rank == 0 else []),
                     *throttle,
                 ],
                 f"worker{rank}.log",
@@ -323,7 +313,6 @@ def run_bench(cfg: RunConfig) -> dict:
                 p.wait()
             if p.stdout:
                 p.stdout.close()
-            getattr(p, "_log_handle").close()
 
     return summarize_run(cfg, outdir, profile)
 
@@ -339,8 +328,7 @@ def summarize_run(cfg: RunConfig, outdir: Path, profile: ModelProfile) -> dict:
         if rank == 0:
             walls = wall_ms
             starts = iteration_starts_from_csv(csv_text)
-        rep = throughput(wall_ms, cfg.batch_size, cfg.num_workers, cfg.skip_iterations)
-        windows.append(rep.window_seconds)
+        windows.append(measurement_window(wall_ms, cfg.skip_iterations))
     if len(set(digests)) != 1:
         raise ProtocolError(f"worker digests disagree: {digests}")
     measured = len(walls) - cfg.skip_iterations
@@ -353,10 +341,8 @@ def summarize_run(cfg: RunConfig, outdir: Path, profile: ModelProfile) -> dict:
     clipped = clip_samples(samples, t0, t1)
     idle = idle_fraction(clipped if len(clipped) >= 2 else samples, cfg.idle_threshold)
 
-    dump = outdir / "params_worker0.bin"
-    servers_checked = 0
-    if dump.exists():
-        servers_checked = _verify_server_digests(cfg, outdir, profile, dump.read_bytes())
+    blob = (outdir / "params_worker0.bin").read_bytes()
+    servers_checked = _verify_server_digests(cfg, outdir, profile, blob)
 
     summary = {
         "mode": cfg.mode,
@@ -457,8 +443,6 @@ def build_parser() -> _Parser:
     p.add_argument("--profile", required=True)
     p.add_argument("--plan", required=True)
     p.add_argument("--iterations", type=int, required=True)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--throttle-rate", type=float, default=0.0, help="bits/second; 0 = off")
     p.add_argument("--throttle-burst", type=int, default=50 * 1024)
     p.add_argument("--deadlock-timeout", type=float, default=60.0)

@@ -6,8 +6,6 @@ runtime leans on that for cross-mode and cross-process equality checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -61,19 +59,6 @@ def gradient_block(seed: int, iteration: int, layer_index: int, start: int, coun
     x = np.uint64(base) ^ (elems * np.uint64(GRAD_ELEM_MULT))
     top24 = _mix_array_u64(x) >> np.uint64(40)
     return (top24.astype(np.float64) * 2.0**-23 - 1.0).astype(np.float32)
-
-
-@dataclass(frozen=True)
-class GradGen:
-    """Stand-in for backprop output: a pure function of (iteration, layer, element)."""
-
-    seed: int
-
-    def value(self, iteration: int, layer_index: int, element_index: int) -> np.float32:
-        return gradient_value(self.seed, iteration, layer_index, element_index)
-
-    def block(self, iteration: int, layer_index: int, start: int, count: int) -> np.ndarray:
-        return gradient_block(self.seed, iteration, layer_index, start, count)
 
 
 def fnv1a64(data: bytes | bytearray | memoryview, h: int = FNV_OFFSET) -> int:

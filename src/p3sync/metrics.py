@@ -1,4 +1,4 @@
-"""Runtime measurement: byte counters sampled on a fixed cadence, throughput reports.
+"""Runtime measurement: byte counters sampled on a fixed cadence, throughput windows.
 
 Counters are maintained in-process where frames hit the socket, not read from
 the OS interface; a sampler thread snapshots them every 10 ms by default and
@@ -11,7 +11,7 @@ import csv
 import io
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 IN = "in"
@@ -135,23 +135,10 @@ def idle_fraction(samples: list[Sample], threshold_bytes_per_sample: int) -> flo
     return idle / len(window)
 
 
-@dataclass(frozen=True)
-class ThroughputReport:
-    samples_per_second: float
-    skip_iterations: int
-    measure_iterations: int
-    batch_size: int
-    num_workers: int
-    window_seconds: float
-    iteration_wall_ms: tuple[float, ...] = field(default_factory=tuple)
-
-
-def throughput(
-    iteration_wall_ms: list[float],
-    batch_size: int,
-    num_workers: int,
-    skip_iterations: int = DEFAULT_SKIP_ITERATIONS,
-) -> ThroughputReport:
+def measurement_window(
+    iteration_wall_ms: list[float], skip_iterations: int = DEFAULT_SKIP_ITERATIONS
+) -> float:
+    """Seconds spanned by the iterations after the first ``skip_iterations``."""
     measured = iteration_wall_ms[skip_iterations:]
     if not measured:
         raise ValueError(
@@ -161,16 +148,7 @@ def throughput(
     window_s = sum(measured) / 1000.0
     if window_s <= 0:
         raise ValueError("measurement window has zero duration")
-    rate = len(measured) * batch_size * num_workers / window_s
-    return ThroughputReport(
-        samples_per_second=rate,
-        skip_iterations=skip_iterations,
-        measure_iterations=len(measured),
-        batch_size=batch_size,
-        num_workers=num_workers,
-        window_seconds=window_s,
-        iteration_wall_ms=tuple(iteration_wall_ms),
-    )
+    return window_s
 
 
 def iterations_to_csv(iteration_wall_ms: list[float], start_ms: list[float] | None = None) -> str:

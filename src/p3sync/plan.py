@@ -10,7 +10,7 @@ priority always equals the owning layer's forward index (0 = most urgent).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .hashing import splitmix64_stream
@@ -64,13 +64,6 @@ class SlicePlan:
 def priority_sort_key(priority: int, key: SliceKey) -> tuple[int, int, int]:
     """Total-order key: lower priority value first, ties by layer then slice index."""
     return (priority, key.layer_index, key.slice_index)
-
-
-def compare_priority(a: tuple[int, SliceKey], b: tuple[int, SliceKey]) -> int:
-    """-1 if a transmits first, 1 if b does, 0 if identical."""
-    ka = priority_sort_key(*a)
-    kb = priority_sort_key(*b)
-    return (ka > kb) - (ka < kb)
 
 
 def _chunk_layer(param_count: int, chunk: int) -> list[tuple[int, int]]:
@@ -156,6 +149,22 @@ def make_baseline_plan(
         big_threshold=big_threshold,
         rng_seed=rng_seed,
     )
+
+
+def make_plan(
+    mode: str,
+    profile: ModelProfile,
+    num_servers: int,
+    max_slice: int = DEFAULT_MAX_SLICE,
+    big_threshold: int = DEFAULT_BIG_THRESHOLD,
+    seed: int = 0,
+) -> SlicePlan:
+    """The plan of ``mode``; p3 reads only ``max_slice``, baseline the other two."""
+    if mode == P3_MODE:
+        return make_p3_plan(profile, num_servers, max_slice)
+    if mode == BASELINE_MODE:
+        return make_baseline_plan(profile, num_servers, big_threshold, seed)
+    raise PlanError(f"unknown plan mode {mode!r}")
 
 
 def validate_plan(plan: SlicePlan, profile: ModelProfile) -> None:

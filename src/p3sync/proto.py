@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .plan import Slice
+
 MAGIC = b"P3W1"
 
 _HEADER = struct.Struct("<4sBIQHIIQI")
@@ -52,6 +54,22 @@ class Frame:
 
     def payload_f32(self) -> np.ndarray:
         return np.frombuffer(self.payload, dtype="<f4")
+
+
+def slice_frame(
+    msg_type: MsgType, sl: Slice, iteration: int, worker_rank: int, payload: bytes = b""
+) -> Frame:
+    """A frame about one slice: its priority, key and offset ride in the header."""
+    return Frame(
+        msg_type=msg_type,
+        priority=sl.priority,
+        iteration=iteration,
+        worker_rank=worker_rank,
+        layer_index=sl.key.layer_index,
+        slice_index=sl.key.slice_index,
+        offset=sl.offset,
+        payload=payload,
+    )
 
 
 def pack_f32(values: np.ndarray) -> bytes:

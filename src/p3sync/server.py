@@ -17,9 +17,9 @@ import numpy as np
 from .hashing import fnv1a64
 from .metrics import NetCounters
 from .plan import P3_MODE, SliceKey, Slice, SlicePlan
-from .proto import Frame, MsgType, ProtocolError, pack_f32
+from .proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
 from .queues import FrameQueue
-from .transport import FrameConnection, Shaper, listen
+from .transport import FrameConnection, TokenBucket, listen
 
 
 @dataclass
@@ -73,19 +73,7 @@ def bcast_frames(
 ) -> list[Frame]:
     """One BCAST per worker, identical payloads, priority copied from the slice."""
     payload = pack_f32(params)
-    return [
-        Frame(
-            msg_type=MsgType.BCAST,
-            priority=sl.priority,
-            iteration=iteration,
-            worker_rank=rank,
-            layer_index=sl.key.layer_index,
-            slice_index=sl.key.slice_index,
-            offset=sl.offset,
-            payload=payload,
-        )
-        for rank in worker_ranks
-    ]
+    return [slice_frame(MsgType.BCAST, sl, iteration, rank, payload) for rank in worker_ranks]
 
 
 class ServerEngine:
@@ -114,7 +102,7 @@ class ServerEngine:
             for key, s in self.owned.items()
         }
         self.counters = NetCounters()
-        self._shaper = Shaper(throttle_rate, throttle_burst)
+        self._bucket = TokenBucket(throttle_rate, throttle_burst) if throttle_rate else None
         self.inbox = FrameQueue(priority_mode=(mode == P3_MODE))
         self._conns: dict[int, FrameConnection] = {}
         self._outboxes: dict[int, FrameQueue] = {}
@@ -165,7 +153,7 @@ class ServerEngine:
                 sock, _ = self._listener.accept()
             except TimeoutError:
                 continue
-            conn = FrameConnection(sock, counters=self.counters, shaper=self._shaper)
+            conn = FrameConnection(sock, counters=self.counters, bucket=self._bucket)
             self._spawn(f"reader-{accepted}", self._reader, conn)
             accepted += 1
 
@@ -178,7 +166,7 @@ class ServerEngine:
             self._conns[rank] = conn
             outbox = FrameQueue(priority_mode=(self.mode == P3_MODE))
             self._outboxes[rank] = outbox
-            self._spawn(f"sender-{rank}", self._sender, rank, outbox, conn)
+            self._spawn(f"sender-{rank}", outbox.drain, conn.send_frame, self.poll_timeout * 2)
 
     def _reader(self, conn: FrameConnection) -> None:
         fin_seen = False
@@ -206,54 +194,36 @@ class ServerEngine:
             return sorted(self._outboxes)
 
     def _consumer(self) -> None:
-        while True:
-            frame = self.inbox.poll(timeout=self.poll_timeout)
-            if frame is None:
-                break
-            key = SliceKey(frame.layer_index, frame.slice_index)
-            sl = self.owned.get(key)
-            if sl is None:
-                raise ProtocolError(f"rank {self.rank} does not own key {key}")
-            shard = self.shards[key]
-            if frame.msg_type == MsgType.PUSH:
-                ready = shard.on_push(frame.worker_rank, frame.iteration, frame.payload_f32())
-                if ready:
-                    answered = shard.iteration
-                    params = shard.aggregate_and_update()
-                    if self.mode == P3_MODE:
-                        frames = bcast_frames(sl, answered, params, self._worker_ranks())
-                        for f in frames:
-                            self._outboxes[f.worker_rank].put(f)
-                    else:
-                        for rank in self._worker_ranks():
-                            self._outboxes[rank].put(
-                                Frame(
-                                    msg_type=MsgType.NOTIFY,
-                                    priority=sl.priority,
-                                    iteration=answered,
-                                    worker_rank=rank,
-                                    layer_index=key.layer_index,
-                                    slice_index=key.slice_index,
-                                    offset=sl.offset,
-                                )
-                            )
-            elif frame.msg_type == MsgType.PULL:
-                if shard.iteration != frame.iteration + 1:
-                    raise ProtocolError(
-                        f"key {key}: pull for iteration {frame.iteration} but shard at "
-                        f"{shard.iteration} (not yet updated)"
-                    )
-                f = bcast_frames(sl, frame.iteration, shard.params, [frame.worker_rank])[0]
-                self._outboxes[frame.worker_rank].put(f)
+        self.inbox.drain(self._handle, self.poll_timeout)
         for outbox in self._outboxes.values():
             outbox.close()
 
-    def _sender(self, rank: int, outbox: FrameQueue, conn: FrameConnection) -> None:
-        while True:
-            frame = outbox.poll(timeout=self.poll_timeout * 2)
-            if frame is None:
+    def _handle(self, frame: Frame) -> None:
+        key = SliceKey(frame.layer_index, frame.slice_index)
+        sl = self.owned.get(key)
+        if sl is None:
+            raise ProtocolError(f"rank {self.rank} does not own key {key}")
+        shard = self.shards[key]
+        if frame.msg_type == MsgType.PUSH:
+            if not shard.on_push(frame.worker_rank, frame.iteration, frame.payload_f32()):
                 return
-            conn.send_frame(frame)
+            answered = shard.iteration
+            params = shard.aggregate_and_update()
+            if self.mode == P3_MODE:
+                frames = bcast_frames(sl, answered, params, self._worker_ranks())
+            else:
+                frames = [
+                    slice_frame(MsgType.NOTIFY, sl, answered, rank) for rank in self._worker_ranks()
+                ]
+        else:  # PULL; the readers queue nothing else
+            if shard.iteration != frame.iteration + 1:
+                raise ProtocolError(
+                    f"key {key}: pull for iteration {frame.iteration} but shard at "
+                    f"{shard.iteration} (not yet updated)"
+                )
+            frames = bcast_frames(sl, frame.iteration, shard.params, [frame.worker_rank])
+        for f in frames:
+            self._outboxes[f.worker_rank].put(f)
 
     # -- lifecycle -----------------------------------------------------
 

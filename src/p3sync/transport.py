@@ -1,8 +1,9 @@
 """Socket plumbing shared by workers and servers: shaping, counting, framing.
 
-A process owns one TokenBucket per traffic direction; every connection's
-sends drain the shared outbound bucket, emulating an interface-level rate
-limit. Sends are chopped into chunks no larger than the bucket burst so a
+A shaped process owns one outbound TokenBucket and hands it to every
+FrameConnection it opens, so all sends drain it together, emulating an
+interface-level rate limit; an unshaped process passes None. Sends are
+chopped into SEND_CHUNK pieces, each paid for before it is written, so a
 large slice cannot blow through the configured rate.
 """
 
@@ -55,17 +56,6 @@ class TokenBucket:
             time.sleep(min(wait, 0.05))
 
 
-class Shaper:
-    """Optional bucket: None means pass-through."""
-
-    def __init__(self, rate_bps: float | None, burst_bytes: int = DEFAULT_BURST_BYTES) -> None:
-        self.bucket = TokenBucket(rate_bps, burst_bytes) if rate_bps else None
-
-    def consume(self, n: int) -> None:
-        if self.bucket is not None:
-            self.bucket.consume(n)
-
-
 class FrameConnection:
     """One TCP connection carrying frames, with shaping and byte accounting.
 
@@ -78,11 +68,11 @@ class FrameConnection:
         self,
         sock: socket.socket,
         counters: NetCounters | None = None,
-        shaper: Shaper | None = None,
+        bucket: TokenBucket | None = None,
     ) -> None:
         self.sock = sock
         self.counters = counters
-        self.shaper = shaper or Shaper(None)
+        self.bucket = bucket
         self._decoder = FrameDecoder()
         self._ready: list[Frame] = []
         self._closed = False
@@ -93,7 +83,8 @@ class FrameConnection:
         view = memoryview(data)
         while view:
             chunk = view[:SEND_CHUNK]
-            self.shaper.consume(len(chunk))
+            if self.bucket is not None:
+                self.bucket.consume(len(chunk))
             self.sock.sendall(chunk)
             if self.counters:
                 self.counters.record_bytes(OUT, len(chunk))

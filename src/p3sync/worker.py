@@ -2,9 +2,11 @@
 
 The worker sleeps for each layer's declared forward/backward duration,
 produces deterministic gradients, and pushes them to the parameter servers.
-In p3 mode all slices of a layer enter one priority outbox atomically and a
-single consumer thread sends the most urgent slice next; in baseline mode
-slices go straight to per-server FIFO queues in generation order and updated
+Outgoing frames are routed by their slice's server to an outbox; one sender
+thread per outbox polls it and sends each frame on its server's connection.
+In p3 mode every server maps to a single priority outbox, which a layer's
+slices enter atomically, so the most urgent slice goes next; in baseline mode
+each server has its own FIFO outbox, filled in generation order, and updated
 parameters are fetched with notify+pull. Forward progress of each layer is
 gated on having received that layer's parameters for the current iteration,
 so the next forward pass overlaps with the tail of synchronization whenever
@@ -20,20 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .hashing import GradGen, fnv1a64
-from .metrics import (
-    DEFAULT_SAMPLE_PERIOD_MS,
-    NetCounters,
-    NetSampler,
-    iterations_to_csv,
-    samples_to_csv,
-    write_text,
-)
+from .hashing import fnv1a64, gradient_block
+from .metrics import NetCounters, NetSampler, iterations_to_csv, samples_to_csv, write_text
 from .model import ModelProfile
 from .plan import P3_MODE, SliceKey, SlicePlan
-from .proto import Frame, MsgType, ProtocolError, pack_f32
+from .proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
 from .queues import DeadlockError, FrameQueue
-from .transport import FrameConnection, Shaper, connect_with_retry
+from .transport import FrameConnection, TokenBucket, connect_with_retry
 
 DEFAULT_DEADLOCK_TIMEOUT = 60.0
 
@@ -44,12 +39,9 @@ class WorkerConfig:
     mode: str
     servers: list[tuple[str, int]]
     iterations: int
-    lr: float = 0.1
-    batch_size: int = 32
     throttle_rate: float | None = None
     throttle_burst: int = 50 * 1024
     deadlock_timeout: float = DEFAULT_DEADLOCK_TIMEOUT
-    sample_period_ms: int = DEFAULT_SAMPLE_PERIOD_MS
 
 
 @dataclass
@@ -68,7 +60,6 @@ class TrainingWorker:
         self.cfg = config
         self.profile = profile
         self.plan = plan
-        self.gen = GradGen(profile.seed)
         self.params = [np.zeros(l.param_count, dtype=np.float32) for l in profile.layers]
         self.num_layers = profile.num_layers
         # flags[l] == k: layer l holds the parameters needed by forward pass k
@@ -84,17 +75,18 @@ class TrainingWorker:
         self.records: list[IterationRecord] = []
 
         self.counters = NetCounters()
-        self.sampler = NetSampler(self.counters, period_ms=config.sample_period_ms)
-        self._shaper = Shaper(config.throttle_rate, config.throttle_burst)
-        self.recv_inbox = FrameQueue(priority_mode=(config.mode == P3_MODE))
-        if config.mode == P3_MODE:
-            self.outbox = FrameQueue(priority_mode=True)
-            self.server_outboxes: dict[int, FrameQueue] = {}
+        self.sampler = NetSampler(self.counters)
+        self._bucket = (
+            TokenBucket(config.throttle_rate, config.throttle_burst) if config.throttle_rate else None
+        )
+        p3 = config.mode == P3_MODE
+        self.recv_inbox = FrameQueue(priority_mode=p3)
+        # server rank -> outbox; one sender thread drains each distinct outbox
+        servers = range(len(config.servers))
+        if p3:
+            self.outboxes = dict.fromkeys(servers, FrameQueue(priority_mode=True))
         else:
-            self.outbox = None
-            self.server_outboxes = {
-                s: FrameQueue(priority_mode=False) for s in range(len(config.servers))
-            }
+            self.outboxes = {s: FrameQueue(priority_mode=False) for s in servers}
         self._conns: dict[int, FrameConnection] = {}
         self._threads: list[threading.Thread] = []
         self._errors: list[BaseException] = []
@@ -124,9 +116,7 @@ class TrainingWorker:
             self._flag_cond.notify_all()
 
     def _all_outboxes(self) -> list[FrameQueue]:
-        return ([self.outbox] if self.outbox is not None else []) + list(
-            self.server_outboxes.values()
-        )
+        return list(dict.fromkeys(self.outboxes.values()))
 
     def _spawn(self, name: str, fn, *args) -> None:
         t = threading.Thread(target=self._guard, args=(fn, *args), name=name, daemon=True)
@@ -136,66 +126,35 @@ class TrainingWorker:
     def _connect_all(self) -> None:
         for srank, (host, port) in enumerate(self.cfg.servers):
             sock = connect_with_retry(host, port, self.cfg.deadlock_timeout)
-            conn = FrameConnection(sock, counters=self.counters, shaper=self._shaper)
+            conn = FrameConnection(sock, counters=self.counters, bucket=self._bucket)
             conn.send_frame(Frame(msg_type=MsgType.HELLO, worker_rank=self.cfg.rank))
             self._conns[srank] = conn
             self._spawn(f"recv-{srank}", self._receiver, conn)
-        if self.cfg.mode == P3_MODE:
-            self._spawn("sender", self._priority_sender)
-        else:
-            for srank in self.server_outboxes:
-                self._spawn(f"sender-{srank}", self._fifo_sender, srank)
-        self._spawn("applier", self._applier)
+        for i, outbox in enumerate(self._all_outboxes()):
+            self._spawn(f"sender-{i}", outbox.drain, self._send, self.cfg.deadlock_timeout * 2)
+        self._spawn("applier", self.recv_inbox.drain, self._apply, self.cfg.deadlock_timeout * 2)
 
     # -- send path ---------------------------------------------------------
 
-    def _push_descriptor(self, iteration: int, key: SliceKey) -> Frame:
-        # payload is synthesized at send time, so queued slices stay cheap and
-        # a preempting slice never waits behind another slice's serialization
-        sl = self.slice_info[key]
-        return Frame(
-            msg_type=MsgType.PUSH,
-            priority=sl.priority,
-            iteration=iteration,
-            worker_rank=self.cfg.rank,
-            layer_index=key.layer_index,
-            slice_index=key.slice_index,
-            offset=sl.offset,
-        )
-
-    def _materialize(self, frame: Frame) -> Frame:
-        if frame.msg_type != MsgType.PUSH:
-            return frame
-        sl = self.slice_info[SliceKey(frame.layer_index, frame.slice_index)]
-        grads = self.gen.block(frame.iteration, frame.layer_index, sl.offset, sl.length)
-        return replace(frame, payload=pack_f32(grads))
-
     def enqueue_layer(self, layer_index: int, iteration: int) -> None:
-        frames = [
-            self._push_descriptor(iteration, s.key) for s in self.slices_by_layer[layer_index]
-        ]
-        if self.cfg.mode == P3_MODE:
-            self.outbox.put_batch(frames)
-        else:
-            for f in frames:
-                server = self.slice_info[SliceKey(f.layer_index, f.slice_index)].server
-                self.server_outboxes[server].put(f)
+        # a push is queued as its bare header; the payload is synthesized at
+        # send time, so queued slices stay cheap and a preempting slice never
+        # waits behind another slice's serialization
+        batches: dict[FrameQueue, list[Frame]] = {}
+        for sl in self.slices_by_layer[layer_index]:
+            frame = slice_frame(MsgType.PUSH, sl, iteration, self.cfg.rank)
+            batches.setdefault(self.outboxes[sl.server], []).append(frame)
+        for outbox, frames in batches.items():
+            outbox.put_batch(frames)
 
-    def _priority_sender(self) -> None:
-        while True:
-            frame = self.outbox.poll(timeout=self.cfg.deadlock_timeout * 2)
-            if frame is None:
-                return
-            server = self.slice_info[SliceKey(frame.layer_index, frame.slice_index)].server
-            self._conns[server].send_frame(self._materialize(frame))
-
-    def _fifo_sender(self, server_rank: int) -> None:
-        q = self.server_outboxes[server_rank]
-        while True:
-            frame = q.poll(timeout=self.cfg.deadlock_timeout * 2)
-            if frame is None:
-                return
-            self._conns[server_rank].send_frame(self._materialize(frame))
+    def _send(self, frame: Frame) -> None:
+        sl = self.slice_info[SliceKey(frame.layer_index, frame.slice_index)]
+        if frame.msg_type == MsgType.PUSH:
+            grads = gradient_block(
+                self.profile.seed, frame.iteration, frame.layer_index, sl.offset, sl.length
+            )
+            frame = replace(frame, payload=pack_f32(grads))
+        self._conns[sl.server].send_frame(frame)
 
     # -- receive path --------------------------------------------------------
 
@@ -211,32 +170,19 @@ class TrainingWorker:
                 return
             self.recv_inbox.put(frame)
 
-    def _applier(self) -> None:
-        while True:
-            frame = self.recv_inbox.poll(timeout=self.cfg.deadlock_timeout * 2)
-            if frame is None:
-                return
-            if frame.msg_type == MsgType.BCAST:
-                self.on_bcast(frame)
-            elif frame.msg_type == MsgType.NOTIFY:
-                self._on_notify(frame)
-            else:
-                raise ProtocolError(f"worker got unexpected {frame.msg_type.name}")
+    def _apply(self, frame: Frame) -> None:
+        if frame.msg_type == MsgType.BCAST:
+            self.on_bcast(frame)
+        elif frame.msg_type == MsgType.NOTIFY:
+            self._on_notify(frame)
+        else:
+            raise ProtocolError(f"worker got unexpected {frame.msg_type.name}")
 
     def _on_notify(self, frame: Frame) -> None:
-        key = SliceKey(frame.layer_index, frame.slice_index)
-        server = self.slice_info[key].server
-        self.server_outboxes[server].put(
-            Frame(
-                msg_type=MsgType.PULL,
-                priority=frame.priority,
-                iteration=frame.iteration,
-                worker_rank=self.cfg.rank,
-                layer_index=key.layer_index,
-                slice_index=key.slice_index,
-                offset=frame.offset,
-            )
-        )
+        # a NOTIFY carries this worker's rank and the slice header: the PULL
+        # answering it is the same frame under another type
+        server = self.slice_info[SliceKey(frame.layer_index, frame.slice_index)].server
+        self.outboxes[server].put(replace(frame, msg_type=MsgType.PULL))
 
     def on_bcast(self, frame: Frame) -> None:
         key = SliceKey(frame.layer_index, frame.slice_index)
@@ -378,7 +324,8 @@ class TrainingWorker:
     def params_bytes(self) -> bytes:
         return b"".join(pack_f32(vec) for vec in self.params)
 
-    def write_outputs(self, outdir: str | Path, dump_params: bool = False) -> None:
+    def write_outputs(self, outdir: str | Path, digest: int, dump_params: bool = False) -> None:
+        """Write this worker's result files; ``digest`` is ``params_digest()``."""
         outdir = Path(outdir)
         rank = self.cfg.rank
         write_text(outdir / f"net_util_worker{rank}.csv", samples_to_csv(self.sampler.samples))
@@ -387,6 +334,6 @@ class TrainingWorker:
             outdir / f"throughput_worker{rank}.csv",
             iterations_to_csv([r.wall_ms for r in self.records], starts_ms),
         )
-        write_text(outdir / f"digest_worker{rank}.txt", f"{self.params_digest():016x}\n")
+        write_text(outdir / f"digest_worker{rank}.txt", f"{digest:016x}\n")
         if dump_params:
             (outdir / f"params_worker{rank}.bin").write_bytes(self.params_bytes())

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,43 @@ def test_worker_without_server_times_out(tmp_path):
         timeout=60,
     )
     assert proc.returncode == EXIT_USAGE  # connection refused surfaces as OSError
+
+
+def test_worker_rejects_plan_of_another_profile(tmp_path):
+    # same layers as toy3 but a wider layer 1, so the toy3 plan leaves half of
+    # it uncovered; checked before connecting, or the connect retries to the
+    # dead server address would run for the whole deadlock timeout
+    from dataclasses import replace
+
+    from p3sync.model import save_profile
+    from p3sync.plan import save_plan
+
+    toy3 = builtin_profile("toy3")
+    layers = list(toy3.layers)
+    layers[1] = replace(layers[1], param_count=2 * layers[1].param_count)
+    profile_path = tmp_path / "wide.json"
+    save_profile(replace(toy3, name="toy3-wide", layers=tuple(layers)), profile_path)
+    plan_path = tmp_path / "plan.csv"
+    save_plan(make_p3_plan(toy3, 1), plan_path)
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "p3sync", "worker",
+            "--rank", "0",
+            "--servers", "127.0.0.1:1",
+            "--mode", "p3",
+            "--profile", str(profile_path),
+            "--plan", str(plan_path),
+            "--iterations", "1",
+            "--deadlock-timeout", "30",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert time.monotonic() - t0 < 5
+    assert "layer 1: covers 1024 of 2048" in proc.stderr
 
 
 def test_exit_code_mapping(monkeypatch, capsys):

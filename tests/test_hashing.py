@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from p3sync.hashing import (
-    GradGen,
     fnv1a64,
     gradient_block,
     gradient_value,
@@ -56,12 +55,6 @@ def test_gradient_block_matches_scalar(seed, it, layer, start, count):
 def test_gradient_mean_near_zero():
     blk = gradient_block(12345, 0, 0, 0, 1_000_000)
     assert -0.01 < float(blk.mean()) < 0.01
-
-
-def test_gradgen_wraps_functions():
-    gen = GradGen(seed=42)
-    assert gen.value(3, 2, 7) == gradient_value(42, 3, 2, 7)
-    assert np.array_equal(gen.block(3, 2, 0, 8), gradient_block(42, 3, 2, 0, 8))
 
 
 def test_splitmix_mix_fixed_point_and_range():

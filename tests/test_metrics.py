@@ -9,9 +9,9 @@ from p3sync.metrics import (
     idle_fraction,
     iterations_from_csv,
     iterations_to_csv,
+    measurement_window,
     samples_from_csv,
     samples_to_csv,
-    throughput,
 )
 
 
@@ -90,17 +90,17 @@ def test_idle_fraction_needs_two_samples():
 
 
 def test_throughput_arithmetic():
-    rep = throughput([100.0] * 10, batch_size=32, num_workers=2, skip_iterations=5)
-    assert rep.samples_per_second == pytest.approx(640.0)
-    assert rep.measure_iterations == 5
-    assert rep.window_seconds == pytest.approx(0.5)
+    assert measurement_window([100.0] * 10, skip_iterations=5) == pytest.approx(0.5)
+    assert measurement_window([900.0, 300.0, 200.0], skip_iterations=1) == pytest.approx(0.5)
 
 
 def test_throughput_zero_window_rejected():
     with pytest.raises(ValueError):
-        throughput([100.0] * 5, batch_size=32, num_workers=2, skip_iterations=5)
+        measurement_window([100.0] * 5, skip_iterations=5)
     with pytest.raises(ValueError):
-        throughput([], batch_size=1, num_workers=1, skip_iterations=0)
+        measurement_window([], skip_iterations=0)
+    with pytest.raises(ValueError):
+        measurement_window([100.0, 0.0, 0.0], skip_iterations=1)
 
 
 def test_csv_roundtrips():

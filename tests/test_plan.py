@@ -7,7 +7,6 @@ from p3sync.plan import (
     PlanError,
     Slice,
     SliceKey,
-    compare_priority,
     load_plan,
     make_baseline_plan,
     make_p3_plan,
@@ -108,21 +107,7 @@ def test_slices_of_layer_sorted_and_covering():
         plan.slices_of_layer(9)
 
 
-# -- compare_priority --------------------------------------------------------
-
-
-def test_compare_priority_layer_order():
-    a = (0, SliceKey(0, 1))
-    b = (2, SliceKey(2, 0))
-    assert compare_priority(a, b) == -1
-    assert compare_priority(b, a) == 1
-
-
-def test_compare_priority_tie_break():
-    a = (1, SliceKey(1, 0))
-    b = (1, SliceKey(1, 1))
-    assert compare_priority(a, b) == -1
-    assert compare_priority(a, a) == 0
+# -- priority order ----------------------------------------------------------
 
 
 @given(st.permutations([(p, SliceKey(p, s)) for p in range(4) for s in range(3)]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from p3sync.model import LayerSpec, ModelProfile, builtin_profile
-from p3sync.plan import BASELINE_MODE, P3_MODE, make_baseline_plan, make_p3_plan
+from p3sync.plan import BASELINE_MODE, P3_MODE, make_plan
 from p3sync.server import ServerEngine
 from p3sync.worker import TrainingWorker, WorkerConfig
 
@@ -37,10 +37,7 @@ def run_topology(
     big_threshold=2000,
     seed=0,
 ):
-    if mode == P3_MODE:
-        plan = make_p3_plan(profile, num_servers, max_slice)
-    else:
-        plan = make_baseline_plan(profile, num_servers, big_threshold, seed)
+    plan = make_plan(mode, profile, num_servers, max_slice, big_threshold, seed)
     engines = [
         ServerEngine("127.0.0.1", 0, rank, mode, plan, num_workers, lr, poll_timeout=TIMEOUT)
         for rank in range(num_servers)
@@ -56,7 +53,6 @@ def run_topology(
                 mode=mode,
                 servers=addrs,
                 iterations=iterations,
-                lr=lr,
                 deadlock_timeout=TIMEOUT,
             ),
             profile,
@@ -179,7 +175,7 @@ def test_iteration_values_match_direct_simulation():
 
 def test_worker_outputs_written(tmp_path):
     workers, _ = run_topology(P3_MODE, small_profile(), 1, 1, iterations=2)
-    workers[0].write_outputs(tmp_path, dump_params=True)
+    workers[0].write_outputs(tmp_path, workers[0].params_digest(), dump_params=True)
     assert (tmp_path / "digest_worker0.txt").read_text().strip() == f"{workers[0].params_digest():016x}"
     blob = (tmp_path / "params_worker0.bin").read_bytes()
     assert blob == workers[0].params_bytes()

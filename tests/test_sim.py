@@ -321,8 +321,13 @@ def test_sweep_monotone_without_overhead_single_layer(m, t, policy):
     assert all(a >= b for a, b in zip(makespans, makespans[1:]))
 
 
+def without_downlink(sc):
+    return replace(sc, stages=tuple(replace(s, down=0) for s in sc.stages))
+
+
+# with a downlink cost the property is false; see the example test below
 @settings(max_examples=60, deadline=None)
-@given(random_scenarios(policies=(AGGRESSIVE_SLICED,)), st.integers(1, 1))
+@given(random_scenarios(policies=(AGGRESSIVE_SLICED,)).map(without_downlink), st.integers(1, 1))
 def test_sweep_monotone_without_overhead_fifo(sc, _):
     base = max((st_.up for st_ in sc.stages), default=0)
     if base == 0:
@@ -338,6 +343,21 @@ def test_sweep_monotone_without_overhead_fifo(sc, _):
         return
     makespans = [ms for _, ms in sweep_slice_size(sc, sizes)]
     assert all(a >= b for a, b in zip(makespans, makespans[1:]))
+
+
+def test_sweep_fifo_finer_slices_can_lose_on_the_downlink():
+    # at slice size 1, L2's first slice joins the FIFO downlink queue at tick 1,
+    # before L0's update ends at 2, so it is sent first and L0's parameters,
+    # and with them the next forward pass, arrive one tick later
+    layers = tuple(LayerSpec(i, f"L{i}", 1, fwd, 0) for i, fwd in enumerate((0, 2, 0, 0)))
+    sc = Scenario(
+        profile=ModelProfile("r", 0, layers),
+        stages=(StageCost(0, 2, 1), StageCost(0, 0, 2), StageCost(2, 0, 2), StageCost(0, 0, 0)),
+        policy=AGGRESSIVE_SLICED,
+        slice_ticks=2,
+        num_iterations=1,
+    )
+    assert sweep_slice_size(sc, [2, 1]) == [(2, 5), (1, 6)]
 
 
 def test_sweep_interior_minimum_with_overhead():

@@ -7,7 +7,7 @@ import pytest
 
 from p3sync.metrics import NetCounters
 from p3sync.proto import Frame, MsgType, encode_frame, pack_f32
-from p3sync.transport import FrameConnection, Shaper, TokenBucket, listen, parse_addr
+from p3sync.transport import FrameConnection, TokenBucket, listen, parse_addr
 
 
 def test_parse_addr():
@@ -58,14 +58,6 @@ def test_bucket_shared_across_threads():
         t.join()
     elapsed = time.perf_counter() - t0
     assert elapsed >= 0.2
-
-
-def test_shaper_passthrough():
-    s = Shaper(None)
-    t0 = time.perf_counter()
-    for _ in range(100):
-        s.consume(10**6)
-    assert time.perf_counter() - t0 < 0.05
 
 
 def loopback_pair():
