@@ -11,12 +11,13 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import metrics as metrics_mod
 from .hashing import fnv1a64
 from .metrics import (
+    IDLE_THRESHOLD_BYTES,
     NetSampler,
     clip_samples,
     idle_fraction,
@@ -28,9 +29,9 @@ from .metrics import (
 )
 from .model import BUILTIN_NAMES, ModelProfile, ProfileError, resolve_profile, save_profile
 from .plan import (
-    BASELINE_MODE,
     DEFAULT_BIG_THRESHOLD,
     DEFAULT_MAX_SLICE,
+    MODES,
     P3_MODE,
     PlanError,
     load_plan,
@@ -70,11 +71,9 @@ class RunConfig:
     iterations: int = 10
     batch_size: int = 32
     throttle_rate: float = 0.0  # bits/second; 0 disables shaping
-    throttle_burst: int = 50 * 1024
     seed: int = 0
     output_dir: str = "bench-out"
     skip_iterations: int = 5
-    idle_threshold: int = 4096
     timeout: float = 240.0
 
     def resolved_servers(self) -> int:
@@ -91,7 +90,7 @@ def _load_run_config(args) -> RunConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg = RunConfig(**{**cfg.__dict__, **raw})
     for f in fields(RunConfig):
-        val = getattr(args, f.name, None)
+        val = getattr(args, f.name)
         if val is not None:
             setattr(cfg, f.name, val)
     return cfg
@@ -144,12 +143,10 @@ def cmd_server(args) -> int:
         host=host,
         port=port,
         rank=args.rank,
-        mode=args.mode,
         plan=plan,
         num_workers=args.num_workers,
         lr=args.lr,
         throttle_rate=args.throttle_rate or None,
-        throttle_burst=args.throttle_burst,
         poll_timeout=args.deadlock_timeout,
     )
     print(f"READY {engine.addr[0]}:{engine.addr[1]}", flush=True)
@@ -176,18 +173,16 @@ def cmd_worker(args) -> int:
     servers = [parse_addr(a) for a in args.servers.split(",") if a]
     cfg = WorkerConfig(
         rank=args.rank,
-        mode=args.mode,
         servers=servers,
         iterations=args.iterations,
         throttle_rate=args.throttle_rate or None,
-        throttle_burst=args.throttle_burst,
         deadlock_timeout=args.deadlock_timeout,
     )
     worker = TrainingWorker(cfg, profile, plan)
     worker.run()
     digest = worker.params_digest()  # one pass of a pure-Python hash over every parameter
     if args.outdir:
-        worker.write_outputs(args.outdir, digest, dump_params=args.dump_params)
+        worker.write_outputs(args.outdir, digest)
     print(f"DONE rank={args.rank} digest={digest:016x}", flush=True)
     return EXIT_OK
 
@@ -219,17 +214,6 @@ def _read_ready(proc: subprocess.Popen, timeout: float) -> str:
     return result[0]
 
 
-def _drain(proc: subprocess.Popen) -> None:
-    def pump():
-        try:
-            for _ in proc.stdout:
-                pass
-        except ValueError:
-            pass
-
-    threading.Thread(target=pump, daemon=True).start()
-
-
 def run_bench(cfg: RunConfig) -> dict:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -246,12 +230,13 @@ def run_bench(cfg: RunConfig) -> dict:
     deadline = time.monotonic() + cfg.timeout
     procs: list[subprocess.Popen] = []
     base = [sys.executable, "-m", "p3sync"]
-    throttle = ["--throttle-rate", str(cfg.throttle_rate), "--throttle-burst", str(cfg.throttle_burst)]
+    throttle = ["--throttle-rate", str(cfg.throttle_rate)]
 
-    def spawn(cmd_args, log_name):
-        # the child writes to its own copy of the log's descriptor
+    def spawn(cmd_args, log_name, stdout=None):
+        # the child writes to its own copy of the log's descriptor; stdout goes
+        # there too unless the caller reads it (a server's READY line)
         with open(outdir / log_name, "w") as log:
-            p = subprocess.Popen(base + cmd_args, stdout=subprocess.PIPE, stderr=log, text=True)
+            p = subprocess.Popen(base + cmd_args, stdout=stdout or log, stderr=log, text=True)
         procs.append(p)
         return p
 
@@ -263,7 +248,6 @@ def run_bench(cfg: RunConfig) -> dict:
                     "server",
                     "--listen", "127.0.0.1:0",
                     "--rank", str(rank),
-                    "--mode", cfg.mode,
                     "--plan", str(plan_path),
                     "--num-workers", str(cfg.num_workers),
                     "--lr", str(cfg.lr),
@@ -272,29 +256,25 @@ def run_bench(cfg: RunConfig) -> dict:
                     *throttle,
                 ],
                 f"server{rank}.log",
+                stdout=subprocess.PIPE,
             )
+            # a server prints nothing after READY, so nothing reads its pipe later
             addrs.append(_read_ready(p, timeout=30))
-            _drain(p)
 
-        workers = []
         for rank in range(cfg.num_workers):
-            w = spawn(
+            spawn(
                 [
                     "worker",
                     "--rank", str(rank),
                     "--servers", ",".join(addrs),
-                    "--mode", cfg.mode,
                     "--profile", str(profile_path),
                     "--plan", str(plan_path),
                     "--iterations", str(cfg.iterations),
                     "--outdir", str(outdir),
-                    *(["--dump-params"] if rank == 0 else []),
                     *throttle,
                 ],
                 f"worker{rank}.log",
             )
-            _drain(w)
-            workers.append(w)
 
         for p in procs:
             remaining = deadline - time.monotonic()
@@ -339,7 +319,7 @@ def summarize_run(cfg: RunConfig, outdir: Path, profile: ModelProfile) -> dict:
     t0 = starts[cfg.skip_iterations]
     t1 = starts[-1] + walls[-1]
     clipped = clip_samples(samples, t0, t1)
-    idle = idle_fraction(clipped if len(clipped) >= 2 else samples, cfg.idle_threshold)
+    idle = idle_fraction(clipped if len(clipped) >= 2 else samples, IDLE_THRESHOLD_BYTES)
 
     blob = (outdir / "params_worker0.bin").read_bytes()
     servers_checked = _verify_server_digests(cfg, outdir, profile, blob)
@@ -352,7 +332,7 @@ def summarize_run(cfg: RunConfig, outdir: Path, profile: ModelProfile) -> dict:
         "iterations": cfg.iterations,
         "batch_size": cfg.batch_size,
         "skip_iterations": cfg.skip_iterations,
-        "idle_threshold": cfg.idle_threshold,
+        "idle_threshold": IDLE_THRESHOLD_BYTES,
         "samples_per_second": rate,
         "idle_fraction": idle,
         "digest": digests[0],
@@ -409,7 +389,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("plan", help="print a synchronization plan as CSV")
     p.add_argument("--profile", required=True, help=f"profile file or builtin: {', '.join(BUILTIN_NAMES)}")
-    p.add_argument("--mode", choices=[P3_MODE, BASELINE_MODE], default=P3_MODE)
+    p.add_argument("--mode", choices=MODES, default=P3_MODE)
     p.add_argument("--num-servers", type=int, default=1)
     p.add_argument("--max-slice", type=int, default=DEFAULT_MAX_SLICE)
     p.add_argument("--big-threshold", type=int, default=DEFAULT_BIG_THRESHOLD)
@@ -425,12 +405,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("server", help="run one parameter server")
     p.add_argument("--listen", default="127.0.0.1:0")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--mode", choices=[P3_MODE, BASELINE_MODE], required=True)
     p.add_argument("--plan", required=True)
     p.add_argument("--num-workers", type=int, required=True)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--throttle-rate", type=float, default=0.0, help="bits/second; 0 = off")
-    p.add_argument("--throttle-burst", type=int, default=50 * 1024)
     p.add_argument("--deadlock-timeout", type=float, default=60.0)
     p.add_argument("--digest", default=None, help="write per-slice parameter digests here")
     p.add_argument("--net-util", default=None)
@@ -439,35 +417,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("worker", help="run one training worker")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--servers", required=True, help="comma-separated host:port list")
-    p.add_argument("--mode", choices=[P3_MODE, BASELINE_MODE], required=True)
     p.add_argument("--profile", required=True)
     p.add_argument("--plan", required=True)
     p.add_argument("--iterations", type=int, required=True)
     p.add_argument("--throttle-rate", type=float, default=0.0, help="bits/second; 0 = off")
-    p.add_argument("--throttle-burst", type=int, default=50 * 1024)
     p.add_argument("--deadlock-timeout", type=float, default=60.0)
     p.add_argument("--outdir", default=None)
-    p.add_argument("--dump-params", action="store_true")
     p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser("bench", help="run servers+workers on loopback and aggregate metrics")
     p.add_argument("--config", default=None, help="JSON file with RunConfig fields")
-    p.add_argument("--mode", choices=[P3_MODE, BASELINE_MODE], default=None)
-    p.add_argument("--profile", default=None)
-    p.add_argument("--num-workers", type=int, default=None)
-    p.add_argument("--num-servers", type=int, default=None)
-    p.add_argument("--max-slice", type=int, default=None)
-    p.add_argument("--big-threshold", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--throttle-rate", type=float, default=None, help="bits/second; 0 = off")
-    p.add_argument("--throttle-burst", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output-dir", default=None)
-    p.add_argument("--skip-iterations", type=int, default=None)
-    p.add_argument("--idle-threshold", type=int, default=None)
-    p.add_argument("--timeout", type=float, default=None)
+    # one flag per RunConfig field; an unset flag keeps the config file's value
+    for f in fields(RunConfig):
+        choices = MODES if f.name == "mode" else None
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), choices=choices)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("report", help="print the summary of a finished bench directory")

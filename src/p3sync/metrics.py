@@ -18,6 +18,7 @@ IN = "in"
 OUT = "out"
 
 DEFAULT_SAMPLE_PERIOD_MS = 10
+IDLE_THRESHOLD_BYTES = 4096  # per sample: an interval moving less counts as idle
 DEFAULT_SKIP_ITERATIONS = 5
 
 

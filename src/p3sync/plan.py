@@ -3,8 +3,9 @@
 Two planning modes exist. The priority mode chops every layer into chunks no
 larger than ``max_slice`` and deals the chunks across servers round-robin; the
 baseline mode keeps small layers whole on a randomly chosen server and splits
-only layers at or above ``big_threshold`` equally across all servers. Slice
-priority always equals the owning layer's forward index (0 = most urgent).
+only layers at or above ``big_threshold`` equally across all servers. A
+slice's priority is not stored: it is its layer's forward index (0 = most
+urgent), which the wire header carries and the queues order by.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .model import ModelProfile
 
 P3_MODE = "p3"
 BASELINE_MODE = "baseline"
+MODES = (P3_MODE, BASELINE_MODE)
 
 DEFAULT_MAX_SLICE = 50_000
 DEFAULT_BIG_THRESHOLD = 1_000_000
@@ -38,7 +40,6 @@ class Slice:
     key: SliceKey
     offset: int
     length: int
-    priority: int
     server: int
 
 
@@ -96,7 +97,6 @@ def make_p3_plan(
                     key=SliceKey(layer.index, slice_index),
                     offset=offset,
                     length=length,
-                    priority=layer.index,
                     server=counter % num_servers,
                 )
             )
@@ -123,7 +123,6 @@ def make_baseline_plan(
                     key=SliceKey(layer.index, 0),
                     offset=0,
                     length=layer.param_count,
-                    priority=layer.index,
                     server=server,
                 )
             )
@@ -137,7 +136,6 @@ def make_baseline_plan(
                         key=SliceKey(layer.index, part),
                         offset=offset,
                         length=length,
-                        priority=layer.index,
                         server=part,
                     )
                 )
@@ -184,8 +182,6 @@ def validate_plan(plan: SlicePlan, profile: ModelProfile) -> None:
                 raise PlanError(f"layer {layer.index}: empty slice {s.key}")
             if plan.mode == P3_MODE and s.length > plan.max_slice:
                 raise PlanError(f"layer {layer.index}: slice {s.key} exceeds max_slice")
-            if s.priority != layer.index:
-                raise PlanError(f"layer {layer.index}: slice priority {s.priority} != layer index")
             if not (0 <= s.server < plan.num_servers):
                 raise PlanError(f"layer {layer.index}: bad server {s.server}")
             cursor += s.length
@@ -193,41 +189,46 @@ def validate_plan(plan: SlicePlan, profile: ModelProfile) -> None:
             raise PlanError(f"layer {layer.index}: covers {cursor} of {layer.param_count}")
 
 
-PLAN_CSV_HEADER = "layer,slice,offset,len,priority,server"
+_META_PREFIX = "# p3sync-plan "
+_INT_META_KEYS = ("num_servers", "max_slice", "big_threshold", "rng_seed")
+_META_KEYS = ("mode", *_INT_META_KEYS)
+PLAN_CSV_HEADER = "layer,slice,offset,len,server"
 
 
 def plan_to_csv(plan: SlicePlan) -> str:
     buf = io.StringIO()
-    buf.write(
-        f"# p3sync-plan mode={plan.mode} num_servers={plan.num_servers} "
-        f"max_slice={plan.max_slice} big_threshold={plan.big_threshold} "
-        f"rng_seed={plan.rng_seed}\n"
-    )
+    buf.write(_META_PREFIX + " ".join(f"{k}={getattr(plan, k)}" for k in _META_KEYS) + "\n")
     buf.write(PLAN_CSV_HEADER + "\n")
     for s in sorted(plan.slices, key=lambda s: (s.key.layer_index, s.key.slice_index)):
-        buf.write(f"{s.key.layer_index},{s.key.slice_index},{s.offset},{s.length},{s.priority},{s.server}\n")
+        buf.write(f"{s.key.layer_index},{s.key.slice_index},{s.offset},{s.length},{s.server}\n")
     return buf.getvalue()
 
 
 def plan_from_csv(text: str) -> SlicePlan:
+    """Parse ``plan_to_csv`` output; a missing or malformed part raises PlanError."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# p3sync-plan "):
+    if not lines or not lines[0].startswith(_META_PREFIX):
         raise PlanError("missing plan metadata line")
-    meta = dict(kv.split("=", 1) for kv in lines[0][len("# p3sync-plan "):].split())
-    if lines[1] != PLAN_CSV_HEADER:
-        raise PlanError(f"bad plan header: {lines[1]!r}")
+    meta = dict(kv.partition("=")[::2] for kv in lines[0][len(_META_PREFIX):].split())
+    missing = [k for k in _META_KEYS if k not in meta]
+    if missing:
+        raise PlanError(f"plan metadata lacks {', '.join(missing)}")
+    if meta["mode"] not in MODES:
+        raise PlanError(f"plan mode {meta['mode']!r} is not one of {MODES}")
+    try:
+        numbers = {k: int(meta[k]) for k in _INT_META_KEYS}
+    except ValueError:
+        raise PlanError(f"bad plan metadata: {lines[0]!r}") from None
+    if len(lines) < 2 or lines[1] != PLAN_CSV_HEADER:
+        raise PlanError(f"plan header line must be {PLAN_CSV_HEADER!r}")
     slices = []
     for ln in lines[2:]:
-        layer, sl, offset, length, priority, server = (int(x) for x in ln.split(","))
-        slices.append(Slice(SliceKey(layer, sl), offset, length, priority, server))
-    return SlicePlan(
-        mode=meta["mode"],
-        slices=tuple(slices),
-        num_servers=int(meta["num_servers"]),
-        max_slice=int(meta["max_slice"]),
-        big_threshold=int(meta["big_threshold"]),
-        rng_seed=int(meta["rng_seed"]),
-    )
+        try:
+            layer, sl, offset, length, server = (int(x) for x in ln.split(","))
+        except ValueError:
+            raise PlanError(f"bad plan row {ln!r}: want {PLAN_CSV_HEADER}") from None
+        slices.append(Slice(SliceKey(layer, sl), offset, length, server))
+    return SlicePlan(mode=meta["mode"], slices=tuple(slices), **numbers)
 
 
 def load_plan(path: str | Path) -> SlicePlan:

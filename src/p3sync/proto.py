@@ -59,10 +59,11 @@ class Frame:
 def slice_frame(
     msg_type: MsgType, sl: Slice, iteration: int, worker_rank: int, payload: bytes = b""
 ) -> Frame:
-    """A frame about one slice: its priority, key and offset ride in the header."""
+    """A frame about one slice: its key and offset ride in the header, and its
+    layer index in the priority field, since a slice's priority is its layer."""
     return Frame(
         msg_type=msg_type,
-        priority=sl.priority,
+        priority=sl.key.layer_index,
         iteration=iteration,
         worker_rank=worker_rank,
         layer_index=sl.key.layer_index,

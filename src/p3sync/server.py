@@ -1,9 +1,10 @@
 """Parameter server engine: aggregate pushed gradients, update, send parameters back.
 
-One server process owns the slice keys its rank was assigned in the plan.
-In p3 mode incoming pushes drain through a priority queue and completed
-updates are broadcast to every worker immediately; in baseline mode pushes
-are handled in arrival order and workers are notified, then pull.
+One server process owns the slice keys its rank was assigned in the plan and
+runs in the plan's mode. In p3 mode incoming pushes drain through a priority
+queue and completed updates are broadcast to every worker immediately; in
+baseline mode pushes are handled in arrival order and workers are notified,
+then pull.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class ShardState:
 def bcast_frames(
     sl: Slice, iteration: int, params: np.ndarray, worker_ranks: list[int]
 ) -> list[Frame]:
-    """One BCAST per worker, identical payloads, priority copied from the slice."""
+    """One BCAST per worker, identical payloads, the slice's header on each."""
     payload = pack_f32(params)
     return [slice_frame(MsgType.BCAST, sl, iteration, rank, payload) for rank in worker_ranks]
 
@@ -82,16 +83,14 @@ class ServerEngine:
         host: str,
         port: int,
         rank: int,
-        mode: str,
         plan: SlicePlan,
         num_workers: int,
         lr: float,
         throttle_rate: float | None = None,
-        throttle_burst: int = 50 * 1024,
         poll_timeout: float = 60.0,
     ) -> None:
         self.rank = rank
-        self.mode = mode
+        self.p3 = plan.mode == P3_MODE
         self.num_workers = num_workers
         self.poll_timeout = poll_timeout
         self.owned: dict[SliceKey, Slice] = {
@@ -102,8 +101,8 @@ class ServerEngine:
             for key, s in self.owned.items()
         }
         self.counters = NetCounters()
-        self._bucket = TokenBucket(throttle_rate, throttle_burst) if throttle_rate else None
-        self.inbox = FrameQueue(priority_mode=(mode == P3_MODE))
+        self._bucket = TokenBucket(throttle_rate) if throttle_rate else None
+        self.inbox = FrameQueue(priority_mode=self.p3)
         self._conns: dict[int, FrameConnection] = {}
         self._outboxes: dict[int, FrameQueue] = {}
         self._threads: list[threading.Thread] = []
@@ -164,7 +163,7 @@ class ServerEngine:
             if rank in self._conns:
                 raise ProtocolError(f"duplicate HELLO from rank {rank}")
             self._conns[rank] = conn
-            outbox = FrameQueue(priority_mode=(self.mode == P3_MODE))
+            outbox = FrameQueue(priority_mode=self.p3)
             self._outboxes[rank] = outbox
             self._spawn(f"sender-{rank}", outbox.drain, conn.send_frame, self.poll_timeout * 2)
 
@@ -209,7 +208,7 @@ class ServerEngine:
                 return
             answered = shard.iteration
             params = shard.aggregate_and_update()
-            if self.mode == P3_MODE:
+            if self.p3:
                 frames = bcast_frames(sl, answered, params, self._worker_ranks())
             else:
                 frames = [

@@ -36,11 +36,9 @@ DEFAULT_DEADLOCK_TIMEOUT = 60.0
 @dataclass
 class WorkerConfig:
     rank: int
-    mode: str
     servers: list[tuple[str, int]]
     iterations: int
     throttle_rate: float | None = None
-    throttle_burst: int = 50 * 1024
     deadlock_timeout: float = DEFAULT_DEADLOCK_TIMEOUT
 
 
@@ -55,8 +53,6 @@ class IterationRecord:
 
 class TrainingWorker:
     def __init__(self, config: WorkerConfig, profile: ModelProfile, plan: SlicePlan) -> None:
-        if plan.mode != config.mode:
-            raise ValueError(f"plan mode {plan.mode!r} != worker mode {config.mode!r}")
         self.cfg = config
         self.profile = profile
         self.plan = plan
@@ -76,10 +72,8 @@ class TrainingWorker:
 
         self.counters = NetCounters()
         self.sampler = NetSampler(self.counters)
-        self._bucket = (
-            TokenBucket(config.throttle_rate, config.throttle_burst) if config.throttle_rate else None
-        )
-        p3 = config.mode == P3_MODE
+        self._bucket = TokenBucket(config.throttle_rate) if config.throttle_rate else None
+        p3 = plan.mode == P3_MODE
         self.recv_inbox = FrameQueue(priority_mode=p3)
         # server rank -> outbox; one sender thread drains each distinct outbox
         servers = range(len(config.servers))
@@ -324,8 +318,11 @@ class TrainingWorker:
     def params_bytes(self) -> bytes:
         return b"".join(pack_f32(vec) for vec in self.params)
 
-    def write_outputs(self, outdir: str | Path, digest: int, dump_params: bool = False) -> None:
-        """Write this worker's result files; ``digest`` is ``params_digest()``."""
+    def write_outputs(self, outdir: str | Path, digest: int) -> None:
+        """Write this worker's result files; ``digest`` is ``params_digest()``.
+
+        Rank 0 also dumps its parameters, for the bench's server digest check.
+        """
         outdir = Path(outdir)
         rank = self.cfg.rank
         write_text(outdir / f"net_util_worker{rank}.csv", samples_to_csv(self.sampler.samples))
@@ -335,5 +332,5 @@ class TrainingWorker:
             iterations_to_csv([r.wall_ms for r in self.records], starts_ms),
         )
         write_text(outdir / f"digest_worker{rank}.txt", f"{digest:016x}\n")
-        if dump_params:
+        if rank == 0:
             (outdir / f"params_worker{rank}.bin").write_bytes(self.params_bytes())

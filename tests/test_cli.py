@@ -157,7 +157,6 @@ def test_worker_without_server_times_out(tmp_path):
             sys.executable, "-m", "p3sync", "worker",
             "--rank", "0",
             "--servers", "127.0.0.1:1",
-            "--mode", "p3",
             "--profile", "toy3",
             "--plan", str(plan_path),
             "--iterations", "1",
@@ -192,7 +191,6 @@ def test_worker_rejects_plan_of_another_profile(tmp_path):
             sys.executable, "-m", "p3sync", "worker",
             "--rank", "0",
             "--servers", "127.0.0.1:1",
-            "--mode", "p3",
             "--profile", str(profile_path),
             "--plan", str(plan_path),
             "--iterations", "1",
@@ -221,29 +219,30 @@ def test_exit_code_mapping(monkeypatch, capsys):
 
         return fn
 
+    # build_parser reads cmd_report when main calls it, so the patch is what runs
     monkeypatch.setattr(cli, "cmd_report", raising(ProtocolError("x")))
-    parser_code = cli.main(["report", "--output-dir", "."])
-    # parser still binds the original func reference, so patch via parse path
-    monkeypatch.setattr(
-        cli, "build_parser", lambda: _patched_parser(raising(ProtocolError("x")))
-    )
-    assert cli.main(["boom"]) == EXIT_PROTOCOL
-    monkeypatch.setattr(
-        cli, "build_parser", lambda: _patched_parser(raising(DeadlockError("y")))
-    )
-    assert cli.main(["boom"]) == EXIT_TIMEOUT
+    assert cli.main(["report", "--output-dir", "."]) == EXIT_PROTOCOL
+    monkeypatch.setattr(cli, "cmd_report", raising(DeadlockError("y")))
+    assert cli.main(["report", "--output-dir", "."]) == EXIT_TIMEOUT
     capsys.readouterr()
 
 
-def _patched_parser(fn):
-    import argparse
-
-    class P(argparse.ArgumentParser):
-        def error(self, message):
-            raise SystemExit(EXIT_USAGE)
-
-    parser = P()
-    sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("boom")
-    p.set_defaults(func=fn)
-    return parser
+def test_server_rejects_malformed_plan(tmp_path):
+    plan_path = tmp_path / "plan.csv"
+    plan_path.write_text(
+        "# p3sync-plan mode=p3 num_servers=1\nlayer,slice,offset,len,server\n0,0,0,10,0\n"
+    )
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "p3sync", "server",
+            "--rank", "0",
+            "--plan", str(plan_path),
+            "--num-workers", "1",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert "plan metadata lacks max_slice, big_threshold, rng_seed" in proc.stderr

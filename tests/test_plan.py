@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from p3sync.model import LayerSpec, ModelProfile, builtin_profile
 from p3sync.plan import (
     PlanError,
-    Slice,
     SliceKey,
     load_plan,
     make_baseline_plan,
@@ -16,6 +15,8 @@ from p3sync.plan import (
     save_plan,
     validate_plan,
 )
+from p3sync.proto import MsgType, slice_frame
+from p3sync.queues import frame_order_key
 
 
 def profile_of(counts, name="t", seed=0):
@@ -52,11 +53,6 @@ def test_round_robin_counter_spans_layers():
     # layer0 -> 3 slices, layer1 -> 2 slices; counter runs 0..4
     plan = make_p3_plan(profile_of([25, 20]), num_servers=2, max_slice=10)
     assert [s.server for s in plan.slices] == [0, 1, 0, 1, 0]
-
-
-def test_priority_equals_layer_index():
-    plan = make_p3_plan(profile_of([10, 10, 10]), num_servers=3)
-    assert all(s.priority == s.key.layer_index for s in plan.slices)
 
 
 def test_p3_plan_preconditions():
@@ -137,10 +133,14 @@ def test_coverage_and_determinism(profile, num_servers, seed):
 @settings(max_examples=60, deadline=None)
 @given(profiles_strategy, st.integers(1, 5))
 def test_priority_monotone_across_layers(profile, num_servers):
+    # a slice's priority is its layer: its header carries the layer index in
+    # the priority field, and headers sort into layer order
     plan = make_p3_plan(profile, num_servers)
-    ordered = sorted(plan.slices, key=lambda s: priority_sort_key(s.priority, s.key))
-    layer_seq = [s.key.layer_index for s in ordered]
+    frames = [slice_frame(MsgType.PUSH, s, 0, 0) for s in reversed(plan.slices)]
+    ordered = sorted(frames, key=frame_order_key)
+    layer_seq = [f.layer_index for f in ordered]
     assert layer_seq == sorted(layer_seq)
+    assert [f.priority for f in ordered] == layer_seq
 
 
 @pytest.mark.parametrize("name", ["toy3", "vgg19-like", "resnet50-like", "sockeye-like"])
@@ -170,3 +170,37 @@ def test_plan_csv_roundtrip(tmp_path):
 def test_plan_csv_rejects_garbage():
     with pytest.raises(PlanError):
         plan_from_csv("layer,slice\n0,0\n")
+
+
+META = "# p3sync-plan mode=p3 num_servers=1 max_slice=50000 big_threshold=1000000 rng_seed=0"
+HEADER = "layer,slice,offset,len,server"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        f"{META.replace(' max_slice=50000', '')}\n{HEADER}\n0,0,0,10,0\n",
+        f"{META.replace('mode=p3', 'mode=fast')}\n{HEADER}\n0,0,0,10,0\n",
+        f"{META.replace('rng_seed=0', 'rng_seed=x')}\n{HEADER}\n",
+        f"{META}\n",
+        f"{META}\n0,0,0,10,0\n",
+        f"{META}\nlayer,slice,offset,len,priority,server\n0,0,0,10,0,0\n",
+        f"{META}\n{HEADER}\n0,0,0,10\n",
+        f"{META}\n{HEADER}\n0,0,0,ten,0\n",
+    ],
+    ids=[
+        "empty",
+        "missing-key",
+        "unknown-mode",
+        "non-integer-metadata",
+        "no-header-line",
+        "row-in-place-of-header",
+        "priority-column",
+        "short-row",
+        "non-integer-row",
+    ],
+)
+def test_plan_csv_rejects_malformed(text):
+    with pytest.raises(PlanError):
+        plan_from_csv(text)

@@ -39,7 +39,7 @@ def run_topology(
 ):
     plan = make_plan(mode, profile, num_servers, max_slice, big_threshold, seed)
     engines = [
-        ServerEngine("127.0.0.1", 0, rank, mode, plan, num_workers, lr, poll_timeout=TIMEOUT)
+        ServerEngine("127.0.0.1", 0, rank, plan, num_workers, lr, poll_timeout=TIMEOUT)
         for rank in range(num_servers)
     ]
     server_threads = [threading.Thread(target=e.run, name=f"srv{e.rank}") for e in engines]
@@ -50,7 +50,6 @@ def run_topology(
         TrainingWorker(
             WorkerConfig(
                 rank=r,
-                mode=mode,
                 servers=addrs,
                 iterations=iterations,
                 deadlock_timeout=TIMEOUT,
@@ -175,7 +174,7 @@ def test_iteration_values_match_direct_simulation():
 
 def test_worker_outputs_written(tmp_path):
     workers, _ = run_topology(P3_MODE, small_profile(), 1, 1, iterations=2)
-    workers[0].write_outputs(tmp_path, workers[0].params_digest(), dump_params=True)
+    workers[0].write_outputs(tmp_path, workers[0].params_digest())
     assert (tmp_path / "digest_worker0.txt").read_text().strip() == f"{workers[0].params_digest():016x}"
     blob = (tmp_path / "params_worker0.bin").read_bytes()
     assert blob == workers[0].params_bytes()
@@ -203,3 +202,39 @@ def test_metrics_accounting_closure():
     # inbound: one bcast per slice per iteration
     expected_in = push_payload + HEADER_LEN * n_slices * 2
     assert b_in == expected_in
+
+
+def test_push_for_key_of_another_server_is_a_protocol_error():
+    import socket
+    import time
+
+    from p3sync.proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
+    from p3sync.transport import FrameConnection
+
+    plan = make_plan(P3_MODE, small_profile(), 2, 1000, 2000, 0)
+    foreign = next(s for s in plan.slices if s.server == 1)
+    engine = ServerEngine("127.0.0.1", 0, 0, plan, num_workers=1, lr=0.1, poll_timeout=TIMEOUT)
+    errors = []
+
+    def serve():
+        try:
+            engine.run()
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    server = threading.Thread(target=serve, name="srv0")
+    t0 = time.monotonic()
+    server.start()
+    conn = FrameConnection(socket.create_connection(engine.addr, timeout=5.0))
+    try:
+        conn.send_frame(Frame(msg_type=MsgType.HELLO, worker_rank=0))
+        grads = np.zeros(foreign.length, dtype=np.float32)
+        conn.send_frame(slice_frame(MsgType.PUSH, foreign, 0, 0, pack_f32(grads)))
+        server.join(timeout=5.0)
+    finally:
+        conn.close()
+    assert not server.is_alive(), "server did not stop on a foreign key"
+    assert time.monotonic() - t0 < 5.0
+    assert len(errors) == 1 and isinstance(errors[0], ProtocolError)
+    assert "does not own" in str(errors[0])
+    assert [t.name for t in engine._threads if t.is_alive()] == []

@@ -133,7 +133,7 @@ def test_arrival_order_of_keys_never_changes_values():
 
 
 def test_bcast_frames_shape():
-    sl = Slice(SliceKey(2, 1), offset=10, length=4, priority=2, server=0)
+    sl = Slice(SliceKey(2, 1), offset=10, length=4, server=0)
     params = np.array([1.0, 2.0, 3.0, 4.0], np.float32)
     frames = bcast_frames(sl, 7, params, [0, 1, 2, 3])
     assert len(frames) == 4
@@ -141,7 +141,7 @@ def test_bcast_frames_shape():
     assert len({f.payload for f in frames}) == 1
     for f in frames:
         assert f.msg_type == MsgType.BCAST
-        assert f.priority == 2  # slice priority rides in the header
+        assert f.priority == 2  # the slice's layer index rides in the priority field
         assert f.iteration == 7
         assert f.offset == 10
         assert np.array_equal(f.payload_f32(), params)
