@@ -1,6 +1,6 @@
 """Priority-scheduled parameter synchronization: runtime, baseline, and simulator."""
 
-from .hashing import fnv1a64, gradient_block, gradient_value, splitmix64_mix
+from .hashing import digest64, gradient_block, gradient_value, splitmix64_mix
 from .model import BUILTIN_NAMES, LayerSpec, ModelProfile, builtin_profile, load_profile, save_profile, total_params
 from .plan import (
     BASELINE_MODE,

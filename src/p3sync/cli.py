@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import metrics as metrics_mod
-from .hashing import fnv1a64
+from .hashing import digest64
 from .metrics import (
     IDLE_THRESHOLD_BYTES,
     NetSampler,
@@ -27,7 +27,7 @@ from .metrics import (
     samples_from_csv,
     write_text,
 )
-from .model import BUILTIN_NAMES, ModelProfile, ProfileError, resolve_profile, save_profile
+from .model import BUILTIN_NAMES, ModelProfile, ProfileError, resolve_profile, save_profile, total_params
 from .plan import (
     DEFAULT_BIG_THRESHOLD,
     DEFAULT_MAX_SLICE,
@@ -180,7 +180,7 @@ def cmd_worker(args) -> int:
     )
     worker = TrainingWorker(cfg, profile, plan)
     worker.run()
-    digest = worker.params_digest()  # one pass of a pure-Python hash over every parameter
+    digest = worker.params_digest()  # one BLAKE2b pass over every parameter
     if args.outdir:
         worker.write_outputs(args.outdir, digest)
     print(f"DONE rank={args.rank} digest={digest:016x}", flush=True)
@@ -322,6 +322,14 @@ def summarize_run(cfg: RunConfig, outdir: Path, profile: ModelProfile) -> dict:
     idle = idle_fraction(clipped if len(clipped) >= 2 else samples, IDLE_THRESHOLD_BYTES)
 
     blob = (outdir / "params_worker0.bin").read_bytes()
+    want_bytes = 4 * total_params(profile)
+    if len(blob) != want_bytes:
+        raise ProtocolError(
+            f"params_worker0.bin holds {len(blob)} bytes, not the {want_bytes} of "
+            f"{profile.name}'s float32 parameters"
+        )
+    if f"{digest64(blob):016x}" != digests[0]:
+        raise ProtocolError(f"params_worker0.bin does not match worker 0's digest {digests[0]}")
     servers_checked = _verify_server_digests(cfg, outdir, profile, blob)
 
     summary = {
@@ -354,8 +362,10 @@ def _verify_server_digests(cfg: RunConfig, outdir: Path, profile: ModelProfile, 
         lines = path.read_text().splitlines()[1:]
         for line in lines:
             layer, sl, offset, length, digest = line.split(",")
+            if int(layer) not in layer_base:
+                raise ProtocolError(f"server {rank} slice {layer}/{sl}: profile has no layer {layer}")
             start = 4 * (layer_base[int(layer)] + int(offset))
-            want = fnv1a64(blob[start : start + 4 * int(length)])
+            want = digest64(blob[start : start + 4 * int(length)])
             if f"{want:016x}" != digest:
                 raise ProtocolError(
                     f"server {rank} slice {layer}/{sl} digest {digest} != worker-side {want:016x}"

@@ -1,10 +1,16 @@
-"""Deterministic integer hashing: splitmix64 mixing, synthetic gradients, FNV digests.
+"""Deterministic integer hashing: splitmix64 mixing, synthetic gradients, digests.
 
 Everything here is pure and bit-stable across platforms; the distributed
 runtime leans on that for cross-mode and cross-process equality checks.
+``digest64`` (64-bit BLAKE2b, in C) is the digest the runtime uses for
+parameters. ``fnv1a64`` is a pure-Python FNV-1a that the runtime does not
+call; ``perfbench/probes.py`` still wraps it by name.
 """
 
 from __future__ import annotations
+
+# hashlib.blake2b is this same type, but importing hashlib also loads OpenSSL's libcrypto
+from _blake2 import blake2b
 
 import numpy as np
 
@@ -59,6 +65,11 @@ def gradient_block(seed: int, iteration: int, layer_index: int, start: int, coun
     x = np.uint64(base) ^ (elems * np.uint64(GRAD_ELEM_MULT))
     top24 = _mix_array_u64(x) >> np.uint64(40)
     return (top24.astype(np.float64) * 2.0**-23 - 1.0).astype(np.float32)
+
+
+def digest64(data: bytes | bytearray | memoryview) -> int:
+    """64-bit BLAKE2b (``digest_size=8``) of a byte buffer, read as a big-endian integer."""
+    return int.from_bytes(blake2b(data, digest_size=8).digest(), "big")
 
 
 def fnv1a64(data: bytes | bytearray | memoryview, h: int = FNV_OFFSET) -> int:

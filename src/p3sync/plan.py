@@ -166,10 +166,13 @@ def make_plan(
 
 
 def validate_plan(plan: SlicePlan, profile: ModelProfile) -> None:
-    """Check full, non-overlapping coverage of every layer (and p3 granularity)."""
+    """Check full, non-overlapping coverage of every layer, no others (and p3 granularity)."""
     by_layer: dict[int, list[Slice]] = {}
     for s in plan.slices:
         by_layer.setdefault(s.key.layer_index, []).append(s)
+    unknown = sorted(set(by_layer) - {layer.index for layer in profile.layers})
+    if unknown:
+        raise PlanError(f"slices for layers {unknown} that profile {profile.name} does not have")
     for layer in profile.layers:
         slices = sorted(by_layer.get(layer.index, []), key=lambda s: s.key.slice_index)
         if not slices:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hashing import fnv1a64
+from .hashing import digest64
 from .metrics import NetCounters
 from .plan import P3_MODE, SliceKey, Slice, SlicePlan
 from .proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
@@ -254,7 +254,7 @@ class ServerEngine:
         buf.write("layer,slice,offset,len,digest\n")
         for key in sorted(self.shards):
             sl = self.owned[key]
-            digest = fnv1a64(pack_f32(self.shards[key].params))
+            digest = digest64(pack_f32(self.shards[key].params))
             buf.write(
                 f"{key.layer_index},{key.slice_index},{sl.offset},{sl.length},{digest:016x}\n"
             )

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hashing import fnv1a64, gradient_block
+from .hashing import digest64, gradient_block
 from .metrics import NetCounters, NetSampler, iterations_to_csv, samples_to_csv, write_text
 from .model import ModelProfile
 from .plan import P3_MODE, SliceKey, SlicePlan
@@ -310,10 +310,7 @@ class TrainingWorker:
     # -- outputs -----------------------------------------------------------
 
     def params_digest(self) -> int:
-        h = 0xCBF29CE484222325
-        for vec in self.params:
-            h = fnv1a64(pack_f32(vec), h)
-        return h
+        return digest64(self.params_bytes())
 
     def params_bytes(self) -> bytes:
         return b"".join(pack_f32(vec) for vec in self.params)

@@ -1,14 +1,17 @@
 import json
+import shutil
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from p3sync.cli import EXIT_PROTOCOL, EXIT_TIMEOUT, EXIT_USAGE, main
+from p3sync.cli import EXIT_PROTOCOL, EXIT_TIMEOUT, EXIT_USAGE, RunConfig, main, run_bench, summarize_run
 from p3sync.model import builtin_profile, total_params
 from p3sync.plan import make_p3_plan
+from p3sync.proto import ProtocolError
 
 REPO = Path(__file__).resolve().parent.parent
 FIG4 = REPO / "scenarios" / "fig4.json"
@@ -246,3 +249,76 @@ def test_server_rejects_malformed_plan(tmp_path):
     assert proc.returncode == EXIT_USAGE
     assert "Traceback" not in proc.stderr
     assert "plan metadata lacks max_slice, big_threshold, rng_seed" in proc.stderr
+
+
+# -- summarize_run's checks of a finished run ---------------------------------
+
+TOY3_RUN = dict(profile="toy3", num_workers=2, iterations=4, skip_iterations=1, timeout=120.0)
+
+
+@pytest.fixture(scope="module")
+def finished_toy3_run(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("toy3") / "run"
+    summary = run_bench(RunConfig(**TOY3_RUN, output_dir=str(outdir)))
+    assert summary["server_slices_verified"] == len(make_p3_plan(builtin_profile("toy3"), 2).slices)
+    return outdir
+
+
+def summarize_copy(run_dir, tmp_path, edit):
+    """Copy a finished run, apply ``edit(outdir)``, then run summarize_run on the copy."""
+    outdir = tmp_path / "run"
+    shutil.copytree(run_dir, outdir)
+    edit(outdir)
+    cfg = RunConfig(**TOY3_RUN, output_dir=str(outdir))
+    return summarize_run(cfg, outdir, builtin_profile("toy3"))
+
+
+def test_summarize_untouched_run_passes(finished_toy3_run, tmp_path):
+    summary = summarize_copy(finished_toy3_run, tmp_path, lambda outdir: None)
+    assert summary["digest"] == (finished_toy3_run / "digest_worker0.txt").read_text().strip()
+
+
+def test_summarize_rejects_flipped_param(finished_toy3_run, tmp_path):
+    def flip_one_float(outdir):
+        path = outdir / "params_worker0.bin"
+        params = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
+        params[7] = -params[7] if params[7] else np.float32(1.0)
+        path.write_bytes(params.tobytes())
+
+    with pytest.raises(ProtocolError, match="does not match worker 0's digest"):
+        summarize_copy(finished_toy3_run, tmp_path, flip_one_float)
+
+
+def test_summarize_rejects_params_of_wrong_length(finished_toy3_run, tmp_path):
+    def truncate(outdir):
+        path = outdir / "params_worker0.bin"
+        path.write_bytes(path.read_bytes()[:-4])
+
+    with pytest.raises(ProtocolError, match="float32 parameters"):
+        summarize_copy(finished_toy3_run, tmp_path, truncate)
+
+
+def edit_server_row(edit_fields):
+    def edit(outdir):
+        path = outdir / "digest_server0.csv"
+        header, first, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, ",".join(edit_fields(first.split(","))), *rest]) + "\n")
+
+    return edit
+
+
+def test_summarize_rejects_changed_server_digest(finished_toy3_run, tmp_path):
+    def change_digest(row):
+        row[-1] = f"{int(row[-1], 16) ^ 1:016x}"
+        return row
+
+    with pytest.raises(ProtocolError, match="server 0 slice .* != worker-side"):
+        summarize_copy(finished_toy3_run, tmp_path, edit_server_row(change_digest))
+
+
+def test_summarize_rejects_server_digest_of_unknown_layer(finished_toy3_run, tmp_path):
+    def unknown_layer(row):
+        return ["9", *row[1:]]
+
+    with pytest.raises(ProtocolError, match="profile has no layer 9"):
+        summarize_copy(finished_toy3_run, tmp_path, edit_server_row(unknown_layer))

@@ -1,9 +1,14 @@
+import hashlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from p3sync.hashing import (
+    digest64,
     fnv1a64,
     gradient_block,
     gradient_value,
@@ -85,3 +90,23 @@ def test_fnv1a64_chaining():
     whole = fnv1a64(b"hello world")
     part = fnv1a64(b" world", fnv1a64(b"hello"))
     assert whole == part
+
+
+# hashlib's blake2b is the independent reference for the runtime's digest
+@pytest.mark.parametrize(
+    "data",
+    [b"", b"a", b"foobar", bytes(range(256)) * 17, np.arange(1000, dtype="<f4").tobytes()],
+)
+def test_digest64_is_blake2b_64(data):
+    ref = hashlib.blake2b(data, digest_size=8)
+    assert digest64(data) == int.from_bytes(ref.digest(), "big")
+    assert f"{digest64(data):016x}" == ref.hexdigest()  # the hex the result files hold
+    assert digest64(memoryview(data)) == digest64(bytearray(data)) == digest64(data)
+
+
+def test_import_does_not_load_openssl():
+    # importing hashlib would load OpenSSL's libcrypto (via _hashlib) into every process
+    code = "import sys, p3sync, p3sync.cli; print('_hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

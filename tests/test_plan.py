@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from p3sync.model import LayerSpec, ModelProfile, builtin_profile
 from p3sync.plan import (
     PlanError,
+    Slice,
     SliceKey,
     load_plan,
     make_baseline_plan,
@@ -155,6 +158,14 @@ def test_builtin_coverage(name, mode):
     validate_plan(plan, prof)
     for layer in prof.layers:
         assert sum(s.length for s in plan.slices_of_layer(layer.index)) == layer.param_count
+
+
+def test_validate_rejects_slice_of_unknown_layer():
+    toy3 = builtin_profile("toy3")
+    plan = make_p3_plan(toy3, 2)
+    extra = replace(plan, slices=plan.slices + (Slice(SliceKey(9, 0), 0, 10, 0),))
+    with pytest.raises(PlanError, match=r"layers \[9\]"):
+        validate_plan(extra, toy3)
 
 
 # -- csv interchange ---------------------------------------------------------

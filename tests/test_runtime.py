@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from p3sync.hashing import digest64
 from p3sync.model import LayerSpec, ModelProfile, builtin_profile
 from p3sync.plan import BASELINE_MODE, P3_MODE, make_plan
 from p3sync.server import ServerEngine
@@ -178,6 +179,7 @@ def test_worker_outputs_written(tmp_path):
     assert (tmp_path / "digest_worker0.txt").read_text().strip() == f"{workers[0].params_digest():016x}"
     blob = (tmp_path / "params_worker0.bin").read_bytes()
     assert blob == workers[0].params_bytes()
+    assert workers[0].params_digest() == digest64(blob)
     assert (tmp_path / "net_util_worker0.csv").exists()
     assert (tmp_path / "throughput_worker0.csv").exists()
 
