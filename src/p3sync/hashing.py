@@ -9,9 +9,6 @@ call; ``perfbench/probes.py`` still wraps it by name.
 
 from __future__ import annotations
 
-# hashlib.blake2b is this same type, but importing hashlib also loads OpenSSL's libcrypto
-from _blake2 import blake2b
-
 import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -39,13 +36,6 @@ def splitmix64_stream(seed: int, index: int) -> int:
     return splitmix64_mix(state)
 
 
-def _mix_array_u64(x: np.ndarray) -> np.ndarray:
-    # vectorized splitmix64_mix; x is uint64, wraps silently
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
 def gradient_value(seed: int, iteration: int, layer_index: int, element_index: int) -> np.float32:
     """Synthetic gradient for one element, in [-1, 1), reproducible everywhere."""
     x = seed
@@ -61,14 +51,32 @@ def gradient_block(seed: int, iteration: int, layer_index: int, start: int, coun
     base = seed
     base ^= (iteration * GRAD_ITER_MULT) & MASK64
     base ^= (layer_index * GRAD_LAYER_MULT) & MASK64
-    elems = np.arange(start, start + count, dtype=np.uint64)
-    x = np.uint64(base) ^ (elems * np.uint64(GRAD_ELEM_MULT))
-    top24 = _mix_array_u64(x) >> np.uint64(40)
-    return (top24.astype(np.float64) * 2.0**-23 - 1.0).astype(np.float32)
+    # splitmix64_mix in place on one uint64 array (wrapping), with one scratch array
+    x = np.arange(start, start + count, dtype=np.uint64)
+    x *= np.uint64(GRAD_ELEM_MULT)
+    x ^= np.uint64(base)
+    t = np.empty_like(x)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(x, np.uint64(shift), out=t)
+        x ^= t
+        x *= np.uint64(mult)
+    np.right_shift(x, np.uint64(31), out=t)
+    x ^= t
+    np.right_shift(x, np.uint64(40), out=x)
+    # top24 * 2**-23 - 1 is exact in float32: top24 and top24 - 2**23 fit in 24 bits;
+    # top24 reads the same as int64, which numpy converts about twice as fast as uint64
+    out = x.view(np.int64).astype(np.float32)
+    out *= np.float32(2.0**-23)
+    out -= np.float32(1.0)
+    return out
 
 
 def digest64(data: bytes | bytearray | memoryview) -> int:
     """64-bit BLAKE2b (``digest_size=8``) of a byte buffer, read as a big-endian integer."""
+    # imported here so processes that never digest (the simulator) do not load it;
+    # hashlib.blake2b is this same type, but importing hashlib also loads OpenSSL's libcrypto
+    from _blake2 import blake2b
+
     return int.from_bytes(blake2b(data, digest_size=8).digest(), "big")
 
 

@@ -14,7 +14,7 @@ import io
 from dataclasses import dataclass
 from pathlib import Path
 
-from .hashing import splitmix64_stream
+from .hashing import digest64, splitmix64_stream
 from .model import ModelProfile
 
 P3_MODE = "p3"
@@ -205,6 +205,11 @@ def plan_to_csv(plan: SlicePlan) -> str:
     for s in sorted(plan.slices, key=lambda s: (s.key.layer_index, s.key.slice_index)):
         buf.write(f"{s.key.layer_index},{s.key.slice_index},{s.offset},{s.length},{s.server}\n")
     return buf.getvalue()
+
+
+def plan_fingerprint(plan: SlicePlan) -> int:
+    """digest64 of the plan's CSV: a worker sends it in HELLO, its server checks it."""
+    return digest64(plan_to_csv(plan).encode())
 
 
 def plan_from_csv(text: str) -> SlicePlan:

@@ -5,6 +5,9 @@ message type, slice priority, iteration, sender rank, slice key, element
 offset, and payload length; PUSH and BCAST frames append a packed float32
 payload (gradients and updated parameters respectively). The priority field
 travels in every header so receivers can reorder without parsing payloads.
+
+Decoding copies no payload: a decoded frame's payload is a read-only view of
+the buffer the frame was decoded from, so that buffer must not be reused.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ class Frame:
     layer_index: int = 0
     slice_index: int = 0
     offset: int = 0
-    payload: bytes = b""
+    # bytes when built for sending; a read-only view of its buffer when decoded
+    payload: bytes | memoryview = b""
 
     def payload_f32(self) -> np.ndarray:
         return np.frombuffer(self.payload, dtype="<f4")
@@ -97,19 +101,10 @@ def encode_frame(frame: Frame) -> bytes:
     return header + frame.payload
 
 
-def try_decode(
-    buf: bytes | bytearray | memoryview, max_payload: int = DEFAULT_MAX_PAYLOAD
-) -> tuple[Frame | None, int]:
-    """Decode one frame from the head of ``buf``.
-
-    Returns (frame, bytes_consumed) on success, or (None, bytes_still_needed)
-    when the buffer holds only part of a frame. Raises ProtocolError on bad
-    magic, unknown message type, or an oversized payload length.
-    """
-    view = memoryview(buf)
-    if len(view) < HEADER_LEN:
-        return None, HEADER_LEN - len(view)
-    magic, raw_type, priority, iteration, rank, layer, sl, offset, payload_len = _HEADER.unpack_from(view, 0)
+def _unpack_header(view: memoryview, max_payload: int) -> tuple:
+    """The header's fields after the magic, with the type as MsgType; raises
+    ProtocolError on bad magic, unknown type or a payload length the type forbids."""
+    magic, raw_type, *fields, payload_len = _HEADER.unpack_from(view, 0)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {bytes(magic)!r}")
     try:
@@ -120,10 +115,35 @@ def try_decode(
         raise ProtocolError(f"payload_len {payload_len} exceeds max {max_payload}")
     if msg_type not in _PAYLOAD_TYPES and payload_len != 0:
         raise ProtocolError(f"{msg_type.name} frame with nonzero payload_len {payload_len}")
+    return msg_type, *fields, payload_len
+
+
+def payload_length(
+    header: bytes | bytearray | memoryview, max_payload: int = DEFAULT_MAX_PAYLOAD
+) -> int:
+    """Validate a frame's HEADER_LEN-byte header; the payload length it announces."""
+    return _unpack_header(memoryview(header), max_payload)[-1]
+
+
+def try_decode(
+    buf: bytes | bytearray | memoryview, max_payload: int = DEFAULT_MAX_PAYLOAD
+) -> tuple[Frame | None, int]:
+    """Decode one frame from the head of ``buf``.
+
+    Returns (frame, bytes_consumed) on success, or (None, bytes_still_needed)
+    when the buffer holds only part of a frame. Raises ProtocolError on bad
+    magic, unknown message type, or an oversized payload length. The frame's
+    payload is a read-only view of ``buf``.
+    """
+    view = memoryview(buf).toreadonly()
+    if len(view) < HEADER_LEN:
+        return None, HEADER_LEN - len(view)
+    msg_type, priority, iteration, rank, layer, sl, offset, payload_len = _unpack_header(
+        view, max_payload
+    )
     total = HEADER_LEN + payload_len
     if len(view) < total:
         return None, total - len(view)
-    payload = bytes(view[HEADER_LEN:total])
     frame = Frame(
         msg_type=msg_type,
         priority=priority,
@@ -132,27 +152,38 @@ def try_decode(
         layer_index=layer,
         slice_index=sl,
         offset=offset,
-        payload=payload,
+        payload=view[HEADER_LEN:total],
     )
     return frame, total
 
 
 @dataclass
 class FrameDecoder:
-    """Incremental decoder: feed arbitrary byte chunks, get whole frames out."""
+    """Incremental decoder: feed arbitrary byte chunks, get whole frames out.
+
+    Whole frames are decoded in place from the buffer they arrive in; only
+    an incomplete tail is copied, to be joined with the next chunk. A fed
+    buffer backs the payloads decoded from it and must not be reused.
+    """
 
     max_payload: int = DEFAULT_MAX_PAYLOAD
     _buf: bytearray = field(default_factory=bytearray)
 
-    def feed(self, data: bytes) -> list[Frame]:
-        self._buf.extend(data)
+    def feed(self, data: bytes | bytearray | memoryview) -> list[Frame]:
+        if self._buf:
+            self._buf += data
+            data, self._buf = self._buf, bytearray()
+        view = memoryview(data)
         frames = []
+        pos = 0
         while True:
-            frame, n = try_decode(self._buf, self.max_payload)
+            frame, n = try_decode(view[pos:], self.max_payload)
             if frame is None:
                 break
-            del self._buf[:n]
             frames.append(frame)
+            pos += n
+        if pos < len(view):
+            self._buf = bytearray(view[pos:])
         return frames
 
     @property

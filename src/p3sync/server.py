@@ -17,7 +17,7 @@ import numpy as np
 
 from .hashing import digest64
 from .metrics import NetCounters
-from .plan import P3_MODE, SliceKey, Slice, SlicePlan
+from .plan import P3_MODE, SliceKey, Slice, SlicePlan, plan_fingerprint
 from .proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
 from .queues import FrameQueue
 from .transport import FrameConnection, TokenBucket, listen
@@ -91,6 +91,7 @@ class ServerEngine:
     ) -> None:
         self.rank = rank
         self.p3 = plan.mode == P3_MODE
+        self.plan_fingerprint = plan_fingerprint(plan)
         self.num_workers = num_workers
         self.poll_timeout = poll_timeout
         self.owned: dict[SliceKey, Slice] = {
@@ -156,7 +157,12 @@ class ServerEngine:
             self._spawn(f"reader-{accepted}", self._reader, conn)
             accepted += 1
 
-    def _register(self, conn: FrameConnection, rank: int) -> None:
+    def _register(self, conn: FrameConnection, rank: int, fingerprint: int) -> None:
+        if fingerprint != self.plan_fingerprint:
+            raise ProtocolError(
+                f"HELLO from rank {rank} with plan fingerprint {fingerprint:016x}, "
+                f"this server's plan is {self.plan_fingerprint:016x}"
+            )
         with self._lock:
             if not 0 <= rank < self.num_workers:
                 raise ProtocolError(f"HELLO from out-of-range rank {rank}")
@@ -176,7 +182,7 @@ class ServerEngine:
                     raise ConnectionError("worker hung up before FIN")
                 return
             if frame.msg_type == MsgType.HELLO:
-                self._register(conn, frame.worker_rank)
+                self._register(conn, frame.worker_rank, frame.offset)
             elif frame.msg_type in (MsgType.PUSH, MsgType.PULL):
                 self.inbox.put(frame)
             elif frame.msg_type == MsgType.FIN:

@@ -2,9 +2,11 @@
 
 A shaped process owns one outbound TokenBucket and hands it to every
 FrameConnection it opens, so all sends drain it together, emulating an
-interface-level rate limit; an unshaped process passes None. Sends are
-chopped into SEND_CHUNK pieces, each paid for before it is written, so a
-large slice cannot blow through the configured rate.
+interface-level rate limit; an unshaped process passes None. Shaped sends
+are chopped into SEND_CHUNK pieces, each paid for before it is written, so a
+large slice cannot blow through the configured rate; an unshaped frame goes
+out in one write. A received frame is read into a buffer of its own exact
+size, which its decoded payload views.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ import socket
 import threading
 import time
 
+import numpy as np
+
 from .metrics import IN, OUT, NetCounters
-from .proto import Frame, FrameDecoder, encode_frame
+from .proto import HEADER_LEN, Frame, FrameDecoder, encode_frame, payload_length
 
 DEFAULT_BURST_BYTES = 50 * 1024
 SEND_CHUNK = 16 * 1024
@@ -74,38 +78,62 @@ class FrameConnection:
         self.counters = counters
         self.bucket = bucket
         self._decoder = FrameDecoder()
-        self._ready: list[Frame] = []
         self._closed = False
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
+    def _count(self, direction: str, n: int) -> None:
+        if self.counters:
+            self.counters.record_bytes(direction, n)
+
     def send_frame(self, frame: Frame) -> None:
         data = encode_frame(frame)
+        if self.bucket is None:
+            self.sock.sendall(data)
+            self._count(OUT, len(data))
+            return
         view = memoryview(data)
-        while view:
-            chunk = view[:SEND_CHUNK]
-            if self.bucket is not None:
-                self.bucket.consume(len(chunk))
+        for pos in range(0, len(view), SEND_CHUNK):
+            chunk = view[pos : pos + SEND_CHUNK]
+            self.bucket.consume(len(chunk))
             self.sock.sendall(chunk)
-            if self.counters:
-                self.counters.record_bytes(OUT, len(chunk))
-            view = view[len(chunk):]
+            self._count(OUT, len(chunk))
+
+    def _recv_into(self, view: memoryview) -> int:
+        """Fill ``view`` from the socket; fewer bytes only at EOF."""
+        got = 0
+        while got < len(view):
+            n = self.sock.recv_into(view[got:])
+            if n == 0:
+                break
+            self._count(IN, n)
+            got += n
+        return got
 
     def recv_frame(self, timeout: float | None = None) -> Frame | None:
-        """Next frame, or None on clean EOF. Raises socket.timeout on stall."""
+        """Next frame, or None on clean EOF. Raises socket.timeout on stall.
+
+        The header is validated before any payload byte is read; the frame
+        is then read into a fresh buffer of its exact size, which the decoded
+        payload views.
+        """
         self.sock.settimeout(timeout)
-        while True:
-            if self._ready:
-                return self._ready.pop(0)
-            data = self.sock.recv(65536)
-            if not data:
-                if self._decoder.pending_bytes:
-                    raise ConnectionError(
-                        f"EOF with {self._decoder.pending_bytes} undecoded bytes"
-                    )
-                return None
-            if self.counters:
-                self.counters.record_bytes(IN, len(data))
-            self._ready.extend(self._decoder.feed(data))
+        header = bytearray(HEADER_LEN)
+        got = self._recv_into(memoryview(header))
+        if got == 0:
+            return None
+        if got < HEADER_LEN:
+            raise ConnectionError(f"EOF with {got} undecoded bytes")
+        buf = header
+        size = payload_length(header, self._decoder.max_payload)
+        if size:
+            # np.empty: the payload is read over it at once, so zero-filling is waste
+            buf = memoryview(np.empty(HEADER_LEN + size, dtype=np.uint8))
+            buf[:HEADER_LEN] = header
+            got = self._recv_into(buf[HEADER_LEN:])
+            if got < size:
+                raise ConnectionError(f"EOF with {HEADER_LEN + got} undecoded bytes")
+        [frame] = self._decoder.feed(buf)
+        return frame
 
     def close(self) -> None:
         if not self._closed:

@@ -25,7 +25,7 @@ import numpy as np
 from .hashing import digest64, gradient_block
 from .metrics import NetCounters, NetSampler, iterations_to_csv, samples_to_csv, write_text
 from .model import ModelProfile
-from .plan import P3_MODE, SliceKey, SlicePlan
+from .plan import P3_MODE, SliceKey, SlicePlan, plan_fingerprint
 from .proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
 from .queues import DeadlockError, FrameQueue
 from .transport import FrameConnection, TokenBucket, connect_with_retry
@@ -118,10 +118,14 @@ class TrainingWorker:
         self._threads.append(t)
 
     def _connect_all(self) -> None:
+        # HELLO's offset field carries the plan fingerprint, for the server to check
+        hello = Frame(
+            msg_type=MsgType.HELLO, worker_rank=self.cfg.rank, offset=plan_fingerprint(self.plan)
+        )
         for srank, (host, port) in enumerate(self.cfg.servers):
             sock = connect_with_retry(host, port, self.cfg.deadlock_timeout)
             conn = FrameConnection(sock, counters=self.counters, bucket=self._bucket)
-            conn.send_frame(Frame(msg_type=MsgType.HELLO, worker_rank=self.cfg.rank))
+            conn.send_frame(hello)
             self._conns[srank] = conn
             self._spawn(f"recv-{srank}", self._receiver, conn)
         for i, outbox in enumerate(self._all_outboxes()):
@@ -161,6 +165,8 @@ class TrainingWorker:
                     return
                 raise
             if frame is None:
+                if not self._finished.is_set() and not self._stopping.is_set():
+                    raise ConnectionError("server hung up before the run finished")
                 return
             self.recv_inbox.put(frame)
 
@@ -276,7 +282,8 @@ class TrainingWorker:
             self._shutdown_clean()
         except BaseException as exc:
             self._abort(exc)
-            raise
+            # the first error is the cause; a later one (a closed outbox) is its echo
+            raise self._errors[0] from None
         finally:
             self.sampler.stop()
         self._check_errors()

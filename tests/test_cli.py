@@ -251,6 +251,57 @@ def test_server_rejects_malformed_plan(tmp_path):
     assert "plan metadata lacks max_slice, big_threshold, rng_seed" in proc.stderr
 
 
+def test_worker_with_another_plan_fails_fast(tmp_path):
+    # two toy3 plans that differ only in --max-slice: the server must refuse
+    # the worker's HELLO at once, not stall until the deadlock timeout
+    from p3sync.plan import plan_fingerprint, save_plan
+
+    plans = {}
+    for role, max_slice in (("server", 50_000), ("worker", 1_000)):
+        plans[role] = make_p3_plan(builtin_profile("toy3"), 1, max_slice)
+        save_plan(plans[role], tmp_path / f"{role}.csv")
+    base = [sys.executable, "-m", "p3sync"]
+    t0 = time.monotonic()
+    server = subprocess.Popen(
+        base + [
+            "server",
+            "--rank", "0",
+            "--plan", str(tmp_path / "server.csv"),
+            "--num-workers", "1",
+            "--deadlock-timeout", "30",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        addr = server.stdout.readline().split()[1]  # "READY host:port"
+        worker = subprocess.run(
+            base + [
+                "worker",
+                "--rank", "0",
+                "--servers", addr,
+                "--profile", "toy3",
+                "--plan", str(tmp_path / "worker.csv"),
+                "--iterations", "50",
+                "--deadlock-timeout", "30",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        _, server_err = server.communicate(timeout=60)
+    finally:
+        server.kill()
+        server.wait()
+    assert time.monotonic() - t0 < 15
+    assert server.returncode == EXIT_PROTOCOL
+    for role in ("worker", "server"):
+        assert f"{plan_fingerprint(plans[role]):016x}" in server_err
+    assert worker.returncode != 0
+    assert "Traceback" not in worker.stderr + server_err
+
+
 # -- summarize_run's checks of a finished run ---------------------------------
 
 TOY3_RUN = dict(profile="toy3", num_workers=2, iterations=4, skip_iterations=1, timeout=120.0)

@@ -15,6 +15,8 @@ from p3sync.hashing import (
     splitmix64_mix,
     splitmix64_stream,
 )
+from p3sync.model import builtin_profile
+from p3sync.plan import P3_MODE, make_plan
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -46,7 +48,11 @@ def test_gradient_pure_and_bounded(seed, it, layer, elem):
     assert -1.0 <= float(a) < 1.0
 
 
-@given(U64, st.integers(0, 100), st.integers(0, 50), st.integers(0, 10_000), st.integers(1, 64))
+# element offsets near 0 and near 2**40
+STARTS = st.one_of(st.integers(0, 10_000), st.integers(2**40 - 2**20, 2**40 + 2**20))
+
+
+@given(U64, st.integers(0, 100), st.integers(0, 50), STARTS, st.integers(1, 64))
 def test_gradient_block_matches_scalar(seed, it, layer, start, count):
     blk = gradient_block(seed, it, layer, start, count)
     ref = np.array(
@@ -55,6 +61,39 @@ def test_gradient_block_matches_scalar(seed, it, layer, start, count):
     )
     assert np.array_equal(blk, ref)
     assert blk.dtype == np.float32
+
+
+# digest64 of gradient_block(19, k, layer, offset, length) for every slice of the
+# vgg19-like p3 plan, in plan order, as computed by the float64 implementation
+# that gradient_block replaced (33 slices, 1M elements)
+VGG19_SLICE_DIGESTS = {
+    0: (
+        "6d014a686542fdb3 e19cde784ed12ef8 6378e8da8ab98aa6 fa2dfec20bc38d9b 6940873ea8ecc27a "
+        "33717c1d8aef781b 0da32b59fdbdc2ef 78ad1904176f4f78 2558b64d3247446c 34e9d754df94dcdf "
+        "f02509621a3d0d62 9dda687cf776cc7b b229ef0b664ef8ed 0bc185261adacb94 2d3d31ef79d40523 "
+        "439074b578b59206 65c3e151b4dbf34b c0463b6f0487c662 36900528778a3e4f 8b9f6aac50389d81 "
+        "fe7020fafc1ceb9a 237358b18bd38b66 04e7b2a6ffb014ad 4290cd38579caf46 d9c4a15396ea4682 "
+        "35a40cc27561756e 74404d2ea41fdd2f ac27b57d44185c7d 8172b1a6237f549c 20f0338061408afa "
+        "9c58628eaea9899d 3e6e0dffb4ee4790 d09674e5084f67f1"
+    ),
+    7: (
+        "a32f66bf748fbe16 d08eff715a1a1983 8fc0ef1438a8cb8f 2ee8e750904f458c dd6e1c0a9dc3d166 "
+        "50c017a55b24045f a770fab97c97c3f6 f7501d72bea5dae9 88c0fb5e99566b3e 43014e33cbf435d8 "
+        "0270558289bf9a62 dfef7cf0a4e26213 c10ee1fef7c82a26 f9881e87d55fb66d 35bf659b9f2ed77d "
+        "270757820be66ed5 6a3c44e8fac5e705 bf084e7317e44b83 46706d60af9f2b12 b206e19dca98a1de "
+        "f59a2cb0639f2a4c 7585a1dba9dd9149 dc7fa0ba57b9bb2a c285dd82983d8306 98cb55eb17310996 "
+        "34461b8d5670c470 1b582df1bdba5994 e81ea175535b50dd 9f7f7a057618e019 c2f8aa17462667ce "
+        "6883d8fe5b14df66 7d8514c52e5ad192 49f5635af9fd760c"
+    ),
+}
+
+
+@pytest.mark.parametrize("iteration", sorted(VGG19_SLICE_DIGESTS))
+def test_gradient_block_pinned_on_vgg19_slices(iteration):
+    plan = make_plan(P3_MODE, builtin_profile("vgg19-like"), 1)
+    blocks = (gradient_block(19, iteration, s.key.layer_index, s.offset, s.length) for s in plan.slices)
+    got = [f"{digest64(b.tobytes()):016x}" for b in blocks]
+    assert got == VGG19_SLICE_DIGESTS[iteration].split()
 
 
 def test_gradient_mean_near_zero():
@@ -104,9 +143,19 @@ def test_digest64_is_blake2b_64(data):
     assert digest64(memoryview(data)) == digest64(bytearray(data)) == digest64(data)
 
 
-def test_import_does_not_load_openssl():
-    # importing hashlib would load OpenSSL's libcrypto (via _hashlib) into every process
-    code = "import sys, p3sync, p3sync.cli; print('_hashlib' in sys.modules)"
+def loaded_on_import(module: str) -> bool:
+    """Whether importing p3sync's modules, in a fresh interpreter, loads ``module``."""
+    code = f"import sys, p3sync, p3sync.cli, p3sync.sim; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_import_does_not_load_openssl():
+    # importing hashlib would load OpenSSL's libcrypto (via _hashlib) into every process
+    assert not loaded_on_import("_hashlib")
+
+
+def test_import_does_not_load_blake2():
+    # only digest64 needs it; the simulator and the planner never digest
+    assert not loaded_on_import("_blake2")

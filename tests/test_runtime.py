@@ -210,6 +210,7 @@ def test_push_for_key_of_another_server_is_a_protocol_error():
     import socket
     import time
 
+    from p3sync.plan import plan_fingerprint
     from p3sync.proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
     from p3sync.transport import FrameConnection
 
@@ -229,7 +230,7 @@ def test_push_for_key_of_another_server_is_a_protocol_error():
     server.start()
     conn = FrameConnection(socket.create_connection(engine.addr, timeout=5.0))
     try:
-        conn.send_frame(Frame(msg_type=MsgType.HELLO, worker_rank=0))
+        conn.send_frame(Frame(msg_type=MsgType.HELLO, worker_rank=0, offset=plan_fingerprint(plan)))
         grads = np.zeros(foreign.length, dtype=np.float32)
         conn.send_frame(slice_frame(MsgType.PUSH, foreign, 0, 0, pack_f32(grads)))
         server.join(timeout=5.0)

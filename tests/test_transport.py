@@ -1,13 +1,23 @@
 import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from p3sync.metrics import NetCounters
-from p3sync.proto import Frame, MsgType, encode_frame, pack_f32
-from p3sync.transport import FrameConnection, TokenBucket, listen, parse_addr
+from p3sync.metrics import OUT, NetCounters
+from p3sync.proto import (
+    DEFAULT_MAX_PAYLOAD,
+    HEADER_LEN,
+    MAGIC,
+    Frame,
+    MsgType,
+    ProtocolError,
+    encode_frame,
+    pack_f32,
+)
+from p3sync.transport import SEND_CHUNK, FrameConnection, TokenBucket, listen, parse_addr
 
 
 def test_parse_addr():
@@ -110,4 +120,164 @@ def test_large_frame_chunked_send():
     t.join()
     assert got == f
     sender.close()
+    receiver.close()
+
+
+# -- receive path: one exact-size buffer per frame, over a real loopback pair
+
+
+def raw_sender_and_receiver():
+    """A bare socket to write arbitrary bytes into, and a FrameConnection reading them."""
+    c_sock, s_sock = loopback_pair()
+    c_sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return c_sock, FrameConnection(s_sock)
+
+
+def push_frame(n: int, layer: int = 2) -> Frame:
+    payload = pack_f32(np.arange(n, dtype=np.float32) + layer)
+    return Frame(msg_type=MsgType.PUSH, priority=layer, iteration=4, layer_index=layer, payload=payload)
+
+
+def raw_header(msg_type: MsgType, payload_len: int) -> bytes:
+    return struct.pack("<4sBIQHIIQI", MAGIC, int(msg_type), 0, 0, 0, 0, 0, 0, payload_len)
+
+
+def test_eof_mid_header_names_undecoded_bytes():
+    raw, receiver = raw_sender_and_receiver()
+    raw.sendall(encode_frame(Frame(msg_type=MsgType.FIN))[:10])
+    raw.close()
+    with pytest.raises(ConnectionError, match="EOF with 10 undecoded bytes"):
+        receiver.recv_frame(timeout=5)
+    receiver.close()
+
+
+def test_eof_mid_payload_names_undecoded_bytes():
+    raw, receiver = raw_sender_and_receiver()
+    data = encode_frame(push_frame(100))
+    raw.sendall(data[: HEADER_LEN + 30])
+    raw.close()
+    with pytest.raises(ConnectionError, match=f"EOF with {HEADER_LEN + 30} undecoded bytes"):
+        receiver.recv_frame(timeout=5)
+    receiver.close()
+
+
+def test_clean_eof_between_frames_is_none():
+    raw, receiver = raw_sender_and_receiver()
+    f = push_frame(10)
+    raw.sendall(encode_frame(f))
+    raw.close()
+    assert receiver.recv_frame(timeout=5) == f
+    assert receiver.recv_frame(timeout=5) is None
+    receiver.close()
+
+
+@pytest.mark.parametrize(
+    "header,match",
+    [
+        (raw_header(MsgType.PUSH, DEFAULT_MAX_PAYLOAD + 4), "exceeds"),
+        (raw_header(MsgType.HELLO, 8), "nonzero payload"),
+    ],
+    ids=["over-max-payload", "payload-on-hello"],
+)
+def test_bad_header_rejected_before_payload_is_read(header, match):
+    raw, receiver = raw_sender_and_receiver()
+    trailer = b"\xab" * 8
+    raw.sendall(header + trailer)
+    with pytest.raises(ProtocolError, match=match):
+        receiver.recv_frame(timeout=5)
+    # every byte after the header is still in the socket
+    receiver.sock.settimeout(5)
+    got = b""
+    while len(got) < len(trailer):
+        got += receiver.sock.recv(64)
+    assert got == trailer
+    raw.close()
+    receiver.close()
+
+
+def test_frames_sent_in_tiny_pieces_decode_equal():
+    raw, receiver = raw_sender_and_receiver()
+    frames = [push_frame(40), Frame(msg_type=MsgType.FIN, worker_rank=1)]
+    data = b"".join(encode_frame(f) for f in frames)
+    rng = np.random.RandomState(3)
+
+    def trickle():
+        pos = 0
+        while pos < len(data):
+            n = int(rng.randint(1, 8))
+            raw.sendall(data[pos : pos + n])
+            pos += n
+            time.sleep(0.0005)
+
+    t = threading.Thread(target=trickle)
+    t.start()
+    got = [receiver.recv_frame(timeout=5) for _ in frames]
+    t.join()
+    assert got == frames
+    raw.close()
+    receiver.close()
+
+
+def test_push_then_hello_back_to_back_arrive_in_order():
+    raw, receiver = raw_sender_and_receiver()
+    frames = [push_frame(25), Frame(msg_type=MsgType.HELLO, worker_rank=1, offset=2**64 - 1)]
+    raw.sendall(b"".join(encode_frame(f) for f in frames))
+    assert [receiver.recv_frame(timeout=5) for _ in frames] == frames
+    raw.close()
+    receiver.close()
+
+
+def test_received_payloads_are_read_only_and_not_shared():
+    c_sock, s_sock = loopback_pair()
+    sender, receiver = FrameConnection(c_sock), FrameConnection(s_sock)
+    first, second = push_frame(50, layer=1), push_frame(50, layer=7)
+    sender.send_frame(first)
+    sender.send_frame(second)
+    a = receiver.recv_frame(timeout=5)
+    kept = a.payload_f32()
+    b = receiver.recv_frame(timeout=5)
+    assert not kept.flags.writeable and isinstance(a.payload, memoryview)
+    assert np.array_equal(kept, np.arange(50, dtype=np.float32) + 1)
+    assert np.array_equal(b.payload_f32(), np.arange(50, dtype=np.float32) + 7)
+    sender.close()
+    receiver.close()
+
+
+class RecordingCounters(NetCounters):
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: list[tuple[str, int]] = []
+
+    def record_bytes(self, direction: str, n: int) -> None:
+        self.calls.append((direction, n))
+        super().record_bytes(direction, n)
+
+
+class RecordingBucket(TokenBucket):
+    def __init__(self) -> None:
+        super().__init__(1e12)
+        self.takes: list[int] = []
+
+    def consume(self, n: int) -> None:
+        self.takes.append(n)
+        super().consume(n)
+
+
+def test_unshaped_send_is_one_write_shaped_send_pays_per_chunk():
+    f = push_frame(10_000)  # 40,039 wire bytes: chunks of 16384, 16384, 7271
+    size = len(encode_frame(f))
+    c_sock, s_sock = loopback_pair()
+    counters, bucket = RecordingCounters(), RecordingBucket()
+    unshaped = FrameConnection(c_sock, counters=counters)
+    receiver = FrameConnection(s_sock)
+    unshaped.send_frame(f)
+    assert counters.calls == [(OUT, size)]
+    counters.calls.clear()
+    shaped = FrameConnection(c_sock, counters=counters, bucket=bucket)
+    shaped.send_frame(f)
+    chunks = [SEND_CHUNK, SEND_CHUNK, size - 2 * SEND_CHUNK]
+    assert bucket.takes == chunks
+    assert counters.calls == [(OUT, n) for n in chunks]
+    assert [receiver.recv_frame(timeout=5) for _ in range(2)] == [f, f]
+    unshaped.close()
     receiver.close()
