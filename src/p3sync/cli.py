@@ -1,6 +1,6 @@
 """Command-line surface: plan, simulate, server, worker, bench, report.
 
-Exit codes: 0 success, 1 usage or data error, 2 protocol violation, 3 timeout.
+Exit codes: 0 success, 1 usage or data error, 2 protocol violation or lost peer, 3 timeout.
 """
 
 from __future__ import annotations
@@ -466,6 +466,9 @@ def main(argv: list[str] | None = None) -> int:
     except _ChildFailure as exc:
         print(f"bench failed: {exc}", file=sys.stderr)
         return exc.code
+    except ConnectionError as exc:  # a peer hung up or reset the connection
+        print(f"lost peer: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
     except (ProfileError, PlanError, ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -158,9 +158,9 @@ def connect_with_retry(host: str, port: int, timeout_s: float = 20.0) -> socket.
     while True:
         try:
             return socket.create_connection((host, port), timeout=5.0)
-        except OSError:
+        except OSError as exc:
             if time.monotonic() >= deadline:
-                raise
+                raise TimeoutError(f"{host}:{port} unreachable for {timeout_s}s: {exc}") from exc
             time.sleep(0.05)
 
 

@@ -7,10 +7,13 @@ thread per outbox polls it and sends each frame on its server's connection.
 In p3 mode every server maps to a single priority outbox, which a layer's
 slices enter atomically, so the most urgent slice goes next; in baseline mode
 each server has its own FIFO outbox, filled in generation order, and updated
-parameters are fetched with notify+pull. Forward progress of each layer is
-gated on having received that layer's parameters for the current iteration,
-so the next forward pass overlaps with the tail of synchronization whenever
-the arrival order allows it.
+parameters are fetched with notify+pull. On the receive side one thread per
+server connection reads each frame, checks it and applies it: a BCAST is
+copied into place and a NOTIFY queues its PULL. Priority only orders what is
+sent, so received frames are never reordered. Forward progress of each layer
+is gated on having received that layer's parameters for the current
+iteration, so the next forward pass overlaps with the tail of synchronization
+whenever the arrival order allows it.
 """
 
 from __future__ import annotations
@@ -66,18 +69,15 @@ class TrainingWorker:
             l.index: plan.slices_of_layer(l.index) for l in profile.layers
         }
         self._recv_seen: dict[int, set[SliceKey]] = {l: set() for l in range(self.num_layers)}
-        self._recv_elems: dict[int, int] = {l: 0 for l in range(self.num_layers)}
         self.sync_end_times: dict[int, float] = {}
         self.records: list[IterationRecord] = []
 
         self.counters = NetCounters()
         self.sampler = NetSampler(self.counters)
         self._bucket = TokenBucket(config.throttle_rate) if config.throttle_rate else None
-        p3 = plan.mode == P3_MODE
-        self.recv_inbox = FrameQueue(priority_mode=p3)
         # server rank -> outbox; one sender thread drains each distinct outbox
         servers = range(len(config.servers))
-        if p3:
+        if plan.mode == P3_MODE:
             self.outboxes = dict.fromkeys(servers, FrameQueue(priority_mode=True))
         else:
             self.outboxes = {s: FrameQueue(priority_mode=False) for s in servers}
@@ -101,7 +101,6 @@ class TrainingWorker:
             return
         self._errors.append(exc)
         self._stopping.set()
-        self.recv_inbox.close()
         for q in self._all_outboxes():
             q.close()
         for conn in self._conns.values():
@@ -130,7 +129,6 @@ class TrainingWorker:
             self._spawn(f"recv-{srank}", self._receiver, conn)
         for i, outbox in enumerate(self._all_outboxes()):
             self._spawn(f"sender-{i}", outbox.drain, self._send, self.cfg.deadlock_timeout * 2)
-        self._spawn("applier", self.recv_inbox.drain, self._apply, self.cfg.deadlock_timeout * 2)
 
     # -- send path ---------------------------------------------------------
 
@@ -168,7 +166,7 @@ class TrainingWorker:
                 if not self._finished.is_set() and not self._stopping.is_set():
                     raise ConnectionError("server hung up before the run finished")
                 return
-            self.recv_inbox.put(frame)
+            self._apply(frame)
 
     def _apply(self, frame: Frame) -> None:
         if frame.msg_type == MsgType.BCAST:
@@ -190,25 +188,26 @@ class TrainingWorker:
         if sl is None:
             raise ProtocolError(f"BCAST for unknown key {key}")
         layer = key.layer_index
-        if frame.iteration != self.flags[layer]:
-            raise ProtocolError(
-                f"layer {layer}: BCAST for iteration {frame.iteration}, "
-                f"worker holds parameters of iteration {self.flags[layer]}"
-            )
-        if key in self._recv_seen[layer]:
-            raise ProtocolError(f"duplicate BCAST slice {key} at iteration {frame.iteration}")
-        values = frame.payload_f32()
-        if len(values) != sl.length:
-            raise ProtocolError(
-                f"slice {key}: payload holds {len(values)} values, expected {sl.length}"
-            )
-        self.params[layer][sl.offset : sl.offset + sl.length] = values
-        self._recv_seen[layer].add(key)
-        self._recv_elems[layer] += sl.length
-        if self._recv_elems[layer] == self.profile.layers[layer].param_count:
-            self._recv_seen[layer].clear()
-            self._recv_elems[layer] = 0
-            with self._flag_cond:
+        seen = self._recv_seen[layer]
+        # the receivers of several servers apply at once
+        with self._flag_cond:
+            if frame.iteration != self.flags[layer]:
+                raise ProtocolError(
+                    f"layer {layer}: BCAST for iteration {frame.iteration}, "
+                    f"worker holds parameters of iteration {self.flags[layer]}"
+                )
+            if key in seen:
+                raise ProtocolError(f"duplicate BCAST slice {key} at iteration {frame.iteration}")
+            values = frame.payload_f32()
+            if len(values) != sl.length:
+                raise ProtocolError(
+                    f"slice {key}: payload holds {len(values)} values, expected {sl.length}"
+                )
+            self.params[layer][sl.offset : sl.offset + sl.length] = values
+            seen.add(key)
+            # checked, distinct, full-length keys: their count tells when the layer is complete
+            if len(seen) == len(self.slices_by_layer[layer]):
+                seen.clear()
                 self.flags[layer] = frame.iteration + 1
                 if min(self.flags) == frame.iteration + 1:
                     self.sync_end_times[frame.iteration] = time.monotonic()
@@ -239,7 +238,7 @@ class TrainingWorker:
         return (
             f"worker {self.cfg.rank} stalled waiting for iteration-{iteration} parameters; "
             f"unmet layers {unmet}; flags={self.flags}; "
-            f"recv_inbox={len(self.recv_inbox)} outbox={[len(q) for q in self._all_outboxes()]}"
+            f"outbox={[len(q) for q in self._all_outboxes()]}"
         )
 
     def _emulate(self, duration_us: int) -> None:
@@ -272,8 +271,8 @@ class TrainingWorker:
 
     def run(self) -> None:
         self.sampler.start()
-        self._connect_all()
         try:
+            self._connect_all()
             for k in range(self.cfg.iterations):
                 self.run_iteration(k)
                 self._check_errors()
@@ -300,10 +299,6 @@ class TrainingWorker:
             conn.close()
         for t in self._threads:
             if t.name.startswith("recv"):
-                t.join(timeout=self.cfg.deadlock_timeout)
-        self.recv_inbox.close()
-        for t in self._threads:
-            if t.name == "applier":
                 t.join(timeout=self.cfg.deadlock_timeout)
         # iteration wall times: period between forward-pass starts; the last
         # iteration ends when its synchronization drains

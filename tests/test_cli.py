@@ -155,6 +155,7 @@ def test_worker_without_server_times_out(tmp_path):
     from p3sync.plan import save_plan
 
     save_plan(make_p3_plan(builtin_profile("toy3"), 1), plan_path)
+    t0 = time.monotonic()
     proc = subprocess.run(
         [
             sys.executable, "-m", "p3sync", "worker",
@@ -169,7 +170,9 @@ def test_worker_without_server_times_out(tmp_path):
         text=True,
         timeout=60,
     )
-    assert proc.returncode == EXIT_USAGE  # connection refused surfaces as OSError
+    assert proc.returncode == EXIT_TIMEOUT
+    assert time.monotonic() - t0 < 15
+    assert "127.0.0.1:1 unreachable for 2.0s" in proc.stderr
 
 
 def test_worker_rejects_plan_of_another_profile(tmp_path):
@@ -298,8 +301,129 @@ def test_worker_with_another_plan_fails_fast(tmp_path):
     assert server.returncode == EXIT_PROTOCOL
     for role in ("worker", "server"):
         assert f"{plan_fingerprint(plans[role]):016x}" in server_err
-    assert worker.returncode != 0
+    assert worker.returncode == EXIT_PROTOCOL
     assert "Traceback" not in worker.stderr + server_err
+
+
+
+# -- a lost peer, through the CLI on loopback subprocesses ---------------------
+
+P3SYNC = [sys.executable, "-m", "p3sync"]
+
+
+@pytest.fixture
+def toy3_plan(tmp_path):
+    from p3sync.plan import save_plan
+
+    plan = make_p3_plan(builtin_profile("toy3"), 1)
+    save_plan(plan, tmp_path / "plan.csv")
+    return plan, tmp_path / "plan.csv"
+
+
+@pytest.fixture
+def children():
+    """Child processes a test starts; killed at teardown if still running."""
+    procs = []
+    yield procs
+    for p in procs:
+        if p.poll() is None:
+            p.kill()
+        p.communicate()
+
+
+def still_running(children):
+    return [p.args[3] for p in children if p.poll() is None]
+
+
+def start(children, *args):
+    proc = subprocess.Popen(
+        [*P3SYNC, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+    children.append(proc)
+    return proc
+
+
+def start_server(children, plan_path, num_workers):
+    server = start(
+        children, "server", "--rank", "0", "--plan", str(plan_path),
+        "--num-workers", str(num_workers), "--deadlock-timeout", "30",
+    )
+    return server, server.stdout.readline().split()[1]  # "READY host:port"
+
+
+def start_run(children, plan_path, num_workers):
+    """One server and ``num_workers`` workers on a toy3 run far longer than the test."""
+    server, addr = start_server(children, plan_path, num_workers)
+    workers = [
+        start(
+            children, "worker", "--rank", str(rank), "--servers", addr, "--profile", "toy3",
+            "--plan", str(plan_path), "--iterations", "100000", "--deadlock-timeout", "30",
+        )
+        for rank in range(num_workers)
+    ]
+    time.sleep(2.0)  # a worker starts and connects in well under a second
+    assert [p.poll() for p in children] == [None] * (1 + num_workers)
+    return server, workers
+
+
+def exit_codes(procs, timeout=12.0):
+    deadline = time.monotonic() + timeout
+    codes = []
+    for p in procs:
+        try:
+            codes.append(p.wait(timeout=max(0.0, deadline - time.monotonic())))
+        except subprocess.TimeoutExpired:
+            codes.append(None)
+    return codes
+
+
+def test_killed_worker_fails_the_server_and_the_other_worker(toy3_plan, children):
+    _, plan_path = toy3_plan
+    t0 = time.monotonic()
+    server, workers = start_run(children, plan_path, 2)
+    workers[0].kill()
+    workers[0].wait()
+    assert exit_codes([server, workers[1]]) == [EXIT_PROTOCOL, EXIT_PROTOCOL]
+    assert time.monotonic() - t0 < 15
+    assert still_running(children) == []
+    assert "lost peer" in server.communicate()[1]
+
+
+def test_killed_server_fails_every_worker(toy3_plan, children):
+    _, plan_path = toy3_plan
+    t0 = time.monotonic()
+    server, workers = start_run(children, plan_path, 2)
+    server.kill()
+    server.wait()
+    assert exit_codes(workers) == [EXIT_PROTOCOL, EXIT_PROTOCOL]
+    assert time.monotonic() - t0 < 15
+    assert still_running(children) == []
+    for w in workers:
+        assert "lost peer" in w.communicate()[1]
+
+
+def test_stream_cut_mid_push_fails_the_server(toy3_plan, children):
+    import socket
+
+    from p3sync.plan import plan_fingerprint
+    from p3sync.proto import Frame, MsgType, encode_frame, pack_f32, slice_frame
+    from p3sync.transport import parse_addr
+
+    plan, plan_path = toy3_plan
+    t0 = time.monotonic()
+    server, addr = start_server(children, plan_path, 1)
+    sl = plan.slices[0]
+    push = encode_frame(
+        slice_frame(MsgType.PUSH, sl, 0, 0, pack_f32(np.zeros(sl.length, dtype=np.float32)))
+    )
+    half = push[: len(push) // 2]
+    with socket.create_connection(parse_addr(addr), timeout=5.0) as sock:
+        sock.sendall(encode_frame(Frame(MsgType.HELLO, worker_rank=0, offset=plan_fingerprint(plan))))
+        sock.sendall(half)
+    assert exit_codes([server]) == [EXIT_PROTOCOL]
+    assert time.monotonic() - t0 < 15
+    assert still_running(children) == []
+    assert f"EOF with {len(half)} undecoded bytes" in server.communicate()[1]
 
 
 # -- summarize_run's checks of a finished run ---------------------------------

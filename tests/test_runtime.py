@@ -1,5 +1,6 @@
 """End-to-end runs with servers and workers in one process (threads, real sockets)."""
 
+import sys
 import threading
 
 import numpy as np
@@ -79,6 +80,8 @@ def run_topology(
         assert not t.is_alive(), "server thread hung"
     if failures:
         raise failures[0]
+    leftover = [t.name for x in (*workers, *engines) for t in x._threads if t.is_alive()]
+    assert leftover == [], f"threads left running: {leftover}"
     return workers, engines
 
 
@@ -122,6 +125,21 @@ def test_cross_mode_bit_equality_multi():
     assert digests[P3_MODE] == digests[BASELINE_MODE]
 
 
+def test_concurrent_receivers_apply_every_slice_once():
+    # four receivers per worker on a small machine, switching threads every 10 us
+    profile = small_profile()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers, engines = run_topology(P3_MODE, profile, 2, 4, iterations=3, max_slice=100)
+    finally:
+        sys.setswitchinterval(interval)
+    server_params = merged_server_params(engines, profile)
+    for w in workers:
+        for got, want in zip(w.params, server_params):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_cross_mode_equality_toy3_four_workers():
     profile = builtin_profile("toy3")
     digests = {}
@@ -133,6 +151,19 @@ def test_cross_mode_equality_toy3_four_workers():
         assert len(ds) == 1
         digests[mode] = ds.pop()
     assert digests[P3_MODE] == digests[BASELINE_MODE]
+
+
+@pytest.mark.parametrize(
+    "mode, names",
+    [
+        (P3_MODE, ["recv-0", "recv-1", "sender-0"]),
+        (BASELINE_MODE, ["recv-0", "recv-1", "sender-0", "sender-1"]),
+    ],
+)
+def test_worker_threads_are_one_receiver_per_server_and_the_senders(mode, names):
+    # each receiver applies what it reads: no applier thread, no receive queue
+    workers, _ = run_topology(mode, small_profile(), 1, 2, iterations=1)
+    assert sorted(t.name for t in workers[0]._threads) == names
 
 
 def test_phase_timestamps_ordered():
@@ -206,6 +237,21 @@ def test_metrics_accounting_closure():
     assert b_in == expected_in
 
 
+def serve(engine):
+    """Run ``engine`` on a thread; returns the thread and the list its error lands in."""
+    errors = []
+
+    def run():
+        try:
+            engine.run()
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    thread = threading.Thread(target=run, name=f"srv{engine.rank}")
+    thread.start()
+    return thread, errors
+
+
 def test_push_for_key_of_another_server_is_a_protocol_error():
     import socket
     import time
@@ -217,17 +263,8 @@ def test_push_for_key_of_another_server_is_a_protocol_error():
     plan = make_plan(P3_MODE, small_profile(), 2, 1000, 2000, 0)
     foreign = next(s for s in plan.slices if s.server == 1)
     engine = ServerEngine("127.0.0.1", 0, 0, plan, num_workers=1, lr=0.1, poll_timeout=TIMEOUT)
-    errors = []
-
-    def serve():
-        try:
-            engine.run()
-        except BaseException as exc:  # noqa: BLE001
-            errors.append(exc)
-
-    server = threading.Thread(target=serve, name="srv0")
     t0 = time.monotonic()
-    server.start()
+    server, errors = serve(engine)
     conn = FrameConnection(socket.create_connection(engine.addr, timeout=5.0))
     try:
         conn.send_frame(Frame(msg_type=MsgType.HELLO, worker_rank=0, offset=plan_fingerprint(plan)))
@@ -241,3 +278,29 @@ def test_push_for_key_of_another_server_is_a_protocol_error():
     assert len(errors) == 1 and isinstance(errors[0], ProtocolError)
     assert "does not own" in str(errors[0])
     assert [t.name for t in engine._threads if t.is_alive()] == []
+
+
+def test_failed_connect_stops_every_worker_thread():
+    # the first server is live, the second address is dead: run() must fail at
+    # the connect deadline, and the first server's receiver and the sampler stop
+    import time
+
+    plan = make_plan(P3_MODE, small_profile(), 2, 1000, 2000, 0)
+    engine = ServerEngine("127.0.0.1", 0, 0, plan, num_workers=1, lr=0.1, poll_timeout=TIMEOUT)
+    server, errors = serve(engine)
+    cfg = WorkerConfig(
+        rank=0, servers=[engine.addr, ("127.0.0.1", 1)], iterations=1, deadlock_timeout=1.0
+    )
+    worker = TrainingWorker(cfg, small_profile(), plan)
+    t0 = time.monotonic()
+    with pytest.raises(TimeoutError, match="127.0.0.1:1 unreachable for 1.0s"):
+        worker.run()
+    assert time.monotonic() - t0 < 5.0
+    threads = [*worker._threads, worker.sampler._thread]
+    assert [t.name for t in threads] == ["recv-0", "net-sampler"]
+    for t in [*threads, server]:
+        t.join(timeout=5.0)
+    assert [t.name for t in [*threads, server] if t.is_alive()] == []
+    assert [t.name for t in engine._threads if t.is_alive()] == []
+    # the server saw its worker hang up before FIN
+    assert len(errors) == 1 and isinstance(errors[0], ConnectionError)
