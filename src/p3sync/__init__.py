@@ -25,8 +25,8 @@ from .sim import (
     Timeline,
     load_scenario,
     save_scenario,
+    scenario_from_plan,
     simulate,
-    sweep_slice_size,
 )
 from .transport import TokenBucket
 from .worker import TrainingWorker, WorkerConfig

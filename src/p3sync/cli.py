@@ -11,7 +11,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import metrics as metrics_mod
@@ -79,6 +79,19 @@ class RunConfig:
     def resolved_servers(self) -> int:
         return self.num_servers if self.num_servers > 0 else self.num_workers
 
+    def validate(self) -> None:
+        """Reject what no child process could run; ``make_plan`` checks the plan's settings."""
+        if self.throttle_rate < 0:
+            raise ValueError(f"throttle_rate {self.throttle_rate} must be >= 0 (0 disables shaping)")
+        if self.num_workers < 1:
+            raise ValueError(f"num_workers {self.num_workers} must be >= 1")
+        if not 0 <= self.skip_iterations < self.iterations:
+            raise ValueError(
+                f"need 0 <= skip_iterations ({self.skip_iterations}) < iterations ({self.iterations})"
+            )
+        if self.timeout <= 0:
+            raise ValueError(f"timeout {self.timeout} must be positive")
+
 
 def _load_run_config(args) -> RunConfig:
     cfg = RunConfig()
@@ -114,10 +127,7 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.policy:
-        from dataclasses import replace
-
         scenario = replace(scenario, policy=args.policy)
-        scenario.validate()
     timeline = simulate(scenario)
     csv_text = timeline.to_csv()
     if args.csv:
@@ -196,7 +206,8 @@ class _ChildFailure(Exception):
         self.code = code
 
 
-def _read_ready(proc: subprocess.Popen, timeout: float) -> str:
+def _read_ready(proc: subprocess.Popen, timeout: float, log_name: str) -> str:
+    """The address a server prints as READY; a server that exits first is a _ChildFailure."""
     result: list[str] = []
 
     def scan():
@@ -209,12 +220,20 @@ def _read_ready(proc: subprocess.Popen, timeout: float) -> str:
     t = threading.Thread(target=scan, daemon=True)
     t.start()
     t.join(timeout)
-    if not result:
-        raise TimeoutError("server did not report READY")
-    return result[0]
+    if result:
+        return result[0]
+    if not t.is_alive():  # stdout closed: the server is exiting
+        try:
+            code = proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            pass
+        else:
+            raise _ChildFailure(f"server ({log_name})", code)
+    raise TimeoutError("server did not report READY")
 
 
 def run_bench(cfg: RunConfig) -> dict:
+    cfg.validate()
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     profile = resolve_profile(cfg.profile)
@@ -259,7 +278,7 @@ def run_bench(cfg: RunConfig) -> dict:
                 stdout=subprocess.PIPE,
             )
             # a server prints nothing after READY, so nothing reads its pipe later
-            addrs.append(_read_ready(p, timeout=30))
+            addrs.append(_read_ready(p, timeout=30, log_name=f"server{rank}.log"))
 
         for rank in range(cfg.num_workers):
             spawn(

@@ -6,6 +6,9 @@ baseline mode keeps small layers whole on a randomly chosen server and splits
 only layers at or above ``big_threshold`` equally across all servers. A
 slice's priority is not stored: it is its layer's forward index (0 = most
 urgent), which the wire header carries and the queues order by.
+
+``chunk_layer`` is the one slicing rule of the package: the simulator cuts a
+layer's uplink cost with it too, so a scenario slices as a plan does.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ def priority_sort_key(priority: int, key: SliceKey) -> tuple[int, int, int]:
     return (priority, key.layer_index, key.slice_index)
 
 
-def _chunk_layer(param_count: int, chunk: int) -> list[tuple[int, int]]:
+def chunk_layer(param_count: int, chunk: int) -> list[tuple[int, int]]:
     """(offset, length) pairs: full-size chunks in offset order, remainder last."""
     out = []
     offset = 0
@@ -91,7 +94,7 @@ def make_p3_plan(
     slices = []
     counter = 0
     for layer in profile.layers:
-        for slice_index, (offset, length) in enumerate(_chunk_layer(layer.param_count, max_slice)):
+        for slice_index, (offset, length) in enumerate(chunk_layer(layer.param_count, max_slice)):
             slices.append(
                 Slice(
                     key=SliceKey(layer.index, slice_index),

@@ -11,6 +11,14 @@ Policies:
   aggressive-sliced  -- slices of ``slice_ticks`` granularity, FIFO order
   priority-sliced    -- same slicing, links serve the most urgent slice first
 
+A sliced layer's uplink cost is cut by ``plan.chunk_layer``, the rule that cuts
+a plan's parameters: full ``slice_ticks`` slices, then any remainder as the
+last slice. Update and downlink costs are split in proportion, slice s
+covering uplink ticks [start, end) getting ``x * end // up - x * start // up``
+of a stage cost x, so the slices sum exactly to the layer's cost.
+``scenario_from_plan`` builds the scenario of a runtime plan; there one tick
+is the time one float32 parameter takes on the link.
+
 Tie-breaks on a serial link: the FIFO policies serve by arrival; priority-sliced
 serves the smallest (priority, layer, slice, iteration, arrival), where a
 slice's priority is its layer's forward index. Each link keeps a deque (FIFO)
@@ -30,6 +38,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .model import ModelProfile, profile_from_dict, profile_to_dict
+from .plan import P3_MODE, SlicePlan, chunk_layer, validate_plan
 
 AGGRESSIVE_COARSE = "aggressive-coarse"
 AGGRESSIVE_SLICED = "aggressive-sliced"
@@ -75,26 +84,20 @@ class Scenario:
         for layer, st in zip(self.profile.layers, self.stages):
             if min(st.up, st.update, st.down) < 0:
                 raise ScenarioError(f"layer {layer.index}: negative stage cost")
-            n = self.num_slices(layer.index)
-            if st.up % max(n, 1) or st.update % n or st.down % n:
-                raise ScenarioError(
-                    f"layer {layer.index}: stage costs {st} not divisible into {n} slices"
-                )
 
-    def num_slices(self, layer_index: int) -> int:
+    def slice_costs(self, layer_index: int) -> list[StageCost]:
+        """The layer's per-slice costs, in slice order; they sum to its stage cost."""
         st = self.stages[layer_index]
         if self.policy == AGGRESSIVE_COARSE or st.up == 0:
-            return 1
-        if st.up % self.slice_ticks:
-            raise ScenarioError(
-                f"layer {layer_index}: up cost {st.up} not divisible by slice_ticks {self.slice_ticks}"
+            return [st]
+        return [
+            StageCost(
+                length,
+                st.update * (start + length) // st.up - st.update * start // st.up,
+                st.down * (start + length) // st.up - st.down * start // st.up,
             )
-        return st.up // self.slice_ticks
-
-    def chunk_costs(self, layer_index: int) -> StageCost:
-        n = self.num_slices(layer_index)
-        st = self.stages[layer_index]
-        return StageCost(st.up // n, st.update // n, st.down // n)
+            for start, length in chunk_layer(st.up, self.slice_ticks)
+        ]
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -138,6 +141,40 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def save_scenario(sc: Scenario, path: str | Path) -> None:
     Path(path).write_text(json.dumps(scenario_to_dict(sc), indent=2) + "\n")
+
+
+def scenario_from_plan(
+    profile: ModelProfile,
+    plan: SlicePlan,
+    link_bps: float,
+    num_workers: int,
+    num_iterations: int,
+) -> Scenario:
+    """The scenario of running ``plan`` on ``num_workers`` workers over links of ``link_bps``.
+
+    One tick is the time one float32 parameter takes on the link, so compute
+    times of ``us`` microseconds become ``round(us * link_bps / 32e6)`` ticks.
+    A layer's downlink carries its parameters once per worker: the one
+    server's bucket feeds every worker. A p3 plan runs priority-sliced with
+    its slice size, a baseline plan aggressive-coarse.
+    """
+    validate_plan(plan, profile)
+    if plan.num_servers != 1:
+        raise ScenarioError(f"plan has {plan.num_servers} servers; the simulator models one")
+    if link_bps <= 0 or num_workers < 1:
+        raise ScenarioError("link_bps must be positive and num_workers >= 1")
+    layers = tuple(
+        replace(l, fwd_time=round(l.fwd_time * link_bps / 32e6), bwd_time=round(l.bwd_time * link_bps / 32e6))
+        for l in profile.layers
+    )
+    return Scenario(
+        profile=replace(profile, layers=layers),
+        stages=tuple(StageCost(l.param_count, 0, num_workers * l.param_count) for l in profile.layers),
+        policy=PRIORITY_SLICED if plan.mode == P3_MODE else AGGRESSIVE_COARSE,
+        slice_ticks=plan.max_slice,
+        num_iterations=num_iterations,
+        name=f"{profile.name}-{plan.mode}",
+    )
 
 
 @dataclass(frozen=True)
@@ -265,12 +302,12 @@ def simulate(scenario: Scenario) -> Timeline:
     n_iter = scenario.num_iterations
     fwd_time = [l.fwd_time for l in scenario.profile.layers]
     bwd_time = [l.bwd_time for l in scenario.profile.layers]
-    n_slices = [scenario.num_slices(i) for i in range(L)]
-    chunks = [scenario.chunk_costs(i) for i in range(L)]
+    costs = [scenario.slice_costs(i) for i in range(L)]
+    n_slices = [len(cs) for cs in costs]
     ovh = scenario.per_slice_overhead
-    up_cost = [c.up + ovh if c.up > 0 else 0 for c in chunks]
-    update_cost = [c.update for c in chunks]
-    down_cost = [c.down + ovh if c.down > 0 else 0 for c in chunks]
+    up_cost = [[c.up + ovh if c.up > 0 else 0 for c in cs] for cs in costs]
+    update_cost = [[c.update for c in cs] for cs in costs]
+    down_cost = [[c.down + ovh if c.down > 0 else 0 for c in cs] for cs in costs]
     serial_update = scenario.serial_update
 
     entries: list[TimelineEntry] = []
@@ -315,7 +352,7 @@ def simulate(scenario: Scenario) -> Timeline:
         fwd_ready.clear()
 
     def into_update(t: int, k: int, l: int, s: int) -> None:
-        cost = update_cost[l]
+        cost = update_cost[l][s]
         if cost == 0:
             heapq.heappush(events, (t, _UPDATE_DONE, k, l, s))
         elif serial_update:
@@ -330,7 +367,7 @@ def simulate(scenario: Scenario) -> Timeline:
             bwd_ready.add((0, L - 1))
         elif kind == _BWD_DONE:
             for sl in range(n_slices[l]):
-                if up_cost[l] == 0:
+                if up_cost[l][sl] == 0:
                     heapq.heappush(events, (t, _UP_DONE, k, l, sl))
                 else:
                     uplink.enqueue(k, l, sl)
@@ -344,18 +381,18 @@ def simulate(scenario: Scenario) -> Timeline:
             elif k < n_iter:
                 bwd_ready.add((k, L - 1))
         elif kind == _UP_DONE:
-            if up_cost[l] > 0:
+            if up_cost[l][s] > 0:
                 uplink.busy = False
             into_update(t, k, l, s)
         elif kind == _UPDATE_DONE:
-            if serial_update and update_cost[l] > 0:
+            if serial_update and update_cost[l][s] > 0:
                 update_link.busy = False
-            if down_cost[l] == 0:
+            if down_cost[l][s] == 0:
                 heapq.heappush(events, (t, _DOWN_DONE, k, l, s))
             else:
                 downlink.enqueue(k, l, s)
         elif kind == _DOWN_DONE:
-            if down_cost[l] > 0:
+            if down_cost[l][s] > 0:
                 downlink.busy = False
             down_remaining[(k, l)] -= 1
             if down_remaining[(k, l)] == 0:
@@ -365,19 +402,19 @@ def simulate(scenario: Scenario) -> Timeline:
         if not uplink.busy and uplink.pending:
             k, l, s = uplink.pick()
             uplink.busy = True
-            entries.append(TimelineEntry(UPLINK, f"up:{k}:L{l}:s{s}", t, t + up_cost[l]))
-            heapq.heappush(events, (t + up_cost[l], _UP_DONE, k, l, s))
+            entries.append(TimelineEntry(UPLINK, f"up:{k}:L{l}:s{s}", t, t + up_cost[l][s]))
+            heapq.heappush(events, (t + up_cost[l][s], _UP_DONE, k, l, s))
         if serial_update and not update_link.busy and update_link.pending:
             k, l, s = update_link.pick()
             update_link.busy = True
-            cost = update_cost[l]
+            cost = update_cost[l][s]
             entries.append(TimelineEntry(UPDATE, f"upd:{k}:L{l}:s{s}", t, t + cost))
             heapq.heappush(events, (t + cost, _UPDATE_DONE, k, l, s))
         if not downlink.busy and downlink.pending:
             k, l, s = downlink.pick()
             downlink.busy = True
-            entries.append(TimelineEntry(DOWNLINK, f"down:{k}:L{l}:s{s}", t, t + down_cost[l]))
-            heapq.heappush(events, (t + down_cost[l], _DOWN_DONE, k, l, s))
+            entries.append(TimelineEntry(DOWNLINK, f"down:{k}:L{l}:s{s}", t, t + down_cost[l][s]))
+            heapq.heappush(events, (t + down_cost[l][s], _DOWN_DONE, k, l, s))
 
     while events:
         t = events[0][0]
@@ -392,11 +429,3 @@ def simulate(scenario: Scenario) -> Timeline:
 
     return Timeline(entries=sorted(entries, key=_ENTRY_ORDER))
 
-
-def sweep_slice_size(scenario: Scenario, sizes: list[int]) -> list[tuple[int, int]]:
-    """Makespan per slice granularity; scenario policy and costs held fixed."""
-    out = []
-    for size in sizes:
-        variant = replace(scenario, slice_ticks=size)
-        out.append((size, simulate(variant).makespan))
-    return out

@@ -150,6 +150,64 @@ def test_bench_rejects_unknown_config_keys(tmp_path, capsys):
     assert "profle" in err
 
 
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every process run_bench starts, recorded as it starts it."""
+    import p3sync.cli as cli
+
+    procs = []
+    real_popen = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        procs.append(real_popen(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(cli.subprocess, "Popen", popen)
+    return procs
+
+
+def test_bench_negative_throttle_rate_is_a_usage_error(tmp_path, capsys, spawned):
+    t0 = time.monotonic()
+    code, _, err = run_cli(
+        ["bench", "--throttle-rate", "-1", "--output-dir", str(tmp_path / "run")], capsys
+    )
+    assert code == EXIT_USAGE
+    assert time.monotonic() - t0 < 5
+    assert "throttle_rate" in err
+    assert [p for p in spawned if p.poll() is None] == []
+
+
+def test_bench_rejects_skip_iterations_not_below_iterations(tmp_path, capsys, spawned):
+    outdir = tmp_path / "run"
+    code, _, err = run_cli(
+        ["bench", "--iterations", "5", "--skip-iterations", "5", "--output-dir", str(outdir)], capsys
+    )
+    assert code == EXIT_USAGE
+    assert "skip_iterations" in err
+    assert spawned == [] and not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "field,value", [("num_workers", 0), ("timeout", 0.0), ("skip_iterations", -1)]
+)
+def test_run_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value}).validate()
+
+
+def test_server_that_exits_before_ready_is_a_child_failure(tmp_path, monkeypatch, spawned):
+    from p3sync.cli import _ChildFailure
+
+    # let the bad rate through to the server, which rejects it and exits 1
+    monkeypatch.setattr(RunConfig, "validate", lambda self: None)
+    cfg = RunConfig(profile="toy3", num_workers=1, throttle_rate=-1.0, output_dir=str(tmp_path))
+    with pytest.raises(_ChildFailure, match="server0.log") as info:
+        run_bench(cfg)
+    assert info.value.code == 1
+    assert "rate must be positive" in (tmp_path / "server0.log").read_text()
+    assert len(spawned) == 1 and spawned[0].poll() == 1
+
+
 def test_worker_without_server_times_out(tmp_path):
     plan_path = tmp_path / "plan.csv"
     from p3sync.plan import save_plan

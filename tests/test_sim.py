@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p3sync.model import LayerSpec, ModelProfile, builtin_profile
+from p3sync.model import BUILTIN_NAMES, LayerSpec, ModelProfile, builtin_profile
+from p3sync.plan import BASELINE_MODE, MODES, P3_MODE, PlanError, chunk_layer, make_plan
 from p3sync.sim import (
     AGGRESSIVE_COARSE,
     AGGRESSIVE_SLICED,
@@ -23,8 +24,8 @@ from p3sync.sim import (
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    scenario_from_plan,
     simulate,
-    sweep_slice_size,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -179,26 +180,43 @@ def test_scenario_json_roundtrip(tmp_path):
 def test_scenario_validation_errors():
     with pytest.raises(ScenarioError, match="policy"):
         fig4("whatever").validate()
-    with pytest.raises(ScenarioError, match="divisible"):
-        Scenario(
-            profile=tick_profile(0, 0, 1),
-            stages=(StageCost(3, 0, 0),),
-            policy=AGGRESSIVE_SLICED,
-            slice_ticks=2,
-        ).validate()
-    with pytest.raises(ScenarioError, match="divisible"):
-        Scenario(
-            profile=tick_profile(0, 0, 1),
-            stages=(StageCost(4, 2, 0),),  # 4 slices, update 2 does not divide
-            policy=AGGRESSIVE_SLICED,
-            slice_ticks=1,
-        ).validate()
+    with pytest.raises(ScenarioError, match="negative"):
+        replace(fig4(AGGRESSIVE_SLICED), stages=(StageCost(2, -1, 0),) * 3).validate()
+
+
+def one_layer(stage, slice_ticks, policy=AGGRESSIVE_SLICED):
+    return Scenario(
+        profile=tick_profile(0, 0, 1), stages=(stage,), policy=policy, slice_ticks=slice_ticks
+    )
+
+
+def test_remainder_slice_is_last():
+    # 3 uplink ticks in slices of 2: a full slice, then the 1-tick remainder
+    sc = one_layer(StageCost(3, 0, 0), slice_ticks=2)
+    assert sc.slice_costs(0) == [StageCost(2, 0, 0), StageCost(1, 0, 0)]
+    assert as_tuples(simulate(sc)) == [
+        (COMPUTE, "bwd:0:L0", 0, 0),
+        (UPLINK, "up:0:L0:s0", 0, 2),
+        (UPLINK, "up:0:L0:s1", 2, 3),
+        (COMPUTE, "fwd:1:L0", 3, 3),
+    ]
+    assert one_layer(StageCost(3, 0, 0), 2, AGGRESSIVE_COARSE).slice_costs(0) == [StageCost(3, 0, 0)]
+
+
+def test_uneven_costs_split_cumulatively():
+    # slice s covers uplink ticks [s, s + 1) of 4, so it gets 2 * (s + 1) // 4 - 2 * s // 4
+    sc = one_layer(StageCost(4, 2, 0), slice_ticks=1)
+    assert [c.update for c in sc.slice_costs(0)] == [0, 1, 0, 1]
+    upd = [(e.item, e.start, e.end) for e in simulate(sc).entries_for(UPDATE)]
+    assert upd == [("upd:0:L0:s1", 2, 3), ("upd:0:L0:s3", 4, 5)]
 
 
 # -- invariants over random scenarios ----------------------------------------
 
 
-def random_scenarios(policies=(AGGRESSIVE_COARSE, AGGRESSIVE_SLICED, PRIORITY_SLICED)):
+def random_scenarios(policies=(AGGRESSIVE_COARSE, AGGRESSIVE_SLICED, PRIORITY_SLICED), divisible=False):
+    """Random scenarios; with ``divisible`` every layer splits into equal slices."""
+
     @st.composite
     def build(draw):
         n = draw(st.integers(1, 4))
@@ -209,6 +227,9 @@ def random_scenarios(policies=(AGGRESSIVE_COARSE, AGGRESSIVE_SLICED, PRIORITY_SL
         ticks = draw(st.integers(1, 3))
         stages = []
         for _ in range(n):
+            if not divisible:
+                stages.append(StageCost(*(draw(st.integers(0, 12)) for _ in range(3))))
+                continue
             chunks = draw(st.integers(0, 4))
             up = ticks * chunks
             nsl = max(chunks, 1)
@@ -224,6 +245,17 @@ def random_scenarios(policies=(AGGRESSIVE_COARSE, AGGRESSIVE_SLICED, PRIORITY_SL
         )
 
     return build()
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_scenarios())
+def test_slices_follow_chunk_layer_and_sum_to_the_stage(sc):
+    for layer, stage in enumerate(sc.stages):
+        costs = sc.slice_costs(layer)
+        totals = [sum(getattr(c, f) for c in costs) for f in ("up", "update", "down")]
+        assert StageCost(*totals) == stage
+        if sc.policy != AGGRESSIVE_COARSE and stage.up > 0:
+            assert [c.up for c in costs] == [n for _, n in chunk_layer(stage.up, sc.slice_ticks)]
 
 
 def intervals_disjoint(spans):
@@ -316,8 +348,7 @@ def single_layer_scenario(cost, policy, overhead=0, slice_ticks=1):
 )
 def test_sweep_monotone_without_overhead_single_layer(m, t, policy):
     sc = single_layer_scenario(6 * t * m, policy, overhead=0, slice_ticks=6 * t)
-    sizes = [6 * t, 3 * t, 2 * t, t]
-    makespans = [ms for _, ms in sweep_slice_size(sc, sizes)]
+    makespans = [simulate(replace(sc, slice_ticks=n)).makespan for n in (6 * t, 3 * t, 2 * t, t)]
     assert all(a >= b for a, b in zip(makespans, makespans[1:]))
 
 
@@ -327,7 +358,10 @@ def without_downlink(sc):
 
 # with a downlink cost the property is false; see the example test below
 @settings(max_examples=60, deadline=None)
-@given(random_scenarios(policies=(AGGRESSIVE_SLICED,)).map(without_downlink), st.integers(1, 1))
+@given(
+    random_scenarios(policies=(AGGRESSIVE_SLICED,), divisible=True).map(without_downlink),
+    st.integers(1, 1),
+)
 def test_sweep_monotone_without_overhead_fifo(sc, _):
     base = max((st_.up for st_ in sc.stages), default=0)
     if base == 0:
@@ -341,7 +375,7 @@ def test_sweep_monotone_without_overhead_fifo(sc, _):
     )}, reverse=True)
     if len(sizes) < 2:
         return
-    makespans = [ms for _, ms in sweep_slice_size(sc, sizes)]
+    makespans = [simulate(replace(sc, slice_ticks=n)).makespan for n in sizes]
     assert all(a >= b for a, b in zip(makespans, makespans[1:]))
 
 
@@ -357,26 +391,25 @@ def test_sweep_fifo_finer_slices_can_lose_on_the_downlink():
         slice_ticks=2,
         num_iterations=1,
     )
-    assert sweep_slice_size(sc, [2, 1]) == [(2, 5), (1, 6)]
+    assert [simulate(replace(sc, slice_ticks=n)).makespan for n in (2, 1)] == [5, 6]
 
 
 def test_sweep_interior_minimum_with_overhead():
     cost = 60
     sc = single_layer_scenario(cost, PRIORITY_SLICED, overhead=1)
     sizes = [60, 30, 20, 15, 12, 10, 6, 5, 4, 3, 2, 1]
-    table = sweep_slice_size(sc, sizes)
-    makespans = [ms for _, ms in table]
+    makespans = [simulate(replace(sc, slice_ticks=n)).makespan for n in sizes]
     best = min(makespans)
     assert makespans[0] > best      # coarse strictly worse than the optimum
     assert makespans[-1] > best     # tiniest slices strictly worse too
-    assert min(table, key=lambda kv: kv[1])[0] not in (sizes[0], sizes[-1])
+    assert sizes[makespans.index(best)] not in (sizes[0], sizes[-1])
 
 
 def test_sweep_degenerate_single_slice_equals_coarse():
     cost = 8
     sliced = single_layer_scenario(cost, AGGRESSIVE_SLICED, slice_ticks=cost)
     coarse = single_layer_scenario(cost, AGGRESSIVE_COARSE)
-    assert sweep_slice_size(sliced, [cost])[0][1] == simulate(coarse).makespan
+    assert simulate(sliced).makespan == simulate(coarse).makespan
 
 
 def test_serial_update_variant_runs():
@@ -496,3 +529,89 @@ def test_priority_sliced_61k_entries_within_wall_bound():
     wall = time.perf_counter() - t0
     assert len(tl.entries) > 60_000
     assert wall < 5.0
+
+
+# -- scenarios from runtime plans ---------------------------------------------
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_scenario_from_plan_slices_like_the_plan(name, mode):
+    profile = builtin_profile(name)
+    plan = make_plan(mode, profile, 1)
+    sc = scenario_from_plan(profile, plan, 500e6, 2, 1)
+    for layer in profile.layers:
+        costs = sc.slice_costs(layer.index)
+        lengths = [s.length for s in plan.slices_of_layer(layer.index)]
+        assert [c.up for c in costs] == lengths
+        assert [c.down for c in costs] == [2 * n for n in lengths]
+        assert all(c.update == 0 for c in costs)
+
+
+def toy3_timeline(mode):
+    # at 32 Mbit/s one float32 parameter takes 1 us on the link: 1 tick = 1 us
+    profile = builtin_profile("toy3")
+    return simulate(scenario_from_plan(profile, make_plan(mode, profile, 1, max_slice=512), 32e6, 2, 1))
+
+
+def test_scenario_from_plan_toy3_p3_golden():
+    # backward ends 1000/2000/3000 (L2/L1/L0); each layer is 2 slices of 512 up
+    # ticks and 2 * 512 down ticks (2 workers). The downlink takes L2 s0 at 1512,
+    # then always the most urgent slice that is ready.
+    tl = toy3_timeline(P3_MODE)
+    assert [(e.item, e.start, e.end) for e in tl.entries_for(DOWNLINK)] == [
+        ("down:0:L2:s0", 1512, 2536),
+        ("down:0:L1:s0", 2536, 3560),
+        ("down:0:L0:s0", 3560, 4584),
+        ("down:0:L0:s1", 4584, 5608),
+        ("down:0:L1:s1", 5608, 6632),
+        ("down:0:L2:s1", 6632, 7656),
+    ]
+    fwd = {e.item: e.start for e in tl.entries_for(COMPUTE)}
+    assert fwd["fwd:1:L0"] == 5608
+    assert tl.inter_iteration_delay() == 5608 - 3000
+
+
+def test_scenario_from_plan_toy3_baseline_golden():
+    # whole layers: up 1024 ticks each from 1000, down 2048 each behind them
+    tl = toy3_timeline(BASELINE_MODE)
+    assert [(e.item, e.start, e.end) for e in tl.entries_for(DOWNLINK)] == [
+        ("down:0:L2:s0", 2024, 4072),
+        ("down:0:L1:s0", 4072, 6120),
+        ("down:0:L0:s0", 6120, 8168),
+    ]
+    assert tl.inter_iteration_delay() == 8168 - 3000
+
+
+def test_scenario_from_plan_rejections():
+    toy3 = builtin_profile("toy3")
+    plan = make_plan(P3_MODE, toy3, 1)
+    with pytest.raises(PlanError):
+        scenario_from_plan(builtin_profile("vgg19-like"), plan, 1e9, 2, 1)
+    with pytest.raises(ScenarioError, match="servers"):
+        scenario_from_plan(toy3, make_plan(P3_MODE, toy3, 2), 1e9, 2, 1)
+    for bps, workers in ((0, 2), (-1e9, 2), (1e9, 0)):
+        with pytest.raises(ScenarioError):
+            scenario_from_plan(toy3, plan, bps, workers, 1)
+
+
+def layer0_period_ms(name, mode, link_bps, num_workers, iterations=6):
+    """Mean period between the starts of fwd:k:L0, k >= 1, in milliseconds."""
+    profile = builtin_profile(name)
+    tl = simulate(scenario_from_plan(profile, make_plan(mode, profile, 1), link_bps, num_workers, iterations))
+    starts = {e.item: e.start for e in tl.entries_for(COMPUTE)}
+    first, last = starts["fwd:1:L0"], starts[f"fwd:{iterations}:L0"]
+    return (last - first) / (iterations - 1) * 32 / link_bps * 1e3
+
+
+@pytest.mark.parametrize("workers,p3_ms,baseline_ms", [(1, 68.5, 133.5), (2, 131.1, 196.0)])
+def test_vgg19_at_500_mbit(workers, p3_ms, baseline_ms):
+    p3 = layer0_period_ms("vgg19-like", P3_MODE, 500e6, workers)
+    baseline = layer0_period_ms("vgg19-like", BASELINE_MODE, 500e6, workers)
+    assert (round(p3, 1), round(baseline, 1)) == (p3_ms, baseline_ms)
+
+
+@pytest.mark.parametrize("name", ["vgg19-like", "resnet50-like", "sockeye-like"])
+def test_no_speedup_at_10_gbit(name):
+    speedup = layer0_period_ms(name, BASELINE_MODE, 10e9, 2) / layer0_period_ms(name, P3_MODE, 10e9, 2)
+    assert speedup == pytest.approx(1.0, abs=0.02)
