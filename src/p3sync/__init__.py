@@ -11,7 +11,6 @@ from .plan import (
     make_baseline_plan,
     make_p3_plan,
     make_plan,
-    priority_sort_key,
 )
 from .proto import Frame, FrameDecoder, MsgType, ProtocolError, encode_frame, try_decode
 from .queues import DeadlockError, FrameQueue

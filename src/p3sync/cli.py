@@ -94,19 +94,9 @@ class RunConfig:
 
 
 def _load_run_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        raw = json.loads(Path(args.config).read_text())
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = RunConfig(**{**cfg.__dict__, **raw})
-    for f in fields(RunConfig):
-        val = getattr(args, f.name)
-        if val is not None:
-            setattr(cfg, f.name, val)
-    return cfg
+    """A RunConfig with every flag given on the command line; unset flags keep the defaults."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 # -- plan ---------------------------------------------------------------
@@ -247,7 +237,7 @@ def run_bench(cfg: RunConfig) -> dict:
 
     num_servers = cfg.resolved_servers()
     deadline = time.monotonic() + cfg.timeout
-    procs: list[subprocess.Popen] = []
+    procs: list[tuple[subprocess.Popen, str]] = []  # (process, role and log name)
     base = [sys.executable, "-m", "p3sync"]
     throttle = ["--throttle-rate", str(cfg.throttle_rate)]
 
@@ -256,7 +246,7 @@ def run_bench(cfg: RunConfig) -> dict:
         # there too unless the caller reads it (a server's READY line)
         with open(outdir / log_name, "w") as log:
             p = subprocess.Popen(base + cmd_args, stdout=stdout or log, stderr=log, text=True)
-        procs.append(p)
+        procs.append((p, f"{cmd_args[0]} ({log_name})"))
         return p
 
     try:
@@ -295,7 +285,7 @@ def run_bench(cfg: RunConfig) -> dict:
                 f"worker{rank}.log",
             )
 
-        for p in procs:
+        for p, name in procs:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TimeoutError("bench watchdog expired")
@@ -304,9 +294,9 @@ def run_bench(cfg: RunConfig) -> dict:
             except subprocess.TimeoutExpired:
                 raise TimeoutError("bench watchdog expired") from None
             if code != 0:
-                raise _ChildFailure(" ".join(p.args[3:5]), code)
+                raise _ChildFailure(name, code)
     finally:
-        for p in procs:
+        for p, _ in procs:
             if p.poll() is None:
                 p.kill()
                 p.wait()
@@ -455,8 +445,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser("bench", help="run servers+workers on loopback and aggregate metrics")
-    p.add_argument("--config", default=None, help="JSON file with RunConfig fields")
-    # one flag per RunConfig field; an unset flag keeps the config file's value
+    # one flag per RunConfig field; an unset flag keeps the field's default
     for f in fields(RunConfig):
         choices = MODES if f.name == "mode" else None
         p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), choices=choices)

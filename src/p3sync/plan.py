@@ -4,8 +4,10 @@ Two planning modes exist. The priority mode chops every layer into chunks no
 larger than ``max_slice`` and deals the chunks across servers round-robin; the
 baseline mode keeps small layers whole on a randomly chosen server and splits
 only layers at or above ``big_threshold`` equally across all servers. A
-slice's priority is not stored: it is its layer's forward index (0 = most
-urgent), which the wire header carries and the queues order by.
+slice's priority is not stored: it is the order of its key, (layer, slice),
+so a layer nearer the input (0 = most urgent) goes first and a layer's slices
+go in offset order. Every priority queue of the runtime and the simulator
+orders by that key.
 
 ``chunk_layer`` is the one slicing rule of the package: the simulator cuts a
 layer's uplink cost with it too, so a scenario slices as a plan does.
@@ -63,11 +65,6 @@ class SlicePlan:
         if not found:
             raise PlanError(f"no layer {layer_index} in plan")
         return found
-
-
-def priority_sort_key(priority: int, key: SliceKey) -> tuple[int, int, int]:
-    """Total-order key: lower priority value first, ties by layer then slice index."""
-    return (priority, key.layer_index, key.slice_index)
 
 
 def chunk_layer(param_count: int, chunk: int) -> list[tuple[int, int]]:

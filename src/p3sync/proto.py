@@ -1,10 +1,15 @@
 """Framed wire protocol for worker<->server traffic.
 
-Every frame starts with a fixed 39-byte little-endian header carrying the
-message type, slice priority, iteration, sender rank, slice key, element
-offset, and payload length; PUSH and BCAST frames append a packed float32
-payload (gradients and updated parameters respectively). The priority field
-travels in every header so receivers can reorder without parsing payloads.
+Every frame starts with a fixed 27-byte little-endian header: magic (4 bytes),
+message type (1), iteration (8), sender rank (2), layer index (4), slice index
+(4) and payload length (4). PUSH and BCAST frames append a packed float32
+payload (gradients and updated parameters respectively).
+
+The header carries only what a receiver reads. A receiver takes a slice's
+offset, length and priority from its own plan, by the slice key (a slice's
+priority is its key's order, see ``plan``). That plan equals the sender's:
+HELLO carries the worker's plan fingerprint in its iteration field, and the
+server refuses a worker whose fingerprint differs from its own.
 
 Decoding copies no payload: a decoded frame's payload is a read-only view of
 the buffer the frame was decoded from, so that buffer must not be reused.
@@ -20,10 +25,10 @@ import numpy as np
 
 from .plan import Slice
 
-MAGIC = b"P3W1"
+MAGIC = b"P3W2"
 
-_HEADER = struct.Struct("<4sBIQHIIQI")
-HEADER_LEN = _HEADER.size  # 39
+_HEADER = struct.Struct("<4sBQHIII")
+HEADER_LEN = _HEADER.size  # 27
 
 DEFAULT_MAX_PAYLOAD = 16 * 1024 * 1024
 
@@ -47,12 +52,10 @@ class ProtocolError(Exception):
 @dataclass(frozen=True)
 class Frame:
     msg_type: MsgType
-    priority: int = 0
     iteration: int = 0
     worker_rank: int = 0
     layer_index: int = 0
     slice_index: int = 0
-    offset: int = 0
     # bytes when built for sending; a read-only view of its buffer when decoded
     payload: bytes | memoryview = b""
 
@@ -63,16 +66,13 @@ class Frame:
 def slice_frame(
     msg_type: MsgType, sl: Slice, iteration: int, worker_rank: int, payload: bytes = b""
 ) -> Frame:
-    """A frame about one slice: its key and offset ride in the header, and its
-    layer index in the priority field, since a slice's priority is its layer."""
+    """A frame about one slice, which the header names by its key."""
     return Frame(
         msg_type=msg_type,
-        priority=sl.key.layer_index,
         iteration=iteration,
         worker_rank=worker_rank,
         layer_index=sl.key.layer_index,
         slice_index=sl.key.slice_index,
-        offset=sl.offset,
         payload=payload,
     )
 
@@ -90,12 +90,10 @@ def encode_frame(frame: Frame) -> bytes:
     header = _HEADER.pack(
         MAGIC,
         int(frame.msg_type),
-        frame.priority,
         frame.iteration,
         frame.worker_rank,
         frame.layer_index,
         frame.slice_index,
-        frame.offset,
         len(frame.payload),
     )
     return header + frame.payload
@@ -138,20 +136,16 @@ def try_decode(
     view = memoryview(buf).toreadonly()
     if len(view) < HEADER_LEN:
         return None, HEADER_LEN - len(view)
-    msg_type, priority, iteration, rank, layer, sl, offset, payload_len = _unpack_header(
-        view, max_payload
-    )
+    msg_type, iteration, rank, layer, sl, payload_len = _unpack_header(view, max_payload)
     total = HEADER_LEN + payload_len
     if len(view) < total:
         return None, total - len(view)
     frame = Frame(
         msg_type=msg_type,
-        priority=priority,
         iteration=iteration,
         worker_rank=rank,
         layer_index=layer,
         slice_index=sl,
-        offset=offset,
         payload=view[HEADER_LEN:total],
     )
     return frame, total

@@ -1,11 +1,13 @@
-"""Thread-safe frame queues: priority-ordered (most urgent slice first) or FIFO."""
+"""Thread-safe frame queues: priority-ordered (most urgent slice first) or FIFO.
+
+A slice's priority is its key's order, (layer, slice), as ``plan`` defines it.
+"""
 
 from __future__ import annotations
 
 import heapq
 import threading
 
-from .plan import SliceKey, priority_sort_key
 from .proto import Frame
 
 
@@ -13,15 +15,16 @@ class DeadlockError(RuntimeError):
     """A blocking wait exceeded its deadline; the protocol has stalled."""
 
 
-def frame_order_key(frame: Frame) -> tuple[int, int, int]:
-    return priority_sort_key(frame.priority, SliceKey(frame.layer_index, frame.slice_index))
+def frame_order_key(frame: Frame) -> tuple[int, int]:
+    """The frame's slice key, whose order is the slice's priority."""
+    return (frame.layer_index, frame.slice_index)
 
 
 class FrameQueue:
     """Blocking producer/consumer queue of frames.
 
-    In priority mode the consumer always receives the minimum under the slice
-    ordering among frames currently queued; in FIFO mode, arrival order.
+    In priority mode the consumer always receives the frame of the smallest
+    slice key among those currently queued; in FIFO mode, arrival order.
     Batched puts are atomic: a consumer can never observe a partial batch.
     """
 

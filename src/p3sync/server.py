@@ -182,7 +182,7 @@ class ServerEngine:
                     raise ConnectionError("worker hung up before FIN")
                 return
             if frame.msg_type == MsgType.HELLO:
-                self._register(conn, frame.worker_rank, frame.offset)
+                self._register(conn, frame.worker_rank, frame.iteration)
             elif frame.msg_type in (MsgType.PUSH, MsgType.PULL):
                 self.inbox.put(frame)
             elif frame.msg_type == MsgType.FIN:

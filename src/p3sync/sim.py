@@ -20,8 +20,8 @@ of a stage cost x, so the slices sum exactly to the layer's cost.
 is the time one float32 parameter takes on the link.
 
 Tie-breaks on a serial link: the FIFO policies serve by arrival; priority-sliced
-serves the smallest (priority, layer, slice, iteration, arrival), where a
-slice's priority is its layer's forward index. Each link keeps a deque (FIFO)
+serves the smallest (layer, slice, iteration, arrival), since a slice's
+priority is its key's order, as in ``plan``. Each link keeps a deque (FIFO)
 or a heap (priority), so a link pick costs O(1) or O(log n) in the number of
 queued slices. Forwards wait in a ready-set that whichever of their two
 conditions arrives last fills, so a run costs O(n log n) in its entries.
@@ -278,21 +278,21 @@ class _FifoLink:
 class _PriorityLink:
     """Serial resource serving the most urgent queued slice first.
 
-    A slice's priority is its layer's forward index, as in ``plan``; the heap
-    key is (priority, layer, slice, iteration, arrival).
+    A slice's priority is its key's order, as in ``plan``; the heap key is
+    (layer, slice, iteration, arrival).
     """
 
     def __init__(self) -> None:
         self.busy = False
-        self.pending: list[tuple[int, int, int, int, int]] = []
+        self.pending: list[tuple[int, int, int, int]] = []
         self.arrivals = 0
 
     def enqueue(self, iteration: int, layer: int, sl: int) -> None:
-        heapq.heappush(self.pending, (layer, layer, sl, iteration, self.arrivals))
+        heapq.heappush(self.pending, (layer, sl, iteration, self.arrivals))
         self.arrivals += 1
 
     def pick(self) -> tuple[int, int, int]:
-        _, layer, sl, iteration, _ = heapq.heappop(self.pending)
+        layer, sl, iteration, _ = heapq.heappop(self.pending)
         return iteration, layer, sl
 
 

@@ -56,6 +56,10 @@ class IterationRecord:
 
 class TrainingWorker:
     def __init__(self, config: WorkerConfig, profile: ModelProfile, plan: SlicePlan) -> None:
+        if len(config.servers) != plan.num_servers:
+            raise ValueError(
+                f"{len(config.servers)} server addresses given, the plan has {plan.num_servers} servers"
+            )
         self.cfg = config
         self.profile = profile
         self.plan = plan
@@ -117,9 +121,10 @@ class TrainingWorker:
         self._threads.append(t)
 
     def _connect_all(self) -> None:
-        # HELLO's offset field carries the plan fingerprint, for the server to check
+        # HELLO's iteration field carries the plan fingerprint, for the server to
+        # check: equal plans let each end look a slice up by its key alone
         hello = Frame(
-            msg_type=MsgType.HELLO, worker_rank=self.cfg.rank, offset=plan_fingerprint(self.plan)
+            msg_type=MsgType.HELLO, iteration=plan_fingerprint(self.plan), worker_rank=self.cfg.rank
         )
         for srank, (host, port) in enumerate(self.cfg.servers):
             sock = connect_with_retry(host, port, self.cfg.deadlock_timeout)

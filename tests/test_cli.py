@@ -1,4 +1,4 @@
-import json
+import re
 import shutil
 import subprocess
 import sys
@@ -123,14 +123,14 @@ def test_bench_toy3_p3_and_report(tmp_path, capsys):
     assert dict(l.split("=", 1) for l in out2.strip().splitlines())["digest"] == kv["digest"]
 
 
-def test_bench_config_file_with_overrides(tmp_path, capsys):
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"profile": "toy3", "iterations": 4, "num_workers": 1}))
+def test_bench_baseline_from_flags(tmp_path, capsys):
     outdir = tmp_path / "run"
     code, out, _ = run_cli(
         [
             "bench",
-            "--config", str(cfg_file),
+            "--profile", "toy3",
+            "--iterations", "4",
+            "--num-workers", "1",
             "--mode", "baseline",
             "--skip-iterations", "1",
             "--output-dir", str(outdir),
@@ -140,14 +140,6 @@ def test_bench_config_file_with_overrides(tmp_path, capsys):
     assert code == 0
     kv = dict(l.split("=", 1) for l in out.strip().splitlines())
     assert kv["mode"] == "baseline" and kv["iterations"] == "4"
-
-
-def test_bench_rejects_unknown_config_keys(tmp_path, capsys):
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"profle": "toy3"}))
-    code, _, err = run_cli(["bench", "--config", str(cfg_file)], capsys)
-    assert code == EXIT_USAGE
-    assert "profle" in err
 
 
 @pytest.fixture
@@ -206,6 +198,34 @@ def test_server_that_exits_before_ready_is_a_child_failure(tmp_path, monkeypatch
     assert info.value.code == 1
     assert "rate must be positive" in (tmp_path / "server0.log").read_text()
     assert len(spawned) == 1 and spawned[0].poll() == 1
+
+
+def test_bench_names_the_child_that_failed(tmp_path, capsys, spawned):
+    import threading
+
+    outdir = tmp_path / "run"
+    args = [
+        "bench", "--profile", "toy3", "--num-workers", "2", "--num-servers", "1",
+        "--iterations", "100000", "--timeout", "60", "--output-dir", str(outdir),
+    ]
+    result = []
+    bench = threading.Thread(target=lambda: result.append(main(args)))
+    t0 = time.monotonic()
+    bench.start()
+    while len(spawned) < 3 and bench.is_alive() and time.monotonic() - t0 < 15:
+        time.sleep(0.05)
+    assert len(spawned) == 3  # one server, two workers
+    time.sleep(2.0)  # a worker starts and connects in well under a second
+    spawned[2].kill()  # worker 1
+    bench.join(timeout=30)
+    assert not bench.is_alive()
+    err = capsys.readouterr().err
+    assert result == [EXIT_PROTOCOL]
+    assert time.monotonic() - t0 < 30
+    line = next(l for l in err.splitlines() if l.startswith("bench failed: "))
+    assert re.search(r"\((server|worker)\d+\.log\)", line), line
+    assert "--" not in line
+    assert [p for p in spawned if p.poll() is None] == []
 
 
 def test_worker_without_server_times_out(tmp_path):
@@ -267,6 +287,34 @@ def test_worker_rejects_plan_of_another_profile(tmp_path):
     assert proc.returncode == EXIT_USAGE
     assert time.monotonic() - t0 < 5
     assert "layer 1: covers 1024 of 2048" in proc.stderr
+
+
+def test_worker_rejects_server_list_of_another_length(tmp_path):
+    # a plan of two servers given one address: refused before connecting, or
+    # the connect retries to the dead address would run for the whole timeout
+    from p3sync.plan import save_plan
+
+    plan_path = tmp_path / "plan.csv"
+    save_plan(make_p3_plan(builtin_profile("toy3"), 2), plan_path)
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "p3sync", "worker",
+            "--rank", "0",
+            "--servers", "127.0.0.1:1",
+            "--profile", "toy3",
+            "--plan", str(plan_path),
+            "--iterations", "1",
+            "--deadlock-timeout", "30",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert time.monotonic() - t0 < 5
+    assert "Traceback" not in proc.stderr
+    assert "1 server addresses given, the plan has 2 servers" in proc.stderr
 
 
 def test_exit_code_mapping(monkeypatch, capsys):
@@ -476,7 +524,7 @@ def test_stream_cut_mid_push_fails_the_server(toy3_plan, children):
     )
     half = push[: len(push) // 2]
     with socket.create_connection(parse_addr(addr), timeout=5.0) as sock:
-        sock.sendall(encode_frame(Frame(MsgType.HELLO, worker_rank=0, offset=plan_fingerprint(plan))))
+        sock.sendall(encode_frame(Frame(MsgType.HELLO, iteration=plan_fingerprint(plan), worker_rank=0)))
         sock.sendall(half)
     assert exit_codes([server]) == [EXIT_PROTOCOL]
     assert time.monotonic() - t0 < 15

@@ -14,7 +14,6 @@ from p3sync.plan import (
     make_p3_plan,
     plan_from_csv,
     plan_to_csv,
-    priority_sort_key,
     save_plan,
     validate_plan,
 )
@@ -109,13 +108,12 @@ def test_slices_of_layer_sorted_and_covering():
 # -- priority order ----------------------------------------------------------
 
 
-@given(st.permutations([(p, SliceKey(p, s)) for p in range(4) for s in range(3)]))
+@given(st.permutations([SliceKey(l, s) for l in range(4) for s in range(3)]))
 def test_sort_unique_order(perm):
-    ordered = sorted(perm, key=lambda x: priority_sort_key(*x))
-    assert ordered == sorted(ordered, key=lambda x: priority_sort_key(*x))
-    expected = sorted([(p, SliceKey(p, s)) for p in range(4) for s in range(3)],
-                      key=lambda x: (x[0], x[1].layer_index, x[1].slice_index))
-    assert ordered == expected
+    # a slice's priority is its key's order: headers sort into SliceKey order
+    frames = [slice_frame(MsgType.PUSH, Slice(key, 0, 1, 0), 0, 0) for key in perm]
+    ordered = [SliceKey(f.layer_index, f.slice_index) for f in sorted(frames, key=frame_order_key)]
+    assert ordered == [SliceKey(l, s) for l in range(4) for s in range(3)]
 
 
 # -- invariants over random profiles ----------------------------------------
@@ -136,14 +134,19 @@ def test_coverage_and_determinism(profile, num_servers, seed):
 @settings(max_examples=60, deadline=None)
 @given(profiles_strategy, st.integers(1, 5))
 def test_priority_monotone_across_layers(profile, num_servers):
-    # a slice's priority is its layer: its header carries the layer index in
-    # the priority field, and headers sort into layer order
+    # a slice's priority is its key's order: headers sort into layer order,
+    # and a layer's slices into offset order
     plan = make_p3_plan(profile, num_servers)
     frames = [slice_frame(MsgType.PUSH, s, 0, 0) for s in reversed(plan.slices)]
     ordered = sorted(frames, key=frame_order_key)
     layer_seq = [f.layer_index for f in ordered]
     assert layer_seq == sorted(layer_seq)
-    assert [f.priority for f in ordered] == layer_seq
+    keys = [SliceKey(f.layer_index, f.slice_index) for f in ordered]
+    assert keys == sorted(s.key for s in plan.slices)
+    offsets = {s.key: s.offset for s in plan.slices}
+    for a, b in zip(keys, keys[1:]):
+        if a.layer_index == b.layer_index:
+            assert offsets[a] < offsets[b]
 
 
 @pytest.mark.parametrize("name", ["toy3", "vgg19-like", "resnet50-like", "sockeye-like"])

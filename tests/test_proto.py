@@ -26,12 +26,10 @@ def frame_strategy():
         st.floats(width=32, allow_nan=False, allow_infinity=False), min_size=0, max_size=16
     )
     common = {
-        "priority": st.integers(0, 2**32 - 1),
         "iteration": st.integers(0, 2**64 - 1),
         "worker_rank": st.integers(0, 2**16 - 1),
         "layer_index": st.integers(0, 2**32 - 1),
         "slice_index": st.integers(0, 2**32 - 1),
-        "offset": st.integers(0, 2**64 - 1),
     }
     with_payload = st.builds(
         Frame,
@@ -44,44 +42,40 @@ def frame_strategy():
 
 
 def test_header_len():
-    assert HEADER_LEN == 39  # 4+1+4+8+2+4+4+8+4
+    assert HEADER_LEN == 27  # 4+1+8+2+4+4+4
 
 
 def test_hello_is_header_only():
     data = encode_frame(Frame(msg_type=MsgType.HELLO, worker_rank=7))
     assert len(data) == HEADER_LEN
-    payload_len = struct.unpack_from("<I", data, 35)[0]
+    payload_len = struct.unpack_from("<I", data, 23)[0]
     assert payload_len == 0
 
 
 def test_push_payload_len_field():
     payload = pack_f32(np.array([1.5, -2.0], dtype=np.float32))
     data = encode_frame(Frame(msg_type=MsgType.PUSH, payload=payload))
-    assert struct.unpack_from("<I", data, 35)[0] == 8
+    assert struct.unpack_from("<I", data, 23)[0] == 8
     assert len(data) == HEADER_LEN + 8
 
 
 def test_field_offsets_little_endian():
     f = Frame(
         msg_type=MsgType.PUSH,
-        priority=0x01020304,
         iteration=0x1112131415161718,
         worker_rank=0x2122,
         layer_index=0x31323334,
         slice_index=0x41424344,
-        offset=0x5152535455565758,
         payload=pack_f32(np.array([0.0], dtype=np.float32)),
     )
     data = encode_frame(f)
     assert data[0:4] == MAGIC
     assert data[4] == 0
-    assert struct.unpack_from("<I", data, 5)[0] == 0x01020304
-    assert struct.unpack_from("<Q", data, 9)[0] == 0x1112131415161718
-    assert struct.unpack_from("<H", data, 17)[0] == 0x2122
-    assert struct.unpack_from("<I", data, 19)[0] == 0x31323334
-    assert struct.unpack_from("<I", data, 23)[0] == 0x41424344
-    assert struct.unpack_from("<Q", data, 27)[0] == 0x5152535455565758
-    assert struct.unpack_from("<I", data, 35)[0] == 4
+    assert struct.unpack_from("<Q", data, 5)[0] == 0x1112131415161718
+    assert struct.unpack_from("<H", data, 13)[0] == 0x2122
+    assert struct.unpack_from("<I", data, 15)[0] == 0x31323334
+    assert struct.unpack_from("<I", data, 19)[0] == 0x41424344
+    assert struct.unpack_from("<I", data, 23)[0] == 4
 
 
 def test_truncated_header_reports_needed():
@@ -110,15 +104,13 @@ def test_unknown_msg_type():
 
 
 def test_oversize_payload_rejected():
-    header = struct.pack(
-        "<4sBIQHIIQI", MAGIC, int(MsgType.PUSH), 0, 0, 0, 0, 0, 0, DEFAULT_MAX_PAYLOAD + 4
-    )
+    header = struct.pack("<4sBQHIII", MAGIC, int(MsgType.PUSH), 0, 0, 0, 0, DEFAULT_MAX_PAYLOAD + 4)
     with pytest.raises(ProtocolError, match="exceeds"):
         try_decode(header)
 
 
 def test_nonzero_payload_on_control_frame_rejected():
-    header = struct.pack("<4sBIQHIIQI", MAGIC, int(MsgType.PULL), 0, 0, 0, 0, 0, 0, 4)
+    header = struct.pack("<4sBQHIII", MAGIC, int(MsgType.PULL), 0, 0, 0, 0, 4)
     with pytest.raises(ProtocolError, match="nonzero payload"):
         try_decode(header + b"\x00" * 4)
 

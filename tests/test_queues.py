@@ -9,36 +9,29 @@ from p3sync.proto import Frame, MsgType
 from p3sync.queues import DeadlockError, FrameQueue, frame_order_key
 
 
-def push(priority, layer=None, sl=0, it=0):
-    return Frame(
-        msg_type=MsgType.PUSH,
-        priority=priority,
-        iteration=it,
-        layer_index=layer if layer is not None else priority,
-        slice_index=sl,
-        payload=b"",
-    )
+def push(layer, sl=0, it=0):
+    return Frame(msg_type=MsgType.PUSH, iteration=it, layer_index=layer, slice_index=sl)
 
 
 def test_priority_dequeue_order():
     q = FrameQueue(priority_mode=True)
-    for p in (2, 0, 1):
-        q.put(push(p))
-    assert [q.poll().priority for _ in range(3)] == [0, 1, 2]
+    for layer in (2, 0, 1):
+        q.put(push(layer))
+    assert [q.poll().layer_index for _ in range(3)] == [0, 1, 2]
 
 
 def test_tie_break_by_slice_index():
     q = FrameQueue(priority_mode=True)
-    q.put(push(1, layer=1, sl=1))
-    q.put(push(1, layer=1, sl=0))
+    q.put(push(1, sl=1))
+    q.put(push(1, sl=0))
     assert [q.poll().slice_index for _ in range(2)] == [0, 1]
 
 
 def test_fifo_mode_arrival_order():
     q = FrameQueue(priority_mode=False)
-    for p in (2, 0, 1):
-        q.put(push(p))
-    assert [q.poll().priority for _ in range(3)] == [2, 0, 1]
+    for layer in (2, 0, 1):
+        q.put(push(layer))
+    assert [q.poll().layer_index for _ in range(3)] == [2, 0, 1]
 
 
 def test_poll_blocks_until_put():
@@ -52,7 +45,7 @@ def test_poll_blocks_until_put():
     t.start()
     q.put(push(3))
     t.join(timeout=5)
-    assert out and out[0].priority == 3
+    assert out and out[0].layer_index == 3
 
 
 def test_poll_timeout_raises():
@@ -65,7 +58,7 @@ def test_close_drains_then_none():
     q = FrameQueue()
     q.put(push(5))
     q.close()
-    assert q.poll().priority == 5
+    assert q.poll().layer_index == 5
     assert q.poll() is None
     assert q.poll() is None
 
@@ -85,9 +78,9 @@ def test_sequential_linearization(ops):
     # of what is currently queued
     q = FrameQueue(priority_mode=True)
     mirror = []
-    for op, prio, sl in ops:
+    for op, layer, sl in ops:
         if op == "put":
-            f = push(prio, sl=sl)
+            f = push(layer, sl=sl)
             q.put(f)
             mirror.append(f)
         elif mirror:
@@ -108,7 +101,7 @@ def test_concurrent_producers_drain_sorted():
 
     def producer(i):
         for _ in range(per_producer):
-            f = push(rngs[i].randint(0, 9), layer=rngs[i].randint(0, 9), sl=rngs[i].randint(0, 9))
+            f = push(rngs[i].randint(0, 9), sl=rngs[i].randint(0, 9), it=rngs[i].randint(0, 9))
             expected.append(f)
             q.put(f)
 
@@ -134,7 +127,7 @@ def test_batch_put_is_atomic_under_concurrency():
 
     def producer():
         for b in range(n_batches):
-            frames = [push(b % 4, layer=b, sl=s) for s in range(batch_size)]
+            frames = [push(b % 4, sl=s, it=b) for s in range(batch_size)]
             q.put_batch(frames)
 
     total = n_batches * batch_size
@@ -145,9 +138,9 @@ def test_batch_put_is_atomic_under_concurrency():
     while seen < total:
         f = q.poll(timeout=5)
         seen += 1
-        b = f.layer_index
+        b = f.iteration
         popped_by_batch[b] = popped_by_batch.get(b, 0) + 1
-        in_queue = sum(1 for g in q.snapshot() if g.layer_index == b)
+        in_queue = sum(1 for g in q.snapshot() if g.iteration == b)
         if popped_by_batch[b] + in_queue != batch_size:
             errors.append((b, popped_by_batch[b], in_queue))
     p.join()

@@ -267,7 +267,7 @@ def test_push_for_key_of_another_server_is_a_protocol_error():
     server, errors = serve(engine)
     conn = FrameConnection(socket.create_connection(engine.addr, timeout=5.0))
     try:
-        conn.send_frame(Frame(msg_type=MsgType.HELLO, worker_rank=0, offset=plan_fingerprint(plan)))
+        conn.send_frame(Frame(msg_type=MsgType.HELLO, iteration=plan_fingerprint(plan), worker_rank=0))
         grads = np.zeros(foreign.length, dtype=np.float32)
         conn.send_frame(slice_frame(MsgType.PUSH, foreign, 0, 0, pack_f32(grads)))
         server.join(timeout=5.0)

@@ -141,7 +141,6 @@ def test_bcast_frames_shape():
     assert len({f.payload for f in frames}) == 1
     for f in frames:
         assert f.msg_type == MsgType.BCAST
-        assert f.priority == 2  # the slice's layer index rides in the priority field
+        assert (f.layer_index, f.slice_index) == (2, 1)
         assert f.iteration == 7
-        assert f.offset == 10
         assert np.array_equal(f.payload_f32(), params)

@@ -89,7 +89,6 @@ def test_frame_connection_roundtrip_and_counters():
         Frame(msg_type=MsgType.HELLO, worker_rank=1),
         Frame(
             msg_type=MsgType.PUSH,
-            priority=3,
             layer_index=3,
             payload=pack_f32(np.arange(100, dtype=np.float32)),
         ),
@@ -135,11 +134,11 @@ def raw_sender_and_receiver():
 
 def push_frame(n: int, layer: int = 2) -> Frame:
     payload = pack_f32(np.arange(n, dtype=np.float32) + layer)
-    return Frame(msg_type=MsgType.PUSH, priority=layer, iteration=4, layer_index=layer, payload=payload)
+    return Frame(msg_type=MsgType.PUSH, iteration=4, layer_index=layer, payload=payload)
 
 
-def raw_header(msg_type: MsgType, payload_len: int) -> bytes:
-    return struct.pack("<4sBIQHIIQI", MAGIC, int(msg_type), 0, 0, 0, 0, 0, 0, payload_len)
+def raw_header(msg_type: MsgType, payload_len: int, magic: bytes = MAGIC) -> bytes:
+    return struct.pack("<4sBQHIII", magic, int(msg_type), 0, 0, 0, 0, payload_len)
 
 
 def test_eof_mid_header_names_undecoded_bytes():
@@ -176,8 +175,9 @@ def test_clean_eof_between_frames_is_none():
     [
         (raw_header(MsgType.PUSH, DEFAULT_MAX_PAYLOAD + 4), "exceeds"),
         (raw_header(MsgType.HELLO, 8), "nonzero payload"),
+        (raw_header(MsgType.HELLO, 0, magic=b"P3W1"), "bad magic"),
     ],
-    ids=["over-max-payload", "payload-on-hello"],
+    ids=["over-max-payload", "payload-on-hello", "previous-version-magic"],
 )
 def test_bad_header_rejected_before_payload_is_read(header, match):
     raw, receiver = raw_sender_and_receiver()
@@ -220,7 +220,7 @@ def test_frames_sent_in_tiny_pieces_decode_equal():
 
 def test_push_then_hello_back_to_back_arrive_in_order():
     raw, receiver = raw_sender_and_receiver()
-    frames = [push_frame(25), Frame(msg_type=MsgType.HELLO, worker_rank=1, offset=2**64 - 1)]
+    frames = [push_frame(25), Frame(msg_type=MsgType.HELLO, iteration=2**64 - 1, worker_rank=1)]
     raw.sendall(b"".join(encode_frame(f) for f in frames))
     assert [receiver.recv_frame(timeout=5) for _ in frames] == frames
     raw.close()
