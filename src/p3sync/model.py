@@ -74,20 +74,42 @@ def profile_to_dict(profile: ModelProfile) -> dict:
     }
 
 
+_REQUIRED = object()
+_JSON_TYPES = {int: "integer", bool: "boolean", str: "string"}
+
+
+def typed_field(obj: dict, key: str, kind: type, error: type[Exception], where: str = "", default=_REQUIRED):
+    """``obj[key]``, or ``default`` when given and the key is absent.
+
+    The value must be exactly a JSON ``kind`` (int, bool or str), so a bool is
+    not an integer, 2.7 is not 2 and "false" is not False; any other value
+    raises ``error`` naming the field ``where + key``.
+    """
+    if default is not _REQUIRED and key not in obj:
+        return default
+    value = obj[key]
+    if type(value) is not kind:
+        raise error(f"{where}{key} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def profile_from_dict(obj: dict) -> ModelProfile:
     try:
-        raw_layers = obj["layers"]
         layers = tuple(
             LayerSpec(
-                index=int(l["index"]),
-                name=str(l["name"]),
-                param_count=int(l["param_count"]),
-                fwd_time=int(l["fwd_time"]),
-                bwd_time=int(l["bwd_time"]),
+                name=typed_field(l, "name", str, ProfileError, f"layers[{pos}]."),
+                **{
+                    f: typed_field(l, f, int, ProfileError, f"layers[{pos}].")
+                    for f in ("index", "param_count", "fwd_time", "bwd_time")
+                },
             )
-            for l in raw_layers
+            for pos, l in enumerate(obj["layers"])
         )
-        profile = ModelProfile(name=str(obj["name"]), seed=int(obj["seed"]), layers=layers)
+        profile = ModelProfile(
+            name=typed_field(obj, "name", str, ProfileError),
+            seed=typed_field(obj, "seed", int, ProfileError),
+            layers=layers,
+        )
     except (KeyError, TypeError) as exc:
         raise ProfileError(f"malformed profile object: {exc}") from exc
     profile.validate()

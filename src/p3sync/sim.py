@@ -20,24 +20,28 @@ of a stage cost x, so the slices sum exactly to the layer's cost.
 is the time one float32 parameter takes on the link.
 
 Tie-breaks on a serial link: the FIFO policies serve by arrival; priority-sliced
-serves the smallest (layer, slice, iteration, arrival), since a slice's
-priority is its key's order, as in ``plan``. Each link keeps a deque (FIFO)
-or a heap (priority), so a link pick costs O(1) or O(log n) in the number of
+serves the smallest (layer, slice, iteration), since a slice's priority is its
+key's order, as in ``plan``. A slice enters each link once, so that heap key
+is unique and needs no arrival counter. Each link keeps a deque (FIFO) or a
+heap (priority), so a link pick costs O(1) or O(log n) in the number of
 queued slices. Forwards wait in a ready-set that whichever of their two
 conditions arrives last fills, so a run costs O(n log n) in its entries.
+
+Timeline entries are named tuples ``(start, end, resource, item)``, so their
+natural order is timeline order: ``simulate`` returns them sorted, and
+``Timeline.to_csv`` sorts them with no key.
 """
 
 from __future__ import annotations
 
 import heapq
-import io
 import json
 from collections import deque
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
-from .model import ModelProfile, profile_from_dict, profile_to_dict
+from .model import ModelProfile, profile_from_dict, profile_to_dict, typed_field
 from .plan import P3_MODE, SlicePlan, chunk_layer, validate_plan
 
 AGGRESSIVE_COARSE = "aggressive-coarse"
@@ -115,15 +119,19 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 def scenario_from_dict(obj: dict) -> Scenario:
     try:
+        stages = tuple(
+            StageCost(*(typed_field(s, f, int, ScenarioError, f"stages[{pos}].") for f in ("up", "update", "down")))
+            for pos, s in enumerate(obj["stages"])
+        )
         sc = Scenario(
             profile=profile_from_dict(obj["profile"]),
-            stages=tuple(StageCost(int(s["up"]), int(s["update"]), int(s["down"])) for s in obj["stages"]),
-            policy=str(obj["policy"]),
-            slice_ticks=int(obj.get("slice_ticks", 1)),
-            num_iterations=int(obj.get("num_iterations", 1)),
-            per_slice_overhead=int(obj.get("per_slice_overhead", 0)),
-            serial_update=bool(obj.get("serial_update", False)),
-            name=str(obj.get("name", "")),
+            stages=stages,
+            policy=typed_field(obj, "policy", str, ScenarioError),
+            slice_ticks=typed_field(obj, "slice_ticks", int, ScenarioError, default=1),
+            num_iterations=typed_field(obj, "num_iterations", int, ScenarioError, default=1),
+            per_slice_overhead=typed_field(obj, "per_slice_overhead", int, ScenarioError, default=0),
+            serial_update=typed_field(obj, "serial_update", bool, ScenarioError, default=False),
+            name=typed_field(obj, "name", str, ScenarioError, default=""),
         )
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
@@ -177,15 +185,13 @@ def scenario_from_plan(
     )
 
 
-@dataclass(frozen=True)
-class TimelineEntry:
-    resource: str
-    item: str
+class TimelineEntry(NamedTuple):
+    """One busy span of a resource; tuple order is timeline order."""
+
     start: int
     end: int
-
-
-_ENTRY_ORDER = attrgetter("start", "end", "resource", "item")
+    resource: str
+    item: str
 
 
 @dataclass
@@ -200,9 +206,7 @@ class Timeline:
         return [e for e in self.entries if e.resource == resource]
 
     def busy_intervals(self, resource: str) -> list[tuple[int, int]]:
-        spans = sorted(
-            (e.start, e.end) for e in self.entries_for(resource) if e.end > e.start
-        )
+        spans = sorted((e.start, e.end) for e in self.entries if e.resource == resource and e.end > e.start)
         merged: list[tuple[int, int]] = []
         for s, e in spans:
             if merged and s <= merged[-1][1]:
@@ -212,11 +216,14 @@ class Timeline:
         return merged
 
     def link_utilization(self, link: str) -> float:
+        return self._utilization(link, self.makespan)
+
+    def _utilization(self, link: str, makespan: int) -> float:
         spans = self.busy_intervals(link)
         if not spans:
             return 0.0
         busy = sum(e - s for s, e in spans)
-        span = self.makespan - spans[0][0]
+        span = makespan - spans[0][0]
         return busy / span if span else 0.0
 
     def inter_iteration_delay(self) -> int:
@@ -227,12 +234,14 @@ class Timeline:
 
     def all_inter_iteration_delays(self) -> list[int]:
         # reversed, so that the first entry of a repeated item wins
-        compute = {e.item: e for e in reversed(self.entries) if e.resource == COMPUTE}
+        layer0 = {
+            e.item: e for e in reversed(self.entries) if e.resource == COMPUTE and e.item.endswith(":L0")
+        }
         delays = []
         k = 0
         while True:
-            b = compute.get(f"bwd:{k}:L0")
-            f = compute.get(f"fwd:{k + 1}:L0")
+            b = layer0.get(f"bwd:{k}:L0")
+            f = layer0.get(f"fwd:{k + 1}:L0")
             if b is None or f is None:
                 break
             delays.append(f.start - b.end)
@@ -240,60 +249,22 @@ class Timeline:
         return delays
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("resource,item,start,end\n")
-        for e in sorted(self.entries, key=_ENTRY_ORDER):
-            buf.write(f"{e.resource},{e.item},{e.start},{e.end}\n")
-        return buf.getvalue()
+        rows = "".join([f"{r},{i},{s},{e}\n" for s, e, r, i in sorted(self.entries)])
+        return "resource,item,start,end\n" + rows
 
     def summary(self) -> dict:
-        out = {"makespan": self.makespan}
-        try:
-            out["inter_iteration_delay"] = self.inter_iteration_delay()
-        except ValueError:
-            pass
-        out["uplink_utilization"] = round(self.link_utilization(UPLINK), 6)
-        out["downlink_utilization"] = round(self.link_utilization(DOWNLINK), 6)
+        makespan = self.makespan
+        out = {"makespan": makespan}
+        delays = self.all_inter_iteration_delays()
+        if delays:
+            out["inter_iteration_delay"] = delays[-1]
+        out["uplink_utilization"] = round(self._utilization(UPLINK, makespan), 6)
+        out["downlink_utilization"] = round(self._utilization(DOWNLINK, makespan), 6)
         return out
 
 
 # event kinds, in within-tick processing order
 _BOOT, _FWD_DONE, _BWD_DONE, _UP_DONE, _UPDATE_DONE, _DOWN_DONE = range(6)
-
-
-class _FifoLink:
-    """Serial resource serving queued slices in arrival order."""
-
-    def __init__(self) -> None:
-        self.busy = False
-        self.pending: deque[tuple[int, int, int]] = deque()  # (iteration, layer, slice)
-
-    def enqueue(self, iteration: int, layer: int, sl: int) -> None:
-        self.pending.append((iteration, layer, sl))
-
-    def pick(self) -> tuple[int, int, int]:
-        return self.pending.popleft()
-
-
-class _PriorityLink:
-    """Serial resource serving the most urgent queued slice first.
-
-    A slice's priority is its key's order, as in ``plan``; the heap key is
-    (layer, slice, iteration, arrival).
-    """
-
-    def __init__(self) -> None:
-        self.busy = False
-        self.pending: list[tuple[int, int, int, int]] = []
-        self.arrivals = 0
-
-    def enqueue(self, iteration: int, layer: int, sl: int) -> None:
-        heapq.heappush(self.pending, (layer, sl, iteration, self.arrivals))
-        self.arrivals += 1
-
-    def pick(self) -> tuple[int, int, int]:
-        layer, sl, iteration, _ = heapq.heappop(self.pending)
-        return iteration, layer, sl
 
 
 def simulate(scenario: Scenario) -> Timeline:
@@ -310,122 +281,117 @@ def simulate(scenario: Scenario) -> Timeline:
     down_cost = [[c.down + ovh if c.down > 0 else 0 for c in cs] for cs in costs]
     serial_update = scenario.serial_update
 
-    entries: list[TimelineEntry] = []
-    events: list[tuple[int, int, int, int, int]] = []  # (tick, kind, iteration, layer, slice)
-    heapq.heappush(events, (0, _BOOT, 0, 0, 0))
+    # each serial link queues (layer, slice, iteration); a key enters a link
+    # at most once, so the priority heap needs no arrival tie-break
+    if scenario.policy == PRIORITY_SLICED:
+        up_q, upd_q, down_q = [], [], []
+        push, pop = heapq.heappush, heapq.heappop
+    else:
+        up_q, upd_q, down_q = deque(), deque(), deque()
+        push, pop = deque.append, deque.popleft
+    up_busy = upd_busy = down_busy = False  # the update link is used only when serial_update
 
-    Link = _PriorityLink if scenario.policy == PRIORITY_SLICED else _FifoLink
-    uplink = Link()
-    downlink = Link()
-    update_link = Link()  # used only when serial_update
+    entries: list[TimelineEntry] = []
+    append = entries.append
+    events: list[tuple[int, int, int, int, int]] = [(0, _BOOT, 0, 0, 0)]  # (tick, kind, iteration, layer, slice)
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     bwd_ready: set[tuple[int, int]] = set()
     # a forward (k, l) needs forward (k, l-1) or backward (k-1, 0) done (its
-    # chain) and every slice of (k-1, l) downloaded (its params); whichever
-    # comes last moves the key into fwd_ready
-    fwd_chain_ok: set[tuple[int, int]] = set()
-    fwd_params_ok: set[tuple[int, int]] = set()
+    # chain) and every slice of (k-1, l) downloaded (its params); each arrives
+    # once, the first parks the key in fwd_half and the second moves it to fwd_ready
+    fwd_half: set[tuple[int, int]] = set()
     fwd_ready: set[tuple[int, int]] = set()
-    down_remaining = {(k, l): n_slices[l] for k in range(n_iter) for l in range(L)}
+    down_remaining = [list(n_slices) for _ in range(n_iter)]
 
-    def chain_ok(key: tuple[int, int]) -> None:
-        fwd_chain_ok.add(key)
-        if key in fwd_params_ok:
-            fwd_ready.add(key)
-
-    def params_ok(key: tuple[int, int]) -> None:
-        fwd_params_ok.add(key)
-        if key in fwd_chain_ok:
-            fwd_ready.add(key)
-
-    def start_ready_computes(t: int) -> None:
-        while bwd_ready:
-            k, l = min(bwd_ready)
-            bwd_ready.discard((k, l))
-            entries.append(TimelineEntry(COMPUTE, f"bwd:{k}:L{l}", t, t + bwd_time[l]))
-            heapq.heappush(events, (t + bwd_time[l], _BWD_DONE, k, l, 0))
-            if bwd_time[l] > 0:
-                break  # completion arrives later; chain resumes then
-        for k, l in sorted(fwd_ready):
-            entries.append(TimelineEntry(COMPUTE, f"fwd:{k}:L{l}", t, t + fwd_time[l]))
-            heapq.heappush(events, (t + fwd_time[l], _FWD_DONE, k, l, 0))
-        fwd_ready.clear()
-
-    def into_update(t: int, k: int, l: int, s: int) -> None:
-        cost = update_cost[l][s]
-        if cost == 0:
-            heapq.heappush(events, (t, _UPDATE_DONE, k, l, s))
-        elif serial_update:
-            update_link.enqueue(k, l, s)
-        else:
-            entries.append(TimelineEntry(UPDATE, f"upd:{k}:L{l}:s{s}", t, t + cost))
-            heapq.heappush(events, (t + cost, _UPDATE_DONE, k, l, s))
-
-    def handle(ev: tuple[int, int, int, int, int]) -> None:
-        t, kind, k, l, s = ev
-        if kind == _BOOT:
-            bwd_ready.add((0, L - 1))
-        elif kind == _BWD_DONE:
-            for sl in range(n_slices[l]):
-                if up_cost[l][sl] == 0:
-                    heapq.heappush(events, (t, _UP_DONE, k, l, sl))
-                else:
-                    uplink.enqueue(k, l, sl)
-            if l > 0:
-                bwd_ready.add((k, l - 1))
-            else:
-                chain_ok((k + 1, 0))
-        elif kind == _FWD_DONE:
-            if l < L - 1:
-                chain_ok((k, l + 1))
-            elif k < n_iter:
-                bwd_ready.add((k, L - 1))
-        elif kind == _UP_DONE:
-            if up_cost[l][s] > 0:
-                uplink.busy = False
-            into_update(t, k, l, s)
-        elif kind == _UPDATE_DONE:
-            if serial_update and update_cost[l][s] > 0:
-                update_link.busy = False
-            if down_cost[l][s] == 0:
-                heapq.heappush(events, (t, _DOWN_DONE, k, l, s))
-            else:
-                downlink.enqueue(k, l, s)
-        elif kind == _DOWN_DONE:
-            if down_cost[l][s] > 0:
-                downlink.busy = False
-            down_remaining[(k, l)] -= 1
-            if down_remaining[(k, l)] == 0:
-                params_ok((k + 1, l))
-
-    def dispatch_links(t: int) -> None:
-        if not uplink.busy and uplink.pending:
-            k, l, s = uplink.pick()
-            uplink.busy = True
-            entries.append(TimelineEntry(UPLINK, f"up:{k}:L{l}:s{s}", t, t + up_cost[l][s]))
-            heapq.heappush(events, (t + up_cost[l][s], _UP_DONE, k, l, s))
-        if serial_update and not update_link.busy and update_link.pending:
-            k, l, s = update_link.pick()
-            update_link.busy = True
-            cost = update_cost[l][s]
-            entries.append(TimelineEntry(UPDATE, f"upd:{k}:L{l}:s{s}", t, t + cost))
-            heapq.heappush(events, (t + cost, _UPDATE_DONE, k, l, s))
-        if not downlink.busy and downlink.pending:
-            k, l, s = downlink.pick()
-            downlink.busy = True
-            entries.append(TimelineEntry(DOWNLINK, f"down:{k}:L{l}:s{s}", t, t + down_cost[l][s]))
-            heapq.heappush(events, (t + down_cost[l][s], _DOWN_DONE, k, l, s))
-
+    # per tick: handle every queued event of t, start the computes that made
+    # ready, repeat while that left events at t; then dispatch each link once
+    # (the FIFO links' arrival order depends on this batching)
     while events:
         t = events[0][0]
         while events and events[0][0] == t:
             batch = []
             while events and events[0][0] == t:
-                batch.append(heapq.heappop(events))
-            for ev in batch:
-                handle(ev)
-            start_ready_computes(t)
-        dispatch_links(t)
+                batch.append(heappop(events))
+            for _, kind, k, l, s in batch:
+                if kind == _UP_DONE:
+                    if up_cost[l][s] > 0:
+                        up_busy = False
+                    cost = update_cost[l][s]
+                    if cost == 0:
+                        heappush(events, (t, _UPDATE_DONE, k, l, s))
+                    elif serial_update:
+                        push(upd_q, (l, s, k))
+                    else:
+                        append(TimelineEntry(t, t + cost, UPDATE, f"upd:{k}:L{l}:s{s}"))
+                        heappush(events, (t + cost, _UPDATE_DONE, k, l, s))
+                elif kind == _UPDATE_DONE:
+                    if serial_update and update_cost[l][s] > 0:
+                        upd_busy = False
+                    if down_cost[l][s] == 0:
+                        heappush(events, (t, _DOWN_DONE, k, l, s))
+                    else:
+                        push(down_q, (l, s, k))
+                elif kind == _DOWN_DONE:
+                    if down_cost[l][s] > 0:
+                        down_busy = False
+                    down_remaining[k][l] -= 1
+                    if down_remaining[k][l] == 0:
+                        key = (k + 1, l)
+                        (fwd_ready if key in fwd_half else fwd_half).add(key)
+                elif kind == _BWD_DONE:
+                    for sl in range(n_slices[l]):
+                        if up_cost[l][sl] == 0:
+                            heappush(events, (t, _UP_DONE, k, l, sl))
+                        else:
+                            push(up_q, (l, sl, k))
+                    if l > 0:
+                        bwd_ready.add((k, l - 1))
+                    else:
+                        key = (k + 1, 0)
+                        (fwd_ready if key in fwd_half else fwd_half).add(key)
+                elif kind == _FWD_DONE:
+                    if l < L - 1:
+                        key = (k, l + 1)
+                        (fwd_ready if key in fwd_half else fwd_half).add(key)
+                    elif k < n_iter:
+                        bwd_ready.add((k, L - 1))
+                else:  # _BOOT
+                    bwd_ready.add((0, L - 1))
+            # start ready computes
+            while bwd_ready:
+                k, l = key = min(bwd_ready)
+                bwd_ready.discard(key)
+                end = t + bwd_time[l]
+                append(TimelineEntry(t, end, COMPUTE, f"bwd:{k}:L{l}"))
+                heappush(events, (end, _BWD_DONE, k, l, 0))
+                if end > t:
+                    break  # completion arrives later; chain resumes then
+            if fwd_ready:
+                for k, l in sorted(fwd_ready):
+                    end = t + fwd_time[l]
+                    append(TimelineEntry(t, end, COMPUTE, f"fwd:{k}:L{l}"))
+                    heappush(events, (end, _FWD_DONE, k, l, 0))
+                fwd_ready.clear()
+        # dispatch the links
+        if not up_busy and up_q:
+            l, s, k = pop(up_q)
+            up_busy = True
+            end = t + up_cost[l][s]
+            append(TimelineEntry(t, end, UPLINK, f"up:{k}:L{l}:s{s}"))
+            heappush(events, (end, _UP_DONE, k, l, s))
+        if not upd_busy and upd_q:
+            l, s, k = pop(upd_q)
+            upd_busy = True
+            end = t + update_cost[l][s]
+            append(TimelineEntry(t, end, UPDATE, f"upd:{k}:L{l}:s{s}"))
+            heappush(events, (end, _UPDATE_DONE, k, l, s))
+        if not down_busy and down_q:
+            l, s, k = pop(down_q)
+            down_busy = True
+            end = t + down_cost[l][s]
+            append(TimelineEntry(t, end, DOWNLINK, f"down:{k}:L{l}:s{s}"))
+            heappush(events, (end, _DOWN_DONE, k, l, s))
 
-    return Timeline(entries=sorted(entries, key=_ENTRY_ORDER))
-
+    entries.sort()
+    return Timeline(entries=entries)

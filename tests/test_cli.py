@@ -1,3 +1,4 @@
+import json
 import re
 import shutil
 import subprocess
@@ -89,6 +90,27 @@ def test_simulate_writes_csv(tmp_path, capsys):
 def test_simulate_missing_scenario(capsys):
     code, _, err = run_cli(["simulate", "missing.json"], capsys)
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "path,value,field",
+    [
+        ((), ("serial_update", "false"), "serial_update"),  # bool("false") would be True
+        (("stages", 1), ("up", 2.7), "stages[1].up"),  # int(2.7) would be 2
+        (("stages", 1), ("up", "abc"), "stages[1].up"),
+    ],
+)
+def test_simulate_rejects_mistyped_field(tmp_path, capsys, path, value, field):
+    obj = json.loads(FIG4.read_text())
+    target = obj
+    for step in path:
+        target = target[step]
+    target[value[0]] = value[1]
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(obj))
+    code, _, err = run_cli(["simulate", str(scenario)], capsys)
+    assert code == EXIT_USAGE
+    assert field in err
 
 
 def test_bench_toy3_p3_and_report(tmp_path, capsys):

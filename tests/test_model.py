@@ -55,6 +55,30 @@ def test_zero_params_rejected(tmp_path):
         load_profile(p)
 
 
+@pytest.mark.parametrize(
+    "key,value,kind",
+    [
+        ("param_count", 2.7, "integer"),
+        ("fwd_time", True, "integer"),
+        ("bwd_time", "1", "integer"),
+        ("index", None, "integer"),
+        ("name", ["L1"], "string"),
+    ],
+)
+def test_mistyped_layer_field_rejected(tmp_path, key, value, kind):
+    bad = layer(1)
+    bad[key] = value
+    p = write_profile(tmp_path, [layer(0), bad])
+    with pytest.raises(ProfileError, match=rf"layers\[1\]\.{key} must be a JSON {kind}"):
+        load_profile(p)
+
+
+def test_mistyped_seed_rejected(tmp_path):
+    p = write_profile(tmp_path, [layer(0)], seed=1.0)
+    with pytest.raises(ProfileError, match="seed"):
+        load_profile(p)
+
+
 def test_not_json(tmp_path):
     p = tmp_path / "x.json"
     p.write_text("{nope")

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -18,6 +19,7 @@ from p3sync.sim import (
     Scenario,
     ScenarioError,
     StageCost,
+    Timeline,
     TimelineEntry,
     UPDATE,
     UPLINK,
@@ -175,6 +177,25 @@ def test_shipped_scenarios_match_goldens():
 def test_scenario_json_roundtrip(tmp_path):
     sc = fig6(AGGRESSIVE_SLICED)
     assert scenario_from_dict(scenario_to_dict(sc)) == sc
+    sc = replace(linkbound_scenario(PRIORITY_SLICED, 2), serial_update=True, per_slice_overhead=1)
+    assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc)))) == sc
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("serial_update", 0),
+        ("slice_ticks", True),
+        ("num_iterations", 1.0),
+        ("name", 5),
+        ("policy", None),
+    ],
+)
+def test_scenario_fields_are_type_checked(key, value):
+    obj = scenario_to_dict(fig4(AGGRESSIVE_COARSE))
+    obj[key] = value
+    with pytest.raises(ScenarioError, match=key):
+        scenario_from_dict(obj)
 
 
 def test_scenario_validation_errors():
@@ -438,6 +459,45 @@ def test_timeline_csv_shape():
 def test_empty_link_utilization():
     tl = simulate(fig4(AGGRESSIVE_COARSE))
     assert tl.link_utilization(DOWNLINK) == 0.0
+
+
+def test_summary_of_a_hand_built_timeline():
+    tl = Timeline(
+        entries=[
+            TimelineEntry(resource=UPLINK, item="up:0:L0:s0", start=4, end=6),
+            TimelineEntry(resource=COMPUTE, item="fwd:1:L0", start=9, end=10),
+            TimelineEntry(resource=COMPUTE, item="bwd:0:L0", start=2, end=3),  # first in list order: wins
+            TimelineEntry(resource=UPLINK, item="up:0:L1:s0", start=1, end=3),
+            TimelineEntry(resource=COMPUTE, item="bwd:0:L0", start=0, end=1),
+            TimelineEntry(resource=UPLINK, item="up:0:L0:s1", start=6, end=6),  # empty span
+            TimelineEntry(resource=UPDATE, item="upd:0:L0:s0", start=6, end=12),
+        ]
+    )
+    # uplink busy [1, 3) and [4, 6): 4 ticks of the 11 from its first start to the makespan
+    assert list(tl.summary().items()) == [
+        ("makespan", 12),
+        ("inter_iteration_delay", 9 - 3),
+        ("uplink_utilization", 0.363636),
+        ("downlink_utilization", 0.0),
+    ]
+    assert tl.to_csv().splitlines()[1:3] == ["compute,bwd:0:L0,0,1", "uplink,up:0:L1:s0,1,3"]
+    assert Timeline().summary() == {"makespan": 0, "uplink_utilization": 0.0, "downlink_utilization": 0.0}
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_scenarios(), st.booleans(), st.integers(0, 2), st.randoms(use_true_random=False))
+def test_entries_sorted_unique_and_order_free(sc, serial_update, overhead, rnd):
+    tl = simulate(replace(sc, serial_update=serial_update, per_slice_overhead=overhead))
+    assert tl.entries == sorted(tl.entries)
+    # each (resource, item) appears once: a slice enters each link once, so
+    # the priority heap's (layer, slice, iteration) key is unique
+    keys = [(e.resource, e.item) for e in tl.entries]
+    assert len(set(keys)) == len(keys)
+    shuffled = list(tl.entries)
+    rnd.shuffle(shuffled)
+    other = Timeline(entries=shuffled)
+    assert other.to_csv() == tl.to_csv()
+    assert other.summary() == tl.summary()
 
 
 # -- golden timeline digests --------------------------------------------------
