@@ -107,6 +107,7 @@ def cmd_plan(args) -> int:
     plan = make_plan(
         args.mode, profile, args.num_servers, args.max_slice, args.big_threshold, args.seed
     )
+    validate_plan(plan, profile)
     sys.stdout.write(plan_to_csv(plan))
     return EXIT_OK
 
@@ -224,18 +225,17 @@ def _read_ready(proc: subprocess.Popen, timeout: float, log_name: str) -> str:
 
 def run_bench(cfg: RunConfig) -> dict:
     cfg.validate()
+    profile = resolve_profile(cfg.profile)
+    num_servers = cfg.resolved_servers()
+    plan = make_plan(cfg.mode, profile, num_servers, cfg.max_slice, cfg.big_threshold, cfg.seed)
+    validate_plan(plan, profile)  # a plan no child could run stops here, before anything is written
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    profile = resolve_profile(cfg.profile)
     profile_path = outdir / "profile.json"
     save_profile(profile, profile_path)
-    plan = make_plan(
-        cfg.mode, profile, cfg.resolved_servers(), cfg.max_slice, cfg.big_threshold, cfg.seed
-    )
     plan_path = outdir / "plan.csv"
     save_plan(plan, plan_path)
 
-    num_servers = cfg.resolved_servers()
     deadline = time.monotonic() + cfg.timeout
     procs: list[tuple[subprocess.Popen, str]] = []  # (process, role and log name)
     base = [sys.executable, "-m", "p3sync"]
@@ -268,7 +268,7 @@ def run_bench(cfg: RunConfig) -> dict:
                 stdout=subprocess.PIPE,
             )
             # a server prints nothing after READY, so nothing reads its pipe later
-            addrs.append(_read_ready(p, timeout=30, log_name=f"server{rank}.log"))
+            addrs.append(_read_ready(p, deadline - time.monotonic(), f"server{rank}.log"))
 
         for rank in range(cfg.num_workers):
             spawn(

@@ -93,21 +93,22 @@ def typed_field(obj: dict, key: str, kind: type, error: type[Exception], where: 
     return value
 
 
-def profile_from_dict(obj: dict) -> ModelProfile:
+def profile_from_dict(obj: dict, where: str = "") -> ModelProfile:
+    """The profile in ``obj``; a mistyped field's error names it ``where`` + its path."""
     try:
         layers = tuple(
             LayerSpec(
-                name=typed_field(l, "name", str, ProfileError, f"layers[{pos}]."),
+                name=typed_field(l, "name", str, ProfileError, f"{where}layers[{pos}]."),
                 **{
-                    f: typed_field(l, f, int, ProfileError, f"layers[{pos}].")
+                    f: typed_field(l, f, int, ProfileError, f"{where}layers[{pos}].")
                     for f in ("index", "param_count", "fwd_time", "bwd_time")
                 },
             )
             for pos, l in enumerate(obj["layers"])
         )
         profile = ModelProfile(
-            name=typed_field(obj, "name", str, ProfileError),
-            seed=typed_field(obj, "seed", int, ProfileError),
+            name=typed_field(obj, "name", str, ProfileError, where),
+            seed=typed_field(obj, "seed", int, ProfileError, where),
             layers=layers,
         )
     except (KeyError, TypeError) as exc:

@@ -1,13 +1,17 @@
 """Synchronization plans: how a model's parameters are sliced, prioritized, and sharded.
 
-Two planning modes exist. The priority mode chops every layer into chunks no
-larger than ``max_slice`` and deals the chunks across servers round-robin; the
-baseline mode keeps small layers whole on a randomly chosen server and splits
-only layers at or above ``big_threshold`` equally across all servers. A
-slice's priority is not stored: it is the order of its key, (layer, slice),
-so a layer nearer the input (0 = most urgent) goes first and a layer's slices
-go in offset order. Every priority queue of the runtime and the simulator
-orders by that key.
+A plan is its rows: each slice's key, offset, length and server, plus the mode
+and the server count. ``make_plan`` is the one builder, and the mode chooses
+only how it cuts a layer and where each piece goes. p3 chops every layer into
+chunks no larger than ``max_slice`` and deals them across servers round-robin;
+baseline keeps a layer below ``big_threshold`` whole on a seeded server and
+splits a larger one equally across all servers. The settings are not stored:
+whoever reads a plan reads its rows, so a loaded plan means what it says.
+
+A slice's priority is not stored either: it is the order of its key, (layer,
+slice), so a layer nearer the input (0 = most urgent) goes first and a layer's
+slices go in offset order. Every priority queue of the runtime and the
+simulator orders by that key.
 
 ``chunk_layer`` is the one slicing rule of the package: the simulator cuts a
 layer's uplink cost with it too, so a scenario slices as a plan does.
@@ -21,6 +25,7 @@ from pathlib import Path
 
 from .hashing import digest64, splitmix64_stream
 from .model import ModelProfile
+from .proto import DEFAULT_MAX_PAYLOAD
 
 P3_MODE = "p3"
 BASELINE_MODE = "baseline"
@@ -28,6 +33,7 @@ MODES = (P3_MODE, BASELINE_MODE)
 
 DEFAULT_MAX_SLICE = 50_000
 DEFAULT_BIG_THRESHOLD = 1_000_000
+MAX_FRAME_PARAMS = DEFAULT_MAX_PAYLOAD // 4  # float32 params in the largest frame payload
 
 
 class PlanError(ValueError):
@@ -53,9 +59,6 @@ class SlicePlan:
     mode: str
     slices: tuple[Slice, ...]
     num_servers: int
-    max_slice: int = DEFAULT_MAX_SLICE
-    big_threshold: int = DEFAULT_BIG_THRESHOLD
-    rng_seed: int = 0
 
     def slices_of_layer(self, layer_index: int) -> list[Slice]:
         found = sorted(
@@ -79,76 +82,6 @@ def chunk_layer(param_count: int, chunk: int) -> list[tuple[int, int]]:
     return out
 
 
-def make_p3_plan(
-    profile: ModelProfile,
-    num_servers: int,
-    max_slice: int = DEFAULT_MAX_SLICE,
-) -> SlicePlan:
-    if num_servers < 1:
-        raise PlanError("num_servers must be >= 1")
-    if max_slice < 1:
-        raise PlanError("max_slice must be >= 1")
-    slices = []
-    counter = 0
-    for layer in profile.layers:
-        for slice_index, (offset, length) in enumerate(chunk_layer(layer.param_count, max_slice)):
-            slices.append(
-                Slice(
-                    key=SliceKey(layer.index, slice_index),
-                    offset=offset,
-                    length=length,
-                    server=counter % num_servers,
-                )
-            )
-            counter += 1
-    return SlicePlan(
-        mode=P3_MODE, slices=tuple(slices), num_servers=num_servers, max_slice=max_slice
-    )
-
-
-def make_baseline_plan(
-    profile: ModelProfile,
-    num_servers: int,
-    big_threshold: int = DEFAULT_BIG_THRESHOLD,
-    rng_seed: int = 0,
-) -> SlicePlan:
-    if num_servers < 1:
-        raise PlanError("num_servers must be >= 1")
-    slices = []
-    for layer in profile.layers:
-        if layer.param_count < big_threshold:
-            server = splitmix64_stream(rng_seed, layer.index) % num_servers
-            slices.append(
-                Slice(
-                    key=SliceKey(layer.index, 0),
-                    offset=0,
-                    length=layer.param_count,
-                    server=server,
-                )
-            )
-        else:
-            base = layer.param_count // num_servers
-            offset = 0
-            for part in range(num_servers):
-                length = base if part < num_servers - 1 else layer.param_count - offset
-                slices.append(
-                    Slice(
-                        key=SliceKey(layer.index, part),
-                        offset=offset,
-                        length=length,
-                        server=part,
-                    )
-                )
-                offset += length
-    return SlicePlan(
-        mode=BASELINE_MODE,
-        slices=tuple(slices),
-        num_servers=num_servers,
-        big_threshold=big_threshold,
-        rng_seed=rng_seed,
-    )
-
-
 def make_plan(
     mode: str,
     profile: ModelProfile,
@@ -158,15 +91,32 @@ def make_plan(
     seed: int = 0,
 ) -> SlicePlan:
     """The plan of ``mode``; p3 reads only ``max_slice``, baseline the other two."""
-    if mode == P3_MODE:
-        return make_p3_plan(profile, num_servers, max_slice)
-    if mode == BASELINE_MODE:
-        return make_baseline_plan(profile, num_servers, big_threshold, seed)
-    raise PlanError(f"unknown plan mode {mode!r}")
+    if mode not in MODES or num_servers < 1 or (mode == P3_MODE and max_slice < 1):
+        raise PlanError(
+            f"no {mode!r} plan with num_servers={num_servers}, max_slice={max_slice}: "
+            f"need a mode of {MODES}, num_servers >= 1 and, for p3, max_slice >= 1"
+        )
+    slices: list[Slice] = []
+    for layer in profile.layers:
+        n = layer.param_count
+        if mode == P3_MODE:  # round-robin, the counter running on across layers
+            pieces = chunk_layer(n, max_slice)
+            servers = [(len(slices) + i) % num_servers for i in range(len(pieces))]
+        elif n < big_threshold:  # whole, on a seeded server
+            pieces = [(0, n)]
+            servers = [splitmix64_stream(seed, layer.index) % num_servers]
+        else:  # equal parts, the remainder in the last, part i on server i
+            part = n // num_servers
+            last = (num_servers - 1) * part
+            pieces = [(i * part, part) for i in range(num_servers - 1)] + [(last, n - last)]
+            servers = range(num_servers)
+        for i, ((offset, length), server) in enumerate(zip(pieces, servers)):
+            slices.append(Slice(SliceKey(layer.index, i), offset, length, server))
+    return SlicePlan(mode, tuple(slices), num_servers)
 
 
 def validate_plan(plan: SlicePlan, profile: ModelProfile) -> None:
-    """Check full, non-overlapping coverage of every layer, no others (and p3 granularity)."""
+    """Check full, non-overlapping coverage of every layer, no others, in slices a frame can carry."""
     by_layer: dict[int, list[Slice]] = {}
     for s in plan.slices:
         by_layer.setdefault(s.key.layer_index, []).append(s)
@@ -183,8 +133,11 @@ def validate_plan(plan: SlicePlan, profile: ModelProfile) -> None:
                 raise PlanError(f"layer {layer.index}: gap/overlap at offset {cursor}")
             if s.length < 1:
                 raise PlanError(f"layer {layer.index}: empty slice {s.key}")
-            if plan.mode == P3_MODE and s.length > plan.max_slice:
-                raise PlanError(f"layer {layer.index}: slice {s.key} exceeds max_slice")
+            if s.length > MAX_FRAME_PARAMS:
+                raise PlanError(
+                    f"layer {layer.index}: slice {s.key} holds {s.length} params, "
+                    f"more than the {MAX_FRAME_PARAMS} one frame carries"
+                )
             if not (0 <= s.server < plan.num_servers):
                 raise PlanError(f"layer {layer.index}: bad server {s.server}")
             cursor += s.length
@@ -193,8 +146,7 @@ def validate_plan(plan: SlicePlan, profile: ModelProfile) -> None:
 
 
 _META_PREFIX = "# p3sync-plan "
-_INT_META_KEYS = ("num_servers", "max_slice", "big_threshold", "rng_seed")
-_META_KEYS = ("mode", *_INT_META_KEYS)
+_META_KEYS = ("mode", "num_servers")
 PLAN_CSV_HEADER = "layer,slice,offset,len,server"
 
 
@@ -224,7 +176,7 @@ def plan_from_csv(text: str) -> SlicePlan:
     if meta["mode"] not in MODES:
         raise PlanError(f"plan mode {meta['mode']!r} is not one of {MODES}")
     try:
-        numbers = {k: int(meta[k]) for k in _INT_META_KEYS}
+        num_servers = int(meta["num_servers"])
     except ValueError:
         raise PlanError(f"bad plan metadata: {lines[0]!r}") from None
     if len(lines) < 2 or lines[1] != PLAN_CSV_HEADER:
@@ -236,7 +188,7 @@ def plan_from_csv(text: str) -> SlicePlan:
         except ValueError:
             raise PlanError(f"bad plan row {ln!r}: want {PLAN_CSV_HEADER}") from None
         slices.append(Slice(SliceKey(layer, sl), offset, length, server))
-    return SlicePlan(mode=meta["mode"], slices=tuple(slices), **numbers)
+    return SlicePlan(meta["mode"], tuple(slices), num_servers)
 
 
 def load_plan(path: str | Path) -> SlicePlan:

@@ -20,10 +20,12 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .plan import Slice
+if TYPE_CHECKING:  # plan imports this module for its frame size limit
+    from .plan import Slice
 
 MAGIC = b"P3W2"
 

@@ -124,7 +124,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
             for pos, s in enumerate(obj["stages"])
         )
         sc = Scenario(
-            profile=profile_from_dict(obj["profile"]),
+            profile=profile_from_dict(obj["profile"], "profile."),
             stages=stages,
             policy=typed_field(obj, "policy", str, ScenarioError),
             slice_ticks=typed_field(obj, "slice_ticks", int, ScenarioError, default=1),
@@ -163,8 +163,9 @@ def scenario_from_plan(
     One tick is the time one float32 parameter takes on the link, so compute
     times of ``us`` microseconds become ``round(us * link_bps / 32e6)`` ticks.
     A layer's downlink carries its parameters once per worker: the one
-    server's bucket feeds every worker. A p3 plan runs priority-sliced with
-    its slice size, a baseline plan aggressive-coarse.
+    server's bucket feeds every worker. A p3 plan runs priority-sliced at its
+    longest slice, a baseline plan aggressive-coarse; rows that cut a layer
+    otherwise raise ScenarioError, as the timeline would not be the plan's.
     """
     validate_plan(plan, profile)
     if plan.num_servers != 1:
@@ -175,14 +176,20 @@ def scenario_from_plan(
         replace(l, fwd_time=round(l.fwd_time * link_bps / 32e6), bwd_time=round(l.bwd_time * link_bps / 32e6))
         for l in profile.layers
     )
-    return Scenario(
+    sc = Scenario(
         profile=replace(profile, layers=layers),
         stages=tuple(StageCost(l.param_count, 0, num_workers * l.param_count) for l in profile.layers),
         policy=PRIORITY_SLICED if plan.mode == P3_MODE else AGGRESSIVE_COARSE,
-        slice_ticks=plan.max_slice,
+        slice_ticks=max(s.length for s in plan.slices),
         num_iterations=num_iterations,
         name=f"{profile.name}-{plan.mode}",
     )
+    for l in range(profile.num_layers):
+        rows = [s.length for s in plan.slices_of_layer(l)]
+        cut = [c.up for c in sc.slice_costs(l)]
+        if rows != cut:
+            raise ScenarioError(f"layer {l}: the plan's slices {rows} are not the {sc.policy} cut {cut}")
+    return sc
 
 
 class TimelineEntry(NamedTuple):
@@ -194,72 +201,65 @@ class TimelineEntry(NamedTuple):
     item: str
 
 
+def _merge(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The union of non-empty (start, end) spans, as sorted disjoint spans."""
+    merged: list[list[int]] = []  # lists, so that a span grows in place
+    for s, e in sorted(spans):
+        if merged and s <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e])
+    return [(s, e) for s, e in merged]
+
+
+def _delays(layer0: dict[str, TimelineEntry]) -> list[int]:
+    """fwd:k+1:L0 start - bwd:k:L0 end for k = 0, 1, ... while both exist."""
+    delays = []
+    k = 0
+    while f"bwd:{k}:L0" in layer0 and f"fwd:{k + 1}:L0" in layer0:
+        delays.append(layer0[f"fwd:{k + 1}:L0"].start - layer0[f"bwd:{k}:L0"].end)
+        k += 1
+    return delays
+
+
 @dataclass
 class Timeline:
     entries: list[TimelineEntry] = field(default_factory=list)
-
-    @property
-    def makespan(self) -> int:
-        return max((e.end for e in self.entries), default=0)
 
     def entries_for(self, resource: str) -> list[TimelineEntry]:
         return [e for e in self.entries if e.resource == resource]
 
     def busy_intervals(self, resource: str) -> list[tuple[int, int]]:
-        spans = sorted((e.start, e.end) for e in self.entries if e.resource == resource and e.end > e.start)
-        merged: list[tuple[int, int]] = []
-        for s, e in spans:
-            if merged and s <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-            else:
-                merged.append((s, e))
-        return merged
-
-    def link_utilization(self, link: str) -> float:
-        return self._utilization(link, self.makespan)
-
-    def _utilization(self, link: str, makespan: int) -> float:
-        spans = self.busy_intervals(link)
-        if not spans:
-            return 0.0
-        busy = sum(e - s for s, e in spans)
-        span = makespan - spans[0][0]
-        return busy / span if span else 0.0
-
-    def inter_iteration_delay(self) -> int:
-        delays = self.all_inter_iteration_delays()
-        if not delays:
-            raise ValueError("timeline holds no bwd->next-fwd pair for layer 0")
-        return delays[-1]
+        return _merge([(e.start, e.end) for e in self.entries if e.resource == resource and e.end > e.start])
 
     def all_inter_iteration_delays(self) -> list[int]:
         # reversed, so that the first entry of a repeated item wins
-        layer0 = {
-            e.item: e for e in reversed(self.entries) if e.resource == COMPUTE and e.item.endswith(":L0")
-        }
-        delays = []
-        k = 0
-        while True:
-            b = layer0.get(f"bwd:{k}:L0")
-            f = layer0.get(f"fwd:{k + 1}:L0")
-            if b is None or f is None:
-                break
-            delays.append(f.start - b.end)
-            k += 1
-        return delays
+        return _delays({e.item: e for e in reversed(self.entries) if e.resource == COMPUTE and e.item.endswith(":L0")})
 
     def to_csv(self) -> str:
         rows = "".join([f"{r},{i},{s},{e}\n" for s, e, r, i in sorted(self.entries)])
         return "resource,item,start,end\n" + rows
 
     def summary(self) -> dict:
-        makespan = self.makespan
+        """Makespan, the last layer-0 delay and both links' utilization, from one walk."""
+        makespan = 0
+        spans: dict[str, list[tuple[int, int]]] = {UPLINK: [], DOWNLINK: []}
+        layer0: dict[str, TimelineEntry] = {}
+        for e in self.entries:
+            if e.end > makespan:
+                makespan = e.end
+            if e.resource in spans and e.end > e.start:
+                spans[e.resource].append((e.start, e.end))
+            elif e.resource == COMPUTE and e.item.endswith(":L0"):
+                layer0.setdefault(e.item, e)
         out = {"makespan": makespan}
-        delays = self.all_inter_iteration_delays()
+        delays = _delays(layer0)
         if delays:
             out["inter_iteration_delay"] = delays[-1]
-        out["uplink_utilization"] = round(self._utilization(UPLINK, makespan), 6)
-        out["downlink_utilization"] = round(self._utilization(DOWNLINK, makespan), 6)
+        for link in (UPLINK, DOWNLINK):
+            merged = _merge(spans[link])
+            span = makespan - merged[0][0] if merged else 0
+            out[f"{link}_utilization"] = round(sum(e - s for s, e in merged) / span, 6) if span else 0.0
         return out
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from p3sync.cli import EXIT_PROTOCOL, EXIT_TIMEOUT, EXIT_USAGE, RunConfig, main, run_bench, summarize_run
 from p3sync.model import builtin_profile, total_params
-from p3sync.plan import make_p3_plan
+from p3sync.plan import make_plan
 from p3sync.proto import ProtocolError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -98,6 +98,8 @@ def test_simulate_missing_scenario(capsys):
         ((), ("serial_update", "false"), "serial_update"),  # bool("false") would be True
         (("stages", 1), ("up", 2.7), "stages[1].up"),  # int(2.7) would be 2
         (("stages", 1), ("up", "abc"), "stages[1].up"),
+        (("profile", "layers", 2), ("fwd_time", 1.5), "profile.layers[2].fwd_time"),
+        (("profile",), ("seed", "42"), "profile.seed"),
     ],
 )
 def test_simulate_rejects_mistyped_field(tmp_path, capsys, path, value, field):
@@ -137,7 +139,7 @@ def test_bench_toy3_p3_and_report(tmp_path, capsys):
     assert (outdir / "digest_server0.csv").exists()
     assert (outdir / "digest_server1.csv").exists()
     assert int(kv["server_slices_verified"]) == len(
-        make_p3_plan(builtin_profile("toy3"), 2).slices
+        make_plan("p3", builtin_profile("toy3"), 2).slices
     )
     # report replays the stored summary
     code, out2, _ = run_cli(["report", "--output-dir", str(outdir)], capsys)
@@ -201,6 +203,43 @@ def test_bench_rejects_skip_iterations_not_below_iterations(tmp_path, capsys, sp
     assert spawned == [] and not outdir.exists()
 
 
+def test_bench_waits_for_ready_no_longer_than_its_timeout(tmp_path, capsys, spawned, monkeypatch):
+    record = subprocess.Popen  # the spawned fixture's recorder
+    mute = [sys.executable, "-c", "import time; time.sleep(60)"]  # never prints READY
+    monkeypatch.setattr(subprocess, "Popen", lambda cmd, **kw: record(mute, **kw))
+    t0 = time.monotonic()
+    code, _, err = run_cli(["bench", "--timeout", "2", "--output-dir", str(tmp_path / "run")], capsys)
+    assert code == EXIT_TIMEOUT
+    assert time.monotonic() - t0 < 4
+    assert "READY" in err
+    assert len(spawned) == 1 and spawned[0].poll() is not None
+
+
+def big_layer_profile(tmp_path):
+    # 4.2M float32 params are 16.8 MB: whole, they do not fit one 16 MiB frame
+    layer = {"index": 0, "name": "big", "param_count": 4_200_000, "fwd_time": 0, "bwd_time": 0}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "big", "seed": 1, "layers": [layer]}))
+    return str(path)
+
+
+def test_plan_rejects_slice_larger_than_a_frame(tmp_path, capsys):
+    args = ["plan", "--profile", big_layer_profile(tmp_path), "--mode", "baseline"]
+    code, out, err = run_cli(args, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "slice SliceKey(layer_index=0, slice_index=0) holds 4200000 params" in err
+
+
+def test_bench_rejects_slice_larger_than_a_frame_before_spawning(tmp_path, capsys, spawned):
+    outdir = tmp_path / "run"
+    args = ["bench", "--profile", big_layer_profile(tmp_path), "--mode", "baseline", "--num-servers", "1"]
+    code, _, err = run_cli([*args, "--output-dir", str(outdir)], capsys)
+    assert code == EXIT_USAGE
+    assert "4200000 params" in err
+    assert spawned == [] and not outdir.exists()
+
+
 @pytest.mark.parametrize(
     "field,value", [("num_workers", 0), ("timeout", 0.0), ("skip_iterations", -1)]
 )
@@ -254,7 +293,7 @@ def test_worker_without_server_times_out(tmp_path):
     plan_path = tmp_path / "plan.csv"
     from p3sync.plan import save_plan
 
-    save_plan(make_p3_plan(builtin_profile("toy3"), 1), plan_path)
+    save_plan(make_plan("p3", builtin_profile("toy3"), 1), plan_path)
     t0 = time.monotonic()
     proc = subprocess.run(
         [
@@ -290,7 +329,7 @@ def test_worker_rejects_plan_of_another_profile(tmp_path):
     profile_path = tmp_path / "wide.json"
     save_profile(replace(toy3, name="toy3-wide", layers=tuple(layers)), profile_path)
     plan_path = tmp_path / "plan.csv"
-    save_plan(make_p3_plan(toy3, 1), plan_path)
+    save_plan(make_plan("p3", toy3, 1), plan_path)
     t0 = time.monotonic()
     proc = subprocess.run(
         [
@@ -317,7 +356,7 @@ def test_worker_rejects_server_list_of_another_length(tmp_path):
     from p3sync.plan import save_plan
 
     plan_path = tmp_path / "plan.csv"
-    save_plan(make_p3_plan(builtin_profile("toy3"), 2), plan_path)
+    save_plan(make_plan("p3", builtin_profile("toy3"), 2), plan_path)
     t0 = time.monotonic()
     proc = subprocess.run(
         [
@@ -363,9 +402,7 @@ def test_exit_code_mapping(monkeypatch, capsys):
 
 def test_server_rejects_malformed_plan(tmp_path):
     plan_path = tmp_path / "plan.csv"
-    plan_path.write_text(
-        "# p3sync-plan mode=p3 num_servers=1\nlayer,slice,offset,len,server\n0,0,0,10,0\n"
-    )
+    plan_path.write_text("# p3sync-plan mode=p3\nlayer,slice,offset,len,server\n0,0,0,10,0\n")
     proc = subprocess.run(
         [
             sys.executable, "-m", "p3sync", "server",
@@ -379,7 +416,7 @@ def test_server_rejects_malformed_plan(tmp_path):
     )
     assert proc.returncode == EXIT_USAGE
     assert "Traceback" not in proc.stderr
-    assert "plan metadata lacks max_slice, big_threshold, rng_seed" in proc.stderr
+    assert "plan metadata lacks num_servers" in proc.stderr
 
 
 def test_worker_with_another_plan_fails_fast(tmp_path):
@@ -389,7 +426,7 @@ def test_worker_with_another_plan_fails_fast(tmp_path):
 
     plans = {}
     for role, max_slice in (("server", 50_000), ("worker", 1_000)):
-        plans[role] = make_p3_plan(builtin_profile("toy3"), 1, max_slice)
+        plans[role] = make_plan("p3", builtin_profile("toy3"), 1, max_slice)
         save_plan(plans[role], tmp_path / f"{role}.csv")
     base = [sys.executable, "-m", "p3sync"]
     t0 = time.monotonic()
@@ -443,7 +480,7 @@ P3SYNC = [sys.executable, "-m", "p3sync"]
 def toy3_plan(tmp_path):
     from p3sync.plan import save_plan
 
-    plan = make_p3_plan(builtin_profile("toy3"), 1)
+    plan = make_plan("p3", builtin_profile("toy3"), 1)
     save_plan(plan, tmp_path / "plan.csv")
     return plan, tmp_path / "plan.csv"
 
@@ -563,7 +600,7 @@ TOY3_RUN = dict(profile="toy3", num_workers=2, iterations=4, skip_iterations=1, 
 def finished_toy3_run(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("toy3") / "run"
     summary = run_bench(RunConfig(**TOY3_RUN, output_dir=str(outdir)))
-    assert summary["server_slices_verified"] == len(make_p3_plan(builtin_profile("toy3"), 2).slices)
+    assert summary["server_slices_verified"] == len(make_plan("p3", builtin_profile("toy3"), 2).slices)
     return outdir
 
 

@@ -1,17 +1,20 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p3sync.model import LayerSpec, ModelProfile, builtin_profile
+from p3sync.model import BUILTIN_NAMES, LayerSpec, ModelProfile, builtin_profile
 from p3sync.plan import (
+    DEFAULT_MAX_SLICE,
+    MAX_FRAME_PARAMS,
+    MODES,
     PlanError,
     Slice,
     SliceKey,
     load_plan,
-    make_baseline_plan,
-    make_p3_plan,
+    make_plan,
     plan_from_csv,
     plan_to_csv,
     save_plan,
@@ -35,33 +38,42 @@ profiles_strategy = st.lists(
 
 
 def test_exact_fit_single_slice():
-    plan = make_p3_plan(profile_of([50_000]), num_servers=1, max_slice=50_000)
+    plan = make_plan("p3", profile_of([50_000]), num_servers=1, max_slice=50_000)
     (s,) = plan.slices
     assert (s.offset, s.length) == (0, 50_000)
 
 
 def test_chunking_with_remainder():
-    plan = make_p3_plan(profile_of([120_000]), num_servers=1, max_slice=50_000)
+    plan = make_plan("p3", profile_of([120_000]), num_servers=1, max_slice=50_000)
     assert [s.length for s in plan.slices] == [50_000, 50_000, 20_000]
     assert [s.offset for s in plan.slices] == [0, 50_000, 100_000]
 
 
 def test_round_robin_across_model():
-    plan = make_p3_plan(builtin_profile("toy3"), num_servers=2)
+    plan = make_plan("p3", builtin_profile("toy3"), num_servers=2)
     assert [s.server for s in plan.slices] == [0, 1, 0]
 
 
 def test_round_robin_counter_spans_layers():
     # layer0 -> 3 slices, layer1 -> 2 slices; counter runs 0..4
-    plan = make_p3_plan(profile_of([25, 20]), num_servers=2, max_slice=10)
+    plan = make_plan("p3", profile_of([25, 20]), num_servers=2, max_slice=10)
     assert [s.server for s in plan.slices] == [0, 1, 0, 1, 0]
 
 
 def test_p3_plan_preconditions():
     with pytest.raises(PlanError):
-        make_p3_plan(profile_of([10]), num_servers=0)
+        make_plan("p3", profile_of([10]), num_servers=0)
     with pytest.raises(PlanError):
-        make_p3_plan(profile_of([10]), num_servers=1, max_slice=0)
+        make_plan("p3", profile_of([10]), num_servers=1, max_slice=0)
+
+
+def test_plan_preconditions_of_every_mode():
+    with pytest.raises(PlanError, match="'fast'"):
+        make_plan("fast", profile_of([10]), num_servers=1)
+    with pytest.raises(PlanError):
+        make_plan("baseline", profile_of([10]), num_servers=0)
+    # baseline never reads max_slice
+    assert make_plan("baseline", profile_of([10]), 1, max_slice=0).slices[0].length == 10
 
 
 # -- baseline plans ----------------------------------------------------------
@@ -69,26 +81,26 @@ def test_p3_plan_preconditions():
 
 def test_baseline_small_layer_deterministic():
     prof = profile_of([999_999])
-    a = make_baseline_plan(prof, num_servers=4, rng_seed=77)
-    b = make_baseline_plan(prof, num_servers=4, rng_seed=77)
+    a = make_plan("baseline", prof, num_servers=4, seed=77)
+    b = make_plan("baseline", prof, num_servers=4, seed=77)
     assert a == b
     assert len(a.slices) == 1 and 0 <= a.slices[0].server < 4
 
 
 def test_baseline_big_layer_equal_split():
-    plan = make_baseline_plan(profile_of([1_000_000]), num_servers=4)
+    plan = make_plan("baseline", profile_of([1_000_000]), num_servers=4)
     assert [s.length for s in plan.slices] == [250_000] * 4
     assert [s.server for s in plan.slices] == [0, 1, 2, 3]
 
 
 def test_baseline_split_remainder_to_last():
-    plan = make_baseline_plan(profile_of([1_000_002]), num_servers=4)
+    plan = make_plan("baseline", profile_of([1_000_002]), num_servers=4)
     assert [s.length for s in plan.slices] == [250_000, 250_000, 250_000, 250_002]
 
 
 def test_baseline_threshold_boundary():
     # exactly at the threshold counts as big
-    plan = make_baseline_plan(profile_of([1_000_000, 5]), num_servers=2)
+    plan = make_plan("baseline", profile_of([1_000_000, 5]), num_servers=2)
     assert len(plan.slices_of_layer(0)) == 2
     assert len(plan.slices_of_layer(1)) == 1
 
@@ -97,7 +109,7 @@ def test_baseline_threshold_boundary():
 
 
 def test_slices_of_layer_sorted_and_covering():
-    plan = make_p3_plan(profile_of([120_000, 7]), num_servers=3, max_slice=50_000)
+    plan = make_plan("p3", profile_of([120_000, 7]), num_servers=3, max_slice=50_000)
     slices = plan.slices_of_layer(0)
     assert [s.key.slice_index for s in slices] == [0, 1, 2]
     assert sum(s.length for s in slices) == 120_000
@@ -122,13 +134,13 @@ def test_sort_unique_order(perm):
 @settings(max_examples=60, deadline=None)
 @given(profiles_strategy, st.integers(1, 5), st.integers(0, 2**64 - 1))
 def test_coverage_and_determinism(profile, num_servers, seed):
-    p3 = make_p3_plan(profile, num_servers)
+    p3 = make_plan("p3", profile, num_servers)
     validate_plan(p3, profile)
-    base = make_baseline_plan(profile, num_servers, rng_seed=seed)
+    base = make_plan("baseline", profile, num_servers, seed=seed)
     validate_plan(base, profile)
-    assert make_p3_plan(profile, num_servers) == p3
-    assert make_baseline_plan(profile, num_servers, rng_seed=seed) == base
-    assert plan_to_csv(p3) == plan_to_csv(make_p3_plan(profile, num_servers))
+    assert make_plan("p3", profile, num_servers) == p3
+    assert make_plan("baseline", profile, num_servers, seed=seed) == base
+    assert plan_to_csv(p3) == plan_to_csv(make_plan("p3", profile, num_servers))
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,7 +148,7 @@ def test_coverage_and_determinism(profile, num_servers, seed):
 def test_priority_monotone_across_layers(profile, num_servers):
     # a slice's priority is its key's order: headers sort into layer order,
     # and a layer's slices into offset order
-    plan = make_p3_plan(profile, num_servers)
+    plan = make_plan("p3", profile, num_servers)
     frames = [slice_frame(MsgType.PUSH, s, 0, 0) for s in reversed(plan.slices)]
     ordered = sorted(frames, key=frame_order_key)
     layer_seq = [f.layer_index for f in ordered]
@@ -154,18 +166,29 @@ def test_priority_monotone_across_layers(profile, num_servers):
 def test_builtin_coverage(name, mode):
     prof = builtin_profile(name)
     if mode == "p3":
-        plan = make_p3_plan(prof, 4)
-        assert max(s.length for s in plan.slices) <= plan.max_slice
+        plan = make_plan("p3", prof, 4)
+        assert max(s.length for s in plan.slices) <= DEFAULT_MAX_SLICE
     else:
-        plan = make_baseline_plan(prof, 4, rng_seed=3)
+        plan = make_plan("baseline", prof, 4, seed=3)
     validate_plan(plan, prof)
     for layer in prof.layers:
         assert sum(s.length for s in plan.slices_of_layer(layer.index)) == layer.param_count
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_validate_rejects_slice_larger_than_a_frame(mode):
+    # one 4.2M-param layer on one server: 16.8 MB, over the 16 MiB frame payload
+    prof = profile_of([4_200_000])
+    plan = make_plan(mode, prof, 1, max_slice=4_200_000)
+    with pytest.raises(PlanError, match=r"SliceKey\(layer_index=0, slice_index=0\).*4194304"):
+        validate_plan(plan, prof)
+    fits = profile_of([MAX_FRAME_PARAMS])
+    validate_plan(make_plan(mode, fits, 1, max_slice=MAX_FRAME_PARAMS), fits)
+
+
 def test_validate_rejects_slice_of_unknown_layer():
     toy3 = builtin_profile("toy3")
-    plan = make_p3_plan(toy3, 2)
+    plan = make_plan("p3", toy3, 2)
     extra = replace(plan, slices=plan.slices + (Slice(SliceKey(9, 0), 0, 10, 0),))
     with pytest.raises(PlanError, match=r"layers \[9\]"):
         validate_plan(extra, toy3)
@@ -175,7 +198,7 @@ def test_validate_rejects_slice_of_unknown_layer():
 
 
 def test_plan_csv_roundtrip(tmp_path):
-    plan = make_baseline_plan(builtin_profile("vgg19-like"), 3, big_threshold=100_000, rng_seed=5)
+    plan = make_plan("baseline", builtin_profile("vgg19-like"), 3, big_threshold=100_000, seed=5)
     path = tmp_path / "plan.csv"
     save_plan(plan, path)
     assert load_plan(path) == plan
@@ -186,17 +209,25 @@ def test_plan_csv_rejects_garbage():
         plan_from_csv("layer,slice\n0,0\n")
 
 
-META = "# p3sync-plan mode=p3 num_servers=1 max_slice=50000 big_threshold=1000000 rng_seed=0"
+META = "# p3sync-plan mode=p3 num_servers=1"
 HEADER = "layer,slice,offset,len,server"
+
+
+def test_plan_csv_metadata_is_mode_and_servers():
+    plan = make_plan("p3", profile_of([10]), 1)
+    assert plan_to_csv(plan) == f"{META}\n{HEADER}\n0,0,0,10,0\n"
+    # other keys, such as the build settings older files carry, are ignored
+    old = f"{META} max_slice=50000 big_threshold=1000000 rng_seed=0\n{HEADER}\n0,0,0,10,0\n"
+    assert plan_from_csv(old) == plan
 
 
 @pytest.mark.parametrize(
     "text",
     [
         "",
-        f"{META.replace(' max_slice=50000', '')}\n{HEADER}\n0,0,0,10,0\n",
+        f"{META.replace(' num_servers=1', '')}\n{HEADER}\n0,0,0,10,0\n",
         f"{META.replace('mode=p3', 'mode=fast')}\n{HEADER}\n0,0,0,10,0\n",
-        f"{META.replace('rng_seed=0', 'rng_seed=x')}\n{HEADER}\n",
+        f"{META.replace('num_servers=1', 'num_servers=x')}\n{HEADER}\n",
         f"{META}\n",
         f"{META}\n0,0,0,10,0\n",
         f"{META}\nlayer,slice,offset,len,priority,server\n0,0,0,10,0,0\n",
@@ -218,3 +249,85 @@ HEADER = "layer,slice,offset,len,server"
 def test_plan_csv_rejects_malformed(text):
     with pytest.raises(PlanError):
         plan_from_csv(text)
+
+
+# -- golden plan rows -----------------------------------------------------------
+
+# SHA-256 of plan_to_csv without its metadata line, computed with the separate
+# p3 and baseline builders that make_plan replaced: the rows must not move
+PLAN_DIGESTS = {
+    "resnet50-like-p3-s1-seed0": "baaa6cfef515e36e9ba1dea63462ee2310efe629a741c3c481aed6a969622de9",
+    "resnet50-like-p3-s1-seed77": "baaa6cfef515e36e9ba1dea63462ee2310efe629a741c3c481aed6a969622de9",
+    "resnet50-like-p3-s2-seed0": "576a6f319fc6a9615f6df8c33cc42c38465b995d3bdb882594235c3a72ced9f1",
+    "resnet50-like-p3-s2-seed77": "576a6f319fc6a9615f6df8c33cc42c38465b995d3bdb882594235c3a72ced9f1",
+    "resnet50-like-p3-s3-seed0": "4bb95a84fa5cd47199b58ad588c9216792c1cab8813492efd63f34b38a925efd",
+    "resnet50-like-p3-s3-seed77": "4bb95a84fa5cd47199b58ad588c9216792c1cab8813492efd63f34b38a925efd",
+    "resnet50-like-p3-s4-seed0": "659def023bea0bda5d153c9bd1420dad22726a74c327911877f6726c89faa534",
+    "resnet50-like-p3-s4-seed77": "659def023bea0bda5d153c9bd1420dad22726a74c327911877f6726c89faa534",
+    "resnet50-like-baseline-s1-seed0": "ef2608187d23d33008cd7e4073246b24ddaff7fa67e530cc67c797bdd0640789",
+    "resnet50-like-baseline-s1-seed77": "ef2608187d23d33008cd7e4073246b24ddaff7fa67e530cc67c797bdd0640789",
+    "resnet50-like-baseline-s2-seed0": "8e92fde235bb20085ff664763bd9ecc206de58d6e0b9ca76a0a922da99ff5b6b",
+    "resnet50-like-baseline-s2-seed77": "65d9e51bd1bb71dbaa9d726ceb516fa6c4266689a6058d5c989c4bccb3290cda",
+    "resnet50-like-baseline-s3-seed0": "7c4257203ef8ec9bafc6e7c79b70b9af03e30032fd3cbc432caf4b5bde2bc49c",
+    "resnet50-like-baseline-s3-seed77": "105cbdff0c9affedf4b98d7c83486894bc0cc0acd60b50df1e7abedc158166fb",
+    "resnet50-like-baseline-s4-seed0": "14d1e8cc3b659e1a0f55bae9933f5f2f4ea9c482156e3e234dda442a94e40657",
+    "resnet50-like-baseline-s4-seed77": "4cbafca213407f4fbfc7d0b9a210608ce6fa3033ed46e30e01f37db53b96b449",
+    "sockeye-like-p3-s1-seed0": "34e81d68e95663d6a39760bbee9478338c264d1e6e6685567ae00ea870516294",
+    "sockeye-like-p3-s1-seed77": "34e81d68e95663d6a39760bbee9478338c264d1e6e6685567ae00ea870516294",
+    "sockeye-like-p3-s2-seed0": "f2b743af0d03742304bb0a8a00f76495f00809ee8a85878b79208cd7442357ca",
+    "sockeye-like-p3-s2-seed77": "f2b743af0d03742304bb0a8a00f76495f00809ee8a85878b79208cd7442357ca",
+    "sockeye-like-p3-s3-seed0": "5a684659bf358f3d6b805955abb38f2ba036821f9ee375931371f9d1b75e5b75",
+    "sockeye-like-p3-s3-seed77": "5a684659bf358f3d6b805955abb38f2ba036821f9ee375931371f9d1b75e5b75",
+    "sockeye-like-p3-s4-seed0": "a7a32c98f4e1dbb508da90a20b737646e730ac6912f91dc98f8a4a2c953e333b",
+    "sockeye-like-p3-s4-seed77": "a7a32c98f4e1dbb508da90a20b737646e730ac6912f91dc98f8a4a2c953e333b",
+    "sockeye-like-baseline-s1-seed0": "0d0f702a3addd62782c4fc6d0b65ba929e8ea5cddbe97536d02dec98d4a34240",
+    "sockeye-like-baseline-s1-seed77": "0d0f702a3addd62782c4fc6d0b65ba929e8ea5cddbe97536d02dec98d4a34240",
+    "sockeye-like-baseline-s2-seed0": "3776a37c166763a0bdf237fddf8d1e6454ca88408d03efecef93087de3d11fe6",
+    "sockeye-like-baseline-s2-seed77": "86fc44e404c9ad12506602fdd7971c290b03ebc8f51e7c2686b9c491ddbc2296",
+    "sockeye-like-baseline-s3-seed0": "8a384dbe3be75a243fbb88994cf7502d5ed4f5de3b687e233b074d0351467c3e",
+    "sockeye-like-baseline-s3-seed77": "eb1226a584276efe0ee5dd03d618ba9285e31aea4cd2870ddb1cf72bdd984810",
+    "sockeye-like-baseline-s4-seed0": "f978f21d4a9b19566d80129a311c0f0b1c6d926feca89838b6855ef6474db929",
+    "sockeye-like-baseline-s4-seed77": "c4e280c9441bbc63451f0035a028da3a06338a45b453b90fc6916b28b0721f8c",
+    "toy3-p3-s1-seed0": "eda1b2fe08482aa413eb88fe97399cf9b355f2289530129c78985509a3c0a237",
+    "toy3-p3-s1-seed77": "eda1b2fe08482aa413eb88fe97399cf9b355f2289530129c78985509a3c0a237",
+    "toy3-p3-s2-seed0": "9facbb2b5c170fa2c01ffd96a5c524d0c2532d1fae079f5fe657c5b4015a4414",
+    "toy3-p3-s2-seed77": "9facbb2b5c170fa2c01ffd96a5c524d0c2532d1fae079f5fe657c5b4015a4414",
+    "toy3-p3-s3-seed0": "7a383b188782e32efd352334126b142bb66615db3ea682cd75f1622021fc9150",
+    "toy3-p3-s3-seed77": "7a383b188782e32efd352334126b142bb66615db3ea682cd75f1622021fc9150",
+    "toy3-p3-s4-seed0": "7a383b188782e32efd352334126b142bb66615db3ea682cd75f1622021fc9150",
+    "toy3-p3-s4-seed77": "7a383b188782e32efd352334126b142bb66615db3ea682cd75f1622021fc9150",
+    "toy3-baseline-s1-seed0": "eda1b2fe08482aa413eb88fe97399cf9b355f2289530129c78985509a3c0a237",
+    "toy3-baseline-s1-seed77": "eda1b2fe08482aa413eb88fe97399cf9b355f2289530129c78985509a3c0a237",
+    "toy3-baseline-s2-seed0": "9370512334f21f8d5b20666acd5ad9729fae765825b39ad6c8ac3de7b80c09ee",
+    "toy3-baseline-s2-seed77": "21d49dc67e69087fe21a3d2dc34665fa93ed4d4829ac5fa0d125f661b4f8919e",
+    "toy3-baseline-s3-seed0": "9370512334f21f8d5b20666acd5ad9729fae765825b39ad6c8ac3de7b80c09ee",
+    "toy3-baseline-s3-seed77": "eda1b2fe08482aa413eb88fe97399cf9b355f2289530129c78985509a3c0a237",
+    "toy3-baseline-s4-seed0": "e5a670431d02cbe86839ea0b6b1df45a1eedd0d9aa91120cdadd2ef7a2627d05",
+    "toy3-baseline-s4-seed77": "21d49dc67e69087fe21a3d2dc34665fa93ed4d4829ac5fa0d125f661b4f8919e",
+    "vgg19-like-p3-s1-seed0": "95cf85011133af12626e2b4dd883293e67c998f7744fa5e22ab02355da84bf32",
+    "vgg19-like-p3-s1-seed77": "95cf85011133af12626e2b4dd883293e67c998f7744fa5e22ab02355da84bf32",
+    "vgg19-like-p3-s2-seed0": "f8bdab967052e9da807627e2890049092f4c79f9d57240bc31ae2249f35e90e2",
+    "vgg19-like-p3-s2-seed77": "f8bdab967052e9da807627e2890049092f4c79f9d57240bc31ae2249f35e90e2",
+    "vgg19-like-p3-s3-seed0": "181c15da91ea723e889274cb56cb54ac365661835bf807f8acbcef34c1e9170d",
+    "vgg19-like-p3-s3-seed77": "181c15da91ea723e889274cb56cb54ac365661835bf807f8acbcef34c1e9170d",
+    "vgg19-like-p3-s4-seed0": "f66d651b980d35d9ad1b9f254f4c33bc5eb5bb999075be91210aa40f1072b159",
+    "vgg19-like-p3-s4-seed77": "f66d651b980d35d9ad1b9f254f4c33bc5eb5bb999075be91210aa40f1072b159",
+    "vgg19-like-baseline-s1-seed0": "40487d204c63a2c68ab59a07e9678d4824e6d4ca34757a379afe976661569d4e",
+    "vgg19-like-baseline-s1-seed77": "40487d204c63a2c68ab59a07e9678d4824e6d4ca34757a379afe976661569d4e",
+    "vgg19-like-baseline-s2-seed0": "5a0133a9a40f96bf14f8627f6309bb61b14010726422e6a1d42e2b246de117ea",
+    "vgg19-like-baseline-s2-seed77": "64610115b42cf4153bd6956cced26c9364d740a3c6b942869d5c5f1901b03487",
+    "vgg19-like-baseline-s3-seed0": "6b33400cdb4e1906bf1a645d361484f92da32b5910e0e819239090308b51d57c",
+    "vgg19-like-baseline-s3-seed77": "c6fceb210ada0eddcb0a27b7b2f1de4751abf6650c3c7ae794f18f143a63bba2",
+    "vgg19-like-baseline-s4-seed0": "40163e37504dd3b92939d00a64d1564499906f1e2cfd8216783c801e67a2d80a",
+    "vgg19-like-baseline-s4-seed77": "486d99ad95d6910efd71336dbe22be0a3016072d57fbb7f172a6f862ec39fc3e",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 77])
+@pytest.mark.parametrize("num_servers", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_plan_rows_golden(name, mode, num_servers, seed):
+    csv = plan_to_csv(make_plan(mode, builtin_profile(name), num_servers, seed=seed))
+    rows = csv.split("\n", 1)[1]
+    assert hashlib.sha256(rows.encode()).hexdigest() == PLAN_DIGESTS[f"{name}-{mode}-s{num_servers}-seed{seed}"]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p3sync.model import BUILTIN_NAMES, LayerSpec, ModelProfile, builtin_profile
-from p3sync.plan import BASELINE_MODE, MODES, P3_MODE, PlanError, chunk_layer, make_plan
+from p3sync.plan import BASELINE_MODE, MODES, P3_MODE, PlanError, Slice, SliceKey, chunk_layer, make_plan, validate_plan
 from p3sync.sim import (
     AGGRESSIVE_COARSE,
     AGGRESSIVE_SLICED,
@@ -96,8 +96,8 @@ def test_fig4_aggressive_golden_timeline():
     assert sorted(got, key=lambda t: (t[2], t[3], t[0], t[1])) == sorted(
         FIG4_AGGRESSIVE_GOLDEN, key=lambda t: (t[2], t[3], t[0], t[1])
     )
-    assert tl.inter_iteration_delay() == 4
-    assert tl.makespan == 10
+    assert tl.summary()["inter_iteration_delay"] == 4
+    assert tl.summary()["makespan"] == 10
     assert tl.busy_intervals(UPLINK) == [(1, 7)]
 
 
@@ -107,7 +107,7 @@ def test_fig4_priority_golden_timeline():
     assert sorted(got, key=lambda t: (t[2], t[3], t[0], t[1])) == sorted(
         FIG4_PRIORITY_GOLDEN, key=lambda t: (t[2], t[3], t[0], t[1])
     )
-    assert tl.inter_iteration_delay() == 2
+    assert tl.summary()["inter_iteration_delay"] == 2
     assert tl.busy_intervals(UPLINK) == [(1, 7)]
     fwd_spans = [
         (e.start, e.end) for e in tl.entries_for(COMPUTE) if e.item.startswith("fwd:1")
@@ -118,15 +118,15 @@ def test_fig4_priority_golden_timeline():
 def test_fig4_utilization():
     agg = simulate(fig4(AGGRESSIVE_COARSE))
     pri = simulate(fig4(PRIORITY_SLICED))
-    assert agg.link_utilization(UPLINK) == pytest.approx(6 / 9)
-    assert pri.link_utilization(UPLINK) >= agg.link_utilization(UPLINK)
+    assert agg.summary()["uplink_utilization"] == pytest.approx(6 / 9)
+    assert pri.summary()["uplink_utilization"] >= agg.summary()["uplink_utilization"]
 
 
 def test_fig6_makespans_and_final_downlink():
     coarse = simulate(fig6(AGGRESSIVE_COARSE))
     sliced = simulate(fig6(AGGRESSIVE_SLICED))
-    assert coarse.makespan == 10
-    assert sliced.makespan == 7
+    assert coarse.summary()["makespan"] == 10
+    assert sliced.summary()["makespan"] == 7
     # the closing stretch of the coarse run is downlink-only
     spans = coarse.busy_intervals(DOWNLINK)
     assert spans[-1][1] == 10 and spans[-1][0] <= 7
@@ -144,15 +144,15 @@ def test_fig6_update_overlap():
 def test_fig6_priority_dominates_utilization():
     coarse = simulate(fig6(AGGRESSIVE_COARSE))
     pri = simulate(fig6(PRIORITY_SLICED))
-    assert pri.link_utilization(UPLINK) >= coarse.link_utilization(UPLINK)
-    assert pri.link_utilization(DOWNLINK) >= coarse.link_utilization(DOWNLINK)
+    assert pri.summary()["uplink_utilization"] >= coarse.summary()["uplink_utilization"]
+    assert pri.summary()["downlink_utilization"] >= coarse.summary()["downlink_utilization"]
 
 
 def test_policy_dominance_delay():
     for make in (fig4, fig6):
         agg = simulate(make(AGGRESSIVE_COARSE))
         pri = simulate(make(PRIORITY_SLICED))
-        assert pri.inter_iteration_delay() <= agg.inter_iteration_delay()
+        assert pri.summary()["inter_iteration_delay"] <= agg.summary()["inter_iteration_delay"]
 
 
 def test_zero_cost_communication_zero_delay():
@@ -162,16 +162,16 @@ def test_zero_cost_communication_zero_delay():
         policy=AGGRESSIVE_COARSE,
         num_iterations=1,
     )
-    assert simulate(sc).inter_iteration_delay() == 0
+    assert simulate(sc).summary()["inter_iteration_delay"] == 0
 
 
 def test_shipped_scenarios_match_goldens():
     fig4_file = load_scenario(REPO / "scenarios" / "fig4.json")
     fig6_file = load_scenario(REPO / "scenarios" / "fig6.json")
-    assert simulate(fig4_file).inter_iteration_delay() == 4
-    assert simulate(replace(fig4_file, policy=PRIORITY_SLICED)).inter_iteration_delay() == 2
-    assert simulate(fig6_file).makespan == 10
-    assert simulate(replace(fig6_file, policy=AGGRESSIVE_SLICED)).makespan == 7
+    assert simulate(fig4_file).summary()["inter_iteration_delay"] == 4
+    assert simulate(replace(fig4_file, policy=PRIORITY_SLICED)).summary()["inter_iteration_delay"] == 2
+    assert simulate(fig6_file).summary()["makespan"] == 10
+    assert simulate(replace(fig6_file, policy=AGGRESSIVE_SLICED)).summary()["makespan"] == 7
 
 
 def test_scenario_json_roundtrip(tmp_path):
@@ -369,7 +369,7 @@ def single_layer_scenario(cost, policy, overhead=0, slice_ticks=1):
 )
 def test_sweep_monotone_without_overhead_single_layer(m, t, policy):
     sc = single_layer_scenario(6 * t * m, policy, overhead=0, slice_ticks=6 * t)
-    makespans = [simulate(replace(sc, slice_ticks=n)).makespan for n in (6 * t, 3 * t, 2 * t, t)]
+    makespans = [simulate(replace(sc, slice_ticks=n)).summary()["makespan"] for n in (6 * t, 3 * t, 2 * t, t)]
     assert all(a >= b for a, b in zip(makespans, makespans[1:]))
 
 
@@ -396,7 +396,7 @@ def test_sweep_monotone_without_overhead_fifo(sc, _):
     )}, reverse=True)
     if len(sizes) < 2:
         return
-    makespans = [simulate(replace(sc, slice_ticks=n)).makespan for n in sizes]
+    makespans = [simulate(replace(sc, slice_ticks=n)).summary()["makespan"] for n in sizes]
     assert all(a >= b for a, b in zip(makespans, makespans[1:]))
 
 
@@ -412,14 +412,14 @@ def test_sweep_fifo_finer_slices_can_lose_on_the_downlink():
         slice_ticks=2,
         num_iterations=1,
     )
-    assert [simulate(replace(sc, slice_ticks=n)).makespan for n in (2, 1)] == [5, 6]
+    assert [simulate(replace(sc, slice_ticks=n)).summary()["makespan"] for n in (2, 1)] == [5, 6]
 
 
 def test_sweep_interior_minimum_with_overhead():
     cost = 60
     sc = single_layer_scenario(cost, PRIORITY_SLICED, overhead=1)
     sizes = [60, 30, 20, 15, 12, 10, 6, 5, 4, 3, 2, 1]
-    makespans = [simulate(replace(sc, slice_ticks=n)).makespan for n in sizes]
+    makespans = [simulate(replace(sc, slice_ticks=n)).summary()["makespan"] for n in sizes]
     best = min(makespans)
     assert makespans[0] > best      # coarse strictly worse than the optimum
     assert makespans[-1] > best     # tiniest slices strictly worse too
@@ -430,7 +430,7 @@ def test_sweep_degenerate_single_slice_equals_coarse():
     cost = 8
     sliced = single_layer_scenario(cost, AGGRESSIVE_SLICED, slice_ticks=cost)
     coarse = single_layer_scenario(cost, AGGRESSIVE_COARSE)
-    assert simulate(sliced).makespan == simulate(coarse).makespan
+    assert simulate(sliced).summary()["makespan"] == simulate(coarse).summary()["makespan"]
 
 
 def test_serial_update_variant_runs():
@@ -438,7 +438,7 @@ def test_serial_update_variant_runs():
     tl = simulate(sc)
     spans = [(e.start, e.end) for e in tl.entries_for(UPDATE) if e.end > e.start]
     assert intervals_disjoint(spans)
-    assert tl.makespan >= 10
+    assert tl.summary()["makespan"] >= 10
 
 
 def test_multi_iteration_delays():
@@ -458,7 +458,7 @@ def test_timeline_csv_shape():
 
 def test_empty_link_utilization():
     tl = simulate(fig4(AGGRESSIVE_COARSE))
-    assert tl.link_utilization(DOWNLINK) == 0.0
+    assert tl.summary()["downlink_utilization"] == 0.0
 
 
 def test_summary_of_a_hand_built_timeline():
@@ -482,6 +482,35 @@ def test_summary_of_a_hand_built_timeline():
     ]
     assert tl.to_csv().splitlines()[1:3] == ["compute,bwd:0:L0,0,1", "uplink,up:0:L1:s0,1,3"]
     assert Timeline().summary() == {"makespan": 0, "uplink_utilization": 0.0, "downlink_utilization": 0.0}
+
+
+hand_built_entries = st.lists(
+    st.builds(
+        lambda resource, item, start, length: TimelineEntry(start, start + length, resource, item),
+        st.sampled_from([COMPUTE, UPLINK, UPDATE, DOWNLINK]),
+        st.sampled_from([f"{op}:{k}:L{l}" for op in ("fwd", "bwd") for k in range(3) for l in range(2)]),
+        st.integers(0, 20),
+        st.integers(0, 5),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_entries)
+def test_summary_agrees_with_the_per_resource_readers(entries):
+    # unsorted, overlapping, repeated and empty entries: the one walk of
+    # summary() must give what the readers of one resource give
+    tl = Timeline(entries=entries)
+    out = tl.summary()
+    assert out["makespan"] == max((e.end for e in entries), default=0)
+    delays = tl.all_inter_iteration_delays()
+    assert out.get("inter_iteration_delay") == (delays[-1] if delays else None)
+    for link in (UPLINK, DOWNLINK):
+        spans = tl.busy_intervals(link)
+        span = out["makespan"] - spans[0][0] if spans else 0
+        want = round(sum(e - s for s, e in spans) / span, 6) if span else 0.0
+        assert out[f"{link}_utilization"] == want
 
 
 @settings(max_examples=120, deadline=None)
@@ -629,7 +658,7 @@ def test_scenario_from_plan_toy3_p3_golden():
     ]
     fwd = {e.item: e.start for e in tl.entries_for(COMPUTE)}
     assert fwd["fwd:1:L0"] == 5608
-    assert tl.inter_iteration_delay() == 5608 - 3000
+    assert tl.summary()["inter_iteration_delay"] == 5608 - 3000
 
 
 def test_scenario_from_plan_toy3_baseline_golden():
@@ -640,7 +669,7 @@ def test_scenario_from_plan_toy3_baseline_golden():
         ("down:0:L1:s0", 4072, 6120),
         ("down:0:L0:s0", 6120, 8168),
     ]
-    assert tl.inter_iteration_delay() == 8168 - 3000
+    assert tl.summary()["inter_iteration_delay"] == 8168 - 3000
 
 
 def test_scenario_from_plan_rejections():
@@ -653,6 +682,27 @@ def test_scenario_from_plan_rejections():
     for bps, workers in ((0, 2), (-1e9, 2), (1e9, 0)):
         with pytest.raises(ScenarioError):
             scenario_from_plan(toy3, plan, bps, workers, 1)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_scenario_from_plan_rejects_rows_it_would_not_simulate(mode):
+    # layer 0 cut 100 + 924 is a valid plan, but neither a 1,024-param slice
+    # size (p3) nor whole layers (baseline) would simulate that cut
+    toy3 = builtin_profile("toy3")
+    plan = make_plan(mode, toy3, 1)
+    rows = (Slice(SliceKey(0, 0), 0, 100, 0), Slice(SliceKey(0, 1), 100, 924, 0))
+    cut = replace(plan, slices=rows + tuple(s for s in plan.slices if s.key.layer_index > 0))
+    validate_plan(cut, toy3)
+    with pytest.raises(ScenarioError, match=r"layer 0: the plan's slices \[100, 924\]"):
+        scenario_from_plan(toy3, cut, 1e9, 2, 1)
+
+
+def test_scenario_from_plan_slices_at_the_longest_row():
+    profile = builtin_profile("vgg19-like")
+    for max_slice in (512, 50_000, 10**6):
+        plan = make_plan(P3_MODE, profile, 1, max_slice=max_slice)
+        sc = scenario_from_plan(profile, plan, 500e6, 2, 1)
+        assert sc.slice_ticks == min(max_slice, 715_000)
 
 
 def layer0_period_ms(name, mode, link_bps, num_workers, iterations=6):
