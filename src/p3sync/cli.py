@@ -14,17 +14,16 @@ import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from . import metrics as metrics_mod
 from .hashing import digest64
 from .metrics import (
     IDLE_THRESHOLD_BYTES,
-    NetSampler,
     clip_samples,
     idle_fraction,
     iteration_starts_from_csv,
     iterations_from_csv,
     measurement_window,
     samples_from_csv,
+    samples_to_csv,
     write_text,
 )
 from .model import BUILTIN_NAMES, ModelProfile, ProfileError, resolve_profile, save_profile, total_params
@@ -151,16 +150,11 @@ def cmd_server(args) -> int:
         poll_timeout=args.deadlock_timeout,
     )
     print(f"READY {engine.addr[0]}:{engine.addr[1]}", flush=True)
-    sampler = NetSampler(engine.counters)
-    sampler.start()
-    try:
-        engine.run()
-    finally:
-        sampler.stop()
+    engine.run()
     if args.digest:
         write_text(args.digest, engine.digests_csv())
     if args.net_util:
-        write_text(args.net_util, metrics_mod.samples_to_csv(sampler.samples))
+        write_text(args.net_util, samples_to_csv(engine.counters.samples()))
     return EXIT_OK
 
 

@@ -1,8 +1,9 @@
-"""Runtime measurement: byte counters sampled on a fixed cadence, throughput windows.
+"""Runtime measurement: byte counters binned by 10 ms as they count, throughput windows.
 
 Counters are maintained in-process where frames hit the socket, not read from
-the OS interface; a sampler thread snapshots them every 10 ms by default and
-the resulting series feeds the idle-time analysis.
+the OS interface. Each count is added to the 10 ms bin it is recorded in, so
+the cumulative series that feeds the idle-time analysis needs no sampler
+thread: ``NetCounters.samples`` reads it off the bins.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 IN = "in"
 OUT = "out"
 
-DEFAULT_SAMPLE_PERIOD_MS = 10
+BIN_MS = 10
 IDLE_THRESHOLD_BYTES = 4096  # per sample: an interval moving less counts as idle
 DEFAULT_SKIP_ITERATIONS = 5
 
@@ -30,15 +31,38 @@ class Sample:
 
 
 class NetCounters:
-    """Cumulative per-direction byte counters, safe for concurrent increment."""
+    """Cumulative per-direction byte counters, safe for concurrent increment.
+
+    Bins are counted on the monotonic clock from ``t0``, the moment the
+    counters are created. The first count of a new bin closes the bins before
+    it at the totals so far, so ``_in_ends[k]`` and ``_out_ends[k]`` are the
+    totals at the end of bin k; a bin with nothing recorded ends at the totals
+    of the one before it.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        self.t0 = time.monotonic()
         self._in = 0
         self._out = 0
+        self._in_ends: list[int] = []
+        self._out_ends: list[int] = []
+        self._open_until = self.t0 + BIN_MS / 1000
+
+    def _close_bins(self, now: float) -> None:
+        ended = int((now - self.t0) * (1000 // BIN_MS))  # lock held
+        closing = ended - len(self._in_ends)
+        if closing > 0:
+            self._in_ends += [self._in] * closing
+            self._out_ends += [self._out] * closing
+            self._open_until = self.t0 + (ended + 1) * BIN_MS / 1000
 
     def record_bytes(self, direction: str, n: int) -> None:
+        now = time.monotonic()
         with self._lock:
+            # a call that took the lock after a later one counts in that one's bin
+            if now >= self._open_until:
+                self._close_bins(now)
             if direction == IN:
                 self._in += n
             elif direction == OUT:
@@ -50,53 +74,13 @@ class NetCounters:
         with self._lock:
             return self._in, self._out
 
-
-class NetSampler:
-    """Periodic snapshot thread over a NetCounters instance."""
-
-    def __init__(self, counters: NetCounters, period_ms: int = DEFAULT_SAMPLE_PERIOD_MS) -> None:
-        self.counters = counters
-        self.period_ms = period_ms
-        self.samples: list[Sample] = []
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, name="net-sampler", daemon=True)
-        self._t0 = 0.0
-
-    @property
-    def t0(self) -> float:
-        return self._t0
-
-    def _snapshot(self, t_ms: int) -> None:
-        b_in, b_out = self.counters.totals()
-        if self.samples and self.samples[-1].t_ms == t_ms:
-            # a late tick or the final snapshot rounded into the millisecond of
-            # the last sample: the newer totals replace it, keeping t_ms strict
-            self.samples.pop()
-        self.samples.append(Sample(t_ms=t_ms, bytes_in=b_in, bytes_out=b_out))
-
-    def _run(self) -> None:
-        period_s = self.period_ms / 1000.0
-        tick = 0
-        while not self._stop.is_set():
-            now = time.monotonic()
-            # skip missed ticks instead of backfilling zero-delta samples
-            tick = max(tick + 1, int((now - self._t0) / period_s) + 1)
-            delay = self._t0 + tick * period_s - now
-            if delay > 0:
-                self._stop.wait(delay)
-            if self._stop.is_set():
-                break
-            self._snapshot(int(round((time.monotonic() - self._t0) * 1000)))
-
-    def start(self) -> None:
-        self._t0 = time.monotonic()
-        self._snapshot(0)
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5)
-        self._snapshot(int(round((time.monotonic() - self._t0) * 1000)))
+    def samples(self) -> list[Sample]:
+        """The totals at each bin's end since ``t0``: ``0,0,0`` first, the current totals last."""
+        now = time.monotonic()
+        with self._lock:
+            self._close_bins(now)
+            ends = [*zip(self._in_ends, self._out_ends), (self._in, self._out)]
+        return [Sample(0, 0, 0), *(Sample(BIN_MS * k, *end) for k, end in enumerate(ends, 1))]
 
 
 def samples_to_csv(samples: list[Sample]) -> str:

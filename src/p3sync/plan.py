@@ -181,14 +181,17 @@ def plan_from_csv(text: str) -> SlicePlan:
         raise PlanError(f"bad plan metadata: {lines[0]!r}") from None
     if len(lines) < 2 or lines[1] != PLAN_CSV_HEADER:
         raise PlanError(f"plan header line must be {PLAN_CSV_HEADER!r}")
-    slices = []
+    slices: dict[SliceKey, Slice] = {}
     for ln in lines[2:]:
         try:
             layer, sl, offset, length, server = (int(x) for x in ln.split(","))
         except ValueError:
             raise PlanError(f"bad plan row {ln!r}: want {PLAN_CSV_HEADER}") from None
-        slices.append(Slice(SliceKey(layer, sl), offset, length, server))
-    return SlicePlan(meta["mode"], tuple(slices), num_servers)
+        key = SliceKey(layer, sl)
+        if key in slices:  # frames name a slice by its key alone
+            raise PlanError(f"plan row {ln!r} repeats slice key {key}")
+        slices[key] = Slice(key, offset, length, server)
+    return SlicePlan(meta["mode"], tuple(slices.values()), num_servers)
 
 
 def load_plan(path: str | Path) -> SlicePlan:

@@ -104,7 +104,7 @@ class ServerEngine:
         self.counters = NetCounters()
         self._bucket = TokenBucket(throttle_rate) if throttle_rate else None
         self.inbox = FrameQueue(priority_mode=self.p3)
-        self._conns: dict[int, FrameConnection] = {}
+        self._conns: list[FrameConnection] = []  # every accepted one, with or without a HELLO
         self._outboxes: dict[int, FrameQueue] = {}
         self._threads: list[threading.Thread] = []
         self._fins = 0
@@ -130,7 +130,7 @@ class ServerEngine:
         self.inbox.close()
         with self._lock:
             outboxes = list(self._outboxes.values())
-            conns = list(self._conns.values())
+            conns = list(self._conns)
         for ob in outboxes:
             ob.close()
         try:
@@ -154,6 +154,8 @@ class ServerEngine:
             except TimeoutError:
                 continue
             conn = FrameConnection(sock, counters=self.counters, bucket=self._bucket)
+            with self._lock:
+                self._conns.append(conn)
             self._spawn(f"reader-{accepted}", self._reader, conn)
             accepted += 1
 
@@ -166,14 +168,15 @@ class ServerEngine:
         with self._lock:
             if not 0 <= rank < self.num_workers:
                 raise ProtocolError(f"HELLO from out-of-range rank {rank}")
-            if rank in self._conns:
+            if rank in self._outboxes:
                 raise ProtocolError(f"duplicate HELLO from rank {rank}")
-            self._conns[rank] = conn
             outbox = FrameQueue(priority_mode=self.p3)
             self._outboxes[rank] = outbox
             self._spawn(f"sender-{rank}", outbox.drain, conn.send_frame, self.poll_timeout * 2)
 
     def _reader(self, conn: FrameConnection) -> None:
+        """Queue one worker's frames; its HELLO binds the connection to the rank it names."""
+        rank = None
         fin_seen = False
         while True:
             frame = conn.recv_frame(timeout=self.poll_timeout * 2)
@@ -181,18 +184,28 @@ class ServerEngine:
                 if not fin_seen and not self._stopping.is_set():
                     raise ConnectionError("worker hung up before FIN")
                 return
-            if frame.msg_type == MsgType.HELLO:
-                self._register(conn, frame.worker_rank, frame.iteration)
-            elif frame.msg_type in (MsgType.PUSH, MsgType.PULL):
+            kind = frame.msg_type
+            if rank is None:
+                if kind != MsgType.HELLO:
+                    raise ProtocolError(f"{kind.name} before HELLO")
+                rank = frame.worker_rank
+                self._register(conn, rank, frame.iteration)
+            elif fin_seen:
+                raise ProtocolError(f"{kind.name} from rank {rank} after its FIN")
+            elif frame.worker_rank != rank:
+                raise ProtocolError(
+                    f"{kind.name} under rank {frame.worker_rank} on rank {rank}'s connection"
+                )
+            elif kind in (MsgType.PUSH, MsgType.PULL):
                 self.inbox.put(frame)
-            elif frame.msg_type == MsgType.FIN:
+            elif kind == MsgType.FIN:
                 fin_seen = True
                 with self._lock:
                     self._fins += 1
                     if self._fins == self.num_workers:
                         self.inbox.close()
             else:
-                raise ProtocolError(f"server got unexpected {frame.msg_type.name}")
+                raise ProtocolError(f"server got unexpected {kind.name}")
 
     def _worker_ranks(self) -> list[int]:
         with self._lock:
@@ -252,7 +265,7 @@ class ServerEngine:
             self._listener.close()
         except OSError:
             pass
-        for conn in self._conns.values():
+        for conn in self._conns:
             conn.close()
 
     def digests_csv(self) -> str:

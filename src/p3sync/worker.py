@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .hashing import digest64, gradient_block
-from .metrics import NetCounters, NetSampler, iterations_to_csv, samples_to_csv, write_text
+from .metrics import NetCounters, iterations_to_csv, samples_to_csv, write_text
 from .model import ModelProfile
 from .plan import P3_MODE, SliceKey, SlicePlan, plan_fingerprint
 from .proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
@@ -77,7 +77,6 @@ class TrainingWorker:
         self.records: list[IterationRecord] = []
 
         self.counters = NetCounters()
-        self.sampler = NetSampler(self.counters)
         self._bucket = TokenBucket(config.throttle_rate) if config.throttle_rate else None
         # server rank -> outbox; one sender thread drains each distinct outbox
         servers = range(len(config.servers))
@@ -275,7 +274,6 @@ class TrainingWorker:
         return rec
 
     def run(self) -> None:
-        self.sampler.start()
         try:
             self._connect_all()
             for k in range(self.cfg.iterations):
@@ -288,8 +286,6 @@ class TrainingWorker:
             self._abort(exc)
             # the first error is the cause; a later one (a closed outbox) is its echo
             raise self._errors[0] from None
-        finally:
-            self.sampler.stop()
         self._check_errors()
 
     def _shutdown_clean(self) -> None:
@@ -329,8 +325,8 @@ class TrainingWorker:
         """
         outdir = Path(outdir)
         rank = self.cfg.rank
-        write_text(outdir / f"net_util_worker{rank}.csv", samples_to_csv(self.sampler.samples))
-        starts_ms = [(r.start - self.sampler.t0) * 1000.0 for r in self.records]
+        write_text(outdir / f"net_util_worker{rank}.csv", samples_to_csv(self.counters.samples()))
+        starts_ms = [(r.start - self.counters.t0) * 1000.0 for r in self.records]
         write_text(
             outdir / f"throughput_worker{rank}.csv",
             iterations_to_csv([r.wall_ms for r in self.records], starts_ms),

@@ -419,6 +419,37 @@ def test_server_rejects_malformed_plan(tmp_path):
     assert "plan metadata lacks num_servers" in proc.stderr
 
 
+@pytest.mark.parametrize("role", ["worker", "server"])
+def test_plan_with_a_repeated_slice_key_is_refused(tmp_path, role):
+    # toy3's p3 plan with layer 0 cut in two halves under one key
+    from p3sync.plan import plan_to_csv
+
+    text = plan_to_csv(make_plan("p3", builtin_profile("toy3"), 1))
+    plan_path = tmp_path / "plan.csv"
+    plan_path.write_text(text.replace("0,0,0,1024,0\n", "0,0,0,512,0\n0,0,512,512,0\n"))
+    args = {
+        "worker": ["--servers", "127.0.0.1:1", "--profile", "toy3", "--iterations", "1"],
+        "server": ["--num-workers", "1"],
+    }[role]
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "p3sync", role,
+            "--rank", "0",
+            "--plan", str(plan_path),
+            "--deadlock-timeout", "30",
+            *args,
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert time.monotonic() - t0 < 5
+    assert "Traceback" not in proc.stderr
+    assert "repeats slice key" in proc.stderr
+
+
 def test_worker_with_another_plan_fails_fast(tmp_path):
     # two toy3 plans that differ only in --max-slice: the server must refuse
     # the worker's HELLO at once, not stall until the deadlock timeout

@@ -1,10 +1,13 @@
+import sys
+import threading
 import time
 
 import pytest
 
+from p3sync import metrics
 from p3sync.metrics import (
+    BIN_MS,
     NetCounters,
-    NetSampler,
     Sample,
     idle_fraction,
     iterations_from_csv,
@@ -25,40 +28,99 @@ def test_counters_accumulate_and_validate():
         c.record_bytes("sideways", 1)
 
 
-def test_sampler_monotone():
+class FakeClock:
+    def __init__(self):
+        self.now = 100.0
+
+    def monotonic(self):
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(metrics, "time", fake)
+    return fake
+
+
+def test_counts_land_in_the_bin_they_are_recorded_in(clock):
     c = NetCounters()
-    s = NetSampler(c, period_ms=5)
-    s.start()
-    for i in range(10):
+    assert c.t0 == 100.0
+    clock.now += 0.003
+    c.record_bytes("out", 5)  # bin [0, 10) ms
+    clock.now += 0.0095
+    c.record_bytes("in", 7)  # bin [10, 20)
+    c.record_bytes("out", 1)
+    clock.now += 0.030
+    c.record_bytes("out", 100)  # bin [40, 50), after two silent bins
+    clock.now += 0.001
+    assert c.samples() == [
+        Sample(0, 0, 0),
+        Sample(10, 0, 5),
+        Sample(20, 7, 6),
+        Sample(30, 7, 6),
+        Sample(40, 7, 6),
+        Sample(50, 7, 106),
+    ]
+    assert c.totals() == (7, 106)
+
+
+def test_samples_run_to_the_bin_now_open(clock):
+    # a silent stretch after the last count still yields its rows, so the idle
+    # window of a run that ends quietly is measured
+    c = NetCounters()
+    c.record_bytes("out", 9)
+    clock.now += 0.0451
+    samples = c.samples()
+    assert [s.t_ms for s in samples] == [0, 10, 20, 30, 40, 50]
+    assert {(s.bytes_in, s.bytes_out) for s in samples[1:]} == {(0, 9)}
+
+
+def test_samples_are_cumulative_rows_10_ms_apart():
+    c = NetCounters()
+    for _ in range(10):
         c.record_bytes("out", 100)
         time.sleep(0.005)
-    s.stop()
-    samples = s.samples
-    assert len(samples) >= 3
-    assert all(a.t_ms < b.t_ms for a, b in zip(samples, samples[1:]))
+    samples = c.samples()
+    assert samples[0] == Sample(0, 0, 0)
+    assert len(samples) >= 6
+    assert all(b.t_ms - a.t_ms == BIN_MS for a, b in zip(samples, samples[1:]))
     assert all(a.bytes_out <= b.bytes_out for a, b in zip(samples, samples[1:]))
-    assert samples[-1].bytes_out >= 1000
+    assert samples[-1] == Sample(samples[-1].t_ms, *c.totals()) == Sample(samples[-1].t_ms, 0, 1000)
 
 
-def test_sampler_final_sample_same_millisecond():
-    # stop() right after start() lands in the millisecond of the first sample
+def test_silent_counters_sample_zero():
     c = NetCounters()
-    s = NetSampler(c, period_ms=10_000)
-    s.start()
-    c.record_bytes("out", 7)
-    s.stop()
-    assert all(a.t_ms < b.t_ms for a, b in zip(s.samples, s.samples[1:]))
-    assert s.samples[-1].bytes_out == 7
+    time.sleep(0.02)
+    samples = c.samples()
+    assert len(samples) >= 3
+    assert {(s.bytes_in, s.bytes_out) for s in samples} == {(0, 0)}
 
 
-def test_idle_samples_equal():
+def test_counters_lose_no_count_under_contention():
+    # more recording threads than cores, switching often, across many bins
     c = NetCounters()
-    s = NetSampler(c, period_ms=5)
-    s.start()
-    time.sleep(0.05)
-    s.stop()
-    outs = {x.bytes_out for x in s.samples} | {x.bytes_in for x in s.samples}
-    assert outs == {0}
+
+    def record():
+        for _ in range(5000):
+            c.record_bytes("in", 3)
+            c.record_bytes("out", 1)
+
+    threads = [threading.Thread(target=record) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [t for t in threads if t.is_alive()] == []
+    samples = c.samples()
+    for a, b in zip(samples, samples[1:]):
+        assert a.bytes_in <= b.bytes_in and a.bytes_out <= b.bytes_out
+    assert (samples[-1].bytes_in, samples[-1].bytes_out) == c.totals() == (120_000, 40_000)
 
 
 def mk_samples(deltas):

@@ -251,6 +251,14 @@ def test_plan_csv_rejects_malformed(text):
         plan_from_csv(text)
 
 
+def test_plan_csv_rejects_a_repeated_slice_key():
+    # two rows under key (0, 0) cover layer 0 between them, so no coverage check
+    # sees it; a frame names a slice by its key alone
+    text = f"{META}\n{HEADER}\n0,0,0,512,0\n0,0,512,512,0\n1,0,0,1024,0\n"
+    with pytest.raises(PlanError, match=r"'0,0,512,512,0' repeats .*\(layer_index=0, slice_index=0\)"):
+        plan_from_csv(text)
+
+
 # -- golden plan rows -----------------------------------------------------------
 
 # SHA-256 of plan_to_csv without its metadata line, computed with the separate

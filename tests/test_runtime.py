@@ -1,15 +1,19 @@
 """End-to-end runs with servers and workers in one process (threads, real sockets)."""
 
+import socket
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from p3sync.hashing import digest64
 from p3sync.model import LayerSpec, ModelProfile, builtin_profile
-from p3sync.plan import BASELINE_MODE, P3_MODE, make_plan
+from p3sync.plan import BASELINE_MODE, P3_MODE, make_plan, plan_fingerprint
+from p3sync.proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
 from p3sync.server import ServerEngine
+from p3sync.transport import FrameConnection
 from p3sync.worker import TrainingWorker, WorkerConfig
 
 TIMEOUT = 30.0
@@ -252,39 +256,70 @@ def serve(engine):
     return thread, errors
 
 
-def test_push_for_key_of_another_server_is_a_protocol_error():
-    import socket
-    import time
+def server_error(plan, num_workers, frames):
+    """The error a rank-0 server stops with after ``frames`` arrive on one raw connection.
 
-    from p3sync.plan import plan_fingerprint
-    from p3sync.proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
-    from p3sync.transport import FrameConnection
-
-    plan = make_plan(P3_MODE, small_profile(), 2, 1000, 2000, 0)
-    foreign = next(s for s in plan.slices if s.server == 1)
-    engine = ServerEngine("127.0.0.1", 0, 0, plan, num_workers=1, lr=0.1, poll_timeout=TIMEOUT)
+    The server must stop within 5 s and leave no thread running.
+    """
+    engine = ServerEngine("127.0.0.1", 0, 0, plan, num_workers, lr=0.1, poll_timeout=TIMEOUT)
     t0 = time.monotonic()
     server, errors = serve(engine)
     conn = FrameConnection(socket.create_connection(engine.addr, timeout=5.0))
     try:
-        conn.send_frame(Frame(msg_type=MsgType.HELLO, iteration=plan_fingerprint(plan), worker_rank=0))
-        grads = np.zeros(foreign.length, dtype=np.float32)
-        conn.send_frame(slice_frame(MsgType.PUSH, foreign, 0, 0, pack_f32(grads)))
+        for frame in frames:
+            conn.send_frame(frame)
         server.join(timeout=5.0)
     finally:
         conn.close()
-    assert not server.is_alive(), "server did not stop on a foreign key"
+    assert not server.is_alive(), "server did not stop"
     assert time.monotonic() - t0 < 5.0
-    assert len(errors) == 1 and isinstance(errors[0], ProtocolError)
-    assert "does not own" in str(errors[0])
     assert [t.name for t in engine._threads if t.is_alive()] == []
+    assert len(errors) == 1
+    return errors[0]
+
+
+def hello(plan, rank):
+    return Frame(msg_type=MsgType.HELLO, iteration=plan_fingerprint(plan), worker_rank=rank)
+
+
+def push(sl, rank):
+    return slice_frame(MsgType.PUSH, sl, 0, rank, pack_f32(np.zeros(sl.length, dtype=np.float32)))
+
+
+def test_push_for_key_of_another_server_is_a_protocol_error():
+    plan = make_plan(P3_MODE, small_profile(), 2, 1000, 2000, 0)
+    foreign = next(s for s in plan.slices if s.server == 1)
+    error = server_error(plan, 1, [hello(plan, 0), push(foreign, 0)])
+    assert isinstance(error, ProtocolError) and "does not own" in str(error)
+
+
+def test_push_before_hello_is_a_protocol_error():
+    plan = make_plan(P3_MODE, small_profile(), 1, 1000, 2000, 0)
+    error = server_error(plan, 2, [push(plan.slices[0], 0)])
+    assert isinstance(error, ProtocolError) and "PUSH before HELLO" in str(error)
+
+
+def test_frame_after_fin_is_a_protocol_error():
+    # unchecked, a second FIN counts as the other worker's and the server finishes without it
+    plan = make_plan(P3_MODE, small_profile(), 1, 1000, 2000, 0)
+    fin = Frame(msg_type=MsgType.FIN, worker_rank=0)
+    error = server_error(plan, 2, [hello(plan, 0), fin, fin])
+    assert isinstance(error, ProtocolError) and "FIN from rank 0 after its FIN" in str(error)
+
+
+@pytest.mark.parametrize("kind", ["PUSH", "PULL", "FIN"])
+def test_frame_under_another_rank_is_a_protocol_error(kind):
+    plan = make_plan(P3_MODE, small_profile(), 1, 1000, 2000, 0)
+    sl = plan.slices[0]
+    frame = push(sl, 1) if kind == "PUSH" else slice_frame(MsgType[kind], sl, 0, 1)
+    error = server_error(plan, 2, [hello(plan, 0), frame])
+    assert isinstance(error, ProtocolError)
+    assert f"{kind} under rank 1 on rank 0's connection" in str(error)
 
 
 def test_failed_connect_stops_every_worker_thread():
     # the first server is live, the second address is dead: run() must fail at
-    # the connect deadline, and the first server's receiver and the sampler stop
-    import time
-
+    # the connect deadline, and the first server's receiver stops
     plan = make_plan(P3_MODE, small_profile(), 2, 1000, 2000, 0)
     engine = ServerEngine("127.0.0.1", 0, 0, plan, num_workers=1, lr=0.1, poll_timeout=TIMEOUT)
     server, errors = serve(engine)
@@ -296,11 +331,139 @@ def test_failed_connect_stops_every_worker_thread():
     with pytest.raises(TimeoutError, match="127.0.0.1:1 unreachable for 1.0s"):
         worker.run()
     assert time.monotonic() - t0 < 5.0
-    threads = [*worker._threads, worker.sampler._thread]
-    assert [t.name for t in threads] == ["recv-0", "net-sampler"]
-    for t in [*threads, server]:
+    assert [t.name for t in worker._threads] == ["recv-0"]
+    for t in [*worker._threads, server]:
         t.join(timeout=5.0)
-    assert [t.name for t in [*threads, server] if t.is_alive()] == []
+    assert [t.name for t in [*worker._threads, server] if t.is_alive()] == []
     assert [t.name for t in engine._threads if t.is_alive()] == []
     # the server saw its worker hang up before FIN
     assert len(errors) == 1 and isinstance(errors[0], ConnectionError)
+
+
+# -- one server and two workers through the CLI, on threads of this process ----
+
+
+@pytest.fixture(scope="module", params=[P3_MODE, BASELINE_MODE])
+def cli_run(request, tmp_path_factory):
+    """Output dir, {process: engine or worker} and {process: names of the threads it started}.
+
+    ``p3sync server`` and two ``p3sync worker`` runs go through ``main`` on
+    threads named after their processes; every thread started during the run
+    belongs to the process whose thread started it.
+    """
+    from p3sync import cli
+    from p3sync.model import save_profile
+    from p3sync.plan import save_plan
+
+    outdir = tmp_path_factory.mktemp(f"cli-{request.param}")
+    save_profile(small_profile(), outdir / "profile.json")
+    save_plan(make_plan(request.param, small_profile(), 1, 1000, 2000, 0), outdir / "plan.csv")
+    made, codes, process_of = {}, {}, {}
+    real_start = threading.Thread.start
+
+    def start(thread):
+        process_of[thread] = process_of.get(threading.current_thread(), thread.name)
+        real_start(thread)
+
+    def recorded(cls):
+        def make(*args, **kwargs):
+            made[threading.current_thread().name] = obj = cls(*args, **kwargs)
+            return obj
+
+        return make
+
+    def process(name, *argv):
+        thread = threading.Thread(
+            target=lambda: codes.setdefault(name, cli.main(list(argv))), name=name
+        )
+        thread.start()
+        return thread
+
+    common = ["--plan", str(outdir / "plan.csv"), "--deadlock-timeout", str(TIMEOUT)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threading.Thread, "start", start)
+        mp.setattr(cli, "ServerEngine", recorded(ServerEngine))
+        mp.setattr(cli, "TrainingWorker", recorded(TrainingWorker))
+        threads = [
+            process(
+                "server", "server", "--rank", "0", "--num-workers", "2", *common,
+                "--net-util", str(outdir / "net_util_server0.csv"),
+            )
+        ]
+        deadline = time.monotonic() + TIMEOUT
+        while "server" not in made and time.monotonic() < deadline:
+            time.sleep(0.01)
+        addr = "{}:{}".format(*made["server"].addr)
+        for rank in range(2):
+            threads.append(
+                process(
+                    f"worker{rank}", "worker", "--rank", str(rank), "--servers", addr,
+                    "--profile", str(outdir / "profile.json"), "--iterations", "3", *common,
+                    "--outdir", str(outdir),
+                )
+            )
+        for t in threads:
+            t.join(timeout=TIMEOUT * 3)
+    assert [t.name for t in threads if t.is_alive()] == []
+    assert codes == {"server": 0, "worker0": 0, "worker1": 0}
+    started = {t.name: [] for t in threads}
+    for thread, name in process_of.items():
+        if thread.name != name:
+            started[name].append(thread.name)
+    return outdir, made, started
+
+
+def test_worker_runs_only_receivers_and_senders(cli_run):
+    _, _, started = cli_run
+    for name in ("worker0", "worker1"):
+        assert sorted(started[name]) == ["recv-0", "sender-0"]
+
+
+def test_server_runs_only_acceptor_readers_consumer_and_senders(cli_run):
+    _, _, started = cli_run
+    assert sorted(started["server"]) == [
+        "acceptor", "consumer", "reader-0", "reader-1", "sender-0", "sender-1"
+    ]
+
+
+NET_UTIL = {
+    "server": "net_util_server0.csv",
+    "worker0": "net_util_worker0.csv",
+    "worker1": "net_util_worker1.csv",
+}
+
+
+def test_net_util_last_row_is_the_counters_totals(cli_run):
+    from p3sync.metrics import samples_from_csv
+
+    outdir, made, _ = cli_run
+    last = {}
+    for name, file in NET_UTIL.items():
+        row = samples_from_csv((outdir / file).read_text())[-1]
+        last[name] = (row.bytes_in, row.bytes_out)
+        assert last[name] == made[name].counters.totals()
+    # on loopback every byte a worker sends reaches the server, and back
+    assert last["server"] == (
+        last["worker0"][1] + last["worker1"][1],
+        last["worker0"][0] + last["worker1"][0],
+    )
+
+
+def test_net_util_rows_start_at_zero_and_sit_10_ms_apart(cli_run):
+    from p3sync.metrics import BIN_MS, Sample, iteration_starts_from_csv, samples_from_csv
+
+    outdir, _, _ = cli_run
+    for file in NET_UTIL.values():
+        text = (outdir / file).read_text()
+        assert text.startswith("t_ms,bytes_in,bytes_out\n")
+        rows = samples_from_csv(text)
+        assert rows[0] == Sample(0, 0, 0)
+        assert [r.t_ms for r in rows] == list(range(0, BIN_MS * len(rows), BIN_MS))
+        for a, b in zip(rows, rows[1:]):
+            assert a.bytes_in <= b.bytes_in and a.bytes_out <= b.bytes_out
+        assert rows[-1].bytes_in > 0 and rows[-1].bytes_out > 0
+    # iteration starts share the rows' clock, so summarize_run clips on the right window
+    for rank in range(2):
+        starts = iteration_starts_from_csv((outdir / f"throughput_worker{rank}.csv").read_text())
+        rows = samples_from_csv((outdir / f"net_util_worker{rank}.csv").read_text())
+        assert 0 <= starts[0] <= starts[-1] < rows[-1].t_ms
