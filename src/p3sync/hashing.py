@@ -60,8 +60,8 @@ def gradient_block(seed: int, iteration: int, layer_index: int, start: int, coun
         np.right_shift(x, np.uint64(shift), out=t)
         x ^= t
         x *= np.uint64(mult)
-    np.right_shift(x, np.uint64(31), out=t)
-    x ^= t
+    # splitmix64_mix ends with x ^= x >> 31, which cannot reach the 24 bits kept:
+    # (x ^ (x >> 31)) >> 40 == (x >> 40) ^ (x >> 71) == x >> 40, as x >> 71 is 0
     np.right_shift(x, np.uint64(40), out=x)
     # top24 * 2**-23 - 1 is exact in float32: top24 and top24 - 2**23 fit in 24 bits;
     # top24 reads the same as int64, which numpy converts about twice as fast as uint64

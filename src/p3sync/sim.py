@@ -29,7 +29,10 @@ conditions arrives last fills, so a run costs O(n log n) in its entries.
 
 Timeline entries are named tuples ``(start, end, resource, item)``, so their
 natural order is timeline order: ``simulate`` returns them sorted, and
-``Timeline.to_csv`` sorts them with no key.
+``Timeline.to_csv`` sorts them with no key. ``simulate`` builds each entry as a
+plain tuple, its item as a precomputed iteration prefix plus a precomputed
+``:L{l}:s{s}`` suffix, and converts the list to ``TimelineEntry`` in one pass
+after its one sort.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import heapq
 import json
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -203,13 +207,19 @@ class TimelineEntry(NamedTuple):
 
 def _merge(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """The union of non-empty (start, end) spans, as sorted disjoint spans."""
-    merged: list[list[int]] = []  # lists, so that a span grows in place
-    for s, e in sorted(spans):
-        if merged and s <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    return [(s, e) for s, e in merged]
+    merged: list[tuple[int, int]] = []
+    if not spans:
+        return merged
+    spans = sorted(spans)
+    start, end = spans[0]  # the open span
+    for s, e in spans:
+        if s > end:
+            merged.append((start, end))
+            start, end = s, e
+        elif e > end:
+            end = e
+    merged.append((start, end))
+    return merged
 
 
 def _delays(layer0: dict[str, TimelineEntry]) -> list[int]:
@@ -243,21 +253,27 @@ class Timeline:
     def summary(self) -> dict:
         """Makespan, the last layer-0 delay and both links' utilization, from one walk."""
         makespan = 0
-        spans: dict[str, list[tuple[int, int]]] = {UPLINK: [], DOWNLINK: []}
+        up: list[tuple[int, int]] = []
+        down: list[tuple[int, int]] = []
         layer0: dict[str, TimelineEntry] = {}
         for e in self.entries:
-            if e.end > makespan:
-                makespan = e.end
-            if e.resource in spans and e.end > e.start:
-                spans[e.resource].append((e.start, e.end))
-            elif e.resource == COMPUTE and e.item.endswith(":L0"):
-                layer0.setdefault(e.item, e)
+            s, end, r, item = e
+            if end > makespan:
+                makespan = end
+            if r == UPLINK:
+                if end > s:
+                    up.append((s, end))
+            elif r == DOWNLINK:
+                if end > s:
+                    down.append((s, end))
+            elif r == COMPUTE and item.endswith(":L0"):
+                layer0.setdefault(item, e)
         out = {"makespan": makespan}
         delays = _delays(layer0)
         if delays:
             out["inter_iteration_delay"] = delays[-1]
-        for link in (UPLINK, DOWNLINK):
-            merged = _merge(spans[link])
+        for link, spans in ((UPLINK, up), (DOWNLINK, down)):
+            merged = _merge(spans)
             span = makespan - merged[0][0] if merged else 0
             out[f"{link}_utilization"] = round(sum(e - s for s, e in merged) / span, 6) if span else 0.0
         return out
@@ -280,6 +296,11 @@ def simulate(scenario: Scenario) -> Timeline:
     update_cost = [[c.update for c in cs] for cs in costs]
     down_cost = [[c.down + ovh if c.down > 0 else 0 for c in cs] for cs in costs]
     serial_update = scenario.serial_update
+    # a link entry's item is its iteration's prefix plus its slice's suffix
+    suffix = [[f":L{l}:s{s}" for s in range(n)] for l, n in enumerate(n_slices)]
+    up_item = [f"up:{k}" for k in range(n_iter)]
+    upd_item = [f"upd:{k}" for k in range(n_iter)]
+    down_item = [f"down:{k}" for k in range(n_iter)]
 
     # each serial link queues (layer, slice, iteration); a key enters a link
     # at most once, so the priority heap needs no arrival tie-break
@@ -291,7 +312,7 @@ def simulate(scenario: Scenario) -> Timeline:
         push, pop = deque.append, deque.popleft
     up_busy = upd_busy = down_busy = False  # the update link is used only when serial_update
 
-    entries: list[TimelineEntry] = []
+    entries: list[tuple[int, int, str, str]] = []  # TimelineEntry fields, as plain tuples
     append = entries.append
     events: list[tuple[int, int, int, int, int]] = [(0, _BOOT, 0, 0, 0)]  # (tick, kind, iteration, layer, slice)
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -323,7 +344,7 @@ def simulate(scenario: Scenario) -> Timeline:
                     elif serial_update:
                         push(upd_q, (l, s, k))
                     else:
-                        append(TimelineEntry(t, t + cost, UPDATE, f"upd:{k}:L{l}:s{s}"))
+                        append((t, t + cost, UPDATE, upd_item[k] + suffix[l][s]))
                         heappush(events, (t + cost, _UPDATE_DONE, k, l, s))
                 elif kind == _UPDATE_DONE:
                     if serial_update and update_cost[l][s] > 0:
@@ -363,14 +384,14 @@ def simulate(scenario: Scenario) -> Timeline:
                 k, l = key = min(bwd_ready)
                 bwd_ready.discard(key)
                 end = t + bwd_time[l]
-                append(TimelineEntry(t, end, COMPUTE, f"bwd:{k}:L{l}"))
+                append((t, end, COMPUTE, f"bwd:{k}:L{l}"))
                 heappush(events, (end, _BWD_DONE, k, l, 0))
                 if end > t:
                     break  # completion arrives later; chain resumes then
             if fwd_ready:
                 for k, l in sorted(fwd_ready):
                     end = t + fwd_time[l]
-                    append(TimelineEntry(t, end, COMPUTE, f"fwd:{k}:L{l}"))
+                    append((t, end, COMPUTE, f"fwd:{k}:L{l}"))
                     heappush(events, (end, _FWD_DONE, k, l, 0))
                 fwd_ready.clear()
         # dispatch the links
@@ -378,20 +399,20 @@ def simulate(scenario: Scenario) -> Timeline:
             l, s, k = pop(up_q)
             up_busy = True
             end = t + up_cost[l][s]
-            append(TimelineEntry(t, end, UPLINK, f"up:{k}:L{l}:s{s}"))
+            append((t, end, UPLINK, up_item[k] + suffix[l][s]))
             heappush(events, (end, _UP_DONE, k, l, s))
         if not upd_busy and upd_q:
             l, s, k = pop(upd_q)
             upd_busy = True
             end = t + update_cost[l][s]
-            append(TimelineEntry(t, end, UPDATE, f"upd:{k}:L{l}:s{s}"))
+            append((t, end, UPDATE, upd_item[k] + suffix[l][s]))
             heappush(events, (end, _UPDATE_DONE, k, l, s))
         if not down_busy and down_q:
             l, s, k = pop(down_q)
             down_busy = True
             end = t + down_cost[l][s]
-            append(TimelineEntry(t, end, DOWNLINK, f"down:{k}:L{l}:s{s}"))
+            append((t, end, DOWNLINK, down_item[k] + suffix[l][s]))
             heappush(events, (end, _DOWN_DONE, k, l, s))
 
     entries.sort()
-    return Timeline(entries=entries)
+    return Timeline(entries=list(map(tuple.__new__, repeat(TimelineEntry), entries)))

@@ -500,16 +500,22 @@ hand_built_entries = st.lists(
 @given(hand_built_entries)
 def test_summary_agrees_with_the_per_resource_readers(entries):
     # unsorted, overlapping, repeated and empty entries: the one walk of
-    # summary() must give what the readers of one resource give
+    # summary() must give what the readers of one resource give, and both
+    # must match busy ticks counted one by one, with no span merging
     tl = Timeline(entries=entries)
     out = tl.summary()
     assert out["makespan"] == max((e.end for e in entries), default=0)
     delays = tl.all_inter_iteration_delays()
     assert out.get("inter_iteration_delay") == (delays[-1] if delays else None)
     for link in (UPLINK, DOWNLINK):
-        spans = tl.busy_intervals(link)
-        span = out["makespan"] - spans[0][0] if spans else 0
-        want = round(sum(e - s for s, e in spans) / span, 6) if span else 0.0
+        ticks = {t for e in entries if e.resource == link for t in range(e.start, e.end)}
+        # the busy intervals are the maximal runs of consecutive busy ticks
+        busy = sorted(ticks)
+        starts = [t for t in busy if t - 1 not in ticks]
+        ends = [t + 1 for t in busy if t + 1 not in ticks]
+        assert tl.busy_intervals(link) == list(zip(starts, ends))
+        span = out["makespan"] - min(ticks) if ticks else 0
+        want = round(len(ticks) / span, 6) if span else 0.0
         assert out[f"{link}_utilization"] == want
 
 
@@ -517,6 +523,7 @@ def test_summary_agrees_with_the_per_resource_readers(entries):
 @given(random_scenarios(), st.booleans(), st.integers(0, 2), st.randoms(use_true_random=False))
 def test_entries_sorted_unique_and_order_free(sc, serial_update, overhead, rnd):
     tl = simulate(replace(sc, serial_update=serial_update, per_slice_overhead=overhead))
+    assert all(type(e) is TimelineEntry for e in tl.entries)
     assert tl.entries == sorted(tl.entries)
     # each (resource, item) appears once: a slice enters each link once, so
     # the priority heap's (layer, slice, iteration) key is unique
@@ -584,6 +591,28 @@ TIMELINE_DIGESTS = {
     "resnet50-linkbound-sliced": "b9007efff8e674c6261041b6a0622a0c146b908f19425468d8f5d4ef742c0746",
 }
 
+# Timeline.summary() of the link-bound digest cases: the digests pin to_csv only
+LINKBOUND_SUMMARIES = {
+    "resnet50-linkbound-coarse": {
+        "makespan": 4756,
+        "inter_iteration_delay": 1473,
+        "uplink_utilization": 0.722058,
+        "downlink_utilization": 0.770824,
+    },
+    "resnet50-linkbound-priority": {
+        "makespan": 3480,
+        "inter_iteration_delay": 22,
+        "uplink_utilization": 0.987882,
+        "downlink_utilization": 0.989309,
+    },
+    "resnet50-linkbound-sliced": {
+        "makespan": 4166,
+        "inter_iteration_delay": 1178,
+        "uplink_utilization": 0.824663,
+        "downlink_utilization": 0.825657,
+    },
+}
+
 POLICY_NAMES = {AGGRESSIVE_COARSE: "coarse", AGGRESSIVE_SLICED: "sliced", PRIORITY_SLICED: "priority"}
 
 
@@ -605,6 +634,11 @@ DIGEST_CASES = dict(digest_cases())
 def test_timeline_digest_golden(name):
     csv = simulate(DIGEST_CASES[name]).to_csv()
     assert hashlib.sha256(csv.encode()).hexdigest() == TIMELINE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(LINKBOUND_SUMMARIES))
+def test_linkbound_summary_golden(name):
+    assert simulate(DIGEST_CASES[name]).summary() == LINKBOUND_SUMMARIES[name]
 
 
 def test_priority_sliced_61k_entries_within_wall_bound():
