@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import subprocess
 import sys
 import threading
@@ -84,6 +85,10 @@ class RunConfig:
             raise ValueError(f"throttle_rate {self.throttle_rate} must be >= 0 (0 disables shaping)")
         if self.num_workers < 1:
             raise ValueError(f"num_workers {self.num_workers} must be >= 1")
+        if self.num_servers < 0:
+            raise ValueError(f"num_servers {self.num_servers} must be >= 0 (0: one per worker)")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size {self.batch_size} must be >= 1")
         if not 0 <= self.skip_iterations < self.iterations:
             raise ValueError(
                 f"need 0 <= skip_iterations ({self.skip_iterations}) < iterations ({self.iterations})"
@@ -186,8 +191,18 @@ def cmd_worker(args) -> int:
 
 
 class _ChildFailure(Exception):
+    """A child that exited nonzero; one killed by a signal is a lost peer."""
+
     def __init__(self, what: str, code: int):
-        super().__init__(f"{what} exited with code {code}")
+        if code < 0:
+            try:
+                name = signal.Signals(-code).name
+            except ValueError:
+                name = f"signal {-code}"
+            super().__init__(f"{what} was killed by {name}")
+            code = EXIT_PROTOCOL
+        else:
+            super().__init__(f"{what} exited with code {code}")
         self.code = code
 
 

@@ -11,15 +11,19 @@ priority is its key's order, see ``plan``). That plan equals the sender's:
 HELLO carries the worker's plan fingerprint in its iteration field, and the
 server refuses a worker whose fingerprint differs from its own.
 
-Decoding copies no payload: a decoded frame's payload is a read-only view of
-the buffer the frame was decoded from, so that buffer must not be reused.
+One decoder reads frames: ``FrameDecoder.header`` checks a header before its
+payload is read, and ``FrameDecoder.feed`` decodes whole frames. It holds no
+partial frame between calls; the transport reads each frame whole before it
+decodes it. Decoding copies no payload: a decoded frame's payload is a
+read-only view of the buffer the frame was decoded from, so that buffer must
+not be reused.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -101,87 +105,50 @@ def encode_frame(frame: Frame) -> bytes:
     return header + frame.payload
 
 
-def _unpack_header(view: memoryview, max_payload: int) -> tuple:
-    """The header's fields after the magic, with the type as MsgType; raises
-    ProtocolError on bad magic, unknown type or a payload length the type forbids."""
-    magic, raw_type, *fields, payload_len = _HEADER.unpack_from(view, 0)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic {bytes(magic)!r}")
-    try:
-        msg_type = MsgType(raw_type)
-    except ValueError:
-        raise ProtocolError(f"unknown msg_type {raw_type}") from None
-    if payload_len > max_payload:
-        raise ProtocolError(f"payload_len {payload_len} exceeds max {max_payload}")
-    if msg_type not in _PAYLOAD_TYPES and payload_len != 0:
-        raise ProtocolError(f"{msg_type.name} frame with nonzero payload_len {payload_len}")
-    return msg_type, *fields, payload_len
-
-
-def payload_length(
-    header: bytes | bytearray | memoryview, max_payload: int = DEFAULT_MAX_PAYLOAD
-) -> int:
-    """Validate a frame's HEADER_LEN-byte header; the payload length it announces."""
-    return _unpack_header(memoryview(header), max_payload)[-1]
-
-
-def try_decode(
-    buf: bytes | bytearray | memoryview, max_payload: int = DEFAULT_MAX_PAYLOAD
-) -> tuple[Frame | None, int]:
-    """Decode one frame from the head of ``buf``.
-
-    Returns (frame, bytes_consumed) on success, or (None, bytes_still_needed)
-    when the buffer holds only part of a frame. Raises ProtocolError on bad
-    magic, unknown message type, or an oversized payload length. The frame's
-    payload is a read-only view of ``buf``.
-    """
-    view = memoryview(buf).toreadonly()
-    if len(view) < HEADER_LEN:
-        return None, HEADER_LEN - len(view)
-    msg_type, iteration, rank, layer, sl, payload_len = _unpack_header(view, max_payload)
-    total = HEADER_LEN + payload_len
-    if len(view) < total:
-        return None, total - len(view)
-    frame = Frame(
-        msg_type=msg_type,
-        iteration=iteration,
-        worker_rank=rank,
-        layer_index=layer,
-        slice_index=sl,
-        payload=view[HEADER_LEN:total],
-    )
-    return frame, total
-
-
-@dataclass
+@dataclass(frozen=True)
 class FrameDecoder:
-    """Incremental decoder: feed arbitrary byte chunks, get whole frames out.
+    """Stateless frame decoder; raises ProtocolError on bad magic, an unknown
+    message type, a payload length the type forbids or a truncated frame.
 
-    Whole frames are decoded in place from the buffer they arrive in; only
-    an incomplete tail is copied, to be joined with the next chunk. A fed
-    buffer backs the payloads decoded from it and must not be reused.
+    ``feed`` keeps its name and its list return because the benchmark's probes
+    wrap ``FrameDecoder.feed`` and count the frames it returns.
     """
 
     max_payload: int = DEFAULT_MAX_PAYLOAD
-    _buf: bytearray = field(default_factory=bytearray)
 
-    def feed(self, data: bytes | bytearray | memoryview) -> list[Frame]:
-        if self._buf:
-            self._buf += data
-            data, self._buf = self._buf, bytearray()
-        view = memoryview(data)
+    def _fields(self, buf: bytes | bytearray | memoryview, pos: int) -> tuple:
+        """The fields of the header at ``buf[pos:]`` after the magic, the type as MsgType."""
+        if len(buf) - pos < HEADER_LEN:
+            missing = HEADER_LEN - len(buf) + pos
+            raise ProtocolError(f"truncated frame header: {missing} bytes missing")
+        magic, raw_type, *fields, payload_len = _HEADER.unpack_from(buf, pos)
+        if magic != MAGIC:
+            raise ProtocolError(f"bad magic {bytes(magic)!r}")
+        try:
+            msg_type = MsgType(raw_type)
+        except ValueError:
+            raise ProtocolError(f"unknown msg_type {raw_type}") from None
+        if payload_len > self.max_payload:
+            raise ProtocolError(f"payload_len {payload_len} exceeds max {self.max_payload}")
+        if msg_type not in _PAYLOAD_TYPES and payload_len != 0:
+            raise ProtocolError(f"{msg_type.name} frame with nonzero payload_len {payload_len}")
+        return msg_type, *fields, payload_len
+
+    def header(self, buf: bytes | bytearray | memoryview) -> int:
+        """Validate a frame's HEADER_LEN-byte header; the payload length it announces."""
+        return self._fields(buf, 0)[-1]
+
+    def feed(self, buf: bytes | bytearray | memoryview) -> list[Frame]:
+        """The frames held back to back in ``buf``, which must end with a whole frame."""
+        view = memoryview(buf).toreadonly()
         frames = []
         pos = 0
-        while True:
-            frame, n = try_decode(view[pos:], self.max_payload)
-            if frame is None:
-                break
-            frames.append(frame)
-            pos += n
-        if pos < len(view):
-            self._buf = bytearray(view[pos:])
+        while pos < len(view):
+            msg_type, iteration, rank, layer, sl, payload_len = self._fields(view, pos)
+            start = pos + HEADER_LEN
+            pos = start + payload_len
+            if pos > len(view):
+                missing = pos - len(view)
+                raise ProtocolError(f"truncated {msg_type.name} frame: {missing} bytes missing")
+            frames.append(Frame(msg_type, iteration, rank, layer, sl, view[start:pos]))
         return frames
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buf)

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from .metrics import IN, OUT, NetCounters
-from .proto import HEADER_LEN, Frame, FrameDecoder, encode_frame, payload_length
+from .proto import HEADER_LEN, Frame, FrameDecoder, encode_frame
 
 DEFAULT_BURST_BYTES = 50 * 1024
 SEND_CHUNK = 16 * 1024
@@ -124,7 +124,7 @@ class FrameConnection:
         if got < HEADER_LEN:
             raise ConnectionError(f"EOF with {got} undecoded bytes")
         buf = header
-        size = payload_length(header, self._decoder.max_payload)
+        size = self._decoder.header(header)
         if size:
             # np.empty: the payload is read over it at once, so zero-filling is waste
             buf = memoryview(np.empty(HEADER_LEN + size, dtype=np.uint8))

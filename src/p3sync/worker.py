@@ -50,8 +50,6 @@ class IterationRecord:
     start: float
     fwd_spans: list[tuple[float, float]] = field(default_factory=list)
     bwd_spans: list[tuple[float, float]] = field(default_factory=list)
-    wall_ms: float = 0.0
-    sync_end: float | None = None
 
 
 class TrainingWorker:
@@ -73,7 +71,8 @@ class TrainingWorker:
             l.index: plan.slices_of_layer(l.index) for l in profile.layers
         }
         self._recv_seen: dict[int, set[SliceKey]] = {l: set() for l in range(self.num_layers)}
-        self.sync_end_times: dict[int, float] = {}
+        # when the last layer of the latest iteration finished syncing
+        self.last_sync_end: float | None = None
         self.records: list[IterationRecord] = []
 
         self.counters = NetCounters()
@@ -214,7 +213,7 @@ class TrainingWorker:
                 seen.clear()
                 self.flags[layer] = frame.iteration + 1
                 if min(self.flags) == frame.iteration + 1:
-                    self.sync_end_times[frame.iteration] = time.monotonic()
+                    self.last_sync_end = time.monotonic()
                 self._flag_cond.notify_all()
 
     # -- compute loop ------------------------------------------------------
@@ -301,14 +300,6 @@ class TrainingWorker:
         for t in self._threads:
             if t.name.startswith("recv"):
                 t.join(timeout=self.cfg.deadlock_timeout)
-        # iteration wall times: period between forward-pass starts; the last
-        # iteration ends when its synchronization drains
-        starts = [r.start for r in self.records]
-        final_end = self.sync_end_times.get(self.cfg.iterations - 1, time.monotonic())
-        for i, rec in enumerate(self.records):
-            end = starts[i + 1] if i + 1 < len(starts) else final_end
-            rec.wall_ms = (end - rec.start) * 1000.0
-            rec.sync_end = self.sync_end_times.get(i)
 
     # -- outputs -----------------------------------------------------------
 
@@ -326,10 +317,16 @@ class TrainingWorker:
         outdir = Path(outdir)
         rank = self.cfg.rank
         write_text(outdir / f"net_util_worker{rank}.csv", samples_to_csv(self.counters.samples()))
-        starts_ms = [(r.start - self.counters.t0) * 1000.0 for r in self.records]
+        # an iteration's wall is the period between forward-pass starts; the
+        # last iteration ends when its synchronization drains
+        starts = [r.start for r in self.records]
+        ends = starts[1:] + [self.last_sync_end]
         write_text(
             outdir / f"throughput_worker{rank}.csv",
-            iterations_to_csv([r.wall_ms for r in self.records], starts_ms),
+            iterations_to_csv(
+                [(e - s) * 1000.0 for s, e in zip(starts, ends)],
+                [(s - self.counters.t0) * 1000.0 for s in starts],
+            ),
         )
         write_text(outdir / f"digest_worker{rank}.txt", f"{digest:016x}\n")
         if rank == 0:

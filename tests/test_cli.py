@@ -241,7 +241,14 @@ def test_bench_rejects_slice_larger_than_a_frame_before_spawning(tmp_path, capsy
 
 
 @pytest.mark.parametrize(
-    "field,value", [("num_workers", 0), ("timeout", 0.0), ("skip_iterations", -1)]
+    "field,value",
+    [
+        ("num_workers", 0),
+        ("timeout", 0.0),
+        ("skip_iterations", -1),
+        ("batch_size", 0),
+        ("num_servers", -1),
+    ],
 )
 def test_run_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
@@ -264,29 +271,33 @@ def test_server_that_exits_before_ready_is_a_child_failure(tmp_path, monkeypatch
 def test_bench_names_the_child_that_failed(tmp_path, capsys, spawned):
     import threading
 
-    outdir = tmp_path / "run"
-    args = [
-        "bench", "--profile", "toy3", "--num-workers", "2", "--num-servers", "1",
-        "--iterations", "100000", "--timeout", "60", "--output-dir", str(outdir),
-    ]
-    result = []
-    bench = threading.Thread(target=lambda: result.append(main(args)))
-    t0 = time.monotonic()
-    bench.start()
-    while len(spawned) < 3 and bench.is_alive() and time.monotonic() - t0 < 15:
-        time.sleep(0.05)
-    assert len(spawned) == 3  # one server, two workers
-    time.sleep(2.0)  # a worker starts and connects in well under a second
-    spawned[2].kill()  # worker 1
-    bench.join(timeout=30)
-    assert not bench.is_alive()
-    err = capsys.readouterr().err
-    assert result == [EXIT_PROTOCOL]
-    assert time.monotonic() - t0 < 30
-    line = next(l for l in err.splitlines() if l.startswith("bench failed: "))
-    assert re.search(r"\((server|worker)\d+\.log\)", line), line
-    assert "--" not in line
-    assert [p for p in spawned if p.poll() is None] == []
+    # a killed worker makes the server exit 2; a server killed by a signal
+    # (the bench waits for it first) is a lost peer, 2 as well
+    for victim, log in ((2, "worker1"), (0, "server0")):
+        first = len(spawned)
+        args = [
+            "bench", "--profile", "toy3", "--num-workers", "2", "--num-servers", "1",
+            "--iterations", "100000", "--timeout", "60", "--output-dir", str(tmp_path / log),
+        ]
+        result = []
+        bench = threading.Thread(target=lambda: result.append(main(args)))
+        t0 = time.monotonic()
+        bench.start()
+        while len(spawned) < first + 3 and bench.is_alive() and time.monotonic() - t0 < 15:
+            time.sleep(0.05)
+        assert len(spawned) == first + 3  # one server, two workers
+        time.sleep(2.0)  # a worker starts and connects in well under a second
+        spawned[first + victim].kill()
+        bench.join(timeout=30)
+        assert not bench.is_alive()
+        err = capsys.readouterr().err
+        assert result == [EXIT_PROTOCOL]
+        assert time.monotonic() - t0 < 30
+        line = next(l for l in err.splitlines() if l.startswith("bench failed: "))
+        assert re.search(r"\((server|worker)\d+\.log\)", line), line
+        assert "--" not in line
+        assert [p for p in spawned if p.poll() is None] == []
+    assert line == "bench failed: server (server0.log) was killed by SIGKILL"
 
 
 def test_worker_without_server_times_out(tmp_path):

@@ -15,7 +15,6 @@ from p3sync.proto import (
     ProtocolError,
     encode_frame,
     pack_f32,
-    try_decode,
 )
 
 
@@ -78,41 +77,35 @@ def test_field_offsets_little_endian():
     assert struct.unpack_from("<I", data, 23)[0] == 4
 
 
-def test_truncated_header_reports_needed():
-    data = encode_frame(Frame(msg_type=MsgType.HELLO))
-    frame, needed = try_decode(data[:10])
-    assert frame is None and needed == HEADER_LEN - 10
+DECODER = FrameDecoder()
 
 
-def test_truncated_payload_reports_needed():
-    data = encode_frame(Frame(msg_type=MsgType.PUSH, payload=pack_f32(np.zeros(4, np.float32))))
-    frame, needed = try_decode(data[:-3])
-    assert frame is None and needed == 3
+def refused(data: bytes, match: str) -> None:
+    """Both the header check and the frame decode refuse ``data``."""
+    with pytest.raises(ProtocolError, match=match):
+        DECODER.header(data[:HEADER_LEN])
+    with pytest.raises(ProtocolError, match=match):
+        DECODER.feed(data)
 
 
 def test_bad_magic():
-    data = b"XXXX" + encode_frame(Frame(msg_type=MsgType.HELLO))[4:]
-    with pytest.raises(ProtocolError, match="magic"):
-        try_decode(data)
+    refused(b"XXXX" + encode_frame(Frame(msg_type=MsgType.HELLO))[4:], "magic")
 
 
 def test_unknown_msg_type():
     data = bytearray(encode_frame(Frame(msg_type=MsgType.HELLO)))
     data[4] = 99
-    with pytest.raises(ProtocolError, match="msg_type"):
-        try_decode(bytes(data))
+    refused(bytes(data), "msg_type")
 
 
 def test_oversize_payload_rejected():
     header = struct.pack("<4sBQHIII", MAGIC, int(MsgType.PUSH), 0, 0, 0, 0, DEFAULT_MAX_PAYLOAD + 4)
-    with pytest.raises(ProtocolError, match="exceeds"):
-        try_decode(header)
+    refused(header, "exceeds")
 
 
 def test_nonzero_payload_on_control_frame_rejected():
     header = struct.pack("<4sBQHIII", MAGIC, int(MsgType.PULL), 0, 0, 0, 0, 4)
-    with pytest.raises(ProtocolError, match="nonzero payload"):
-        try_decode(header + b"\x00" * 4)
+    refused(header + b"\x00" * 4, "nonzero payload")
 
 
 def test_encode_rejects_payload_on_control_frame():
@@ -124,34 +117,34 @@ def test_encode_rejects_payload_on_control_frame():
 @given(frame_strategy())
 def test_roundtrip(frame):
     data = encode_frame(frame)
-    decoded, consumed = try_decode(data)
-    assert consumed == len(data)
-    assert decoded == frame
+    assert DECODER.header(data[:HEADER_LEN]) == len(data) - HEADER_LEN
+    assert DECODER.feed(data) == [frame]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(frame_strategy(), min_size=0, max_size=6), st.data())
-def test_stream_split_safety(frames, data):
+@given(st.lists(frame_strategy(), min_size=0, max_size=6))
+def test_concatenated_frames_decode_equal_in_one_feed(frames):
     blob = b"".join(encode_frame(f) for f in frames)
-    # arbitrary chunking must produce the same frame sequence as one shot
-    decoder = FrameDecoder()
-    out = []
-    pos = 0
-    while pos < len(blob):
-        cut = data.draw(st.integers(1, len(blob) - pos))
-        out.extend(decoder.feed(blob[pos : pos + cut]))
-        pos += cut
-    assert out == list(frames)
-    assert decoder.pending_bytes == 0
+    assert DECODER.feed(blob) == frames
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(frame_strategy(), min_size=1, max_size=6), st.data())
+def test_cut_inside_the_last_frame_is_refused(frames, data):
+    # the decoder holds no partial frame: a buffer that ends inside a frame is
+    # refused, with the count of bytes missing
+    encoded = [encode_frame(f) for f in frames]
+    cut = data.draw(st.integers(1, len(encoded[-1]) - 1))
+    kept = len(encoded[-1]) - cut
+    missing = HEADER_LEN - kept if kept < HEADER_LEN else cut
+    with pytest.raises(ProtocolError, match=f"truncated .*: {missing} bytes missing"):
+        DECODER.feed(b"".join(encoded)[:-cut])
 
 
 def test_two_concatenated_frames_decode_in_order():
     a = Frame(msg_type=MsgType.PUSH, layer_index=1, payload=pack_f32(np.ones(2, np.float32)))
     b = Frame(msg_type=MsgType.FIN, worker_rank=3)
-    blob = encode_frame(a) + encode_frame(b)
-    fa, used = try_decode(blob)
-    fb, used2 = try_decode(blob[used:])
-    assert (fa, fb) == (a, b) and used + used2 == len(blob)
+    assert DECODER.feed(encode_frame(a) + encode_frame(b)) == [a, b]
 
 
 def test_payload_f32_view():
