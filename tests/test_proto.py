@@ -141,6 +141,18 @@ def test_cut_inside_the_last_frame_is_refused(frames, data):
         DECODER.feed(b"".join(encoded)[:-cut])
 
 
+def test_truncated_header_reports_needed():
+    data = encode_frame(Frame(msg_type=MsgType.HELLO))
+    with pytest.raises(ProtocolError, match=f"truncated frame header: {HEADER_LEN - 10} bytes missing"):
+        DECODER.feed(data[:10])
+
+
+def test_truncated_payload_reports_needed():
+    data = encode_frame(Frame(msg_type=MsgType.PUSH, payload=pack_f32(np.zeros(4, np.float32))))
+    with pytest.raises(ProtocolError, match="truncated PUSH frame: 3 bytes missing"):
+        DECODER.feed(data[:-3])
+
+
 def test_two_concatenated_frames_decode_in_order():
     a = Frame(msg_type=MsgType.PUSH, layer_index=1, payload=pack_f32(np.ones(2, np.float32)))
     b = Frame(msg_type=MsgType.FIN, worker_rank=3)
