@@ -20,7 +20,6 @@ OUT = "out"
 
 BIN_MS = 10
 IDLE_THRESHOLD_BYTES = 4096  # per sample: an interval moving less counts as idle
-DEFAULT_SKIP_ITERATIONS = 5
 
 
 @dataclass(frozen=True)
@@ -120,9 +119,7 @@ def idle_fraction(samples: list[Sample], threshold_bytes_per_sample: int) -> flo
     return idle / len(window)
 
 
-def measurement_window(
-    iteration_wall_ms: list[float], skip_iterations: int = DEFAULT_SKIP_ITERATIONS
-) -> float:
+def measurement_window(iteration_wall_ms: list[float], skip_iterations: int) -> float:
     """Seconds spanned by the iterations after the first ``skip_iterations``."""
     measured = iteration_wall_ms[skip_iterations:]
     if not measured:
@@ -136,11 +133,10 @@ def measurement_window(
     return window_s
 
 
-def iterations_to_csv(iteration_wall_ms: list[float], start_ms: list[float] | None = None) -> str:
-    starts = start_ms if start_ms is not None else [0.0] * len(iteration_wall_ms)
+def iterations_to_csv(iteration_wall_ms: list[float], start_ms: list[float]) -> str:
     buf = io.StringIO()
     buf.write("iteration,wall_ms,start_ms\n")
-    for i, (ms, s) in enumerate(zip(iteration_wall_ms, starts)):
+    for i, (ms, s) in enumerate(zip(iteration_wall_ms, start_ms)):
         buf.write(f"{i},{ms:.3f},{s:.3f}\n")
     return buf.getvalue()
 

@@ -20,7 +20,7 @@ from .metrics import NetCounters
 from .plan import P3_MODE, SliceKey, Slice, SlicePlan, plan_fingerprint
 from .proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
 from .queues import FrameQueue
-from .transport import FrameConnection, TokenBucket, listen
+from .transport import Crew, FrameConnection, TokenBucket, listen
 
 
 @dataclass
@@ -103,60 +103,26 @@ class ServerEngine:
         }
         self.counters = NetCounters()
         self._bucket = TokenBucket(throttle_rate) if throttle_rate else None
-        self.inbox = FrameQueue(priority_mode=self.p3)
-        self._conns: list[FrameConnection] = []  # every accepted one, with or without a HELLO
+        self.crew = Crew()
+        self.inbox = self.crew.closing(FrameQueue(priority_mode=self.p3))
         self._outboxes: dict[int, FrameQueue] = {}
-        self._threads: list[threading.Thread] = []
         self._fins = 0
         self._lock = threading.Lock()
-        self._errors: list[BaseException] = []
-        self._stopping = threading.Event()
-        self._listener = listen(host, port)
+        self._listener = self.crew.closing(listen(host, port))
         self.addr = self._listener.getsockname()
 
     # -- thread bodies -------------------------------------------------
 
-    def _guard(self, fn, *args):
-        try:
-            fn(*args)
-        except BaseException as exc:  # noqa: BLE001 - recorded and re-raised in run()
-            self._abort(exc)
-
-    def _abort(self, exc: BaseException) -> None:
-        if self._stopping.is_set():
-            return
-        self._errors.append(exc)
-        self._stopping.set()
-        self.inbox.close()
-        with self._lock:
-            outboxes = list(self._outboxes.values())
-            conns = list(self._conns)
-        for ob in outboxes:
-            ob.close()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        for conn in conns:
-            conn.close()
-
-    def _spawn(self, name, fn, *args):
-        t = threading.Thread(target=self._guard, args=(fn, *args), name=name, daemon=True)
-        t.start()
-        self._threads.append(t)
-
     def _accept_loop(self) -> None:
         accepted = 0
         self._listener.settimeout(1.0)
-        while accepted < self.num_workers and not self._stopping.is_set():
+        while accepted < self.num_workers and not self.crew.stopped:
             try:
                 sock, _ = self._listener.accept()
             except TimeoutError:
                 continue
             conn = FrameConnection(sock, counters=self.counters, bucket=self._bucket)
-            with self._lock:
-                self._conns.append(conn)
-            self._spawn(f"reader-{accepted}", self._reader, conn)
+            self.crew.spawn(f"reader-{accepted}", self._reader, self.crew.closing(conn))
             accepted += 1
 
     def _register(self, conn: FrameConnection, rank: int, fingerprint: int) -> None:
@@ -170,9 +136,8 @@ class ServerEngine:
                 raise ProtocolError(f"HELLO from out-of-range rank {rank}")
             if rank in self._outboxes:
                 raise ProtocolError(f"duplicate HELLO from rank {rank}")
-            outbox = FrameQueue(priority_mode=self.p3)
-            self._outboxes[rank] = outbox
-            self._spawn(f"sender-{rank}", outbox.drain, conn.send_frame, self.poll_timeout * 2)
+            outbox = self._outboxes[rank] = self.crew.closing(FrameQueue(priority_mode=self.p3))
+            self.crew.spawn(f"sender-{rank}", outbox.drain, conn.send_frame, self.poll_timeout * 2)
 
     def _reader(self, conn: FrameConnection) -> None:
         """Queue one worker's frames; its HELLO binds the connection to the rank it names."""
@@ -181,7 +146,7 @@ class ServerEngine:
         while True:
             frame = conn.recv_frame(timeout=self.poll_timeout * 2)
             if frame is None:
-                if not fin_seen and not self._stopping.is_set():
+                if not fin_seen and not self.crew.stopped:
                     raise ConnectionError("worker hung up before FIN")
                 return
             kind = frame.msg_type
@@ -246,27 +211,14 @@ class ServerEngine:
     # -- lifecycle -----------------------------------------------------
 
     def run(self) -> None:
-        """Serve until every worker has sent FIN; raises the first internal error."""
-        self._spawn("acceptor", self._accept_loop)
-        consumer = threading.Thread(
-            target=self._guard, args=(self._consumer,), name="consumer", daemon=True
-        )
-        consumer.start()
-        consumer.join()
-        for t in self._threads:
-            t.join(timeout=self.poll_timeout)
-        self.close()
-        if self._errors:
-            raise self._errors[0]
-
-    def close(self) -> None:
-        self._stopping.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        for conn in self._conns:
-            conn.close()
+        """Serve until every worker has sent FIN and hung up; raises the crew's first error."""
+        self.crew.spawn("acceptor", self._accept_loop)
+        self.crew.spawn("consumer", self._consumer)
+        # no deadline: a stalled wait in any of these threads times out and stops the crew
+        self.crew.join(None)
+        self.crew.stop()
+        if self.crew.error is not None:
+            raise self.crew.error
 
     def digests_csv(self) -> str:
         buf = io.StringIO()

@@ -1,4 +1,4 @@
-"""Socket plumbing shared by workers and servers: shaping, counting, framing.
+"""Plumbing shared by workers and servers: shaping, counting, framing, threads.
 
 A shaped process owns one outbound TokenBucket and hands it to every
 FrameConnection it opens, so all sends drain it together, emulating an
@@ -143,6 +143,64 @@ class FrameConnection:
             except OSError:
                 pass
             self.sock.close()
+
+
+class Crew:
+    """The threads of one run, and the one rule by which they stop.
+
+    The first error wins: the first thread to fail, or the first ``stop(exc)``,
+    stops the crew, and an error that arrives after the stop is dropped as its
+    echo. Stopping closes everything registered with ``closing``, each once; a
+    resource registered after the stop is closed on arrival, so nothing opened
+    late outlives the stop. ``join`` waits for every thread, those started
+    while it waits too, against one deadline.
+    """
+
+    def __init__(self) -> None:
+        self.threads: list[threading.Thread] = []
+        self.error: BaseException | None = None
+        self.stopped = False
+        self._open: list = []
+        self._lock = threading.Lock()
+
+    def spawn(self, name: str, fn, *args) -> None:
+        """Run ``fn(*args)`` on a daemon thread; an error in it stops the crew."""
+        t = threading.Thread(target=self._run, args=(fn, *args), name=name, daemon=True)
+        t.start()
+        self.threads.append(t)
+
+    def _run(self, fn, *args) -> None:
+        try:
+            fn(*args)
+        except BaseException as exc:  # noqa: BLE001 - kept in self.error
+            self.stop(exc)
+
+    def closing(self, x):
+        """Have ``x.close()`` called on stop, or now if the crew has stopped; returns ``x``."""
+        with self._lock:
+            if not self.stopped:
+                self._open.append(x)
+                return x
+        x.close()
+        return x
+
+    def stop(self, exc: BaseException | None = None) -> None:
+        """Stop the crew, keeping ``exc`` if no stop came first, and close what is registered."""
+        with self._lock:
+            if self.stopped:
+                return
+            self.stopped = True
+            self.error = exc
+            resources, self._open = self._open, []
+        for x in resources:
+            x.close()
+
+    def join(self, timeout: float | None) -> None:
+        """Wait for every thread until ``timeout`` seconds from now, or for good if None."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        # a list iterator sees the items appended while it runs
+        for t in self.threads:
+            t.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
 
 
 def listen(host: str, port: int) -> socket.socket:

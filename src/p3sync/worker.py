@@ -3,7 +3,8 @@
 The worker sleeps for each layer's declared forward/backward duration,
 produces deterministic gradients, and pushes them to the parameter servers.
 Outgoing frames are routed by their slice's server to an outbox; one sender
-thread per outbox polls it and sends each frame on its server's connection.
+thread per outbox polls it, sends each frame on its server's connection and,
+once the run is done, ends those connections with FIN.
 In p3 mode every server maps to a single priority outbox, which a layer's
 slices enter atomically, so the most urgent slice goes next; in baseline mode
 each server has its own FIFO outbox, filled in generation order, and updated
@@ -22,6 +23,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .model import ModelProfile
 from .plan import P3_MODE, SliceKey, SlicePlan, plan_fingerprint
 from .proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
 from .queues import DeadlockError, FrameQueue
-from .transport import FrameConnection, TokenBucket, connect_with_retry
+from .transport import Crew, FrameConnection, TokenBucket, connect_with_retry
 
 DEFAULT_DEADLOCK_TIMEOUT = 60.0
 
@@ -84,39 +86,22 @@ class TrainingWorker:
         else:
             self.outboxes = {s: FrameQueue(priority_mode=False) for s in servers}
         self._conns: dict[int, FrameConnection] = {}
-        self._threads: list[threading.Thread] = []
-        self._errors: list[BaseException] = []
-        self._stopping = threading.Event()
+        self.crew = Crew()
+        for q in self._all_outboxes():
+            self.crew.closing(q)
+        # a stop wakes the compute loop out of _wait_layer
+        self.crew.closing(SimpleNamespace(close=self._wake))
         self._finished = threading.Event()
         self._sleep_debt = 0.0
 
     # -- plumbing --------------------------------------------------------
 
-    def _guard(self, fn, *args):
-        try:
-            fn(*args)
-        except BaseException as exc:  # noqa: BLE001 - surfaced from run()
-            self._abort(exc)
-
-    def _abort(self, exc: BaseException) -> None:
-        if self._stopping.is_set():
-            return
-        self._errors.append(exc)
-        self._stopping.set()
-        for q in self._all_outboxes():
-            q.close()
-        for conn in self._conns.values():
-            conn.close()
-        with self._flag_cond:
-            self._flag_cond.notify_all()
-
     def _all_outboxes(self) -> list[FrameQueue]:
         return list(dict.fromkeys(self.outboxes.values()))
 
-    def _spawn(self, name: str, fn, *args) -> None:
-        t = threading.Thread(target=self._guard, args=(fn, *args), name=name, daemon=True)
-        t.start()
-        self._threads.append(t)
+    def _wake(self) -> None:
+        with self._flag_cond:
+            self._flag_cond.notify_all()
 
     def _connect_all(self) -> None:
         # HELLO's iteration field carries the plan fingerprint, for the server to
@@ -127,11 +112,12 @@ class TrainingWorker:
         for srank, (host, port) in enumerate(self.cfg.servers):
             sock = connect_with_retry(host, port, self.cfg.deadlock_timeout)
             conn = FrameConnection(sock, counters=self.counters, bucket=self._bucket)
+            self._conns[srank] = self.crew.closing(conn)
             conn.send_frame(hello)
-            self._conns[srank] = conn
-            self._spawn(f"recv-{srank}", self._receiver, conn)
+            self.crew.spawn(f"recv-{srank}", self._receiver, conn)
         for i, outbox in enumerate(self._all_outboxes()):
-            self._spawn(f"sender-{i}", outbox.drain, self._send, self.cfg.deadlock_timeout * 2)
+            conns = [self._conns[s] for s, q in self.outboxes.items() if q is outbox]
+            self.crew.spawn(f"sender-{i}", self._sender, outbox, conns)
 
     # -- send path ---------------------------------------------------------
 
@@ -145,6 +131,14 @@ class TrainingWorker:
             batches.setdefault(self.outboxes[sl.server], []).append(frame)
         for outbox, frames in batches.items():
             outbox.put_batch(frames)
+
+    def _sender(self, outbox: FrameQueue, conns: list[FrameConnection]) -> None:
+        """Send ``outbox`` until it closes; at a clean finish, end each connection with FIN."""
+        outbox.drain(self._send, self.cfg.deadlock_timeout * 2)
+        if self._finished.is_set():
+            for conn in conns:
+                conn.send_frame(Frame(msg_type=MsgType.FIN, worker_rank=self.cfg.rank))
+                conn.close()
 
     def _send(self, frame: Frame) -> None:
         sl = self.slice_info[SliceKey(frame.layer_index, frame.slice_index)]
@@ -162,11 +156,11 @@ class TrainingWorker:
             try:
                 frame = conn.recv_frame(timeout=self.cfg.deadlock_timeout * 2)
             except OSError:
-                if self._finished.is_set() or self._stopping.is_set():
+                if self._finished.is_set() or self.crew.stopped:
                     return
                 raise
             if frame is None:
-                if not self._finished.is_set() and not self._stopping.is_set():
+                if not self._finished.is_set() and not self.crew.stopped:
                     raise ConnectionError("server hung up before the run finished")
                 return
             self._apply(frame)
@@ -218,19 +212,16 @@ class TrainingWorker:
 
     # -- compute loop ------------------------------------------------------
 
-    def _check_errors(self) -> None:
-        if self._errors:
-            raise self._errors[0]
-
     def _wait_layer(self, layer: int, iteration: int) -> None:
         deadline = time.monotonic() + self.cfg.deadlock_timeout
         with self._flag_cond:
-            while self.flags[layer] < iteration and not self._errors:
+            while self.flags[layer] < iteration and not self.crew.stopped:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise DeadlockError(self._deadlock_dump(iteration))
                 self._flag_cond.wait(min(remaining, 1.0))
-        self._check_errors()
+        if self.crew.stopped:
+            raise self.crew.error
 
     def _wait_all(self, iteration: int) -> None:
         for layer in range(self.num_layers):
@@ -273,33 +264,21 @@ class TrainingWorker:
         return rec
 
     def run(self) -> None:
+        """Train, then wait for every thread; raises the crew's first error."""
         try:
             self._connect_all()
             for k in range(self.cfg.iterations):
                 self.run_iteration(k)
-                self._check_errors()
             self._wait_all(self.cfg.iterations)
             self._finished.set()
-            self._shutdown_clean()
+            for q in self._all_outboxes():
+                q.close()
         except BaseException as exc:
-            self._abort(exc)
-            # the first error is the cause; a later one (a closed outbox) is its echo
-            raise self._errors[0] from None
-        self._check_errors()
-
-    def _shutdown_clean(self) -> None:
-        for q in self._all_outboxes():
-            q.close()
-        for t in self._threads:
-            if t.name.startswith("sender"):
-                t.join(timeout=self.cfg.deadlock_timeout)
-        for conn in self._conns.values():
-            conn.send_frame(Frame(msg_type=MsgType.FIN, worker_rank=self.cfg.rank))
-        for conn in self._conns.values():
-            conn.close()
-        for t in self._threads:
-            if t.name.startswith("recv"):
-                t.join(timeout=self.cfg.deadlock_timeout)
+            self.crew.stop(exc)
+        self.crew.join(self.cfg.deadlock_timeout)
+        self.crew.stop()
+        if self.crew.error is not None:
+            raise self.crew.error
 
     # -- outputs -----------------------------------------------------------
 

@@ -10,6 +10,7 @@ from p3sync.metrics import (
     NetCounters,
     Sample,
     idle_fraction,
+    iteration_starts_from_csv,
     iterations_from_csv,
     iterations_to_csv,
     measurement_window,
@@ -168,5 +169,7 @@ def test_throughput_zero_window_rejected():
 def test_csv_roundtrips():
     samples = mk_samples([5, 10, 0])
     assert samples_from_csv(samples_to_csv(samples)) == samples
-    walls = [10.5, 20.25, 30.125]
-    assert iterations_from_csv(iterations_to_csv(walls)) == walls
+    walls, starts = [10.5, 20.25, 30.125], [0.0, 10.5, 30.75]
+    text = iterations_to_csv(walls, starts)
+    assert iterations_from_csv(text) == walls
+    assert iteration_starts_from_csv(text) == starts

@@ -85,7 +85,7 @@ def run_topology(
         assert not t.is_alive(), "server thread hung"
     if failures:
         raise failures[0]
-    leftover = [t.name for x in (*workers, *engines) for t in x._threads if t.is_alive()]
+    leftover = [t.name for x in (*workers, *engines) for t in x.crew.threads if t.is_alive()]
     assert leftover == [], f"threads left running: {leftover}"
     return workers, engines
 
@@ -168,7 +168,7 @@ def test_cross_mode_equality_toy3_four_workers():
 def test_worker_threads_are_one_receiver_per_server_and_the_senders(mode, names):
     # each receiver applies what it reads: no applier thread, no receive queue
     workers, _ = run_topology(mode, small_profile(), 1, 2, iterations=1)
-    assert sorted(t.name for t in workers[0]._threads) == names
+    assert sorted(t.name for t in workers[0].crew.threads) == names
 
 
 def test_phase_timestamps_ordered(tmp_path):
@@ -279,7 +279,7 @@ def server_error(plan, num_workers, frames):
         conn.close()
     assert not server.is_alive(), "server did not stop"
     assert time.monotonic() - t0 < 5.0
-    assert [t.name for t in engine._threads if t.is_alive()] == []
+    assert [t.name for t in engine.crew.threads if t.is_alive()] == []
     assert len(errors) == 1
     return errors[0]
 
@@ -337,13 +337,54 @@ def test_failed_connect_stops_every_worker_thread():
     with pytest.raises(TimeoutError, match="127.0.0.1:1 unreachable for 1.0s"):
         worker.run()
     assert time.monotonic() - t0 < 5.0
-    assert [t.name for t in worker._threads] == ["recv-0"]
-    for t in [*worker._threads, server]:
+    assert [t.name for t in worker.crew.threads] == ["recv-0"]
+    for t in [*worker.crew.threads, server]:
         t.join(timeout=5.0)
-    assert [t.name for t in [*worker._threads, server] if t.is_alive()] == []
-    assert [t.name for t in engine._threads if t.is_alive()] == []
+    assert [t.name for t in [*worker.crew.threads, server] if t.is_alive()] == []
+    assert [t.name for t in engine.crew.threads if t.is_alive()] == []
     # the server saw its worker hang up before FIN
     assert len(errors) == 1 and isinstance(errors[0], ConnectionError)
+
+
+def test_connection_opened_after_a_failure_is_closed():
+    # server 0 refuses the worker's plan while the worker still waits for
+    # server 1; the connection it then opens to server 1 must not outlive the stop
+    profile = small_profile()
+    plan = make_plan(P3_MODE, profile, 2, 1000, 2000, 0)
+    other = make_plan(P3_MODE, profile, 2, 500, 2000, 0)
+    refusing = ServerEngine("127.0.0.1", 0, 0, other, num_workers=1, lr=0.1, poll_timeout=TIMEOUT)
+    servers = [serve(refusing)]
+    reserved = socket.socket()
+    reserved.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    reserved.bind(("127.0.0.1", 0))  # bound, not listening: connects are refused
+
+    def listen_late():
+        time.sleep(0.5)
+        port = reserved.getsockname()[1]
+        engine = ServerEngine("127.0.0.1", port, 1, plan, 1, lr=0.1, poll_timeout=TIMEOUT)
+        reserved.close()
+        servers.append(serve(engine))
+
+    starter = threading.Thread(target=listen_late, name="late-server")
+    starter.start()
+    cfg = WorkerConfig(
+        rank=0, servers=[refusing.addr, reserved.getsockname()], iterations=1, deadlock_timeout=TIMEOUT
+    )
+    worker = TrainingWorker(cfg, profile, plan)
+    t0 = time.monotonic()
+    with pytest.raises(ConnectionError):
+        worker.run()
+    starter.join(timeout=5.0)
+    for t in worker.crew.threads:
+        t.join(max(0.0, t0 + 5.0 - time.monotonic()))
+    assert [t.name for t in worker.crew.threads if t.is_alive()] == []
+    for server, _ in servers:
+        server.join(timeout=5.0)
+    assert [t.name for t, _ in servers if t.is_alive()] == []
+    [refused], [hung_up] = (errors for _, errors in servers)
+    assert isinstance(refused, ProtocolError) and "plan fingerprint" in str(refused)
+    # the worker did reach server 1, and left without a FIN
+    assert isinstance(hung_up, ConnectionError)
 
 
 # -- one server and two workers through the CLI, on threads of this process ----

@@ -1,7 +1,9 @@
 import socket
 import struct
+import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from p3sync.proto import (
     encode_frame,
     pack_f32,
 )
-from p3sync.transport import SEND_CHUNK, FrameConnection, TokenBucket, listen, parse_addr
+from p3sync.transport import SEND_CHUNK, Crew, FrameConnection, TokenBucket, listen, parse_addr
 
 
 def test_parse_addr():
@@ -281,3 +283,125 @@ def test_unshaped_send_is_one_write_shaped_send_pays_per_chunk():
     assert [receiver.recv_frame(timeout=5) for _ in range(2)] == [f, f]
     unshaped.close()
     receiver.close()
+
+
+# -- Crew -------------------------------------------------------------------
+
+
+class Closable:
+    def __init__(self):
+        self.closes = 0
+
+    def close(self):
+        self.closes += 1
+
+
+def test_crew_keeps_the_first_of_two_errors():
+    crew = Crew()
+    first, second = ValueError("first"), KeyError("second")
+    stopped = threading.Event()
+    crew.closing(SimpleNamespace(close=stopped.set))
+
+    def fail_after_the_stop():
+        stopped.wait(5.0)
+        raise second
+
+    def fail():
+        raise first
+
+    crew.spawn("second", fail_after_the_stop)
+    crew.spawn("first", fail)
+    crew.join(5.0)
+    assert [t.is_alive() for t in crew.threads] == [False, False]
+    assert crew.stopped and crew.error is first
+
+
+def test_crew_stop_is_idempotent():
+    crew = Crew()
+    res = crew.closing(Closable())
+    crew.stop()
+    crew.stop(RuntimeError("after the stop"))
+    crew.stop()
+    assert crew.stopped and crew.error is None
+    assert res.closes == 1
+
+
+def test_crew_closes_a_resource_registered_after_the_stop_at_once():
+    crew = Crew()
+    crew.stop(RuntimeError("boom"))
+    res = Closable()
+    assert crew.closing(res) is res
+    assert res.closes == 1
+    crew.stop()
+    assert res.closes == 1
+
+
+def test_crew_error_closes_what_was_registered():
+    crew = Crew()
+    res = crew.closing(Closable())
+    crew.spawn("failing", lambda: 1 / 0)
+    crew.join(5.0)
+    assert isinstance(crew.error, ZeroDivisionError) and res.closes == 1
+
+
+def test_crew_closes_each_resource_once_when_registering_races_the_stop():
+    # 8 threads register while 3 others stop the crew, switching every 10 us
+    crew = Crew()
+    made = [[Closable() for _ in range(300)] for _ in range(8)]
+    errors = [RuntimeError(f"stop {i}") for i in range(3)]
+    go = threading.Event()
+
+    def register(resources):
+        go.wait(5.0)
+        for res in resources:
+            crew.closing(res)
+
+    def stop(exc):
+        go.wait(5.0)
+        time.sleep(0.001)
+        crew.stop(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for i, resources in enumerate(made):
+            crew.spawn(f"register-{i}", register, resources)
+        for i, exc in enumerate(errors):
+            crew.spawn(f"stop-{i}", stop, exc)
+        go.set()
+        crew.join(10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in crew.threads)
+    assert crew.error in errors
+    assert {res.closes for resources in made for res in resources} == {1}
+
+
+def test_crew_join_takes_one_timeout_for_all_threads():
+    crew = Crew()
+    release = threading.Event()
+    for i in range(5):
+        crew.spawn(f"held-{i}", release.wait)
+    t0 = time.monotonic()
+    crew.join(0.3)
+    waited = time.monotonic() - t0
+    try:
+        assert all(t.is_alive() for t in crew.threads)
+        assert 0.25 <= waited < 0.9  # one timeout, not five (1.5 s)
+    finally:
+        release.set()
+        crew.join(5.0)
+    assert not any(t.is_alive() for t in crew.threads)
+
+
+def test_crew_join_waits_for_threads_started_while_it_waits():
+    crew = Crew()
+
+    def parent():
+        time.sleep(0.05)
+        crew.spawn("child", time.sleep, 0.2)
+
+    crew.spawn("parent", parent)
+    crew.join(5.0)
+    assert [t.name for t in crew.threads] == ["parent", "child"]
+    assert not any(t.is_alive() for t in crew.threads)
