@@ -74,43 +74,36 @@ def profile_to_dict(profile: ModelProfile) -> dict:
     }
 
 
-_REQUIRED = object()
-_JSON_TYPES = {int: "integer", bool: "boolean", str: "string"}
+_JSON_TYPES = {int: "integer", str: "string", list: "array", dict: "object"}
+_LAYER_KINDS = {"index": int, "name": str, "param_count": int, "fwd_time": int, "bwd_time": int}
 
 
-def typed_field(obj: dict, key: str, kind: type, error: type[Exception], where: str = "", default=_REQUIRED):
-    """``obj[key]``, or ``default`` when given and the key is absent.
+def typed_fields(obj: dict, kinds: dict[str, type], error: type[Exception], where: str = "") -> dict:
+    """``obj``, each key of which must name a field of ``kinds`` and hold exactly its JSON type.
 
-    The value must be exactly a JSON ``kind`` (int, bool or str), so a bool is
-    not an integer, 2.7 is not 2 and "false" is not False; any other value
-    raises ``error`` naming the field ``where + key``.
+    So a bool is not an integer and 2.7 is not 2. An unknown key or a mistyped
+    value raises ``error`` naming the field ``where + key``: a file that sets a
+    field this version does not have is refused, not read as if it were unset.
     """
-    if default is not _REQUIRED and key not in obj:
-        return default
-    value = obj[key]
-    if type(value) is not kind:
-        raise error(f"{where}{key} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
-    return value
+    if type(obj) is not dict:
+        raise error(f"{where.rstrip('.') or 'the top level'} must be a JSON object, got {obj!r}")
+    for key in obj:
+        if key not in kinds:
+            raise error(f"unknown key {where}{key}")
+        if type(obj[key]) is not kinds[key]:
+            raise error(f"{where}{key} must be a JSON {_JSON_TYPES[kinds[key]]}, got {obj[key]!r}")
+    return obj
 
 
 def profile_from_dict(obj: dict, where: str = "") -> ModelProfile:
-    """The profile in ``obj``; a mistyped field's error names it ``where`` + its path."""
+    """The profile in ``obj``; an unknown or mistyped field's error names it ``where`` + its path."""
     try:
+        top = typed_fields(obj, {"name": str, "seed": int, "layers": list}, ProfileError, where)
         layers = tuple(
-            LayerSpec(
-                name=typed_field(l, "name", str, ProfileError, f"{where}layers[{pos}]."),
-                **{
-                    f: typed_field(l, f, int, ProfileError, f"{where}layers[{pos}].")
-                    for f in ("index", "param_count", "fwd_time", "bwd_time")
-                },
-            )
-            for pos, l in enumerate(obj["layers"])
+            LayerSpec(**typed_fields(l, _LAYER_KINDS, ProfileError, f"{where}layers[{pos}]."))
+            for pos, l in enumerate(top["layers"])
         )
-        profile = ModelProfile(
-            name=typed_field(obj, "name", str, ProfileError, where),
-            seed=typed_field(obj, "seed", int, ProfileError, where),
-            layers=layers,
-        )
+        profile = ModelProfile(top["name"], top["seed"], layers)
     except (KeyError, TypeError) as exc:
         raise ProfileError(f"malformed profile object: {exc}") from exc
     profile.validate()

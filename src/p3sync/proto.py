@@ -105,16 +105,14 @@ def encode_frame(frame: Frame) -> bytes:
     return header + frame.payload
 
 
-@dataclass(frozen=True)
 class FrameDecoder:
     """Stateless frame decoder; raises ProtocolError on bad magic, an unknown
-    message type, a payload length the type forbids or a truncated frame.
+    message type, a payload length the type forbids or over DEFAULT_MAX_PAYLOAD,
+    or a truncated frame.
 
     ``feed`` keeps its name and its list return because the benchmark's probes
     wrap ``FrameDecoder.feed`` and count the frames it returns.
     """
-
-    max_payload: int = DEFAULT_MAX_PAYLOAD
 
     def _fields(self, buf: bytes | bytearray | memoryview, pos: int) -> tuple:
         """The fields of the header at ``buf[pos:]`` after the magic, the type as MsgType."""
@@ -128,8 +126,8 @@ class FrameDecoder:
             msg_type = MsgType(raw_type)
         except ValueError:
             raise ProtocolError(f"unknown msg_type {raw_type}") from None
-        if payload_len > self.max_payload:
-            raise ProtocolError(f"payload_len {payload_len} exceeds max {self.max_payload}")
+        if payload_len > DEFAULT_MAX_PAYLOAD:
+            raise ProtocolError(f"payload_len {payload_len} exceeds max {DEFAULT_MAX_PAYLOAD}")
         if msg_type not in _PAYLOAD_TYPES and payload_len != 0:
             raise ProtocolError(f"{msg_type.name} frame with nonzero payload_len {payload_len}")
         return msg_type, *fields, payload_len

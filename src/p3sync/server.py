@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import threading
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .metrics import NetCounters
 from .plan import P3_MODE, SliceKey, Slice, SlicePlan, plan_fingerprint
 from .proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
 from .queues import FrameQueue
-from .transport import Crew, FrameConnection, TokenBucket, listen
+from .transport import Crew, FrameConnection, TokenBucket, listen, shut_and_close
 
 
 @dataclass
@@ -108,22 +109,18 @@ class ServerEngine:
         self._outboxes: dict[int, FrameQueue] = {}
         self._fins = 0
         self._lock = threading.Lock()
-        self._listener = self.crew.closing(listen(host, port))
+        self._listener = listen(host, port)
         self.addr = self._listener.getsockname()
+        # close() alone would not wake the acceptor out of accept()
+        self.crew.closing(SimpleNamespace(close=lambda: shut_and_close(self._listener)))
 
     # -- thread bodies -------------------------------------------------
 
     def _accept_loop(self) -> None:
-        accepted = 0
-        self._listener.settimeout(1.0)
-        while accepted < self.num_workers and not self.crew.stopped:
-            try:
-                sock, _ = self._listener.accept()
-            except TimeoutError:
-                continue
+        for i in range(self.num_workers):
+            sock, _ = self._listener.accept()
             conn = FrameConnection(sock, counters=self.counters, bucket=self._bucket)
-            self.crew.spawn(f"reader-{accepted}", self._reader, self.crew.closing(conn))
-            accepted += 1
+            self.crew.spawn(f"reader-{i}", self._reader, self.crew.closing(conn))
 
     def _register(self, conn: FrameConnection, rank: int, fingerprint: int) -> None:
         if fingerprint != self.plan_fingerprint:

@@ -1,10 +1,10 @@
 """Deterministic discrete-event simulator of one worker/server synchronization pipeline.
 
 Four resources are modeled: an emulated compute device (forward/backward
-chains), a serial uplink, an update stage (per-key concurrent by default),
-and a serial downlink. Gradients of a layer become uplink-eligible when its
-backward step finishes; the next forward of a layer waits for all of its
-slices to complete the downlink. All times are integer ticks.
+chains), a serial uplink, an update stage, a per-slice delay, and a serial
+downlink. Gradients of a layer become uplink-eligible when its backward step
+finishes; the next forward of a layer waits for all of its slices to complete
+the downlink. All times are integer ticks.
 
 Policies:
   aggressive-coarse  -- whole layers, links serve in generation (FIFO) order
@@ -45,7 +45,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
-from .model import ModelProfile, profile_from_dict, profile_to_dict, typed_field
+from .model import ModelProfile, profile_from_dict, profile_to_dict, typed_fields
 from .plan import P3_MODE, SlicePlan, chunk_layer, validate_plan
 
 AGGRESSIVE_COARSE = "aggressive-coarse"
@@ -78,7 +78,6 @@ class Scenario:
     slice_ticks: int = 1
     num_iterations: int = 1
     per_slice_overhead: int = 0
-    serial_update: bool = False
     name: str = ""
 
     def validate(self) -> None:
@@ -108,6 +107,13 @@ class Scenario:
         ]
 
 
+_STAGE_KINDS = {"up": int, "update": int, "down": int}
+_SCENARIO_KINDS = {
+    "name": str, "policy": str, "slice_ticks": int, "num_iterations": int, "per_slice_overhead": int,
+    "profile": dict, "stages": list,
+}
+
+
 def scenario_to_dict(sc: Scenario) -> dict:
     return {
         "name": sc.name,
@@ -115,7 +121,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "slice_ticks": sc.slice_ticks,
         "num_iterations": sc.num_iterations,
         "per_slice_overhead": sc.per_slice_overhead,
-        "serial_update": sc.serial_update,
         "profile": profile_to_dict(sc.profile),
         "stages": [{"up": s.up, "update": s.update, "down": s.down} for s in sc.stages],
     }
@@ -123,20 +128,12 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 def scenario_from_dict(obj: dict) -> Scenario:
     try:
+        top = typed_fields(obj, _SCENARIO_KINDS, ScenarioError)
         stages = tuple(
-            StageCost(*(typed_field(s, f, int, ScenarioError, f"stages[{pos}].") for f in ("up", "update", "down")))
-            for pos, s in enumerate(obj["stages"])
+            StageCost(**typed_fields(s, _STAGE_KINDS, ScenarioError, f"stages[{pos}]."))
+            for pos, s in enumerate(top["stages"])
         )
-        sc = Scenario(
-            profile=profile_from_dict(obj["profile"], "profile."),
-            stages=stages,
-            policy=typed_field(obj, "policy", str, ScenarioError),
-            slice_ticks=typed_field(obj, "slice_ticks", int, ScenarioError, default=1),
-            num_iterations=typed_field(obj, "num_iterations", int, ScenarioError, default=1),
-            per_slice_overhead=typed_field(obj, "per_slice_overhead", int, ScenarioError, default=0),
-            serial_update=typed_field(obj, "serial_update", bool, ScenarioError, default=False),
-            name=typed_field(obj, "name", str, ScenarioError, default=""),
-        )
+        sc = Scenario(**{**top, "profile": profile_from_dict(top["profile"], "profile."), "stages": stages})
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
     sc.validate()
@@ -236,9 +233,6 @@ def _delays(layer0: dict[str, TimelineEntry]) -> list[int]:
 class Timeline:
     entries: list[TimelineEntry] = field(default_factory=list)
 
-    def entries_for(self, resource: str) -> list[TimelineEntry]:
-        return [e for e in self.entries if e.resource == resource]
-
     def busy_intervals(self, resource: str) -> list[tuple[int, int]]:
         return _merge([(e.start, e.end) for e in self.entries if e.resource == resource and e.end > e.start])
 
@@ -295,7 +289,6 @@ def simulate(scenario: Scenario) -> Timeline:
     up_cost = [[c.up + ovh if c.up > 0 else 0 for c in cs] for cs in costs]
     update_cost = [[c.update for c in cs] for cs in costs]
     down_cost = [[c.down + ovh if c.down > 0 else 0 for c in cs] for cs in costs]
-    serial_update = scenario.serial_update
     # a link entry's item is its iteration's prefix plus its slice's suffix
     suffix = [[f":L{l}:s{s}" for s in range(n)] for l, n in enumerate(n_slices)]
     up_item = [f"up:{k}" for k in range(n_iter)]
@@ -305,12 +298,12 @@ def simulate(scenario: Scenario) -> Timeline:
     # each serial link queues (layer, slice, iteration); a key enters a link
     # at most once, so the priority heap needs no arrival tie-break
     if scenario.policy == PRIORITY_SLICED:
-        up_q, upd_q, down_q = [], [], []
+        up_q, down_q = [], []
         push, pop = heapq.heappush, heapq.heappop
     else:
-        up_q, upd_q, down_q = deque(), deque(), deque()
+        up_q, down_q = deque(), deque()
         push, pop = deque.append, deque.popleft
-    up_busy = upd_busy = down_busy = False  # the update link is used only when serial_update
+    up_busy = down_busy = False
 
     entries: list[tuple[int, int, str, str]] = []  # TimelineEntry fields, as plain tuples
     append = entries.append
@@ -341,14 +334,10 @@ def simulate(scenario: Scenario) -> Timeline:
                     cost = update_cost[l][s]
                     if cost == 0:
                         heappush(events, (t, _UPDATE_DONE, k, l, s))
-                    elif serial_update:
-                        push(upd_q, (l, s, k))
                     else:
                         append((t, t + cost, UPDATE, upd_item[k] + suffix[l][s]))
                         heappush(events, (t + cost, _UPDATE_DONE, k, l, s))
                 elif kind == _UPDATE_DONE:
-                    if serial_update and update_cost[l][s] > 0:
-                        upd_busy = False
                     if down_cost[l][s] == 0:
                         heappush(events, (t, _DOWN_DONE, k, l, s))
                     else:
@@ -401,12 +390,6 @@ def simulate(scenario: Scenario) -> Timeline:
             end = t + up_cost[l][s]
             append((t, end, UPLINK, up_item[k] + suffix[l][s]))
             heappush(events, (end, _UP_DONE, k, l, s))
-        if not upd_busy and upd_q:
-            l, s, k = pop(upd_q)
-            upd_busy = True
-            end = t + update_cost[l][s]
-            append((t, end, UPDATE, upd_item[k] + suffix[l][s]))
-            heappush(events, (end, _UPDATE_DONE, k, l, s))
         if not down_busy and down_q:
             l, s, k = pop(down_q)
             down_busy = True

@@ -14,6 +14,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from collections.abc import Callable
 
 import numpy as np
 
@@ -138,11 +139,7 @@ class FrameConnection:
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            try:
-                self.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self.sock.close()
+            shut_and_close(self.sock)
 
 
 class Crew:
@@ -211,15 +208,30 @@ def listen(host: str, port: int) -> socket.socket:
     return srv
 
 
-def connect_with_retry(host: str, port: int, timeout_s: float = 20.0) -> socket.socket:
+def shut_and_close(sock: socket.socket) -> None:
+    """Close ``sock``; shutting it down first wakes a thread blocked on it, in accept() too."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    sock.close()
+
+
+def connect_with_retry(host: str, port: int, timeout_s: float, stopped: Callable[[], bool]) -> socket.socket:
+    """A connection to ``host:port``, retried for ``timeout_s`` seconds.
+
+    ``stopped()`` is asked before each attempt; once it is true the retries
+    end with ConnectionError.
+    """
     deadline = time.monotonic() + timeout_s
-    while True:
+    while not stopped():
         try:
             return socket.create_connection((host, port), timeout=5.0)
         except OSError as exc:
             if time.monotonic() >= deadline:
                 raise TimeoutError(f"{host}:{port} unreachable for {timeout_s}s: {exc}") from exc
             time.sleep(0.05)
+    raise ConnectionError(f"stopped before connecting to {host}:{port}")
 
 
 def parse_addr(text: str) -> tuple[str, int]:

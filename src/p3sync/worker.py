@@ -110,7 +110,7 @@ class TrainingWorker:
             msg_type=MsgType.HELLO, iteration=plan_fingerprint(self.plan), worker_rank=self.cfg.rank
         )
         for srank, (host, port) in enumerate(self.cfg.servers):
-            sock = connect_with_retry(host, port, self.cfg.deadlock_timeout)
+            sock = connect_with_retry(host, port, self.cfg.deadlock_timeout, lambda: self.crew.stopped)
             conn = FrameConnection(sock, counters=self.counters, bucket=self._bucket)
             self._conns[srank] = self.crew.closing(conn)
             conn.send_frame(hello)
@@ -219,7 +219,7 @@ class TrainingWorker:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise DeadlockError(self._deadlock_dump(iteration))
-                self._flag_cond.wait(min(remaining, 1.0))
+                self._flag_cond.wait(remaining)
         if self.crew.stopped:
             raise self.crew.error
 

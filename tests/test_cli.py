@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from p3sync.cli import EXIT_PROTOCOL, EXIT_TIMEOUT, EXIT_USAGE, RunConfig, main, run_bench, summarize_run
-from p3sync.model import builtin_profile, total_params
+from p3sync.model import ProfileError, builtin_profile, profile_from_dict, total_params
 from p3sync.plan import make_plan
 from p3sync.proto import ProtocolError
+from p3sync.sim import ScenarioError, scenario_from_dict
 
 REPO = Path(__file__).resolve().parent.parent
 FIG4 = REPO / "scenarios" / "fig4.json"
 FIG6 = REPO / "scenarios" / "fig6.json"
+TOY3 = REPO / "profiles" / "toy3.json"
 
 
 def run_cli(args, capsys):
@@ -95,7 +97,7 @@ def test_simulate_missing_scenario(capsys):
 @pytest.mark.parametrize(
     "path,value,field",
     [
-        ((), ("serial_update", "false"), "serial_update"),  # bool("false") would be True
+        ((), ("num_iterations", "2"), "num_iterations"),  # int("2") would be 2
         (("stages", 1), ("up", 2.7), "stages[1].up"),  # int(2.7) would be 2
         (("stages", 1), ("up", "abc"), "stages[1].up"),
         (("profile", "layers", 2), ("fwd_time", 1.5), "profile.layers[2].fwd_time"),
@@ -113,6 +115,35 @@ def test_simulate_rejects_mistyped_field(tmp_path, capsys, path, value, field):
     code, _, err = run_cli(["simulate", str(scenario)], capsys)
     assert code == EXIT_USAGE
     assert field in err
+
+
+@pytest.mark.parametrize(
+    "command,file,path,key,error,field",
+    [
+        # a field this version does not have may not be read as if it were unset
+        ("simulate", FIG6, (), "serial_update", ScenarioError, "serial_update"),
+        ("simulate", FIG6, ("stages", 1), "cost", ScenarioError, "stages[1].cost"),
+        ("simulate", FIG6, ("profile",), "flops", ProfileError, "profile.flops"),
+        ("simulate", FIG6, ("profile", "layers", 2), "flops", ProfileError, "profile.layers[2].flops"),
+        ("plan", TOY3, (), "flops", ProfileError, "flops"),
+        ("plan", TOY3, ("layers", 2), "flops", ProfileError, "layers[2].flops"),
+    ],
+)
+def test_unknown_key_is_refused(tmp_path, capsys, command, file, path, key, error, field):
+    obj = json.loads(file.read_text())
+    target = obj
+    for step in path:
+        target = target[step]
+    target[key] = True
+    read = scenario_from_dict if command == "simulate" else profile_from_dict
+    with pytest.raises(error, match=re.escape(f"unknown key {field}")):
+        read(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    flag = [] if command == "simulate" else ["--profile"]
+    code, _, err = run_cli([command, *flag, str(bad)], capsys)
+    assert code == EXIT_USAGE
+    assert f"unknown key {field}" in err
 
 
 def test_bench_toy3_p3_and_report(tmp_path, capsys):

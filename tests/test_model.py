@@ -73,6 +73,13 @@ def test_mistyped_layer_field_rejected(tmp_path, key, value, kind):
         load_profile(p)
 
 
+@pytest.mark.parametrize("value", ["L1", [1], 5])
+def test_layer_that_is_not_an_object_rejected(tmp_path, value):
+    p = write_profile(tmp_path, [layer(0), value])
+    with pytest.raises(ProfileError, match=r"layers\[1\] must be a JSON object"):
+        load_profile(p)
+
+
 def test_mistyped_seed_rejected(tmp_path):
     p = write_profile(tmp_path, [layer(0)], seed=1.0)
     with pytest.raises(ProfileError, match="seed"):

@@ -109,9 +109,7 @@ def test_fig4_priority_golden_timeline():
     )
     assert tl.summary()["inter_iteration_delay"] == 2
     assert tl.busy_intervals(UPLINK) == [(1, 7)]
-    fwd_spans = [
-        (e.start, e.end) for e in tl.entries_for(COMPUTE) if e.item.startswith("fwd:1")
-    ]
+    fwd_spans = [(e.start, e.end) for e in tl.entries if e.item.startswith("fwd:1")]
     assert fwd_spans == [(5, 6), (6, 7), (7, 8)]
 
 
@@ -136,7 +134,7 @@ def test_fig6_makespans_and_final_downlink():
 def test_fig6_update_overlap():
     # the heavy middle layer's update overlaps the light first layer's update
     coarse = simulate(fig6(AGGRESSIVE_COARSE))
-    upd = {e.item: (e.start, e.end) for e in coarse.entries_for(UPDATE)}
+    upd = {e.item: (e.start, e.end) for e in coarse.entries if e.resource == UPDATE}
     assert upd["upd:0:L1:s0"] == (4, 7)
     assert upd["upd:0:L0:s0"] == (5, 6)
 
@@ -177,14 +175,13 @@ def test_shipped_scenarios_match_goldens():
 def test_scenario_json_roundtrip(tmp_path):
     sc = fig6(AGGRESSIVE_SLICED)
     assert scenario_from_dict(scenario_to_dict(sc)) == sc
-    sc = replace(linkbound_scenario(PRIORITY_SLICED, 2), serial_update=True, per_slice_overhead=1)
+    sc = replace(linkbound_scenario(PRIORITY_SLICED, 2), per_slice_overhead=1)
     assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc)))) == sc
 
 
 @pytest.mark.parametrize(
     "key,value",
     [
-        ("serial_update", 0),
         ("slice_ticks", True),
         ("num_iterations", 1.0),
         ("name", 5),
@@ -228,7 +225,7 @@ def test_uneven_costs_split_cumulatively():
     # slice s covers uplink ticks [s, s + 1) of 4, so it gets 2 * (s + 1) // 4 - 2 * s // 4
     sc = one_layer(StageCost(4, 2, 0), slice_ticks=1)
     assert [c.update for c in sc.slice_costs(0)] == [0, 1, 0, 1]
-    upd = [(e.item, e.start, e.end) for e in simulate(sc).entries_for(UPDATE)]
+    upd = [(e.item, e.start, e.end) for e in simulate(sc).entries if e.resource == UPDATE]
     assert upd == [("upd:0:L0:s1", 2, 3), ("upd:0:L0:s3", 4, 5)]
 
 
@@ -289,7 +286,7 @@ def intervals_disjoint(spans):
 def test_serial_links_never_overlap(sc):
     tl = simulate(sc)
     for link in (UPLINK, DOWNLINK):
-        spans = [(e.start, e.end) for e in tl.entries_for(link) if e.end > e.start]
+        spans = [(e.start, e.end) for e in tl.entries if e.resource == link and e.end > e.start]
         assert intervals_disjoint(spans)
 
 
@@ -299,21 +296,22 @@ def test_causality(sc):
     tl = simulate(sc)
     by_item = {e.item: e for e in tl.entries}
     bwd_end = {}
-    for e in tl.entries_for(COMPUTE):
-        if e.item.startswith("bwd:"):
+    for e in tl.entries:
+        if e.resource == COMPUTE and e.item.startswith("bwd:"):
             _, k, lname = e.item.split(":")
             bwd_end[(int(k), int(lname[1:]))] = e.end
-    for e in tl.entries_for(UPLINK):
-        _, k, lname, s = e.item.split(":")
-        assert e.start >= bwd_end[(int(k), int(lname[1:]))]
-    for e in tl.entries_for(UPDATE):
-        up = by_item.get(e.item.replace("upd:", "up:"))
-        if up is not None:
-            assert e.start >= up.end
-    for e in tl.entries_for(DOWNLINK):
-        upd = by_item.get(e.item.replace("down:", "upd:"))
-        if upd is not None:
-            assert e.start >= upd.end
+    for e in tl.entries:
+        if e.resource == UPLINK:
+            _, k, lname, s = e.item.split(":")
+            assert e.start >= bwd_end[(int(k), int(lname[1:]))]
+        elif e.resource == UPDATE:
+            up = by_item.get(e.item.replace("upd:", "up:"))
+            if up is not None:
+                assert e.start >= up.end
+        elif e.resource == DOWNLINK:
+            upd = by_item.get(e.item.replace("down:", "upd:"))
+            if upd is not None:
+                assert e.start >= upd.end
 
 
 @settings(max_examples=120, deadline=None)
@@ -329,14 +327,14 @@ def test_work_conservation_uplink(sc):
     # eligibility: slices of layer l become available at bwd end; the uplink
     # must never sit idle across a tick where an unserved slice was available
     bwd_end = {}
-    for e in tl.entries_for(COMPUTE):
-        if e.item.startswith("bwd:"):
+    starts = {}
+    for e in tl.entries:
+        if e.resource == COMPUTE and e.item.startswith("bwd:"):
             _, k, lname = e.item.split(":")
             bwd_end[(int(k), int(lname[1:]))] = e.end
-    starts = {}
-    for e in tl.entries_for(UPLINK):
-        _, k, lname, s = e.item.split(":")
-        starts[(int(k), int(lname[1:]), int(s[1:]))] = e.start
+        elif e.resource == UPLINK:
+            _, k, lname, s = e.item.split(":")
+            starts[(int(k), int(lname[1:]), int(s[1:]))] = e.start
     busy = tl.busy_intervals(UPLINK)
 
     def link_busy_at(t):
@@ -433,14 +431,6 @@ def test_sweep_degenerate_single_slice_equals_coarse():
     assert simulate(sliced).summary()["makespan"] == simulate(coarse).summary()["makespan"]
 
 
-def test_serial_update_variant_runs():
-    sc = replace(fig6(AGGRESSIVE_COARSE), serial_update=True)
-    tl = simulate(sc)
-    spans = [(e.start, e.end) for e in tl.entries_for(UPDATE) if e.end > e.start]
-    assert intervals_disjoint(spans)
-    assert tl.summary()["makespan"] >= 10
-
-
 def test_multi_iteration_delays():
     sc = replace(fig4(AGGRESSIVE_COARSE), num_iterations=3)
     tl = simulate(sc)
@@ -520,9 +510,9 @@ def test_summary_agrees_with_the_per_resource_readers(entries):
 
 
 @settings(max_examples=120, deadline=None)
-@given(random_scenarios(), st.booleans(), st.integers(0, 2), st.randoms(use_true_random=False))
-def test_entries_sorted_unique_and_order_free(sc, serial_update, overhead, rnd):
-    tl = simulate(replace(sc, serial_update=serial_update, per_slice_overhead=overhead))
+@given(random_scenarios(), st.integers(0, 2), st.randoms(use_true_random=False))
+def test_entries_sorted_unique_and_order_free(sc, overhead, rnd):
+    tl = simulate(replace(sc, per_slice_overhead=overhead))
     assert all(type(e) is TimelineEntry for e in tl.entries)
     assert tl.entries == sorted(tl.entries)
     # each (resource, item) appears once: a slice enters each link once, so
@@ -564,28 +554,16 @@ def linkbound_scenario(policy, num_iterations):
 TIMELINE_DIGESTS = {
     "fig4-coarse-serial0-ovh0": "0e7bfd7f25a7adc3a62e5e616376460d7e2c9636a3dbde45b9af5e82383d7975",
     "fig4-coarse-serial0-ovh1": "ff5c5f8a76c94f16714665e0f4a64edcf0b9d628615f0df6cb47b4763a9f7cc2",
-    "fig4-coarse-serial1-ovh0": "0e7bfd7f25a7adc3a62e5e616376460d7e2c9636a3dbde45b9af5e82383d7975",
-    "fig4-coarse-serial1-ovh1": "ff5c5f8a76c94f16714665e0f4a64edcf0b9d628615f0df6cb47b4763a9f7cc2",
     "fig4-priority-serial0-ovh0": "c28259bd032293bdfb2d272dc647b155f5693990e8f96531b79a0d4ed9406982",
     "fig4-priority-serial0-ovh1": "185db41525174e036d666d2abd1d2f7b490fbd1ecfec1cdbe58a215c112a6641",
-    "fig4-priority-serial1-ovh0": "c28259bd032293bdfb2d272dc647b155f5693990e8f96531b79a0d4ed9406982",
-    "fig4-priority-serial1-ovh1": "185db41525174e036d666d2abd1d2f7b490fbd1ecfec1cdbe58a215c112a6641",
     "fig4-sliced-serial0-ovh0": "4e33f892c67ed3b87906ff809b317aec6afabc38c2f897c2e0c16f484547c989",
     "fig4-sliced-serial0-ovh1": "7e055dcc64e24191dd4f014d14f3e6ac6a067f05e1bdaf6e21c7668777c417bf",
-    "fig4-sliced-serial1-ovh0": "4e33f892c67ed3b87906ff809b317aec6afabc38c2f897c2e0c16f484547c989",
-    "fig4-sliced-serial1-ovh1": "7e055dcc64e24191dd4f014d14f3e6ac6a067f05e1bdaf6e21c7668777c417bf",
     "fig6-coarse-serial0-ovh0": "c8b066ebabd48919eb0c7b32f87d281e9de539321f86ea48d05e6f6102b8d074",
     "fig6-coarse-serial0-ovh1": "ec5e603296f542a1231b256bf4cd6aecbf80608c66a8d38e0c9eb66ceecb92a1",
-    "fig6-coarse-serial1-ovh0": "d3c71ace9598c7fad3212091ef230fac06069d4701d56f5b9a88c95d57b2354f",
-    "fig6-coarse-serial1-ovh1": "13d1dc3e959eaccde915ff5505a7aa0dfb65d49c373ed5ca2bfa5a14651c31b3",
     "fig6-priority-serial0-ovh0": "b7413f8102e202df51fd647bc43001676a1f8f082e93e7419cbbdd5763d7bfca",
     "fig6-priority-serial0-ovh1": "40593134ebbc9a889df5bb7a32b358b24c523baf5f452a88807bbead2a6e65b2",
-    "fig6-priority-serial1-ovh0": "b7413f8102e202df51fd647bc43001676a1f8f082e93e7419cbbdd5763d7bfca",
-    "fig6-priority-serial1-ovh1": "40593134ebbc9a889df5bb7a32b358b24c523baf5f452a88807bbead2a6e65b2",
     "fig6-sliced-serial0-ovh0": "b09082f24b1171a4fdaef1dc938e7d92ac206cb3e6dc41781786ea6956bc9283",
     "fig6-sliced-serial0-ovh1": "2704ff0739c00b0bb573b37ff33f6a2334392a4522e8a0d6821eb52eebacf4bd",
-    "fig6-sliced-serial1-ovh0": "b09082f24b1171a4fdaef1dc938e7d92ac206cb3e6dc41781786ea6956bc9283",
-    "fig6-sliced-serial1-ovh1": "2704ff0739c00b0bb573b37ff33f6a2334392a4522e8a0d6821eb52eebacf4bd",
     "resnet50-linkbound-coarse": "101fa37a50a8d52438318f78ec9ef500b238e77ab27c7a2058c64b8227093fb0",
     "resnet50-linkbound-priority": "594df0ae634211e4251b7c466c44409c59692b39a6434d6abeaec23ff8e79464",
     "resnet50-linkbound-sliced": "b9007efff8e674c6261041b6a0622a0c146b908f19425468d8f5d4ef742c0746",
@@ -619,10 +597,10 @@ POLICY_NAMES = {AGGRESSIVE_COARSE: "coarse", AGGRESSIVE_SLICED: "sliced", PRIORI
 def digest_cases():
     for make in (fig4, fig6):
         for policy in (AGGRESSIVE_COARSE, AGGRESSIVE_SLICED, PRIORITY_SLICED):
-            for serial in (False, True):
-                for ovh in (0, 1):
-                    name = f"{make.__name__}-{POLICY_NAMES[policy]}-serial{int(serial)}-ovh{ovh}"
-                    yield name, replace(make(policy), serial_update=serial, per_slice_overhead=ovh)
+            for ovh in (0, 1):
+                # "serial0" names the concurrent update stage, the one the simulator has
+                name = f"{make.__name__}-{POLICY_NAMES[policy]}-serial0-ovh{ovh}"
+                yield name, replace(make(policy), per_slice_overhead=ovh)
     for policy in (AGGRESSIVE_COARSE, AGGRESSIVE_SLICED, PRIORITY_SLICED):
         yield f"resnet50-linkbound-{POLICY_NAMES[policy]}", linkbound_scenario(policy, 2)
 
@@ -682,7 +660,7 @@ def test_scenario_from_plan_toy3_p3_golden():
     # ticks and 2 * 512 down ticks (2 workers). The downlink takes L2 s0 at 1512,
     # then always the most urgent slice that is ready.
     tl = toy3_timeline(P3_MODE)
-    assert [(e.item, e.start, e.end) for e in tl.entries_for(DOWNLINK)] == [
+    assert [(e.item, e.start, e.end) for e in tl.entries if e.resource == DOWNLINK] == [
         ("down:0:L2:s0", 1512, 2536),
         ("down:0:L1:s0", 2536, 3560),
         ("down:0:L0:s0", 3560, 4584),
@@ -690,7 +668,7 @@ def test_scenario_from_plan_toy3_p3_golden():
         ("down:0:L1:s1", 5608, 6632),
         ("down:0:L2:s1", 6632, 7656),
     ]
-    fwd = {e.item: e.start for e in tl.entries_for(COMPUTE)}
+    fwd = {e.item: e.start for e in tl.entries if e.resource == COMPUTE}
     assert fwd["fwd:1:L0"] == 5608
     assert tl.summary()["inter_iteration_delay"] == 5608 - 3000
 
@@ -698,7 +676,7 @@ def test_scenario_from_plan_toy3_p3_golden():
 def test_scenario_from_plan_toy3_baseline_golden():
     # whole layers: up 1024 ticks each from 1000, down 2048 each behind them
     tl = toy3_timeline(BASELINE_MODE)
-    assert [(e.item, e.start, e.end) for e in tl.entries_for(DOWNLINK)] == [
+    assert [(e.item, e.start, e.end) for e in tl.entries if e.resource == DOWNLINK] == [
         ("down:0:L2:s0", 2024, 4072),
         ("down:0:L1:s0", 4072, 6120),
         ("down:0:L0:s0", 6120, 8168),
@@ -743,7 +721,7 @@ def layer0_period_ms(name, mode, link_bps, num_workers, iterations=6):
     """Mean period between the starts of fwd:k:L0, k >= 1, in milliseconds."""
     profile = builtin_profile(name)
     tl = simulate(scenario_from_plan(profile, make_plan(mode, profile, 1), link_bps, num_workers, iterations))
-    starts = {e.item: e.start for e in tl.entries_for(COMPUTE)}
+    starts = {e.item: e.start for e in tl.entries if e.resource == COMPUTE}
     first, last = starts["fwd:1:L0"], starts[f"fwd:{iterations}:L0"]
     return (last - first) / (iterations - 1) * 32 / link_bps * 1e3
 
