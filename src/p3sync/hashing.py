@@ -2,12 +2,17 @@
 
 Everything here is pure and bit-stable across platforms; the distributed
 runtime leans on that for cross-mode and cross-process equality checks.
+``gradient_block`` synthesizes a block in passes of CHUNK elements, in
+scratch that each thread keeps, and can write into a caller's buffer
+(``out``), so a long block allocates no memory of its own.
 ``digest64`` (64-bit BLAKE2b, in C) is the digest the runtime uses for
 parameters. ``fnv1a64`` is a pure-Python FNV-1a that the runtime does not
 call; ``perfbench/probes.py`` still wraps it by name.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -20,6 +25,10 @@ GRAD_ELEM_MULT = 0x165667B19E3779F9
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
+
+# elements gradient_block synthesizes per pass: its scratch stays in cache
+CHUNK = 32 * 1024
+_THREAD = threading.local()
 
 
 def splitmix64_mix(x: int) -> int:
@@ -46,28 +55,58 @@ def gradient_value(seed: int, iteration: int, layer_index: int, element_index: i
     return np.float32(np.float64(top24) * 2.0**-23 - 1.0)
 
 
-def gradient_block(seed: int, iteration: int, layer_index: int, start: int, count: int) -> np.ndarray:
-    """float32 vector of gradient_value over elements [start, start+count)."""
+def _thread_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's read-only table of ``i * GRAD_ELEM_MULT mod 2**64`` for i in
+    [0, CHUNK), and its two CHUNK-element uint64 scratch arrays.
+
+    Built on first use, so importing this module stays cheap, and kept, since
+    fresh pages for every block cost more than the mixing.
+    """
+    arrays = getattr(_THREAD, "arrays", None)
+    if arrays is None:
+        steps = np.arange(CHUNK, dtype=np.uint64)
+        steps *= np.uint64(GRAD_ELEM_MULT)
+        steps.flags.writeable = False
+        arrays = _THREAD.arrays = (steps, np.empty(CHUNK, np.uint64), np.empty(CHUNK, np.uint64))
+    return arrays
+
+
+def gradient_block(
+    seed: int, iteration: int, layer_index: int, start: int, count: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """float32 vector of gradient_value over elements [start, start+count).
+
+    Written into ``out[:count]`` and returned as that view when ``out`` is
+    given (a float32 array of at least ``count`` elements), else into a new
+    array. Works CHUNK elements at a time, in scratch arrays that each thread
+    allocates once, so it allocates nothing but the result, however long the
+    block.
+    """
     base = seed
     base ^= (iteration * GRAD_ITER_MULT) & MASK64
     base ^= (layer_index * GRAD_LAYER_MULT) & MASK64
+    base = np.uint64(base)
+    out = np.empty(count, dtype=np.float32) if out is None else out[:count]
     # splitmix64_mix in place on one uint64 array (wrapping), with one scratch array
-    x = np.arange(start, start + count, dtype=np.uint64)
-    x *= np.uint64(GRAD_ELEM_MULT)
-    x ^= np.uint64(base)
-    t = np.empty_like(x)
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        np.right_shift(x, np.uint64(shift), out=t)
-        x ^= t
-        x *= np.uint64(mult)
-    # splitmix64_mix ends with x ^= x >> 31, which cannot reach the 24 bits kept:
-    # (x ^ (x >> 31)) >> 40 == (x >> 40) ^ (x >> 71) == x >> 40, as x >> 71 is 0
-    np.right_shift(x, np.uint64(40), out=x)
-    # top24 * 2**-23 - 1 is exact in float32: top24 and top24 - 2**23 fit in 24 bits;
-    # top24 reads the same as int64, which numpy converts about twice as fast as uint64
-    out = x.view(np.int64).astype(np.float32)
-    out *= np.float32(2.0**-23)
-    out -= np.float32(1.0)
+    steps, x, t = _thread_arrays()
+    for pos in range(0, count, CHUNK):
+        n = min(CHUNK, count - pos)
+        xc, tc, oc = x[:n], t[:n], out[pos : pos + n]
+        # (start + pos + i) * GRAD_ELEM_MULT, wrapping: one add to the i * GRAD_ELEM_MULT table
+        np.add(steps[:n], np.uint64(((start + pos) * GRAD_ELEM_MULT) & MASK64), out=xc)
+        xc ^= base
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            np.right_shift(xc, np.uint64(shift), out=tc)
+            xc ^= tc
+            xc *= np.uint64(mult)
+        # splitmix64_mix ends with x ^= x >> 31, which cannot reach the 24 bits kept:
+        # (x ^ (x >> 31)) >> 40 == (x >> 40) ^ (x >> 71) == x >> 40, as x >> 71 is 0
+        np.right_shift(xc, np.uint64(40), out=xc)
+        # top24 * 2**-23 - 1 is exact in float32: top24 and top24 - 2**23 fit in 24 bits;
+        # top24 reads the same as int64, which numpy converts about twice as fast as uint64
+        oc[...] = xc.view(np.int64)
+        oc *= np.float32(2.0**-23)
+        oc -= np.float32(1.0)
     return out
 
 

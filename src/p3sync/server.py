@@ -63,8 +63,10 @@ class ShardState:
         acc = np.zeros(len(self.params), dtype=np.float32)
         for rank in sorted(self.pending):
             acc += self.pending[rank]
-        grad = acc / np.float32(self.num_workers)
-        self.params -= np.float32(self.lr) * grad
+        # params -= lr * (acc / n), in place: the same float32 operations and roundings
+        acc /= np.float32(self.num_workers)
+        acc *= np.float32(self.lr)
+        self.params -= acc
         self.pending.clear()
         self.iteration += 1
         return self.params

@@ -4,7 +4,10 @@ The worker sleeps for each layer's declared forward/backward duration,
 produces deterministic gradients, and pushes them to the parameter servers.
 Outgoing frames are routed by their slice's server to an outbox; one sender
 thread per outbox polls it, sends each frame on its server's connection and,
-once the run is done, ends those connections with FIN.
+once the run is done, ends those connections with FIN. A sender synthesizes
+each push's gradients when it sends the push, into one buffer of its own
+sized to the plan's longest slice, and frames them without packing them
+into bytes first.
 In p3 mode every server maps to a single priority outbox, which a layer's
 slices enter atomically, so the most urgent slice goes next; in baseline mode
 each server has its own FIFO outbox, filled in generation order, and updated
@@ -123,8 +126,8 @@ class TrainingWorker:
 
     def enqueue_layer(self, layer_index: int, iteration: int) -> None:
         # a push is queued as its bare header; the payload is synthesized at
-        # send time, so queued slices stay cheap and a preempting slice never
-        # waits behind another slice's serialization
+        # send time, into the sender's one reused buffer, so queued slices stay
+        # cheap and a preempting slice never waits behind another slice's serialization
         batches: dict[FrameQueue, list[Frame]] = {}
         for sl in self.slices_by_layer[layer_index]:
             frame = slice_frame(MsgType.PUSH, sl, iteration, self.cfg.rank)
@@ -134,19 +137,22 @@ class TrainingWorker:
 
     def _sender(self, outbox: FrameQueue, conns: list[FrameConnection]) -> None:
         """Send ``outbox`` until it closes; at a clean finish, end each connection with FIN."""
-        outbox.drain(self._send, self.cfg.deadlock_timeout * 2)
+        grads = np.empty(max(s.length for s in self.plan.slices), dtype="<f4")
+        outbox.drain(lambda frame: self._send(frame, grads), self.cfg.deadlock_timeout * 2)
         if self._finished.is_set():
             for conn in conns:
                 conn.send_frame(Frame(msg_type=MsgType.FIN, worker_rank=self.cfg.rank))
                 conn.close()
 
-    def _send(self, frame: Frame) -> None:
+    def _send(self, frame: Frame, buf: np.ndarray) -> None:
         sl = self.slice_info[SliceKey(frame.layer_index, frame.slice_index)]
         if frame.msg_type == MsgType.PUSH:
             grads = gradient_block(
-                self.profile.seed, frame.iteration, frame.layer_index, sl.offset, sl.length
+                self.profile.seed, frame.iteration, frame.layer_index, sl.offset, sl.length, out=buf
             )
-            frame = replace(frame, payload=pack_f32(grads))
+            # the payload views ``buf`` uncopied: send_frame encodes the frame into
+            # wire bytes of its own before it returns, so the next push may overwrite it
+            frame = replace(frame, payload=memoryview(grads).cast("B"))
         self._conns[sl.server].send_frame(frame)
 
     # -- receive path --------------------------------------------------------

@@ -100,6 +100,40 @@ def test_aggregate_matches_scalar_oracle():
         assert got.tobytes() == want.tobytes()
 
 
+def three_step_update(params, grads_by_rank, lr):
+    """The update as three float32 array expressions: sum, mean, then params - lr * mean."""
+    acc = np.zeros(len(params), dtype=np.float32)
+    for rank in sorted(grads_by_rank):
+        acc += grads_by_rank[rank]
+    grad = acc / np.float32(len(grads_by_rank))
+    return params - np.float32(lr) * grad
+
+
+F32 = np.finfo(np.float32)
+# signed zeros, subnormals, infinities and values near float32's max, in params and gradients
+SPECIALS = np.array(
+    [0.0, -0.0, F32.smallest_subnormal, -F32.smallest_subnormal, F32.tiny / 3, -F32.tiny]
+    + [np.inf, -np.inf, F32.max, -F32.max, np.nextafter(F32.max, 0), 1.0, -1.0],
+    dtype=np.float32,
+)
+
+
+@pytest.mark.parametrize("num_workers", [1, 2, 3, 4])
+def test_in_place_update_equals_three_step_formula(num_workers):
+    rng = np.random.RandomState(num_workers)
+    for lr in (0.1, 1.0, 3.0, 1e-3):
+        params = rng.choice(SPECIALS, 200)
+        grads = {r: rng.choice(SPECIALS, 200) for r in range(num_workers)}
+        s = ShardState(SliceKey(0, 0), params.copy(), num_workers, lr)
+        for r in range(num_workers):
+            s.on_push(r, 0, grads[r])
+        # overflow to inf and inf - inf are part of what is compared
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = s.aggregate_and_update()
+            want = three_step_update(params, grads, lr)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 def test_lr_zero_conserves_params():
     rng = np.random.RandomState(3)
     params = rng.uniform(-2, 2, 16).astype(np.float32)
