@@ -107,8 +107,8 @@ def encode_frame(frame: Frame) -> bytes:
 
 class FrameDecoder:
     """Stateless frame decoder; raises ProtocolError on bad magic, an unknown
-    message type, a payload length the type forbids or over DEFAULT_MAX_PAYLOAD,
-    or a truncated frame.
+    message type, a payload length the type forbids, that is no whole float32
+    array or over DEFAULT_MAX_PAYLOAD, or a truncated frame.
 
     ``feed`` keeps its name and its list return because the benchmark's probes
     wrap ``FrameDecoder.feed`` and count the frames it returns.
@@ -130,6 +130,8 @@ class FrameDecoder:
             raise ProtocolError(f"payload_len {payload_len} exceeds max {DEFAULT_MAX_PAYLOAD}")
         if msg_type not in _PAYLOAD_TYPES and payload_len != 0:
             raise ProtocolError(f"{msg_type.name} frame with nonzero payload_len {payload_len}")
+        if payload_len % 4 != 0:
+            raise ProtocolError(f"{msg_type.name} payload_len {payload_len} not a float32 array")
         return msg_type, *fields, payload_len
 
     def header(self, buf: bytes | bytearray | memoryview) -> int:

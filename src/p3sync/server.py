@@ -1,16 +1,20 @@
 """Parameter server engine: aggregate pushed gradients, update, send parameters back.
 
 One server process owns the slice keys its rank was assigned in the plan and
-runs in the plan's mode. In p3 mode incoming pushes drain through a priority
-queue and completed updates are broadcast to every worker immediately; in
-baseline mode pushes are handled in arrival order and workers are notified,
-then pull.
+runs in the plan's mode. Its queues are built with it: one inbox, drained by
+one consumer thread, and one outbox per worker rank, drained by a sender that
+the rank's HELLO starts. ``run()`` accepts the workers itself, one reader
+each. The mode picks only the queues' order: in p3 mode incoming pushes drain
+through a priority queue and completed updates are broadcast to every worker
+immediately; in baseline mode pushes are handled in arrival order and workers
+are notified, then pull.
 """
 
 from __future__ import annotations
 
 import io
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -73,7 +77,7 @@ class ShardState:
 
 
 def bcast_frames(
-    sl: Slice, iteration: int, params: np.ndarray, worker_ranks: list[int]
+    sl: Slice, iteration: int, params: np.ndarray, worker_ranks: Iterable[int]
 ) -> list[Frame]:
     """One BCAST per worker, identical payloads, the slice's header on each."""
     payload = pack_f32(params)
@@ -92,6 +96,11 @@ class ServerEngine:
         throttle_rate: float | None = None,
         poll_timeout: float = 60.0,
     ) -> None:
+        # checked before the listener binds, so a refusal leaks no socket
+        if num_workers < 1:
+            raise ValueError(f"num_workers {num_workers} must be >= 1")
+        if not 0 <= rank < plan.num_servers:
+            raise ValueError(f"rank {rank} outside the plan's {plan.num_servers} servers")
         self.rank = rank
         self.p3 = plan.mode == P3_MODE
         self.plan_fingerprint = plan_fingerprint(plan)
@@ -108,21 +117,16 @@ class ServerEngine:
         self._bucket = TokenBucket(throttle_rate) if throttle_rate else None
         self.crew = Crew()
         self.inbox = self.crew.closing(FrameQueue(priority_mode=self.p3))
-        self._outboxes: dict[int, FrameQueue] = {}
+        self.outboxes = [self.crew.closing(FrameQueue(priority_mode=self.p3)) for _ in range(num_workers)]
+        self._greeted: set[int] = set()
         self._fins = 0
         self._lock = threading.Lock()
         self._listener = listen(host, port)
         self.addr = self._listener.getsockname()
-        # close() alone would not wake the acceptor out of accept()
+        # close() alone would not wake run() out of accept()
         self.crew.closing(SimpleNamespace(close=lambda: shut_and_close(self._listener)))
 
     # -- thread bodies -------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        for i in range(self.num_workers):
-            sock, _ = self._listener.accept()
-            conn = FrameConnection(sock, counters=self.counters, bucket=self._bucket)
-            self.crew.spawn(f"reader-{i}", self._reader, self.crew.closing(conn))
 
     def _register(self, conn: FrameConnection, rank: int, fingerprint: int) -> None:
         if fingerprint != self.plan_fingerprint:
@@ -130,13 +134,14 @@ class ServerEngine:
                 f"HELLO from rank {rank} with plan fingerprint {fingerprint:016x}, "
                 f"this server's plan is {self.plan_fingerprint:016x}"
             )
+        if not 0 <= rank < self.num_workers:
+            raise ProtocolError(f"HELLO from out-of-range rank {rank}")
         with self._lock:
-            if not 0 <= rank < self.num_workers:
-                raise ProtocolError(f"HELLO from out-of-range rank {rank}")
-            if rank in self._outboxes:
+            if rank in self._greeted:
                 raise ProtocolError(f"duplicate HELLO from rank {rank}")
-            outbox = self._outboxes[rank] = self.crew.closing(FrameQueue(priority_mode=self.p3))
-            self.crew.spawn(f"sender-{rank}", outbox.drain, conn.send_frame, self.poll_timeout * 2)
+            self._greeted.add(rank)
+        outbox = self.outboxes[rank]
+        self.crew.spawn(f"sender-{rank}", outbox.drain, conn.send_frame, self.poll_timeout * 2)
 
     def _reader(self, conn: FrameConnection) -> None:
         """Queue one worker's frames; its HELLO binds the connection to the rank it names."""
@@ -171,13 +176,9 @@ class ServerEngine:
             else:
                 raise ProtocolError(f"server got unexpected {kind.name}")
 
-    def _worker_ranks(self) -> list[int]:
-        with self._lock:
-            return sorted(self._outboxes)
-
     def _consumer(self) -> None:
         self.inbox.drain(self._handle, self.poll_timeout)
-        for outbox in self._outboxes.values():
+        for outbox in self.outboxes:
             outbox.close()
 
     def _handle(self, frame: Frame) -> None:
@@ -191,12 +192,13 @@ class ServerEngine:
                 return
             answered = shard.iteration
             params = shard.aggregate_and_update()
+            # every rank has pushed this slice, and a rank's HELLO started its
+            # sender before any of its pushes was queued: each outbox is drained
+            ranks = range(self.num_workers)
             if self.p3:
-                frames = bcast_frames(sl, answered, params, self._worker_ranks())
+                frames = bcast_frames(sl, answered, params, ranks)
             else:
-                frames = [
-                    slice_frame(MsgType.NOTIFY, sl, answered, rank) for rank in self._worker_ranks()
-                ]
+                frames = [slice_frame(MsgType.NOTIFY, sl, answered, rank) for rank in ranks]
         else:  # PULL; the readers queue nothing else
             if shard.iteration != frame.iteration + 1:
                 raise ProtocolError(
@@ -205,14 +207,21 @@ class ServerEngine:
                 )
             frames = bcast_frames(sl, frame.iteration, shard.params, [frame.worker_rank])
         for f in frames:
-            self._outboxes[f.worker_rank].put(f)
+            self.outboxes[f.worker_rank].put(f)
 
     # -- lifecycle -----------------------------------------------------
 
     def run(self) -> None:
-        """Serve until every worker has sent FIN and hung up; raises the crew's first error."""
-        self.crew.spawn("acceptor", self._accept_loop)
+        """Accept, then serve until every worker has sent FIN and hung up; raises the crew's first error."""
         self.crew.spawn("consumer", self._consumer)
+        try:
+            for i in range(self.num_workers):
+                sock, _ = self._listener.accept()
+                conn = FrameConnection(sock, counters=self.counters, bucket=self._bucket)
+                self.crew.spawn(f"reader-{i}", self._reader, self.crew.closing(conn))
+        except BaseException as exc:
+            # a stop wakes accept() with an OSError, dropped as the stop's echo
+            self.crew.stop(exc)
         # no deadline: a stalled wait in any of these threads times out and stops the crew
         self.crew.join(None)
         self.crew.stop()

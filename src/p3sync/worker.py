@@ -2,22 +2,22 @@
 
 The worker sleeps for each layer's declared forward/backward duration,
 produces deterministic gradients, and pushes them to the parameter servers.
-Outgoing frames are routed by their slice's server to an outbox; one sender
-thread per outbox polls it, sends each frame on its server's connection and,
-once the run is done, ends those connections with FIN. A sender synthesizes
-each push's gradients when it sends the push, into one buffer of its own
-sized to the plan's longest slice, and frames them without packing them
-into bytes first.
-In p3 mode every server maps to a single priority outbox, which a layer's
-slices enter atomically, so the most urgent slice goes next; in baseline mode
-each server has its own FIFO outbox, filled in generation order, and updated
-parameters are fetched with notify+pull. On the receive side one thread per
-server connection reads each frame, checks it and applies it: a BCAST is
-copied into place and a NOTIFY queues its PULL. Priority only orders what is
-sent, so received frames are never reordered. Forward progress of each layer
-is gated on having received that layer's parameters for the current
-iteration, so the next forward pass overlaps with the tail of synchronization
-whenever the arrival order allows it.
+Its frames leave through one outbox and one sender thread, as over one
+serial uplink: the sender sends each frame on its slice's server connection
+and, once the run is done, ends every connection with FIN. The sender
+synthesizes each push's gradients when it sends the push, into one buffer of
+its own sized to the plan's longest slice, and frames them without packing
+them into bytes first.
+The mode picks only the outbox's order. In p3 mode it is a priority queue,
+which a layer's slices enter atomically, so the most urgent slice goes next;
+in baseline mode it is FIFO, so frames go in generation order across all
+servers, and updated parameters are fetched with notify+pull. On the receive
+side one thread per server connection reads each frame, checks it and
+applies it: a BCAST is copied into place and a NOTIFY queues its PULL.
+Priority only orders what is sent, so received frames are never reordered.
+Forward progress of each layer is gated on having received that layer's
+parameters for the current iteration, so the next forward pass overlaps with
+the tail of synchronization whenever the arrival order allows it.
 """
 
 from __future__ import annotations
@@ -82,25 +82,17 @@ class TrainingWorker:
 
         self.counters = NetCounters()
         self._bucket = TokenBucket(config.throttle_rate) if config.throttle_rate else None
-        # server rank -> outbox; one sender thread drains each distinct outbox
-        servers = range(len(config.servers))
-        if plan.mode == P3_MODE:
-            self.outboxes = dict.fromkeys(servers, FrameQueue(priority_mode=True))
-        else:
-            self.outboxes = {s: FrameQueue(priority_mode=False) for s in servers}
-        self._conns: dict[int, FrameConnection] = {}
         self.crew = Crew()
-        for q in self._all_outboxes():
-            self.crew.closing(q)
+        # the one uplink: frames to every server, drained by one sender
+        self.outbox = self.crew.closing(FrameQueue(priority_mode=plan.mode == P3_MODE))
+        # server rank -> its connection
+        self._conns: list[FrameConnection] = []
         # a stop wakes the compute loop out of _wait_layer
         self.crew.closing(SimpleNamespace(close=self._wake))
         self._finished = threading.Event()
         self._sleep_debt = 0.0
 
     # -- plumbing --------------------------------------------------------
-
-    def _all_outboxes(self) -> list[FrameQueue]:
-        return list(dict.fromkeys(self.outboxes.values()))
 
     def _wake(self) -> None:
         with self._flag_cond:
@@ -115,12 +107,10 @@ class TrainingWorker:
         for srank, (host, port) in enumerate(self.cfg.servers):
             sock = connect_with_retry(host, port, self.cfg.deadlock_timeout, lambda: self.crew.stopped)
             conn = FrameConnection(sock, counters=self.counters, bucket=self._bucket)
-            self._conns[srank] = self.crew.closing(conn)
+            self._conns.append(self.crew.closing(conn))
             conn.send_frame(hello)
             self.crew.spawn(f"recv-{srank}", self._receiver, conn)
-        for i, outbox in enumerate(self._all_outboxes()):
-            conns = [self._conns[s] for s, q in self.outboxes.items() if q is outbox]
-            self.crew.spawn(f"sender-{i}", self._sender, outbox, conns)
+        self.crew.spawn("sender-0", self._sender)
 
     # -- send path ---------------------------------------------------------
 
@@ -128,19 +118,15 @@ class TrainingWorker:
         # a push is queued as its bare header; the payload is synthesized at
         # send time, into the sender's one reused buffer, so queued slices stay
         # cheap and a preempting slice never waits behind another slice's serialization
-        batches: dict[FrameQueue, list[Frame]] = {}
-        for sl in self.slices_by_layer[layer_index]:
-            frame = slice_frame(MsgType.PUSH, sl, iteration, self.cfg.rank)
-            batches.setdefault(self.outboxes[sl.server], []).append(frame)
-        for outbox, frames in batches.items():
-            outbox.put_batch(frames)
+        slices = self.slices_by_layer[layer_index]
+        self.outbox.put_batch([slice_frame(MsgType.PUSH, sl, iteration, self.cfg.rank) for sl in slices])
 
-    def _sender(self, outbox: FrameQueue, conns: list[FrameConnection]) -> None:
-        """Send ``outbox`` until it closes; at a clean finish, end each connection with FIN."""
+    def _sender(self) -> None:
+        """Send the outbox until it closes; at a clean finish, end every connection with FIN."""
         grads = np.empty(max(s.length for s in self.plan.slices), dtype="<f4")
-        outbox.drain(lambda frame: self._send(frame, grads), self.cfg.deadlock_timeout * 2)
+        self.outbox.drain(lambda frame: self._send(frame, grads), self.cfg.deadlock_timeout * 2)
         if self._finished.is_set():
-            for conn in conns:
+            for conn in self._conns:
                 conn.send_frame(Frame(msg_type=MsgType.FIN, worker_rank=self.cfg.rank))
                 conn.close()
 
@@ -182,8 +168,10 @@ class TrainingWorker:
     def _on_notify(self, frame: Frame) -> None:
         # a NOTIFY carries this worker's rank and the slice header: the PULL
         # answering it is the same frame under another type
-        server = self.slice_info[SliceKey(frame.layer_index, frame.slice_index)].server
-        self.outboxes[server].put(replace(frame, msg_type=MsgType.PULL))
+        key = SliceKey(frame.layer_index, frame.slice_index)
+        if key not in self.slice_info:
+            raise ProtocolError(f"NOTIFY for unknown key {key}")
+        self.outbox.put(replace(frame, msg_type=MsgType.PULL))
 
     def on_bcast(self, frame: Frame) -> None:
         key = SliceKey(frame.layer_index, frame.slice_index)
@@ -238,7 +226,7 @@ class TrainingWorker:
         return (
             f"worker {self.cfg.rank} stalled waiting for iteration-{iteration} parameters; "
             f"unmet layers {unmet}; flags={self.flags}; "
-            f"outbox={[len(q) for q in self._all_outboxes()]}"
+            f"outbox={len(self.outbox)}"
         )
 
     def _emulate(self, duration_us: int) -> None:
@@ -277,8 +265,7 @@ class TrainingWorker:
                 self.run_iteration(k)
             self._wait_all(self.cfg.iterations)
             self._finished.set()
-            for q in self._all_outboxes():
-                q.close()
+            self.outbox.close()
         except BaseException as exc:
             self.crew.stop(exc)
         self.crew.join(self.cfg.deadlock_timeout)

@@ -146,13 +146,15 @@ def test_unknown_key_is_refused(tmp_path, capsys, command, file, path, key, erro
     assert f"unknown key {field}" in err
 
 
-def test_bench_toy3_p3_and_report(tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["p3", "baseline"])
+def test_bench_toy3_and_report(tmp_path, capsys, mode):
+    # two workers and, by default, one server per worker
     outdir = tmp_path / "run"
     code, out, _ = run_cli(
         [
             "bench",
             "--profile", "toy3",
-            "--mode", "p3",
+            "--mode", mode,
             "--num-workers", "2",
             "--iterations", "6",
             "--skip-iterations", "2",
@@ -163,14 +165,14 @@ def test_bench_toy3_p3_and_report(tmp_path, capsys):
     )
     assert code == 0, out
     kv = dict(l.split("=", 1) for l in out.strip().splitlines())
-    assert kv["mode"] == "p3"
+    assert kv["mode"] == mode
     assert float(kv["samples_per_second"]) > 0
     assert (outdir / "plan.csv").exists()
     assert (outdir / "summary.json").exists()
     assert (outdir / "digest_server0.csv").exists()
     assert (outdir / "digest_server1.csv").exists()
     assert int(kv["server_slices_verified"]) == len(
-        make_plan("p3", builtin_profile("toy3"), 2).slices
+        make_plan(mode, builtin_profile("toy3"), 2).slices
     )
     # report replays the stored summary
     code, out2, _ = run_cli(["report", "--output-dir", str(outdir)], capsys)
@@ -442,6 +444,77 @@ def test_exit_code_mapping(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--num-workers", "0", "num_workers 0 must be >= 1"),
+        ("--rank", "3", "rank 3 outside the plan's 1 servers"),
+    ],
+    ids=["num-workers-0", "rank-3"],
+)
+def test_server_refuses_arguments_out_of_range(tmp_path, capsys, flag, value, message):
+    from p3sync.plan import save_plan
+
+    save_plan(make_plan("p3", builtin_profile("toy3"), 1), tmp_path / "plan.csv")
+    args = {"--rank": "0", "--num-workers": "1", flag: value}
+    t0 = time.monotonic()
+    code, out, err = run_cli(
+        ["server", "--plan", str(tmp_path / "plan.csv"), "--deadlock-timeout", "5"]
+        + [a for item in args.items() for a in item],
+        capsys,
+    )
+    assert code == EXIT_USAGE
+    assert time.monotonic() - t0 < 1
+    assert message in err
+    assert "READY" not in out
+
+
+def test_notify_for_unknown_key_is_a_protocol_error(tmp_path, capsys):
+    # a fake server answers the worker's HELLO with a NOTIFY for key (99, 0)
+    import socket
+    import threading
+
+    from p3sync.plan import save_plan
+    from p3sync.proto import HEADER_LEN, Frame, MsgType, encode_frame
+
+    save_plan(make_plan("baseline", builtin_profile("toy3"), 1), tmp_path / "plan.csv")
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
+
+    def fake_server():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(10.0)
+            conn.recv(HEADER_LEN, socket.MSG_WAITALL)  # the HELLO
+            conn.sendall(encode_frame(Frame(MsgType.NOTIFY, worker_rank=0, layer_index=99)))
+            try:
+                while conn.recv(1 << 16):  # until the worker hangs up
+                    pass
+            except OSError:
+                pass
+
+    server = threading.Thread(target=fake_server)
+    server.start()
+    try:
+        code, _, err = run_cli(
+            [
+                "worker",
+                "--rank", "0",
+                "--servers", "127.0.0.1:{}".format(listener.getsockname()[1]),
+                "--profile", "toy3",
+                "--plan", str(tmp_path / "plan.csv"),
+                "--iterations", "1",
+                "--deadlock-timeout", "10",
+            ],
+            capsys,
+        )
+    finally:
+        server.join(15.0)
+        listener.close()
+    assert code == EXIT_PROTOCOL
+    assert "NOTIFY for unknown key SliceKey(layer_index=99, slice_index=0)" in err
+
+
 def test_server_rejects_malformed_plan(tmp_path):
     plan_path = tmp_path / "plan.csv"
     plan_path.write_text("# p3sync-plan mode=p3\nlayer,slice,offset,len,server\n0,0,0,10,0\n")
@@ -662,6 +735,26 @@ def test_stream_cut_mid_push_fails_the_server(toy3_plan, children):
     assert time.monotonic() - t0 < 15
     assert still_running(children) == []
     assert f"EOF with {len(half)} undecoded bytes" in server.communicate()[1]
+
+
+def test_push_with_a_payload_not_float32_fails_the_server(toy3_plan, children):
+    # refused at the header, before its 5 payload bytes are read
+    import socket
+    import struct
+
+    from p3sync.plan import plan_fingerprint
+    from p3sync.proto import MAGIC, Frame, MsgType, encode_frame
+    from p3sync.transport import parse_addr
+
+    plan, plan_path = toy3_plan
+    server, addr = start_server(children, plan_path, 1)
+    hello = encode_frame(Frame(MsgType.HELLO, iteration=plan_fingerprint(plan), worker_rank=0))
+    push = struct.pack("<4sBQHIII", MAGIC, int(MsgType.PUSH), 0, 0, 0, 0, 5) + b"\x00" * 5
+    with socket.create_connection(parse_addr(addr), timeout=5.0) as sock:
+        sock.sendall(hello + push)
+        assert exit_codes([server]) == [EXIT_PROTOCOL]
+    assert still_running(children) == []
+    assert "PUSH payload_len 5 not a float32 array" in server.communicate()[1]
 
 
 # -- summarize_run's checks of a finished run ---------------------------------

@@ -103,6 +103,13 @@ def test_oversize_payload_rejected():
     refused(header, "exceeds")
 
 
+@pytest.mark.parametrize("kind", ["PUSH", "BCAST"])
+def test_payload_not_float32_rejected(kind):
+    # refused at the header, before any payload byte is read, as encode_frame refuses to send it
+    header = struct.pack("<4sBQHIII", MAGIC, int(MsgType[kind]), 0, 0, 0, 0, 5)
+    refused(header + b"\x00" * 5, "payload_len 5 not a float32 array")
+
+
 def test_nonzero_payload_on_control_frame_rejected():
     header = struct.pack("<4sBQHIII", MAGIC, int(MsgType.PULL), 0, 0, 0, 0, 4)
     refused(header + b"\x00" * 4, "nonzero payload")

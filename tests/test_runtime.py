@@ -162,11 +162,12 @@ def test_cross_mode_equality_toy3_four_workers():
     "mode, names",
     [
         (P3_MODE, ["recv-0", "recv-1", "sender-0"]),
-        (BASELINE_MODE, ["recv-0", "recv-1", "sender-0", "sender-1"]),
+        (BASELINE_MODE, ["recv-0", "recv-1", "sender-0"]),
     ],
 )
 def test_worker_threads_are_one_receiver_per_server_and_the_senders(mode, names):
-    # each receiver applies what it reads: no applier thread, no receive queue
+    # each receiver applies what it reads: no applier thread, no receive queue;
+    # one sender drains the one outbox for every server, in both modes
     workers, _ = run_topology(mode, small_profile(), 1, 2, iterations=1)
     assert sorted(t.name for t in workers[0].crew.threads) == names
 
@@ -300,7 +301,7 @@ def test_push_for_key_of_another_server_is_a_protocol_error():
 
 
 def test_push_before_hello_is_a_protocol_error():
-    # the acceptor still waits for the second worker: the stop must wake it at once
+    # run() still waits in accept() for the second worker: the stop must wake it at once
     plan = make_plan(P3_MODE, small_profile(), 1, 1000, 2000, 0)
     for _ in range(5):
         t0 = time.monotonic()
@@ -455,11 +456,10 @@ def test_worker_runs_only_receivers_and_senders(cli_run):
         assert sorted(started[name]) == ["recv-0", "sender-0"]
 
 
-def test_server_runs_only_acceptor_readers_consumer_and_senders(cli_run):
+def test_server_runs_only_readers_consumer_and_senders(cli_run):
+    # run() accepts on the server's own thread
     _, _, started = cli_run
-    assert sorted(started["server"]) == [
-        "acceptor", "consumer", "reader-0", "reader-1", "sender-0", "sender-1"
-    ]
+    assert sorted(started["server"]) == ["consumer", "reader-0", "reader-1", "sender-0", "sender-1"]
 
 
 NET_UTIL = {
