@@ -13,9 +13,9 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, fields, replace
+from itertools import zip_longest
 from pathlib import Path
 
-from .hashing import digest64
 from .metrics import (
     IDLE_THRESHOLD_BYTES,
     clip_samples,
@@ -24,10 +24,9 @@ from .metrics import (
     iterations_from_csv,
     measurement_window,
     samples_from_csv,
-    samples_to_csv,
     write_text,
 )
-from .model import BUILTIN_NAMES, ModelProfile, ProfileError, resolve_profile, save_profile, total_params
+from .model import BUILTIN_NAMES, ModelProfile, ProfileError, resolve_profile, save_profile
 from .plan import (
     DEFAULT_BIG_THRESHOLD,
     DEFAULT_MAX_SLICE,
@@ -156,10 +155,8 @@ def cmd_server(args) -> int:
     )
     print(f"READY {engine.addr[0]}:{engine.addr[1]}", flush=True)
     engine.run()
-    if args.digest:
-        write_text(args.digest, engine.digests_csv())
-    if args.net_util:
-        write_text(args.net_util, samples_to_csv(engine.counters.samples()))
+    if args.outdir:
+        engine.write_outputs(args.outdir)
     return EXIT_OK
 
 
@@ -269,8 +266,7 @@ def run_bench(cfg: RunConfig) -> dict:
                     "--plan", str(plan_path),
                     "--num-workers", str(cfg.num_workers),
                     "--lr", str(cfg.lr),
-                    "--digest", str(outdir / f"digest_server{rank}.csv"),
-                    "--net-util", str(outdir / f"net_util_server{rank}.csv"),
+                    "--outdir", str(outdir),
                     *throttle,
                 ],
                 f"server{rank}.log",
@@ -339,16 +335,25 @@ def summarize_run(cfg: RunConfig, outdir: Path, profile: ModelProfile) -> dict:
     clipped = clip_samples(samples, t0, t1)
     idle = idle_fraction(clipped if len(clipped) >= 2 else samples, IDLE_THRESHOLD_BYTES)
 
-    blob = (outdir / "params_worker0.bin").read_bytes()
-    want_bytes = 4 * total_params(profile)
-    if len(blob) != want_bytes:
-        raise ProtocolError(
-            f"params_worker0.bin holds {len(blob)} bytes, not the {want_bytes} of "
-            f"{profile.name}'s float32 parameters"
-        )
-    if f"{digest64(blob):016x}" != digests[0]:
-        raise ProtocolError(f"params_worker0.bin does not match worker 0's digest {digests[0]}")
-    servers_checked = _verify_server_digests(cfg, outdir, profile, blob)
+    def rows_of(process: str) -> list[str]:  # below plan.slice_digests_csv's header
+        return (outdir / f"digest_{process}.csv").read_text().splitlines()[1:]
+
+    # every worker holds worker 0's parameters, and the servers together hold
+    # each of worker 0's slices exactly once
+    rows = rows_of("worker0")
+    for rank in range(1, cfg.num_workers):
+        for mine, theirs in zip_longest(rows_of(f"worker{rank}"), rows):
+            if mine != theirs:
+                raise ProtocolError(f"worker {rank} row {mine} != worker 0's row {theirs}")
+    unmatched = dict.fromkeys(rows)  # a plan's slice keys, so its rows, are distinct
+    for rank in range(cfg.resolved_servers()):
+        for row in rows_of(f"server{rank}"):
+            if row not in unmatched:
+                why = "a server holds it already" if row in rows else "worker 0 has no such row"
+                raise ProtocolError(f"server {rank} row {row}: {why}")
+            del unmatched[row]
+    if unmatched:
+        raise ProtocolError(f"worker 0 row {next(iter(unmatched))} is on no server")
 
     summary = {
         "mode": cfg.mode,
@@ -362,34 +367,10 @@ def summarize_run(cfg: RunConfig, outdir: Path, profile: ModelProfile) -> dict:
         "samples_per_second": rate,
         "idle_fraction": idle,
         "digest": digests[0],
-        "server_slices_verified": servers_checked,
+        "server_slices_verified": len(rows),  # each matched by one server row
     }
     write_text(outdir / "summary.json", json.dumps(summary, indent=2) + "\n")
     return summary
-
-
-def _verify_server_digests(cfg: RunConfig, outdir: Path, profile: ModelProfile, blob: bytes) -> int:
-    layer_base = {}
-    cursor = 0
-    for layer in profile.layers:
-        layer_base[layer.index] = cursor
-        cursor += layer.param_count
-    checked = 0
-    for rank in range(cfg.resolved_servers()):
-        path = outdir / f"digest_server{rank}.csv"
-        lines = path.read_text().splitlines()[1:]
-        for line in lines:
-            layer, sl, offset, length, digest = line.split(",")
-            if int(layer) not in layer_base:
-                raise ProtocolError(f"server {rank} slice {layer}/{sl}: profile has no layer {layer}")
-            start = 4 * (layer_base[int(layer)] + int(offset))
-            want = digest64(blob[start : start + 4 * int(length)])
-            if f"{want:016x}" != digest:
-                raise ProtocolError(
-                    f"server {rank} slice {layer}/{sl} digest {digest} != worker-side {want:016x}"
-                )
-            checked += 1
-    return checked
 
 
 def cmd_bench(args) -> int:
@@ -438,8 +419,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--throttle-rate", type=float, default=0.0, help="bits/second; 0 = off")
     p.add_argument("--deadlock-timeout", type=float, default=60.0)
-    p.add_argument("--digest", default=None, help="write per-slice parameter digests here")
-    p.add_argument("--net-util", default=None)
+    p.add_argument("--outdir", default=None)
     p.set_defaults(func=cmd_server)
 
     p = sub.add_parser("worker", help="run one training worker")

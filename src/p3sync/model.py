@@ -53,10 +53,6 @@ class ModelProfile:
         return len(self.layers)
 
 
-def total_params(profile: ModelProfile) -> int:
-    return sum(layer.param_count for layer in profile.layers)
-
-
 def profile_to_dict(profile: ModelProfile) -> dict:
     return {
         "name": profile.name,

@@ -20,12 +20,15 @@ layer's uplink cost with it too, so a scenario slices as a plan does.
 from __future__ import annotations
 
 import io
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .hashing import digest64, splitmix64_stream
 from .model import ModelProfile
-from .proto import DEFAULT_MAX_PAYLOAD
+from .proto import DEFAULT_MAX_PAYLOAD, pack_f32
 
 P3_MODE = "p3"
 BASELINE_MODE = "baseline"
@@ -148,6 +151,16 @@ def validate_plan(plan: SlicePlan, profile: ModelProfile) -> None:
 _META_PREFIX = "# p3sync-plan "
 _META_KEYS = ("mode", "num_servers")
 PLAN_CSV_HEADER = "layer,slice,offset,len,server"
+
+
+def slice_digests_csv(slices: Iterable[tuple[Slice, np.ndarray]]) -> str:
+    """The one result format of workers and servers: a row per (slice, its float32
+    values), in key order, with the slice's place in its layer and digest64 of its values."""
+    rows = [
+        f"{s.key.layer_index},{s.key.slice_index},{s.offset},{s.length},{digest64(pack_f32(v)):016x}\n"
+        for s, v in sorted(slices, key=lambda pair: pair[0].key)
+    ]
+    return "layer,slice,offset,len,digest\n" + "".join(rows)
 
 
 def plan_to_csv(plan: SlicePlan) -> str:

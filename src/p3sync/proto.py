@@ -35,6 +35,7 @@ MAGIC = b"P3W2"
 
 _HEADER = struct.Struct("<4sBQHIII")
 HEADER_LEN = _HEADER.size  # 27
+MAX_WORKER_RANK = 0xFFFF  # the header's sender rank is an unsigned 16-bit field
 
 DEFAULT_MAX_PAYLOAD = 16 * 1024 * 1024
 

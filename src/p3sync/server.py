@@ -12,17 +12,16 @@ are notified, then pull.
 
 from __future__ import annotations
 
-import io
 import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from .hashing import digest64
-from .metrics import NetCounters
-from .plan import P3_MODE, SliceKey, Slice, SlicePlan, plan_fingerprint
+from .metrics import NetCounters, samples_to_csv, write_text
+from .plan import P3_MODE, SliceKey, Slice, SlicePlan, plan_fingerprint, slice_digests_csv
 from .proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
 from .queues import FrameQueue
 from .transport import Crew, FrameConnection, TokenBucket, listen, shut_and_close
@@ -101,6 +100,8 @@ class ServerEngine:
             raise ValueError(f"num_workers {num_workers} must be >= 1")
         if not 0 <= rank < plan.num_servers:
             raise ValueError(f"rank {rank} outside the plan's {plan.num_servers} servers")
+        if poll_timeout <= 0:
+            raise ValueError(f"deadlock timeout {poll_timeout} must be positive")
         self.rank = rank
         self.p3 = plan.mode == P3_MODE
         self.plan_fingerprint = plan_fingerprint(plan)
@@ -229,12 +230,10 @@ class ServerEngine:
             raise self.crew.error
 
     def digests_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("layer,slice,offset,len,digest\n")
-        for key in sorted(self.shards):
-            sl = self.owned[key]
-            digest = digest64(pack_f32(self.shards[key].params))
-            buf.write(
-                f"{key.layer_index},{key.slice_index},{sl.offset},{sl.length},{digest:016x}\n"
-            )
-        return buf.getvalue()
+        return slice_digests_csv((self.owned[k], shard.params) for k, shard in self.shards.items())
+
+    def write_outputs(self, outdir: str | Path) -> None:
+        """Write ``net_util_server<rank>.csv`` and ``digest_server<rank>.csv``, a
+        digest row per owned slice in the rows workers write too (``plan.slice_digests_csv``)."""
+        write_text(Path(outdir, f"digest_server{self.rank}.csv"), self.digests_csv())
+        write_text(Path(outdir, f"net_util_server{self.rank}.csv"), samples_to_csv(self.counters.samples()))

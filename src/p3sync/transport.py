@@ -238,4 +238,6 @@ def parse_addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host:
         raise ValueError(f"address {text!r} must be host:port")
+    if not 0 <= int(port) <= 65535:
+        raise ValueError(f"address {text!r}: port {port} outside 0-65535")
     return host, int(port)

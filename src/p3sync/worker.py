@@ -33,8 +33,8 @@ import numpy as np
 from .hashing import digest64, gradient_block
 from .metrics import NetCounters, iterations_to_csv, samples_to_csv, write_text
 from .model import ModelProfile
-from .plan import P3_MODE, SliceKey, SlicePlan, plan_fingerprint
-from .proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
+from .plan import P3_MODE, SliceKey, SlicePlan, plan_fingerprint, slice_digests_csv
+from .proto import MAX_WORKER_RANK, Frame, MsgType, ProtocolError, pack_f32, slice_frame
 from .queues import DeadlockError, FrameQueue
 from .transport import Crew, FrameConnection, TokenBucket, connect_with_retry
 
@@ -59,10 +59,17 @@ class IterationRecord:
 
 class TrainingWorker:
     def __init__(self, config: WorkerConfig, profile: ModelProfile, plan: SlicePlan) -> None:
+        # checked before anything connects, so a refusal reaches no server
+        if not 0 <= config.rank <= MAX_WORKER_RANK:
+            raise ValueError(f"rank {config.rank} outside the frame header's 0-{MAX_WORKER_RANK}")
+        if config.deadlock_timeout <= 0:
+            raise ValueError(f"deadlock timeout {config.deadlock_timeout} must be positive")
         if len(config.servers) != plan.num_servers:
             raise ValueError(
                 f"{len(config.servers)} server addresses given, the plan has {plan.num_servers} servers"
             )
+        if any(port == 0 for _, port in config.servers):
+            raise ValueError(f"server addresses {config.servers}: no server listens on port 0")
         self.cfg = config
         self.profile = profile
         self.plan = plan
@@ -276,16 +283,13 @@ class TrainingWorker:
     # -- outputs -----------------------------------------------------------
 
     def params_digest(self) -> int:
-        return digest64(self.params_bytes())
-
-    def params_bytes(self) -> bytes:
-        return b"".join(pack_f32(vec) for vec in self.params)
+        return digest64(b"".join(pack_f32(vec) for vec in self.params))
 
     def write_outputs(self, outdir: str | Path, digest: int) -> None:
-        """Write this worker's result files; ``digest`` is ``params_digest()``.
-
-        Rank 0 also dumps its parameters, for the bench's server digest check.
-        """
+        """Write ``net_util_worker<rank>.csv``, ``throughput_worker<rank>.csv``,
+        ``digest_worker<rank>.txt`` (``digest``, i.e. ``params_digest()``, alike under both
+        modes' plans) and ``digest_worker<rank>.csv``, a digest row per slice in the rows
+        servers write too (``plan.slice_digests_csv``)."""
         outdir = Path(outdir)
         rank = self.cfg.rank
         write_text(outdir / f"net_util_worker{rank}.csv", samples_to_csv(self.counters.samples()))
@@ -301,5 +305,8 @@ class TrainingWorker:
             ),
         )
         write_text(outdir / f"digest_worker{rank}.txt", f"{digest:016x}\n")
-        if rank == 0:
-            (outdir / f"params_worker{rank}.bin").write_bytes(self.params_bytes())
+        rows = slice_digests_csv(
+            (sl, self.params[sl.key.layer_index][sl.offset : sl.offset + sl.length])
+            for sl in self.plan.slices
+        )
+        write_text(outdir / f"digest_worker{rank}.csv", rows)

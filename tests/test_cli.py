@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from p3sync.cli import EXIT_PROTOCOL, EXIT_TIMEOUT, EXIT_USAGE, RunConfig, main, run_bench, summarize_run
-from p3sync.model import ProfileError, builtin_profile, profile_from_dict, total_params
+from p3sync.model import ProfileError, builtin_profile, profile_from_dict
 from p3sync.plan import make_plan
 from p3sync.proto import ProtocolError
 from p3sync.sim import ScenarioError, scenario_from_dict
@@ -449,24 +449,56 @@ def test_exit_code_mapping(monkeypatch, capsys):
     [
         ("--num-workers", "0", "num_workers 0 must be >= 1"),
         ("--rank", "3", "rank 3 outside the plan's 1 servers"),
+        ("--deadlock-timeout", "0", "deadlock timeout 0.0 must be positive"),
+        ("--listen", "127.0.0.1:70000", "port 70000 outside 0-65535"),
     ],
-    ids=["num-workers-0", "rank-3"],
+    ids=["num-workers-0", "rank-3", "deadlock-timeout-0", "listen-port-70000"],
 )
 def test_server_refuses_arguments_out_of_range(tmp_path, capsys, flag, value, message):
     from p3sync.plan import save_plan
 
     save_plan(make_plan("p3", builtin_profile("toy3"), 1), tmp_path / "plan.csv")
-    args = {"--rank": "0", "--num-workers": "1", flag: value}
+    args = {"--rank": "0", "--num-workers": "1", "--deadlock-timeout": "5", flag: value}
     t0 = time.monotonic()
     code, out, err = run_cli(
-        ["server", "--plan", str(tmp_path / "plan.csv"), "--deadlock-timeout", "5"]
-        + [a for item in args.items() for a in item],
+        ["server", "--plan", str(tmp_path / "plan.csv")] + [a for item in args.items() for a in item],
         capsys,
     )
     assert code == EXIT_USAGE
     assert time.monotonic() - t0 < 1
     assert message in err
     assert "READY" not in out
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--rank", "-1", "rank -1 outside the frame header's 0-65535"),
+        ("--rank", "65536", "rank 65536 outside the frame header's 0-65535"),
+        ("--servers", "127.0.0.1:70000", "port 70000 outside 0-65535"),
+        ("--servers", "127.0.0.1:0", "no server listens on port 0"),
+        ("--deadlock-timeout", "0", "deadlock timeout 0.0 must be positive"),
+    ],
+    ids=["rank--1", "rank-65536", "port-70000", "port-0", "deadlock-timeout-0"],
+)
+def test_worker_refuses_arguments_out_of_range(tmp_path, capsys, flag, value, message):
+    # refused before connecting: at 127.0.0.1:1 the connect retries would run
+    # for the whole deadlock timeout
+    from p3sync.plan import save_plan
+
+    save_plan(make_plan("p3", builtin_profile("toy3"), 1), tmp_path / "plan.csv")
+    args = {"--rank": "0", "--servers": "127.0.0.1:1", "--deadlock-timeout": "30", flag: value}
+    t0 = time.monotonic()
+    code, _, err = run_cli(
+        ["worker", "--profile", "toy3", "--plan", str(tmp_path / "plan.csv"), "--iterations", "1"]
+        + [a for item in args.items() for a in item],
+        capsys,
+    )
+    assert code == EXIT_USAGE
+    assert time.monotonic() - t0 < 1
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_notify_for_unknown_key_is_a_protocol_error(tmp_path, capsys):
@@ -782,49 +814,62 @@ def summarize_copy(run_dir, tmp_path, edit):
 def test_summarize_untouched_run_passes(finished_toy3_run, tmp_path):
     summary = summarize_copy(finished_toy3_run, tmp_path, lambda outdir: None)
     assert summary["digest"] == (finished_toy3_run / "digest_worker0.txt").read_text().strip()
+    assert not (finished_toy3_run / "params_worker0.bin").exists()
+
+
+def edit_rows(process, edit):
+    """Replace the rows of ``digest_<process>.csv`` (toy3 in p3: server 0 holds
+    layers 0 and 2, server 1 layer 1) with ``edit(rows)``."""
+
+    def edit_file(outdir):
+        path = outdir / f"digest_{process}.csv"
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *edit(rows)]) + "\n")
+
+    return edit_file
+
+
+def flip_digest(row):
+    *place, digest = row.split(",")
+    return ",".join([*place, f"{int(digest, 16) ^ 1:016x}"])
 
 
 def test_summarize_rejects_flipped_param(finished_toy3_run, tmp_path):
-    def flip_one_float(outdir):
-        path = outdir / "params_worker0.bin"
-        params = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
-        params[7] = -params[7] if params[7] else np.float32(1.0)
-        path.write_bytes(params.tobytes())
-
-    with pytest.raises(ProtocolError, match="does not match worker 0's digest"):
-        summarize_copy(finished_toy3_run, tmp_path, flip_one_float)
+    # a flipped parameter on worker 1 changes the digest of its slice's row
+    edit = edit_rows("worker1", lambda rows: [flip_digest(rows[0]), *rows[1:]])
+    with pytest.raises(ProtocolError, match="worker 1 row 0,0,0,1024,[0-9a-f]{16} != worker 0's row 0,0,0,1024,"):
+        summarize_copy(finished_toy3_run, tmp_path, edit)
 
 
 def test_summarize_rejects_params_of_wrong_length(finished_toy3_run, tmp_path):
-    def truncate(outdir):
-        path = outdir / "params_worker0.bin"
-        path.write_bytes(path.read_bytes()[:-4])
-
-    with pytest.raises(ProtocolError, match="float32 parameters"):
-        summarize_copy(finished_toy3_run, tmp_path, truncate)
-
-
-def edit_server_row(edit_fields):
-    def edit(outdir):
-        path = outdir / "digest_server0.csv"
-        header, first, *rest = path.read_text().splitlines()
-        path.write_text("\n".join([header, ",".join(edit_fields(first.split(","))), *rest]) + "\n")
-
-    return edit
+    # worker 1 reports one slice fewer than worker 0
+    edit = edit_rows("worker1", lambda rows: rows[:-1])
+    with pytest.raises(ProtocolError, match="worker 1 row None != worker 0's row 2,0,0,1024,"):
+        summarize_copy(finished_toy3_run, tmp_path, edit)
 
 
 def test_summarize_rejects_changed_server_digest(finished_toy3_run, tmp_path):
-    def change_digest(row):
-        row[-1] = f"{int(row[-1], 16) ^ 1:016x}"
-        return row
-
-    with pytest.raises(ProtocolError, match="server 0 slice .* != worker-side"):
-        summarize_copy(finished_toy3_run, tmp_path, edit_server_row(change_digest))
+    edit = edit_rows("server0", lambda rows: [flip_digest(rows[0]), *rows[1:]])
+    with pytest.raises(ProtocolError, match="server 0 row 0,0,0,1024,.*: worker 0 has no such row"):
+        summarize_copy(finished_toy3_run, tmp_path, edit)
 
 
 def test_summarize_rejects_server_digest_of_unknown_layer(finished_toy3_run, tmp_path):
-    def unknown_layer(row):
-        return ["9", *row[1:]]
+    edit = edit_rows("server1", lambda rows: [*rows, "9" + rows[0][1:]])
+    with pytest.raises(ProtocolError, match="server 1 row 9,0,0,1024,.*: worker 0 has no such row"):
+        summarize_copy(finished_toy3_run, tmp_path, edit)
 
-    with pytest.raises(ProtocolError, match="profile has no layer 9"):
-        summarize_copy(finished_toy3_run, tmp_path, edit_server_row(unknown_layer))
+
+def test_summarize_rejects_missing_server_row(finished_toy3_run, tmp_path):
+    edit = edit_rows("server0", lambda rows: rows[:1])
+    with pytest.raises(ProtocolError, match="worker 0 row 2,0,0,1024,.* is on no server"):
+        summarize_copy(finished_toy3_run, tmp_path, edit)
+
+
+def test_summarize_rejects_row_on_two_servers(finished_toy3_run, tmp_path):
+    def copy_to_server1(outdir):
+        layer0 = (outdir / "digest_server0.csv").read_text().splitlines()[1]
+        edit_rows("server1", lambda rows: [*rows, layer0])(outdir)
+
+    with pytest.raises(ProtocolError, match="server 1 row 0,0,0,1024,.*: a server holds it already"):
+        summarize_copy(finished_toy3_run, tmp_path, copy_to_server1)

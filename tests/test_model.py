@@ -13,7 +13,6 @@ from p3sync.model import (
     profile_to_dict,
     resolve_profile,
     save_profile,
-    total_params,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -34,7 +33,7 @@ def test_load_three_layer_file(tmp_path):
     p = write_profile(tmp_path, [layer(0), layer(1), layer(2)])
     prof = load_profile(p)
     assert prof.num_layers == 3
-    assert total_params(prof) == 30
+    assert sum(l.param_count for l in prof.layers) == 30
 
 
 def test_index_gap_rejected(tmp_path):
@@ -96,7 +95,7 @@ def test_not_json(tmp_path):
 def test_total_params_single_layer():
     prof = ModelProfile("one", 0, (LayerSpec(0, "big", 1_000_000, 0, 0),))
     prof.validate()
-    assert total_params(prof) == 1_000_000
+    assert sum(l.param_count for l in prof.layers) == 1_000_000
 
 
 def test_roundtrip(tmp_path):
@@ -129,7 +128,7 @@ def test_vgg19_like_heavy_share():
     prof = builtin_profile("vgg19-like")
     counts = [l.param_count for l in prof.layers]
     heaviest = max(range(len(counts)), key=counts.__getitem__)
-    share = counts[heaviest] / total_params(prof)
+    share = counts[heaviest] / sum(counts)
     assert abs(share - 0.715) <= 0.001
     assert heaviest >= prof.num_layers - 4  # near the end
 
@@ -160,7 +159,7 @@ def test_shipped_vgg_file_share_recomputed():
     total = sum(counts)
     assert max(counts) / total == pytest.approx(0.715, abs=0.001)
     prof = load_profile(REPO / "profiles" / "vgg19-like.json")
-    assert total_params(prof) == total
+    assert sum(l.param_count for l in prof.layers) == total
 
 
 def test_resolve_profile(tmp_path):

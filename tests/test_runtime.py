@@ -8,7 +8,6 @@ import time
 import numpy as np
 import pytest
 
-from p3sync.hashing import digest64
 from p3sync.metrics import iteration_starts_from_csv, iterations_from_csv
 from p3sync.model import LayerSpec, ModelProfile, builtin_profile
 from p3sync.plan import BASELINE_MODE, P3_MODE, make_plan, plan_fingerprint
@@ -216,14 +215,33 @@ def test_iteration_values_match_direct_simulation():
 
 
 def test_worker_outputs_written(tmp_path):
-    workers, _ = run_topology(P3_MODE, small_profile(), 1, 1, iterations=2)
-    workers[0].write_outputs(tmp_path, workers[0].params_digest())
-    assert (tmp_path / "digest_worker0.txt").read_text().strip() == f"{workers[0].params_digest():016x}"
-    blob = (tmp_path / "params_worker0.bin").read_bytes()
-    assert blob == workers[0].params_bytes()
-    assert workers[0].params_digest() == digest64(blob)
-    assert (tmp_path / "net_util_worker0.csv").exists()
-    assert (tmp_path / "throughput_worker0.csv").exists()
+    workers, engines = run_topology(P3_MODE, small_profile(), 1, 2, iterations=2)
+    w = workers[0]
+    w.write_outputs(tmp_path, w.params_digest())
+    assert (tmp_path / "digest_worker0.txt").read_text().strip() == f"{w.params_digest():016x}"
+    # a row per slice, in key order, in the servers' format: together the
+    # servers' rows are the worker's, each on one server
+    header, *rows = (tmp_path / "digest_worker0.csv").read_text().splitlines()
+    assert header == "layer,slice,offset,len,digest"
+    assert [r.split(",")[:4] for r in rows] == [
+        [str(x) for x in (s.key.layer_index, s.key.slice_index, s.offset, s.length)]
+        for s in sorted(w.plan.slices, key=lambda s: s.key)
+    ]
+    for e in engines:
+        e.write_outputs(tmp_path)
+    server_rows = []
+    for rank in range(2):
+        server_header, *mine = (tmp_path / f"digest_server{rank}.csv").read_text().splitlines()
+        assert server_header == header and mine
+        server_rows += mine
+    assert sorted(server_rows) == sorted(rows)
+    assert sorted(tmp_path.iterdir()) == sorted(
+        tmp_path / name
+        for name in (
+            "digest_worker0.txt", "digest_worker0.csv", "net_util_worker0.csv", "throughput_worker0.csv",
+            "digest_server0.csv", "digest_server1.csv", "net_util_server0.csv", "net_util_server1.csv",
+        )
+    )
 
 
 def test_metrics_accounting_closure():
@@ -424,7 +442,7 @@ def cli_run(request, tmp_path_factory):
         threads = [
             process(
                 "server", "server", "--rank", "0", "--num-workers", "2", *common,
-                "--net-util", str(outdir / "net_util_server0.csv"),
+                "--outdir", str(outdir),
             )
         ]
         deadline = time.monotonic() + TIMEOUT
