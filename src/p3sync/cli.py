@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import subprocess
 import sys
@@ -43,7 +44,7 @@ from .proto import ProtocolError
 from .queues import DeadlockError
 from .server import ServerEngine
 from .sim import POLICIES, ScenarioError, load_scenario, simulate
-from .transport import parse_addr
+from .transport import DEFAULT_DEADLOCK_TIMEOUT, parse_addr
 from .worker import TrainingWorker, WorkerConfig
 
 EXIT_OK = 0
@@ -80,6 +81,10 @@ class RunConfig:
 
     def validate(self) -> None:
         """Reject what no child process could run; ``make_plan`` checks the plan's settings."""
+        for name in ("lr", "throttle_rate", "timeout"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} {value} must be finite")
         if self.throttle_rate < 0:
             raise ValueError(f"throttle_rate {self.throttle_rate} must be >= 0 (0 disables shaping)")
         if self.num_workers < 1:
@@ -418,7 +423,7 @@ def build_parser() -> _Parser:
     p.add_argument("--num-workers", type=int, required=True)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--throttle-rate", type=float, default=0.0, help="bits/second; 0 = off")
-    p.add_argument("--deadlock-timeout", type=float, default=60.0)
+    p.add_argument("--deadlock-timeout", type=float, default=DEFAULT_DEADLOCK_TIMEOUT)
     p.add_argument("--outdir", default=None)
     p.set_defaults(func=cmd_server)
 
@@ -429,7 +434,7 @@ def build_parser() -> _Parser:
     p.add_argument("--plan", required=True)
     p.add_argument("--iterations", type=int, required=True)
     p.add_argument("--throttle-rate", type=float, default=0.0, help="bits/second; 0 = off")
-    p.add_argument("--deadlock-timeout", type=float, default=60.0)
+    p.add_argument("--deadlock-timeout", type=float, default=DEFAULT_DEADLOCK_TIMEOUT)
     p.add_argument("--outdir", default=None)
     p.set_defaults(func=cmd_worker)
 

@@ -3,12 +3,15 @@
 A profile drives both the networked workload emulator (times in microseconds)
 and the discrete-event simulator (times in abstract ticks). No real math is
 attached to a layer; compute is represented purely by its declared duration.
+
+A profile file is the JSON of ``ModelProfile``'s fields (``dataclasses.asdict``),
+and ``profile_from_dict`` reads it back, refusing any key the dataclasses lack.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 
@@ -51,23 +54,6 @@ class ModelProfile:
     @property
     def num_layers(self) -> int:
         return len(self.layers)
-
-
-def profile_to_dict(profile: ModelProfile) -> dict:
-    return {
-        "name": profile.name,
-        "seed": profile.seed,
-        "layers": [
-            {
-                "index": l.index,
-                "name": l.name,
-                "param_count": l.param_count,
-                "fwd_time": l.fwd_time,
-                "bwd_time": l.bwd_time,
-            }
-            for l in profile.layers
-        ],
-    }
 
 
 _JSON_TYPES = {int: "integer", str: "string", list: "array", dict: "object"}
@@ -116,15 +102,11 @@ def load_profile(path: str | Path) -> ModelProfile:
 
 
 def save_profile(profile: ModelProfile, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(profile_to_dict(profile), indent=2) + "\n")
-
-
-def _mk(index: int, name: str, params: int, fwd: int, bwd: int) -> LayerSpec:
-    return LayerSpec(index=index, name=name, param_count=params, fwd_time=fwd, bwd_time=bwd)
+    Path(path).write_text(json.dumps(asdict(profile), indent=2) + "\n")
 
 
 def _toy3() -> ModelProfile:
-    layers = tuple(_mk(i, f"layer{i}", 1024, 1000, 1000) for i in range(3))
+    layers = tuple(LayerSpec(i, f"layer{i}", 1024, 1000, 1000) for i in range(3))
     return ModelProfile(name="toy3", seed=42, layers=layers)
 
 
@@ -139,29 +121,29 @@ def _vgg19_like() -> ModelProfile:
     ]
     layers = []
     for i, params in enumerate(conv_sizes):
-        layers.append(_mk(i, f"conv{i}", params, 1400, 2100))
+        layers.append(LayerSpec(i, f"conv{i}", params, 1400, 2100))
     # fc layers carry the parameters but almost none of the compute
-    layers.append(_mk(16, "fc16", 715_000, 400, 600))
-    layers.append(_mk(17, "fc17", 18_000, 300, 450))
-    layers.append(_mk(18, "fc18", 5_000, 200, 300))
+    layers.append(LayerSpec(16, "fc16", 715_000, 400, 600))
+    layers.append(LayerSpec(17, "fc17", 18_000, 300, 450))
+    layers.append(LayerSpec(18, "fc18", 5_000, 200, 300))
     return ModelProfile(name="vgg19-like", seed=19, layers=tuple(layers))
 
 
 def _resnet50_like() -> ModelProfile:
     # many small conv layers, a heavier final fc
     sizes = [4_000] * 12 + [6_000] * 12 + [8_000] * 13 + [12_000] * 12
-    layers = [_mk(i, f"conv{i}", p, 700, 1100) for i, p in enumerate(sizes)]
-    layers.append(_mk(len(sizes), "fc", 60_000, 900, 1400))
+    layers = [LayerSpec(i, f"conv{i}", p, 700, 1100) for i, p in enumerate(sizes)]
+    layers.append(LayerSpec(len(sizes), "fc", 60_000, 900, 1400))
     return ModelProfile(name="resnet50-like", seed=50, layers=tuple(layers))
 
 
 def _sockeye_like() -> ModelProfile:
     # translation-model skew: the embedding at index 0 is the heaviest layer
-    layers = [_mk(0, "embed", 400_000, 1800, 2600)]
+    layers = [LayerSpec(0, "embed", 400_000, 1800, 2600)]
     for i in range(1, 13):
-        layers.append(_mk(i, f"enc{i}", 10_000, 1200, 1800))
+        layers.append(LayerSpec(i, f"enc{i}", 10_000, 1200, 1800))
     for i in range(13, 25):
-        layers.append(_mk(i, f"dec{i}", 15_000, 1200, 1800))
+        layers.append(LayerSpec(i, f"dec{i}", 15_000, 1200, 1800))
     return ModelProfile(name="sockeye-like", seed=7, layers=tuple(layers))
 
 

@@ -12,11 +12,11 @@ HELLO carries the worker's plan fingerprint in its iteration field, and the
 server refuses a worker whose fingerprint differs from its own.
 
 One decoder reads frames: ``FrameDecoder.header`` checks a header before its
-payload is read, and ``FrameDecoder.feed`` decodes whole frames. It holds no
-partial frame between calls; the transport reads each frame whole before it
-decodes it. Decoding copies no payload: a decoded frame's payload is a
-read-only view of the buffer the frame was decoded from, so that buffer must
-not be reused.
+payload is read, and ``FrameDecoder.feed`` decodes one whole frame. It holds
+no partial frame between calls; the transport reads each frame whole, into a
+buffer of its own, before it decodes it. Decoding copies no payload: a decoded
+frame's payload is a read-only view of the buffer the frame was decoded from,
+so that buffer must not be reused.
 """
 
 from __future__ import annotations
@@ -109,18 +109,18 @@ def encode_frame(frame: Frame) -> bytes:
 class FrameDecoder:
     """Stateless frame decoder; raises ProtocolError on bad magic, an unknown
     message type, a payload length the type forbids, that is no whole float32
-    array or over DEFAULT_MAX_PAYLOAD, or a truncated frame.
+    array or over DEFAULT_MAX_PAYLOAD, a truncated frame, or bytes after it.
 
-    ``feed`` keeps its name and its list return because the benchmark's probes
-    wrap ``FrameDecoder.feed`` and count the frames it returns.
+    ``feed`` keeps its name and its list return, always of one frame, because
+    the benchmark's probes wrap ``FrameDecoder.feed`` and count the frames it
+    returns.
     """
 
-    def _fields(self, buf: bytes | bytearray | memoryview, pos: int) -> tuple:
-        """The fields of the header at ``buf[pos:]`` after the magic, the type as MsgType."""
-        if len(buf) - pos < HEADER_LEN:
-            missing = HEADER_LEN - len(buf) + pos
-            raise ProtocolError(f"truncated frame header: {missing} bytes missing")
-        magic, raw_type, *fields, payload_len = _HEADER.unpack_from(buf, pos)
+    def _fields(self, buf: bytes | bytearray | memoryview) -> tuple:
+        """The fields of the header at the start of ``buf`` after the magic, the type as MsgType."""
+        if len(buf) < HEADER_LEN:
+            raise ProtocolError(f"truncated frame header: {HEADER_LEN - len(buf)} bytes missing")
+        magic, raw_type, *fields, payload_len = _HEADER.unpack_from(buf)
         if magic != MAGIC:
             raise ProtocolError(f"bad magic {bytes(magic)!r}")
         try:
@@ -137,19 +137,15 @@ class FrameDecoder:
 
     def header(self, buf: bytes | bytearray | memoryview) -> int:
         """Validate a frame's HEADER_LEN-byte header; the payload length it announces."""
-        return self._fields(buf, 0)[-1]
+        return self._fields(buf)[-1]
 
     def feed(self, buf: bytes | bytearray | memoryview) -> list[Frame]:
-        """The frames held back to back in ``buf``, which must end with a whole frame."""
+        """The one frame that ``buf`` holds, as a list of it."""
         view = memoryview(buf).toreadonly()
-        frames = []
-        pos = 0
-        while pos < len(view):
-            msg_type, iteration, rank, layer, sl, payload_len = self._fields(view, pos)
-            start = pos + HEADER_LEN
-            pos = start + payload_len
-            if pos > len(view):
-                missing = pos - len(view)
-                raise ProtocolError(f"truncated {msg_type.name} frame: {missing} bytes missing")
-            frames.append(Frame(msg_type, iteration, rank, layer, sl, view[start:pos]))
-        return frames
+        msg_type, iteration, rank, layer, sl, payload_len = self._fields(view)
+        end = HEADER_LEN + payload_len
+        if end > len(view):
+            raise ProtocolError(f"truncated {msg_type.name} frame: {end - len(view)} bytes missing")
+        if end < len(view):
+            raise ProtocolError(f"{len(view) - end} bytes after a {msg_type.name} frame")
+        return [Frame(msg_type, iteration, rank, layer, sl, view[HEADER_LEN:])]

@@ -3,15 +3,19 @@
 One server process owns the slice keys its rank was assigned in the plan and
 runs in the plan's mode. Its queues are built with it: one inbox, drained by
 one consumer thread, and one outbox per worker rank, drained by a sender that
-the rank's HELLO starts. ``run()`` accepts the workers itself, one reader
-each. The mode picks only the queues' order: in p3 mode incoming pushes drain
-through a priority queue and completed updates are broadcast to every worker
-immediately; in baseline mode pushes are handled in arrival order and workers
-are notified, then pull.
+the rank's HELLO starts. Each rank keeps its own sender so that a ``sendall``
+blocked on one worker's connection leaves the shared token bucket to the
+other ranks' senders: one shared downlink sender read p3 at 436-441 samples/s
+against 452-455 on shaped-vgg (3 pairs, seeds 7202-7204). ``run()`` accepts
+the workers itself, one reader each. The mode picks only the queues' order:
+in p3 mode incoming pushes drain through a priority queue and completed
+updates are broadcast to every worker immediately; in baseline mode pushes
+are handled in arrival order and workers are notified, then pull.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -24,7 +28,7 @@ from .metrics import NetCounters, samples_to_csv, write_text
 from .plan import P3_MODE, SliceKey, Slice, SlicePlan, plan_fingerprint, slice_digests_csv
 from .proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
 from .queues import FrameQueue
-from .transport import Crew, FrameConnection, TokenBucket, listen, shut_and_close
+from .transport import DEFAULT_DEADLOCK_TIMEOUT, Crew, FrameConnection, TokenBucket, listen, shut_and_close
 
 
 @dataclass
@@ -93,15 +97,17 @@ class ServerEngine:
         num_workers: int,
         lr: float,
         throttle_rate: float | None = None,
-        poll_timeout: float = 60.0,
+        poll_timeout: float = DEFAULT_DEADLOCK_TIMEOUT,
     ) -> None:
         # checked before the listener binds, so a refusal leaks no socket
         if num_workers < 1:
             raise ValueError(f"num_workers {num_workers} must be >= 1")
         if not 0 <= rank < plan.num_servers:
             raise ValueError(f"rank {rank} outside the plan's {plan.num_servers} servers")
-        if poll_timeout <= 0:
-            raise ValueError(f"deadlock timeout {poll_timeout} must be positive")
+        if not (poll_timeout > 0 and math.isfinite(poll_timeout)):
+            raise ValueError(f"deadlock timeout {poll_timeout} must be positive and finite")
+        if not math.isfinite(lr):
+            raise ValueError(f"lr {lr} must be finite")
         self.rank = rank
         self.p3 = plan.mode == P3_MODE
         self.plan_fingerprint = plan_fingerprint(plan)

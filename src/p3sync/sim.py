@@ -40,12 +40,12 @@ from __future__ import annotations
 import heapq
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
-from .model import ModelProfile, profile_from_dict, profile_to_dict, typed_fields
+from .model import ModelProfile, profile_from_dict, typed_fields
 from .plan import P3_MODE, SlicePlan, chunk_layer, validate_plan
 
 AGGRESSIVE_COARSE = "aggressive-coarse"
@@ -114,18 +114,6 @@ _SCENARIO_KINDS = {
 }
 
 
-def scenario_to_dict(sc: Scenario) -> dict:
-    return {
-        "name": sc.name,
-        "policy": sc.policy,
-        "slice_ticks": sc.slice_ticks,
-        "num_iterations": sc.num_iterations,
-        "per_slice_overhead": sc.per_slice_overhead,
-        "profile": profile_to_dict(sc.profile),
-        "stages": [{"up": s.up, "update": s.update, "down": s.down} for s in sc.stages],
-    }
-
-
 def scenario_from_dict(obj: dict) -> Scenario:
     try:
         top = typed_fields(obj, _SCENARIO_KINDS, ScenarioError)
@@ -149,7 +137,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def save_scenario(sc: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(sc), indent=2) + "\n")
+    """Write ``sc`` as the JSON of its dataclass fields, which ``scenario_from_dict`` reads."""
+    Path(path).write_text(json.dumps(asdict(sc), indent=2) + "\n")
 
 
 def scenario_from_plan(

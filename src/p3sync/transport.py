@@ -11,6 +11,7 @@ size, which its decoded payload views.
 
 from __future__ import annotations
 
+import math
 import socket
 import threading
 import time
@@ -23,6 +24,8 @@ from .proto import HEADER_LEN, Frame, FrameDecoder, encode_frame
 
 DEFAULT_BURST_BYTES = 50 * 1024
 SEND_CHUNK = 16 * 1024
+# seconds a worker or server waits on a peer or a queue before it gives up
+DEFAULT_DEADLOCK_TIMEOUT = 60.0
 
 
 class TokenBucket:
@@ -33,8 +36,8 @@ class TokenBucket:
     """
 
     def __init__(self, rate_bps: float, burst_bytes: int = DEFAULT_BURST_BYTES) -> None:
-        if rate_bps <= 0:
-            raise ValueError("rate must be positive; use None for no shaping")
+        if not (rate_bps > 0 and math.isfinite(rate_bps)):
+            raise ValueError(f"rate must be positive and finite, got {rate_bps}; use None for no shaping")
         self.rate_bytes = rate_bps / 8.0
         self.burst = float(burst_bytes)
         self._tokens = float(burst_bytes)
@@ -45,6 +48,11 @@ class TokenBucket:
         self._tokens = min(self.burst, self._tokens + (now - self._last) * self.rate_bytes)
         self._last = now
 
+    # Takes the tokens there are and polls for the rest, rather than reserving
+    # a slot in a FIFO of future tokens. With a reserving bucket a server's
+    # 27-byte NOTIFY waited behind the 16 KiB chunks the other rank's sender had
+    # reserved: on shaped-vgg (seeds 7301-7306) throughput.baseline went
+    # 284.7 -> 276.7/s, worse in 5 of 6 pairs, while p3 went 463.6 -> 462.9/s.
     def consume(self, n: int) -> None:
         """Block until n tokens are available, then take them. n may exceed burst."""
         remaining = float(n)

@@ -22,6 +22,7 @@ the tail of synchronization whenever the arrival order allows it.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -36,9 +37,7 @@ from .model import ModelProfile
 from .plan import P3_MODE, SliceKey, SlicePlan, plan_fingerprint, slice_digests_csv
 from .proto import MAX_WORKER_RANK, Frame, MsgType, ProtocolError, pack_f32, slice_frame
 from .queues import DeadlockError, FrameQueue
-from .transport import Crew, FrameConnection, TokenBucket, connect_with_retry
-
-DEFAULT_DEADLOCK_TIMEOUT = 60.0
+from .transport import DEFAULT_DEADLOCK_TIMEOUT, Crew, FrameConnection, TokenBucket, connect_with_retry
 
 
 @dataclass
@@ -62,8 +61,8 @@ class TrainingWorker:
         # checked before anything connects, so a refusal reaches no server
         if not 0 <= config.rank <= MAX_WORKER_RANK:
             raise ValueError(f"rank {config.rank} outside the frame header's 0-{MAX_WORKER_RANK}")
-        if config.deadlock_timeout <= 0:
-            raise ValueError(f"deadlock timeout {config.deadlock_timeout} must be positive")
+        if not (config.deadlock_timeout > 0 and math.isfinite(config.deadlock_timeout)):
+            raise ValueError(f"deadlock timeout {config.deadlock_timeout} must be positive and finite")
         if len(config.servers) != plan.num_servers:
             raise ValueError(
                 f"{len(config.servers)} server addresses given, the plan has {plan.num_servers} servers"

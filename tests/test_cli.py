@@ -226,6 +226,21 @@ def test_bench_negative_throttle_rate_is_a_usage_error(tmp_path, capsys, spawned
     assert [p for p in spawned if p.poll() is None] == []
 
 
+@pytest.mark.parametrize("flag", ["--lr", "--throttle-rate", "--timeout"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bench_refuses_a_value_that_is_not_finite(tmp_path, capsys, spawned, flag, value):
+    # refused before anything is spawned: a NaN lr would train every parameter to
+    # NaN with the digest checks still passing, and a NaN rate would run unshaped
+    outdir = tmp_path / "run"
+    t0 = time.monotonic()
+    code, _, err = run_cli(["bench", flag, value, "--output-dir", str(outdir)], capsys)
+    assert code == EXIT_USAGE
+    assert time.monotonic() - t0 < 1
+    assert f"{flag[2:].replace('-', '_')} {value} must be finite" in err
+    assert "Traceback" not in err
+    assert spawned == [] and not (outdir / "server0.log").exists()
+
+
 def test_bench_rejects_skip_iterations_not_below_iterations(tmp_path, capsys, spawned):
     outdir = tmp_path / "run"
     code, _, err = run_cli(
@@ -450,9 +465,17 @@ def test_exit_code_mapping(monkeypatch, capsys):
         ("--num-workers", "0", "num_workers 0 must be >= 1"),
         ("--rank", "3", "rank 3 outside the plan's 1 servers"),
         ("--deadlock-timeout", "0", "deadlock timeout 0.0 must be positive"),
+        ("--deadlock-timeout", "nan", "deadlock timeout nan must be positive and finite"),
+        ("--deadlock-timeout", "inf", "deadlock timeout inf must be positive and finite"),
         ("--listen", "127.0.0.1:70000", "port 70000 outside 0-65535"),
+        ("--lr", "nan", "lr nan must be finite"),
+        ("--throttle-rate", "nan", "rate must be positive and finite, got nan"),
+        ("--throttle-rate", "inf", "rate must be positive and finite, got inf"),
     ],
-    ids=["num-workers-0", "rank-3", "deadlock-timeout-0", "listen-port-70000"],
+    ids=[
+        "num-workers-0", "rank-3", "deadlock-timeout-0", "deadlock-timeout-nan", "deadlock-timeout-inf",
+        "listen-port-70000", "lr-nan", "throttle-rate-nan", "throttle-rate-inf",
+    ],
 )
 def test_server_refuses_arguments_out_of_range(tmp_path, capsys, flag, value, message):
     from p3sync.plan import save_plan
@@ -479,8 +502,15 @@ def test_server_refuses_arguments_out_of_range(tmp_path, capsys, flag, value, me
         ("--servers", "127.0.0.1:70000", "port 70000 outside 0-65535"),
         ("--servers", "127.0.0.1:0", "no server listens on port 0"),
         ("--deadlock-timeout", "0", "deadlock timeout 0.0 must be positive"),
+        ("--deadlock-timeout", "nan", "deadlock timeout nan must be positive and finite"),
+        ("--deadlock-timeout", "inf", "deadlock timeout inf must be positive and finite"),
+        ("--throttle-rate", "nan", "rate must be positive and finite, got nan"),
+        ("--throttle-rate", "inf", "rate must be positive and finite, got inf"),
     ],
-    ids=["rank--1", "rank-65536", "port-70000", "port-0", "deadlock-timeout-0"],
+    ids=[
+        "rank--1", "rank-65536", "port-70000", "port-0", "deadlock-timeout-0", "deadlock-timeout-nan",
+        "deadlock-timeout-inf", "throttle-rate-nan", "throttle-rate-inf",
+    ],
 )
 def test_worker_refuses_arguments_out_of_range(tmp_path, capsys, flag, value, message):
     # refused before connecting: at 127.0.0.1:1 the connect retries would run

@@ -10,10 +10,11 @@ from p3sync.model import (
     ProfileError,
     builtin_profile,
     load_profile,
-    profile_to_dict,
+    profile_from_dict,
     resolve_profile,
     save_profile,
 )
+from p3sync.sim import load_scenario, save_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -153,6 +154,18 @@ def test_shipped_profile_files_match_builtins():
         assert load_profile(path) == builtin_profile(name)
 
 
+def test_shipped_files_are_the_writers_bytes(tmp_path):
+    # CI rewrites these files and fails on any difference; this pins the same
+    # bytes in tier-1, so a writer change that moves a byte fails here first
+    for name in BUILTIN_NAMES:
+        save_profile(builtin_profile(name), tmp_path / "p.json")
+        assert (tmp_path / "p.json").read_bytes() == (REPO / "profiles" / f"{name}.json").read_bytes(), name
+    for name in ("fig4", "fig6"):
+        shipped = REPO / "scenarios" / f"{name}.json"
+        save_scenario(load_scenario(shipped), tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_bytes() == shipped.read_bytes(), name
+
+
 def test_shipped_vgg_file_share_recomputed():
     obj = json.loads((REPO / "profiles" / "vgg19-like.json").read_text())
     counts = [l["param_count"] for l in obj["layers"]]
@@ -171,7 +184,9 @@ def test_resolve_profile(tmp_path):
         resolve_profile("missing-thing")
 
 
-def test_profile_dict_roundtrip_stable():
+def test_profile_dict_roundtrip_stable(tmp_path):
     prof = builtin_profile("vgg19-like")
-    d = profile_to_dict(prof)
+    save_profile(prof, tmp_path / "p.json")
+    d = json.loads((tmp_path / "p.json").read_text())
     assert json.loads(json.dumps(d)) == d
+    assert profile_from_dict(d) == prof

@@ -129,23 +129,26 @@ def test_roundtrip(frame):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(frame_strategy(), min_size=0, max_size=6))
-def test_concatenated_frames_decode_equal_in_one_feed(frames):
-    blob = b"".join(encode_frame(f) for f in frames)
-    assert DECODER.feed(blob) == frames
+@given(frame_strategy(), st.binary(min_size=1, max_size=64))
+def test_bytes_after_the_frame_are_refused(frame, extra):
+    # a buffer holds one frame: whatever follows it, a second frame too, is refused
+    data = encode_frame(frame)
+    for tail in (extra, encode_frame(frame)):
+        with pytest.raises(ProtocolError, match=f"{len(tail)} bytes after a {frame.msg_type.name} frame"):
+            DECODER.feed(data + tail)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(frame_strategy(), min_size=1, max_size=6), st.data())
-def test_cut_inside_the_last_frame_is_refused(frames, data):
-    # the decoder holds no partial frame: a buffer that ends inside a frame is
-    # refused, with the count of bytes missing
-    encoded = [encode_frame(f) for f in frames]
-    cut = data.draw(st.integers(1, len(encoded[-1]) - 1))
-    kept = len(encoded[-1]) - cut
+@given(frame_strategy(), st.data())
+def test_a_frame_cut_short_is_refused(frame, data):
+    # the decoder holds no partial frame: a buffer that ends inside its frame
+    # is refused, with the count of bytes missing
+    encoded = encode_frame(frame)
+    cut = data.draw(st.integers(1, len(encoded) - 1))
+    kept = len(encoded) - cut
     missing = HEADER_LEN - kept if kept < HEADER_LEN else cut
     with pytest.raises(ProtocolError, match=f"truncated .*: {missing} bytes missing"):
-        DECODER.feed(b"".join(encoded)[:-cut])
+        DECODER.feed(encoded[:-cut])
 
 
 def test_truncated_header_reports_needed():
@@ -158,12 +161,6 @@ def test_truncated_payload_reports_needed():
     data = encode_frame(Frame(msg_type=MsgType.PUSH, payload=pack_f32(np.zeros(4, np.float32))))
     with pytest.raises(ProtocolError, match="truncated PUSH frame: 3 bytes missing"):
         DECODER.feed(data[:-3])
-
-
-def test_two_concatenated_frames_decode_in_order():
-    a = Frame(msg_type=MsgType.PUSH, layer_index=1, payload=pack_f32(np.ones(2, np.float32)))
-    b = Frame(msg_type=MsgType.FIN, worker_rank=3)
-    assert DECODER.feed(encode_frame(a) + encode_frame(b)) == [a, b]
 
 
 def test_payload_f32_view():

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -24,8 +24,8 @@ from p3sync.sim import (
     UPDATE,
     UPLINK,
     load_scenario,
+    save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     scenario_from_plan,
     simulate,
 )
@@ -55,6 +55,11 @@ def fig6(policy):
         slice_ticks=1,
         num_iterations=1,
     )
+
+
+def scenario_json(sc):
+    """``sc`` as a scenario file holds it: the JSON of its dataclass, read back."""
+    return json.loads(json.dumps(asdict(sc)))
 
 
 # hand-replayed event schedules, frozen
@@ -174,9 +179,10 @@ def test_shipped_scenarios_match_goldens():
 
 def test_scenario_json_roundtrip(tmp_path):
     sc = fig6(AGGRESSIVE_SLICED)
-    assert scenario_from_dict(scenario_to_dict(sc)) == sc
+    assert scenario_from_dict(scenario_json(sc)) == sc
     sc = replace(linkbound_scenario(PRIORITY_SLICED, 2), per_slice_overhead=1)
-    assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc)))) == sc
+    save_scenario(sc, tmp_path / "lb.json")
+    assert load_scenario(tmp_path / "lb.json") == sc
 
 
 @pytest.mark.parametrize(
@@ -189,7 +195,7 @@ def test_scenario_json_roundtrip(tmp_path):
     ],
 )
 def test_scenario_fields_are_type_checked(key, value):
-    obj = scenario_to_dict(fig4(AGGRESSIVE_COARSE))
+    obj = scenario_json(fig4(AGGRESSIVE_COARSE))
     obj[key] = value
     with pytest.raises(ScenarioError, match=key):
         scenario_from_dict(obj)

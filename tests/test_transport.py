@@ -1,3 +1,4 @@
+import math
 import socket
 import struct
 import sys
@@ -29,8 +30,10 @@ def test_parse_addr():
 
 
 def test_bucket_rejects_bad_rate():
-    with pytest.raises(ValueError):
-        TokenBucket(0)
+    # nan fails no `rate <= 0` check, and a nan rate would refill the whole burst at every call
+    for rate in (0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"got {rate}"):
+            TokenBucket(rate)
 
 
 def test_bucket_allows_initial_burst_instantly():
