@@ -64,6 +64,13 @@ class FrameQueue:
                 return heapq.heappop(self._heap)[2]
             return None
 
+    def take(self) -> Frame | None:
+        """Pop the next frame without waiting; None while empty."""
+        with self._cond:
+            if self._heap:
+                return heapq.heappop(self._heap)[2]
+            return None
+
     def drain(self, handle, timeout: float | None = None) -> None:
         """Pass each polled frame to ``handle`` until the queue is closed and empty."""
         while (frame := self.poll(timeout)) is not None:

@@ -1,16 +1,26 @@
 """Parameter server engine: aggregate pushed gradients, update, send parameters back.
 
 One server process owns the slice keys its rank was assigned in the plan and
-runs in the plan's mode. Its queues are built with it: one inbox, drained by
-one consumer thread, and one outbox per worker rank, drained by a sender that
-the rank's HELLO starts. Each rank keeps its own sender so that a ``sendall``
-blocked on one worker's connection leaves the shared token bucket to the
-other ranks' senders: one shared downlink sender read p3 at 436-441 samples/s
-against 452-455 on shaped-vgg (3 pairs, seeds 7202-7204). ``run()`` accepts
-the workers itself, one reader each. The mode picks only the queues' order:
-in p3 mode incoming pushes drain through a priority queue and completed
-updates are broadcast to every worker immediately; in baseline mode pushes
-are handled in arrival order and workers are notified, then pull.
+runs in the plan's mode. ``run()`` accepts the workers itself, and its only
+threads are one reader per worker. Its queues are built with it: one inbox,
+and one outbox per worker rank. A reader that has read a PUSH or PULL queues
+it in the inbox and then serves (``_serve``): it handles inbox frames for as
+long as it holds the handler lock, then, for each rank, sends that rank's
+outbox for as long as it holds the rank's send lock. No reader waits for
+either lock, and a holder looks at its queue again after it lets go, so a
+queued frame is never left without a reader to serve it. So one frame is
+handled at a time, and each rank's frames leave in outbox order. A reader
+that is serving reads nothing, so a backlog waits in its socket buffer,
+where TCP flow control bounds it, rather than in this process's heap.
+
+The send locks are per rank so that two readers can send to two ranks at
+once: a ``sendall`` blocked on one worker's connection leaves the shared
+token bucket to the other ranks. One shared downlink sender read p3 at
+436-441 samples/s against 452-455 on shaped-vgg (3 pairs, seeds 7202-7204).
+The mode picks only the queues' order: in p3 mode incoming pushes are
+handled most urgent first and completed updates are broadcast to every
+worker immediately; in baseline mode pushes are handled in arrival order and
+workers are notified, then pull.
 """
 
 from __future__ import annotations
@@ -123,10 +133,12 @@ class ServerEngine:
         self.counters = NetCounters()
         self._bucket = TokenBucket(throttle_rate) if throttle_rate else None
         self.crew = Crew()
-        self.inbox = self.crew.closing(FrameQueue(priority_mode=self.p3))
-        self.outboxes = [self.crew.closing(FrameQueue(priority_mode=self.p3)) for _ in range(num_workers)]
-        self._greeted: set[int] = set()
-        self._fins = 0
+        self.inbox = FrameQueue(priority_mode=self.p3)
+        self.outboxes = [FrameQueue(priority_mode=self.p3) for _ in range(num_workers)]
+        self._handling = threading.Lock()
+        self._sending = [threading.Lock() for _ in range(num_workers)]
+        # conns[rank] is set by the rank's HELLO, before any frame for it is queued
+        self._conns: list[FrameConnection | None] = [None] * num_workers
         self._lock = threading.Lock()
         self._listener = listen(host, port)
         self.addr = self._listener.getsockname()
@@ -144,14 +156,26 @@ class ServerEngine:
         if not 0 <= rank < self.num_workers:
             raise ProtocolError(f"HELLO from out-of-range rank {rank}")
         with self._lock:
-            if rank in self._greeted:
+            if self._conns[rank] is not None:
                 raise ProtocolError(f"duplicate HELLO from rank {rank}")
-            self._greeted.add(rank)
-        outbox = self.outboxes[rank]
-        self.crew.spawn(f"sender-{rank}", outbox.drain, conn.send_frame, self.poll_timeout * 2)
+            self._conns[rank] = conn
+
+    @staticmethod
+    def _serve(queue: FrameQueue, lock: threading.Lock, handle) -> None:
+        """Pass ``queue``'s frames to ``handle`` for as long as this thread holds ``lock``.
+
+        The lock is never waited for: a caller that finds it taken leaves the
+        queue to its holder, and the holder looks again after it lets go.
+        """
+        while len(queue) and lock.acquire(blocking=False):
+            try:
+                while (frame := queue.take()) is not None:
+                    handle(frame)
+            finally:
+                lock.release()
 
     def _reader(self, conn: FrameConnection) -> None:
-        """Queue one worker's frames; its HELLO binds the connection to the rank it names."""
+        """Queue and serve one worker's frames; its HELLO binds the connection to the rank it names."""
         rank = None
         fin_seen = False
         while True:
@@ -174,19 +198,14 @@ class ServerEngine:
                 )
             elif kind in (MsgType.PUSH, MsgType.PULL):
                 self.inbox.put(frame)
+                self._serve(self.inbox, self._handling, self._handle)
+                for outbox, sending, peer in zip(self.outboxes, self._sending, self._conns):
+                    if peer is not None:
+                        self._serve(outbox, sending, peer.send_frame)
             elif kind == MsgType.FIN:
                 fin_seen = True
-                with self._lock:
-                    self._fins += 1
-                    if self._fins == self.num_workers:
-                        self.inbox.close()
             else:
                 raise ProtocolError(f"server got unexpected {kind.name}")
-
-    def _consumer(self) -> None:
-        self.inbox.drain(self._handle, self.poll_timeout)
-        for outbox in self.outboxes:
-            outbox.close()
 
     def _handle(self, frame: Frame) -> None:
         key = SliceKey(frame.layer_index, frame.slice_index)
@@ -199,8 +218,6 @@ class ServerEngine:
                 return
             answered = shard.iteration
             params = shard.aggregate_and_update()
-            # every rank has pushed this slice, and a rank's HELLO started its
-            # sender before any of its pushes was queued: each outbox is drained
             ranks = range(self.num_workers)
             if self.p3:
                 frames = bcast_frames(sl, answered, params, ranks)
@@ -220,7 +237,6 @@ class ServerEngine:
 
     def run(self) -> None:
         """Accept, then serve until every worker has sent FIN and hung up; raises the crew's first error."""
-        self.crew.spawn("consumer", self._consumer)
         try:
             for i in range(self.num_workers):
                 sock, _ = self._listener.accept()
@@ -229,7 +245,7 @@ class ServerEngine:
         except BaseException as exc:
             # a stop wakes accept() with an OSError, dropped as the stop's echo
             self.crew.stop(exc)
-        # no deadline: a stalled wait in any of these threads times out and stops the crew
+        # no deadline: a stalled read or send in a reader times out and stops the crew
         self.crew.join(None)
         self.crew.stop()
         if self.crew.error is not None:

@@ -72,9 +72,9 @@ class TokenBucket:
 class FrameConnection:
     """One TCP connection carrying frames, with shaping and byte accounting.
 
-    Concurrent senders must serialize externally (each connection is written
-    by exactly one thread in this codebase); receives are single-threaded per
-    connection as well.
+    Concurrent senders must serialize externally (a worker's connections are
+    written by its one sender thread, a server's by the reader that holds the
+    rank's send lock); receives are single-threaded per connection.
     """
 
     def __init__(

@@ -395,6 +395,60 @@ def test_worker_stops_connecting_once_a_server_refuses_it():
     assert isinstance(refused, ProtocolError) and "plan fingerprint" in str(refused)
 
 
+def test_a_stalled_send_times_out(tmp_path, monkeypatch):
+    # a worker that pushes but never reads: once its small receive buffer is
+    # full the server's send stalls, and must stop the server at twice its
+    # deadlock timeout, exit 3
+    from p3sync import cli
+    from p3sync.plan import save_plan
+
+    plan = make_plan(P3_MODE, builtin_profile("vgg19-like"), 1)
+    save_plan(plan, tmp_path / "plan.csv")
+    made = []
+
+    def recorded(*args, **kwargs):
+        made.append(ServerEngine(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "ServerEngine", recorded)
+    codes = []
+    argv = ["server", "--rank", "0", "--num-workers", "1", "--plan", str(tmp_path / "plan.csv")]
+    server = threading.Thread(target=lambda: codes.append(cli.main([*argv, "--deadlock-timeout", "0.5"])))
+    server.start()
+    deadline = time.monotonic() + 5.0
+    while not made and time.monotonic() < deadline:
+        time.sleep(0.01)
+    [engine] = made
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    conn = FrameConnection(sock)
+    try:
+        sock.settimeout(5.0)
+        sock.connect(engine.addr)
+        conn.send_frame(hello(plan, 0))
+        t0 = time.monotonic()
+
+        def pushes():
+            try:
+                for sl in plan.slices:
+                    conn.send_frame(push(sl, 0))
+            except OSError:  # the server hung up, or the test closed the socket
+                pass
+
+        pusher = threading.Thread(target=pushes, daemon=True)
+        pusher.start()
+        server.join(timeout=5.0)
+        elapsed = time.monotonic() - t0
+    finally:
+        conn.close()
+    pusher.join(timeout=5.0)
+    assert not pusher.is_alive()
+    assert not server.is_alive(), "server did not stop"
+    assert codes == [cli.EXIT_TIMEOUT]
+    assert elapsed < 2.0
+    assert [t.name for t in engine.crew.threads if t.is_alive()] == []
+
+
 # -- one server and two workers through the CLI, on threads of this process ----
 
 
@@ -474,10 +528,10 @@ def test_worker_runs_only_receivers_and_senders(cli_run):
         assert sorted(started[name]) == ["recv-0", "sender-0"]
 
 
-def test_server_runs_only_readers_consumer_and_senders(cli_run):
-    # run() accepts on the server's own thread
+def test_server_runs_only_readers(cli_run):
+    # run() accepts on the server's own thread, and the readers handle and send
     _, _, started = cli_run
-    assert sorted(started["server"]) == ["consumer", "reader-0", "reader-1", "sender-0", "sender-1"]
+    assert sorted(started["server"]) == ["reader-0", "reader-1"]
 
 
 NET_UTIL = {

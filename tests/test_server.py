@@ -1,9 +1,15 @@
+import random
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from p3sync.plan import Slice, SliceKey
-from p3sync.proto import MsgType, ProtocolError
-from p3sync.server import ShardState, bcast_frames
+from p3sync.proto import Frame, MsgType, ProtocolError
+from p3sync.queues import FrameQueue
+from p3sync.server import ServerEngine, ShardState, bcast_frames
 
 
 def shard(n=4, num_workers=2, lr=0.1, params=None):
@@ -178,3 +184,72 @@ def test_bcast_frames_shape():
         assert (f.layer_index, f.slice_index) == (2, 1)
         assert f.iteration == 7
         assert np.array_equal(f.payload_f32(), params)
+
+
+class SlowReleaseLock:
+    """A lock that sleeps for a millisecond just before it lets go.
+
+    In that window a reader that has just queued a frame finds the lock taken
+    although its holder has already seen the queue empty, so the frame is
+    served only if the holder looks again after letting go.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def acquire(self, blocking=True):
+        return self._lock.acquire(blocking)
+
+    def release(self):
+        time.sleep(1e-3)
+        self._lock.release()
+
+
+def test_serve_under_contention_handles_each_frame_once_on_one_thread():
+    # in each round, readers queue a frame each at random moments within 2 ms
+    # and serve it, while the interpreter switches threads every 10 us
+    num_readers, rounds = 4, 100
+    queue = FrameQueue(priority_mode=True)
+    lock = SlowReleaseLock()
+    inside = threading.Lock()
+    handled, overlaps, left, errors = [], [], [], []
+
+    def handle(frame):
+        if not inside.acquire(blocking=False):
+            overlaps.append(frame)
+            return
+        try:
+            time.sleep(0)
+            handled.append((frame.worker_rank, frame.iteration))
+        finally:
+            inside.release()
+
+    # runs once every reader has returned from its round's _serve
+    barrier = threading.Barrier(num_readers, action=lambda: left.append(len(queue)))
+
+    def reader(rank):
+        rng = random.Random(rank)
+        try:
+            for r in range(rounds):
+                time.sleep(rng.uniform(0, 2e-3))
+                queue.put(Frame(msg_type=MsgType.PUSH, iteration=r, worker_rank=rank, layer_index=r % 7))
+                ServerEngine._serve(queue, lock, handle)
+                barrier.wait(timeout=10)
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(num_readers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert overlaps == []
+    assert left == [0] * rounds
+    assert sorted(handled) == [(i, r) for i in range(num_readers) for r in range(rounds)]
