@@ -110,13 +110,19 @@ def gradient_block(
     return out
 
 
-def digest64(data: bytes | bytearray | memoryview) -> int:
-    """64-bit BLAKE2b (``digest_size=8``) of a byte buffer, read as a big-endian integer."""
+def digest64(*parts: bytes | bytearray | memoryview) -> int:
+    """64-bit BLAKE2b (``digest_size=8``) of byte buffers, read as a big-endian integer.
+
+    Several parts are hashed in turn, which equals hashing their concatenation,
+    so a digest over many arrays needs no joined copy of them."""
     # imported here so processes that never digest (the simulator) do not load it;
     # hashlib.blake2b is this same type, but importing hashlib also loads OpenSSL's libcrypto
     from _blake2 import blake2b
 
-    return int.from_bytes(blake2b(data, digest_size=8).digest(), "big")
+    h = blake2b(digest_size=8)
+    for part in parts:
+        h.update(part)
+    return int.from_bytes(h.digest(), "big")
 
 
 def fnv1a64(data: bytes | bytearray | memoryview, h: int = FNV_OFFSET) -> int:

@@ -17,6 +17,15 @@ no partial frame between calls; the transport reads each frame whole, into a
 buffer of its own, before it decodes it. Decoding copies no payload: a decoded
 frame's payload is a read-only view of the buffer the frame was decoded from,
 so that buffer must not be reused.
+
+Encoding copies no payload either. ``pack_f32`` views float32 values as
+little-endian bytes, and ``encode_frame`` returns the packed header and a
+byte view of the frame's payload as a pair, for the transport to write with
+one ``sendmsg``. A frame's payload is read-only to the protocol, and its
+buffer must hold still until ``send_frame`` has returned: the sender's
+reused gradient buffer is refilled only by its next push, and a server's
+BCAST views a shard that changes only after every rank has received it (see
+``server``).
 """
 
 from __future__ import annotations
@@ -63,7 +72,8 @@ class Frame:
     worker_rank: int = 0
     layer_index: int = 0
     slice_index: int = 0
-    # bytes when built for sending; a read-only view of its buffer when decoded
+    # bytes or a byte view (pack_f32) when built for sending; a read-only
+    # view of its buffer when decoded
     payload: bytes | memoryview = b""
 
     def payload_f32(self) -> np.ndarray:
@@ -71,7 +81,7 @@ class Frame:
 
 
 def slice_frame(
-    msg_type: MsgType, sl: Slice, iteration: int, worker_rank: int, payload: bytes = b""
+    msg_type: MsgType, sl: Slice, iteration: int, worker_rank: int, payload: bytes | memoryview = b""
 ) -> Frame:
     """A frame about one slice, which the header names by its key."""
     return Frame(
@@ -84,15 +94,20 @@ def slice_frame(
     )
 
 
-def pack_f32(values: np.ndarray) -> bytes:
-    return np.ascontiguousarray(values, dtype="<f4").tobytes()
+def pack_f32(values: np.ndarray) -> memoryview:
+    """A read-only little-endian float32 byte view of ``values``; it copies only
+    values that are not already contiguous little-endian float32."""
+    return memoryview(np.ascontiguousarray(values, dtype="<f4")).cast("B").toreadonly()
 
 
-def encode_frame(frame: Frame) -> bytes:
+def encode_frame(frame: Frame) -> tuple[bytes, memoryview]:
+    """The frame's wire form as (header, payload): the packed HEADER_LEN-byte
+    header and a byte view of the frame's payload, which is not copied."""
+    payload = memoryview(frame.payload).cast("B")
     if frame.msg_type in _PAYLOAD_TYPES:
-        if len(frame.payload) % 4 != 0:
+        if len(payload) % 4 != 0:
             raise ProtocolError(f"{frame.msg_type.name} payload not a float32 array")
-    elif frame.payload:
+    elif payload:
         raise ProtocolError(f"{frame.msg_type.name} frames carry no payload")
     header = _HEADER.pack(
         MAGIC,
@@ -101,9 +116,9 @@ def encode_frame(frame: Frame) -> bytes:
         frame.worker_rank,
         frame.layer_index,
         frame.slice_index,
-        len(frame.payload),
+        len(payload),
     )
-    return header + frame.payload
+    return header, payload
 
 
 class FrameDecoder:

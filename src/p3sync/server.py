@@ -21,6 +21,13 @@ The mode picks only the queues' order: in p3 mode incoming pushes are
 handled most urgent first and completed updates are broadcast to every
 worker immediately; in baseline mode pushes are handled in arrival order and
 workers are notified, then pull.
+
+A BCAST's payload views its shard's ``params``, uncopied, from the outbox
+until ``send_frame`` has written it. That is safe because a shard is updated
+again only after every rank has pushed its next iteration, and a rank pushes
+that only after it has received this whole BCAST: each layer's forward pass
+waits for all of that layer's parameters. So every byte of a BCAST has left
+the buffer before the buffer can change.
 """
 
 from __future__ import annotations
@@ -92,7 +99,8 @@ class ShardState:
 def bcast_frames(
     sl: Slice, iteration: int, params: np.ndarray, worker_ranks: Iterable[int]
 ) -> list[Frame]:
-    """One BCAST per worker, identical payloads, the slice's header on each."""
+    """One BCAST per worker, the slice's header on each, and each payload a view
+    of ``params`` (see the module docstring for why it need not be copied)."""
     payload = pack_f32(params)
     return [slice_frame(MsgType.BCAST, sl, iteration, rank, payload) for rank in worker_ranks]
 
@@ -165,12 +173,16 @@ class ServerEngine:
         """Pass ``queue``'s frames to ``handle`` for as long as this thread holds ``lock``.
 
         The lock is never waited for: a caller that finds it taken leaves the
-        queue to its holder, and the holder looks again after it lets go.
+        queue to its holder, and the holder looks again after it lets go. A
+        send that times out is re-raised naming the rank it was for.
         """
         while len(queue) and lock.acquire(blocking=False):
             try:
                 while (frame := queue.take()) is not None:
-                    handle(frame)
+                    try:
+                        handle(frame)
+                    except TimeoutError as exc:
+                        raise TimeoutError(f"rank {frame.worker_rank}: {exc}") from None
             finally:
                 lock.release()
 
@@ -179,7 +191,11 @@ class ServerEngine:
         rank = None
         fin_seen = False
         while True:
-            frame = conn.recv_frame(timeout=self.poll_timeout * 2)
+            try:
+                frame = conn.recv_frame(timeout=self.poll_timeout * 2)
+            except TimeoutError as exc:
+                peer = "a worker before its HELLO" if rank is None else f"rank {rank}"
+                raise TimeoutError(f"{peer}: {exc}") from None
             if frame is None:
                 if not fin_seen and not self.crew.stopped:
                     raise ConnectionError("worker hung up before FIN")

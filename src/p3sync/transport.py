@@ -5,22 +5,27 @@ FrameConnection it opens, so all sends drain it together, emulating an
 interface-level rate limit; an unshaped process passes None. Shaped sends
 are chopped into SEND_CHUNK pieces, each paid for before it is written, so a
 large slice cannot blow through the configured rate; an unshaped frame goes
-out in one write. A received frame is read into a buffer of its own exact
-size, which its decoded payload views.
+out in one write. A write is one ``sendmsg`` of the header and views of the
+payload, straight from the frame's own buffer (``proto.encode_frame``); after
+a short write it goes on from where it stopped, all under one deadline of
+the socket's timeout, as ``sendall`` would. A received frame is read into a
+buffer of its own exact size, which its decoded payload views. A read or
+send that outlives the socket's timeout raises a TimeoutError that names it.
 """
 
 from __future__ import annotations
 
 import math
+import select
 import socket
 import threading
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from .metrics import IN, OUT, NetCounters
-from .proto import HEADER_LEN, Frame, FrameDecoder, encode_frame
+from .proto import HEADER_LEN, Frame, FrameDecoder, MsgType, encode_frame
 
 DEFAULT_BURST_BYTES = 50 * 1024
 SEND_CHUNK = 16 * 1024
@@ -95,23 +100,58 @@ class FrameConnection:
             self.counters.record_bytes(direction, n)
 
     def send_frame(self, frame: Frame) -> None:
-        data = encode_frame(frame)
-        if self.bucket is None:
-            self.sock.sendall(data)
-            self._count(OUT, len(data))
-            return
-        view = memoryview(data)
-        for pos in range(0, len(view), SEND_CHUNK):
-            chunk = view[pos : pos + SEND_CHUNK]
-            self.bucket.consume(len(chunk))
-            self.sock.sendall(chunk)
-            self._count(OUT, len(chunk))
+        """Write ``frame`` whole: unshaped in one write, shaped in SEND_CHUNK
+        pieces over header and payload, each paid for before it is written.
 
-    def _recv_into(self, view: memoryview) -> int:
-        """Fill ``view`` from the socket; fewer bytes only at EOF."""
+        The payload is written from the frame's own buffer, so that buffer
+        must hold still until this returns."""
+        parts = encode_frame(frame)
+        size = sum(map(len, parts))
+        try:
+            if self.bucket is None:
+                self._write(parts)
+                self._count(OUT, size)
+                return
+            for pos in range(0, size, SEND_CHUNK):
+                end = min(pos + SEND_CHUNK, size)
+                self.bucket.consume(end - pos)
+                self._write(_span(parts, pos, end))
+                self._count(OUT, end - pos)
+        except TimeoutError:
+            raise TimeoutError(
+                f"sending a {frame.msg_type.name} frame timed out after {self.sock.gettimeout()}s"
+            ) from None
+
+    def _write(self, views: Sequence[bytes | memoryview]) -> None:
+        """Write ``views`` in order, to the last byte, by ``sendmsg``.
+
+        A short write goes on from where it stopped once the socket is
+        writable again; the whole write has one deadline, the socket's
+        timeout from its start, not one per short write."""
+        left = sum(map(len, views))
+        timeout = self.sock.gettimeout()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            n = self.sock.sendmsg(views)
+            left -= n
+            if not left:
+                return
+            views = _span(views, n, n + left)
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                poller = select.poll()
+                poller.register(self.sock, select.POLLOUT)
+                if remaining <= 0 or not poller.poll(remaining * 1000):
+                    raise TimeoutError("timed out")
+
+    def _recv_into(self, view: memoryview, what: str) -> int:
+        """Fill ``view`` from the socket; fewer bytes only at EOF. A stall names ``what`` it was reading."""
         got = 0
         while got < len(view):
-            n = self.sock.recv_into(view[got:])
+            try:
+                n = self.sock.recv_into(view[got:])
+            except TimeoutError:
+                raise TimeoutError(f"receiving a {what} timed out after {self.sock.gettimeout()}s") from None
             if n == 0:
                 break
             self._count(IN, n)
@@ -119,7 +159,7 @@ class FrameConnection:
         return got
 
     def recv_frame(self, timeout: float | None = None) -> Frame | None:
-        """Next frame, or None on clean EOF. Raises socket.timeout on stall.
+        """Next frame, or None on clean EOF. Raises TimeoutError on a stall of ``timeout`` seconds.
 
         The header is validated before any payload byte is read; the frame
         is then read into a fresh buffer of its exact size, which the decoded
@@ -127,7 +167,7 @@ class FrameConnection:
         """
         self.sock.settimeout(timeout)
         header = bytearray(HEADER_LEN)
-        got = self._recv_into(memoryview(header))
+        got = self._recv_into(memoryview(header), "frame")
         if got == 0:
             return None
         if got < HEADER_LEN:
@@ -138,7 +178,7 @@ class FrameConnection:
             # np.empty: the payload is read over it at once, so zero-filling is waste
             buf = memoryview(np.empty(HEADER_LEN + size, dtype=np.uint8))
             buf[:HEADER_LEN] = header
-            got = self._recv_into(buf[HEADER_LEN:])
+            got = self._recv_into(buf[HEADER_LEN:], f"{MsgType(header[4]).name} frame")
             if got < size:
                 raise ConnectionError(f"EOF with {HEADER_LEN + got} undecoded bytes")
         [frame] = self._decoder.feed(buf)
@@ -148,6 +188,17 @@ class FrameConnection:
         if not self._closed:
             self._closed = True
             shut_and_close(self.sock)
+
+
+def _span(parts: Sequence[bytes | memoryview], start: int, stop: int) -> list[memoryview]:
+    """Views of bytes [start, stop) of ``parts`` read end to end, none of them empty."""
+    views, base = [], 0
+    for part in parts:
+        lo, hi = max(start - base, 0), min(stop - base, len(part))
+        if lo < hi:
+            views.append(memoryview(part)[lo:hi])
+        base += len(part)
+    return views
 
 
 class Crew:

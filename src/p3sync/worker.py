@@ -6,8 +6,8 @@ Its frames leave through one outbox and one sender thread, as over one
 serial uplink: the sender sends each frame on its slice's server connection
 and, once the run is done, ends every connection with FIN. The sender
 synthesizes each push's gradients when it sends the push, into one buffer of
-its own sized to the plan's longest slice, and frames them without packing
-them into bytes first.
+its own sized to the plan's longest slice, and sends them from that buffer
+uncopied.
 The mode picks only the outbox's order. In p3 mode it is a priority queue,
 which a layer's slices enter atomically, so the most urgent slice goes next;
 in baseline mode it is FIFO, so frames go in generation order across all
@@ -137,14 +137,17 @@ class TrainingWorker:
                 conn.close()
 
     def _send(self, frame: Frame, buf: np.ndarray) -> None:
+        """Send ``frame`` on its slice's server connection; a PUSH gets its
+        gradients here, synthesized into ``buf`` and sent as a view of it.
+
+        The view is safe because ``send_frame`` has written every byte of it
+        when it returns, and only the next push refills ``buf``."""
         sl = self.slice_info[SliceKey(frame.layer_index, frame.slice_index)]
         if frame.msg_type == MsgType.PUSH:
             grads = gradient_block(
                 self.profile.seed, frame.iteration, frame.layer_index, sl.offset, sl.length, out=buf
             )
-            # the payload views ``buf`` uncopied: send_frame encodes the frame into
-            # wire bytes of its own before it returns, so the next push may overwrite it
-            frame = replace(frame, payload=memoryview(grads).cast("B"))
+            frame = replace(frame, payload=pack_f32(grads))
         self._conns[sl.server].send_frame(frame)
 
     # -- receive path --------------------------------------------------------
@@ -282,7 +285,7 @@ class TrainingWorker:
     # -- outputs -----------------------------------------------------------
 
     def params_digest(self) -> int:
-        return digest64(b"".join(pack_f32(vec) for vec in self.params))
+        return digest64(*map(pack_f32, self.params))
 
     def write_outputs(self, outdir: str | Path, digest: int) -> None:
         """Write ``net_util_worker<rank>.csv``, ``throughput_worker<rank>.csv``,

@@ -548,7 +548,7 @@ def test_notify_for_unknown_key_is_a_protocol_error(tmp_path, capsys):
         with conn:
             conn.settimeout(10.0)
             conn.recv(HEADER_LEN, socket.MSG_WAITALL)  # the HELLO
-            conn.sendall(encode_frame(Frame(MsgType.NOTIFY, worker_rank=0, layer_index=99)))
+            conn.sendall(b"".join(encode_frame(Frame(MsgType.NOTIFY, worker_rank=0, layer_index=99))))
             try:
                 while conn.recv(1 << 16):  # until the worker hangs up
                     pass
@@ -786,12 +786,12 @@ def test_stream_cut_mid_push_fails_the_server(toy3_plan, children):
     t0 = time.monotonic()
     server, addr = start_server(children, plan_path, 1)
     sl = plan.slices[0]
-    push = encode_frame(
-        slice_frame(MsgType.PUSH, sl, 0, 0, pack_f32(np.zeros(sl.length, dtype=np.float32)))
+    push = b"".join(
+        encode_frame(slice_frame(MsgType.PUSH, sl, 0, 0, pack_f32(np.zeros(sl.length, dtype=np.float32))))
     )
     half = push[: len(push) // 2]
     with socket.create_connection(parse_addr(addr), timeout=5.0) as sock:
-        sock.sendall(encode_frame(Frame(MsgType.HELLO, iteration=plan_fingerprint(plan), worker_rank=0)))
+        sock.sendall(b"".join(encode_frame(Frame(MsgType.HELLO, iteration=plan_fingerprint(plan), worker_rank=0))))
         sock.sendall(half)
     assert exit_codes([server]) == [EXIT_PROTOCOL]
     assert time.monotonic() - t0 < 15
@@ -810,7 +810,7 @@ def test_push_with_a_payload_not_float32_fails_the_server(toy3_plan, children):
 
     plan, plan_path = toy3_plan
     server, addr = start_server(children, plan_path, 1)
-    hello = encode_frame(Frame(MsgType.HELLO, iteration=plan_fingerprint(plan), worker_rank=0))
+    hello = b"".join(encode_frame(Frame(MsgType.HELLO, iteration=plan_fingerprint(plan), worker_rank=0)))
     push = struct.pack("<4sBQHIII", MAGIC, int(MsgType.PUSH), 0, 0, 0, 0, 5) + b"\x00" * 5
     with socket.create_connection(parse_addr(addr), timeout=5.0) as sock:
         sock.sendall(hello + push)

@@ -267,6 +267,13 @@ def test_digest64_is_blake2b_64(data):
     assert digest64(memoryview(data)) == digest64(bytearray(data)) == digest64(data)
 
 
+@given(st.lists(st.binary(max_size=300), max_size=6))
+def test_digest64_over_parts_equals_digest64_over_their_join(parts):
+    # params_digest hashes each layer's array in turn instead of joining copies of them
+    assert digest64(*parts) == digest64(b"".join(parts))
+    assert digest64(*map(memoryview, parts)) == digest64(b"".join(parts))
+
+
 def loaded_on_import(module: str) -> bool:
     """Whether importing p3sync's modules, in a fresh interpreter, loads ``module``."""
     code = f"import sys, p3sync, p3sync.cli, p3sync.sim; print({module!r} in sys.modules)"

@@ -45,7 +45,7 @@ def test_header_len():
 
 
 def test_hello_is_header_only():
-    data = encode_frame(Frame(msg_type=MsgType.HELLO, worker_rank=7))
+    data = b"".join(encode_frame(Frame(msg_type=MsgType.HELLO, worker_rank=7)))
     assert len(data) == HEADER_LEN
     payload_len = struct.unpack_from("<I", data, 23)[0]
     assert payload_len == 0
@@ -53,7 +53,7 @@ def test_hello_is_header_only():
 
 def test_push_payload_len_field():
     payload = pack_f32(np.array([1.5, -2.0], dtype=np.float32))
-    data = encode_frame(Frame(msg_type=MsgType.PUSH, payload=payload))
+    data = b"".join(encode_frame(Frame(msg_type=MsgType.PUSH, payload=payload)))
     assert struct.unpack_from("<I", data, 23)[0] == 8
     assert len(data) == HEADER_LEN + 8
 
@@ -67,7 +67,7 @@ def test_field_offsets_little_endian():
         slice_index=0x41424344,
         payload=pack_f32(np.array([0.0], dtype=np.float32)),
     )
-    data = encode_frame(f)
+    data = b"".join(encode_frame(f))
     assert data[0:4] == MAGIC
     assert data[4] == 0
     assert struct.unpack_from("<Q", data, 5)[0] == 0x1112131415161718
@@ -89,11 +89,11 @@ def refused(data: bytes, match: str) -> None:
 
 
 def test_bad_magic():
-    refused(b"XXXX" + encode_frame(Frame(msg_type=MsgType.HELLO))[4:], "magic")
+    refused(b"XXXX" + b"".join(encode_frame(Frame(msg_type=MsgType.HELLO)))[4:], "magic")
 
 
 def test_unknown_msg_type():
-    data = bytearray(encode_frame(Frame(msg_type=MsgType.HELLO)))
+    data = bytearray(b"".join(encode_frame(Frame(msg_type=MsgType.HELLO))))
     data[4] = 99
     refused(bytes(data), "msg_type")
 
@@ -123,7 +123,7 @@ def test_encode_rejects_payload_on_control_frame():
 @settings(max_examples=300, deadline=None)
 @given(frame_strategy())
 def test_roundtrip(frame):
-    data = encode_frame(frame)
+    data = b"".join(encode_frame(frame))
     assert DECODER.header(data[:HEADER_LEN]) == len(data) - HEADER_LEN
     assert DECODER.feed(data) == [frame]
 
@@ -132,8 +132,8 @@ def test_roundtrip(frame):
 @given(frame_strategy(), st.binary(min_size=1, max_size=64))
 def test_bytes_after_the_frame_are_refused(frame, extra):
     # a buffer holds one frame: whatever follows it, a second frame too, is refused
-    data = encode_frame(frame)
-    for tail in (extra, encode_frame(frame)):
+    data = b"".join(encode_frame(frame))
+    for tail in (extra, b"".join(encode_frame(frame))):
         with pytest.raises(ProtocolError, match=f"{len(tail)} bytes after a {frame.msg_type.name} frame"):
             DECODER.feed(data + tail)
 
@@ -143,7 +143,7 @@ def test_bytes_after_the_frame_are_refused(frame, extra):
 def test_a_frame_cut_short_is_refused(frame, data):
     # the decoder holds no partial frame: a buffer that ends inside its frame
     # is refused, with the count of bytes missing
-    encoded = encode_frame(frame)
+    encoded = b"".join(encode_frame(frame))
     cut = data.draw(st.integers(1, len(encoded) - 1))
     kept = len(encoded) - cut
     missing = HEADER_LEN - kept if kept < HEADER_LEN else cut
@@ -152,13 +152,13 @@ def test_a_frame_cut_short_is_refused(frame, data):
 
 
 def test_truncated_header_reports_needed():
-    data = encode_frame(Frame(msg_type=MsgType.HELLO))
+    data = b"".join(encode_frame(Frame(msg_type=MsgType.HELLO)))
     with pytest.raises(ProtocolError, match=f"truncated frame header: {HEADER_LEN - 10} bytes missing"):
         DECODER.feed(data[:10])
 
 
 def test_truncated_payload_reports_needed():
-    data = encode_frame(Frame(msg_type=MsgType.PUSH, payload=pack_f32(np.zeros(4, np.float32))))
+    data = b"".join(encode_frame(Frame(msg_type=MsgType.PUSH, payload=pack_f32(np.zeros(4, np.float32)))))
     with pytest.raises(ProtocolError, match="truncated PUSH frame: 3 bytes missing"):
         DECODER.feed(data[:-3])
 

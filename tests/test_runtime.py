@@ -395,10 +395,10 @@ def test_worker_stops_connecting_once_a_server_refuses_it():
     assert isinstance(refused, ProtocolError) and "plan fingerprint" in str(refused)
 
 
-def test_a_stalled_send_times_out(tmp_path, monkeypatch):
+def test_a_stalled_send_times_out(tmp_path, monkeypatch, capsys):
     # a worker that pushes but never reads: once its small receive buffer is
     # full the server's send stalls, and must stop the server at twice its
-    # deadlock timeout, exit 3
+    # deadlock timeout, exit 3, naming the rank and the timeout
     from p3sync import cli
     from p3sync.plan import save_plan
 
@@ -447,6 +447,8 @@ def test_a_stalled_send_times_out(tmp_path, monkeypatch):
     assert codes == [cli.EXIT_TIMEOUT]
     assert elapsed < 2.0
     assert [t.name for t in engine.crew.threads if t.is_alive()] == []
+    err = capsys.readouterr().err
+    assert "timeout: rank 0: sending a BCAST frame timed out after 1.0s" in err, err
 
 
 # -- one server and two workers through the CLI, on threads of this process ----

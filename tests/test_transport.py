@@ -15,6 +15,7 @@ from p3sync.proto import (
     HEADER_LEN,
     MAGIC,
     Frame,
+    FrameDecoder,
     MsgType,
     ProtocolError,
     encode_frame,
@@ -103,7 +104,7 @@ def test_frame_connection_roundtrip_and_counters():
         sender.send_frame(f)
     got = [receiver.recv_frame(timeout=5) for _ in frames]
     assert got == frames
-    wire_bytes = sum(len(encode_frame(f)) for f in frames)
+    wire_bytes = sum(len(b"".join(encode_frame(f))) for f in frames)
     assert out_counters.totals() == (0, wire_bytes)
     # receiver counts exactly the bytes that arrived
     assert in_counters.totals()[0] == wire_bytes
@@ -148,7 +149,7 @@ def raw_header(msg_type: MsgType, payload_len: int, magic: bytes = MAGIC) -> byt
 
 def test_eof_mid_header_names_undecoded_bytes():
     raw, receiver = raw_sender_and_receiver()
-    raw.sendall(encode_frame(Frame(msg_type=MsgType.FIN))[:10])
+    raw.sendall(b"".join(encode_frame(Frame(msg_type=MsgType.FIN)))[:10])
     raw.close()
     with pytest.raises(ConnectionError, match="EOF with 10 undecoded bytes"):
         receiver.recv_frame(timeout=5)
@@ -157,7 +158,7 @@ def test_eof_mid_header_names_undecoded_bytes():
 
 def test_eof_mid_payload_names_undecoded_bytes():
     raw, receiver = raw_sender_and_receiver()
-    data = encode_frame(push_frame(100))
+    data = b"".join(encode_frame(push_frame(100)))
     raw.sendall(data[: HEADER_LEN + 30])
     raw.close()
     with pytest.raises(ConnectionError, match=f"EOF with {HEADER_LEN + 30} undecoded bytes"):
@@ -168,7 +169,7 @@ def test_eof_mid_payload_names_undecoded_bytes():
 def test_clean_eof_between_frames_is_none():
     raw, receiver = raw_sender_and_receiver()
     f = push_frame(10)
-    raw.sendall(encode_frame(f))
+    raw.sendall(b"".join(encode_frame(f)))
     raw.close()
     assert receiver.recv_frame(timeout=5) == f
     assert receiver.recv_frame(timeout=5) is None
@@ -203,7 +204,7 @@ def test_bad_header_rejected_before_payload_is_read(header, match):
 def test_frames_sent_in_tiny_pieces_decode_equal():
     raw, receiver = raw_sender_and_receiver()
     frames = [push_frame(40), Frame(msg_type=MsgType.FIN, worker_rank=1)]
-    data = b"".join(encode_frame(f) for f in frames)
+    data = b"".join(part for f in frames for part in encode_frame(f))
     rng = np.random.RandomState(3)
 
     def trickle():
@@ -226,7 +227,7 @@ def test_frames_sent_in_tiny_pieces_decode_equal():
 def test_push_then_hello_back_to_back_arrive_in_order():
     raw, receiver = raw_sender_and_receiver()
     frames = [push_frame(25), Frame(msg_type=MsgType.HELLO, iteration=2**64 - 1, worker_rank=1)]
-    raw.sendall(b"".join(encode_frame(f) for f in frames))
+    raw.sendall(b"".join(part for f in frames for part in encode_frame(f)))
     assert [receiver.recv_frame(timeout=5) for _ in frames] == frames
     raw.close()
     receiver.close()
@@ -270,7 +271,7 @@ class RecordingBucket(TokenBucket):
 
 def test_unshaped_send_is_one_write_shaped_send_pays_per_chunk():
     f = push_frame(10_000)  # 40,039 wire bytes: chunks of 16384, 16384, 7271
-    size = len(encode_frame(f))
+    size = len(b"".join(encode_frame(f)))
     c_sock, s_sock = loopback_pair()
     counters, bucket = RecordingCounters(), RecordingBucket()
     unshaped = FrameConnection(c_sock, counters=counters)
@@ -286,6 +287,125 @@ def test_unshaped_send_is_one_write_shaped_send_pays_per_chunk():
     assert [receiver.recv_frame(timeout=5) for _ in range(2)] == [f, f]
     unshaped.close()
     receiver.close()
+
+
+# -- short writes: sendmsg from the payload's own buffer, over a small send buffer
+
+
+class CountingSocket(socket.socket):
+    """A socket that counts its sendmsg calls."""
+
+    sendmsgs = 0
+
+    def sendmsg(self, *args):
+        self.sendmsgs += 1
+        return super().sendmsg(*args)
+
+
+def small_buffer_pair():
+    """A CountingSocket with a small send buffer, connected to a plain socket."""
+    srv = listen("127.0.0.1", 0)
+    client = CountingSocket(socket.AF_INET, socket.SOCK_STREAM)
+    client.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+    client.connect(srv.getsockname())
+    server_side, _ = srv.accept()
+    srv.close()
+    return client, server_side
+
+
+def read_in_pieces(sock, total: int, got: bytearray, stop: threading.Event, pause: float = 0.0) -> None:
+    """Read up to ``total`` bytes of ``sock`` into ``got``, 4 KiB at a time, until ``stop``."""
+    sock.settimeout(0.05)
+    while len(got) < total and not stop.is_set():
+        try:
+            piece = sock.recv(min(4096, total - len(got)))
+        except TimeoutError:
+            continue
+        if not piece:
+            return
+        got += piece
+        time.sleep(pause)
+
+
+def decode_all(data: bytes) -> list[Frame]:
+    decoder, frames, pos = FrameDecoder(), [], 0
+    while pos < len(data):
+        end = pos + HEADER_LEN + decoder.header(data[pos : pos + HEADER_LEN])
+        frames += decoder.feed(data[pos:end])
+        pos = end
+    return frames
+
+
+@pytest.mark.parametrize("shaped", [False, True], ids=["unshaped", "shaped"])
+def test_short_writes_deliver_every_frame_whole(shaped):
+    # up to vgg19-like's largest slice, 715,000 values: far over the send buffer,
+    # so sendmsg returns short and the write goes on from where it stopped
+    frames = [Frame(msg_type=MsgType.HELLO, worker_rank=3)]
+    frames += [push_frame(n, layer=i) for i, n in enumerate([1, 4096, 50_000, 715_000])]
+    sizes = [HEADER_LEN + len(f.payload) for f in frames]
+    c_sock, s_sock = small_buffer_pair()
+    counters, bucket = RecordingCounters(), RecordingBucket() if shaped else None
+    sender = FrameConnection(c_sock, counters=counters, bucket=bucket)
+    sender.sock.settimeout(10.0)
+    got, stop = bytearray(), threading.Event()
+    reader = threading.Thread(target=read_in_pieces, args=(s_sock, sum(sizes), got, stop))
+    reader.start()
+    try:
+        for f in frames:
+            sender.send_frame(f)
+        reader.join(10.0)
+    finally:
+        stop.set()
+        reader.join()
+        sender.close()
+        s_sock.close()
+    assert decode_all(bytes(got)) == frames
+    if shaped:
+        # a 16 KiB chunk mostly goes out whole, so only the chunks are checked
+        assert bucket.takes == [n for _, n in counters.calls]
+        assert sum(bucket.takes) == sum(sizes) and max(bucket.takes) == SEND_CHUNK
+        assert c_sock.sendmsgs >= len(bucket.takes)
+    else:
+        assert counters.calls == [(OUT, n) for n in sizes]
+        assert c_sock.sendmsgs > len(frames)  # some writes were short
+
+
+def test_a_send_stalled_mid_frame_times_out_within_one_socket_timeout():
+    # the peer reads 4 KiB every 2 ms, so each short write makes progress, but the
+    # 2.86 MB frame needs well over a second: one deadline for the whole write,
+    # not one per short write, ends it after the 0.4 s socket timeout
+    f = push_frame(715_000)
+    c_sock, s_sock = small_buffer_pair()
+    sender = FrameConnection(c_sock)
+    sender.sock.settimeout(0.4)
+    got, stop = bytearray(), threading.Event()
+    reader = threading.Thread(target=read_in_pieces, args=(s_sock, len(f.payload), got, stop, 0.002))
+    reader.start()
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(TimeoutError, match=r"sending a PUSH frame timed out after 0\.4s"):
+            sender.send_frame(f)
+        elapsed = time.monotonic() - t0
+    finally:
+        stop.set()
+        reader.join()
+        sender.close()
+        s_sock.close()
+    assert 0.35 <= elapsed < 1.2
+    assert c_sock.sendmsgs > 1 and 0 < len(got) < len(f.payload)
+
+
+def test_a_stalled_read_names_the_frame_and_the_timeout():
+    raw, receiver = raw_sender_and_receiver()
+    try:
+        with pytest.raises(TimeoutError, match=r"receiving a frame timed out after 0\.1s"):
+            receiver.recv_frame(timeout=0.1)
+        raw.sendall(b"".join(encode_frame(push_frame(100)))[: HEADER_LEN + 8])
+        with pytest.raises(TimeoutError, match=r"receiving a PUSH frame timed out after 0\.1s"):
+            receiver.recv_frame(timeout=0.1)
+    finally:
+        raw.close()
+        receiver.close()
 
 
 # -- Crew -------------------------------------------------------------------
