@@ -8,10 +8,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import select
 import signal
 import subprocess
 import sys
-import threading
 import time
 from dataclasses import dataclass, fields, replace
 from itertools import zip_longest
@@ -209,22 +209,16 @@ class _ChildFailure(Exception):
 
 
 def _read_ready(proc: subprocess.Popen, timeout: float, log_name: str) -> str:
-    """The address a server prints as READY; a server that exits first is a _ChildFailure."""
-    result: list[str] = []
+    """The address a server prints as READY; a server that exits first is a _ChildFailure.
 
-    def scan():
-        for line in proc.stdout:
-            line = line.strip()
-            if line.startswith("READY "):
-                result.append(line.split(" ", 1)[1])
-                return
-
-    t = threading.Thread(target=scan, daemon=True)
-    t.start()
-    t.join(timeout)
-    if result:
-        return result[0]
-    if not t.is_alive():  # stdout closed: the server is exiting
+    One ``select`` suffices: a server's first stdout line is READY, written
+    whole by one flushed ``print``, so once its pipe is readable the whole line
+    is there to read. EOF or any other line means the server is exiting.
+    """
+    if select.select([proc.stdout], [], [], max(timeout, 0.0))[0]:
+        line = proc.stdout.readline()
+        if line.startswith("READY "):
+            return line.split(" ", 1)[1].strip()
         try:
             code = proc.wait(timeout=5)
         except subprocess.TimeoutExpired:

@@ -192,7 +192,7 @@ class ServerEngine:
         fin_seen = False
         while True:
             try:
-                frame = conn.recv_frame(timeout=self.poll_timeout * 2)
+                frame = conn.recv_frame()
             except TimeoutError as exc:
                 peer = "a worker before its HELLO" if rank is None else f"rank {rank}"
                 raise TimeoutError(f"{peer}: {exc}") from None
@@ -256,7 +256,7 @@ class ServerEngine:
         try:
             for i in range(self.num_workers):
                 sock, _ = self._listener.accept()
-                conn = FrameConnection(sock, counters=self.counters, bucket=self._bucket)
+                conn = FrameConnection(sock, self.poll_timeout * 2, self.counters, self._bucket)
                 self.crew.spawn(f"reader-{i}", self._reader, self.crew.closing(conn))
         except BaseException as exc:
             # a stop wakes accept() with an OSError, dropped as the stop's echo

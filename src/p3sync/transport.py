@@ -2,21 +2,21 @@
 
 A shaped process owns one outbound TokenBucket and hands it to every
 FrameConnection it opens, so all sends drain it together, emulating an
-interface-level rate limit; an unshaped process passes None. Shaped sends
-are chopped into SEND_CHUNK pieces, each paid for before it is written, so a
-large slice cannot blow through the configured rate; an unshaped frame goes
-out in one write. A write is one ``sendmsg`` of the header and views of the
-payload, straight from the frame's own buffer (``proto.encode_frame``); after
-a short write it goes on from where it stopped, all under one deadline of
-the socket's timeout, as ``sendall`` would. A received frame is read into a
-buffer of its own exact size, which its decoded payload views. A read or
-send that outlives the socket's timeout raises a TimeoutError that names it.
+interface-level rate limit; an unshaped process passes None. A frame goes
+out in pieces, SEND_CHUNK bytes each when shaped, so a large slice cannot
+blow through the configured rate, and the whole frame when not; a shaped
+piece is paid for before it is written. Each piece is one ``sendmsg`` of
+views of the header and of the payload, straight from the frame's own buffer
+(``proto.encode_frame``); whatever a short write leaves, ``sendall`` finishes.
+A received frame is read into a buffer of its own exact size, which its
+decoded payload views. Each connection has one timeout, set on its socket
+when it is made, and a read or send that outlives it raises a TimeoutError
+that names it.
 """
 
 from __future__ import annotations
 
 import math
-import select
 import socket
 import threading
 import time
@@ -77,15 +77,19 @@ class TokenBucket:
 class FrameConnection:
     """One TCP connection carrying frames, with shaping and byte accounting.
 
-    Concurrent senders must serialize externally (a worker's connections are
-    written by its one sender thread, a server's by the reader that holds the
-    rank's send lock); receives are single-threaded per connection.
+    ``timeout`` is set on the socket once, here: every read and every send on
+    the connection waits at most that long for its peer, the HELLO a worker
+    sends first too. Concurrent senders must serialize externally (a worker's
+    connections are written by its one sender thread, a server's by the
+    reader that holds the rank's send lock); receives are single-threaded per
+    connection.
     """
 
     def __init__(
         self,
         sock: socket.socket,
-        counters: NetCounters | None = None,
+        timeout: float,
+        counters: NetCounters,
         bucket: TokenBucket | None = None,
     ) -> None:
         self.sock = sock
@@ -93,56 +97,36 @@ class FrameConnection:
         self.bucket = bucket
         self._decoder = FrameDecoder()
         self._closed = False
+        sock.settimeout(timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
-    def _count(self, direction: str, n: int) -> None:
-        if self.counters:
-            self.counters.record_bytes(direction, n)
-
     def send_frame(self, frame: Frame) -> None:
-        """Write ``frame`` whole: unshaped in one write, shaped in SEND_CHUNK
-        pieces over header and payload, each paid for before it is written.
+        """Write ``frame`` whole, in SEND_CHUNK pieces when shaped, each paid for
+        before it is written, and in one piece when not.
 
-        The payload is written from the frame's own buffer, so that buffer
-        must hold still until this returns."""
+        A piece is one ``sendmsg`` of views of the header and the payload;
+        after a short write ``sendall`` writes the rest, view by view. The
+        socket's timeout bounds each of these calls, not the piece: a stall
+        raises TimeoutError naming the frame's type and the timeout. The
+        payload is written from the frame's own buffer, so that buffer must
+        hold still until this returns."""
         parts = encode_frame(frame)
         size = sum(map(len, parts))
+        step = size if self.bucket is None else SEND_CHUNK
         try:
-            if self.bucket is None:
-                self._write(parts)
-                self._count(OUT, size)
-                return
-            for pos in range(0, size, SEND_CHUNK):
-                end = min(pos + SEND_CHUNK, size)
-                self.bucket.consume(end - pos)
-                self._write(_span(parts, pos, end))
-                self._count(OUT, end - pos)
+            for pos in range(0, size, step):
+                n = min(step, size - pos)
+                if self.bucket is not None:
+                    self.bucket.consume(n)
+                views = _span(parts, pos, pos + n)
+                sent = self.sock.sendmsg(views)
+                for view in _span(views, sent, n):
+                    self.sock.sendall(view)
+                self.counters.record_bytes(OUT, n)
         except TimeoutError:
             raise TimeoutError(
                 f"sending a {frame.msg_type.name} frame timed out after {self.sock.gettimeout()}s"
             ) from None
-
-    def _write(self, views: Sequence[bytes | memoryview]) -> None:
-        """Write ``views`` in order, to the last byte, by ``sendmsg``.
-
-        A short write goes on from where it stopped once the socket is
-        writable again; the whole write has one deadline, the socket's
-        timeout from its start, not one per short write."""
-        left = sum(map(len, views))
-        timeout = self.sock.gettimeout()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            n = self.sock.sendmsg(views)
-            left -= n
-            if not left:
-                return
-            views = _span(views, n, n + left)
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                poller = select.poll()
-                poller.register(self.sock, select.POLLOUT)
-                if remaining <= 0 or not poller.poll(remaining * 1000):
-                    raise TimeoutError("timed out")
 
     def _recv_into(self, view: memoryview, what: str) -> int:
         """Fill ``view`` from the socket; fewer bytes only at EOF. A stall names ``what`` it was reading."""
@@ -154,18 +138,17 @@ class FrameConnection:
                 raise TimeoutError(f"receiving a {what} timed out after {self.sock.gettimeout()}s") from None
             if n == 0:
                 break
-            self._count(IN, n)
+            self.counters.record_bytes(IN, n)
             got += n
         return got
 
-    def recv_frame(self, timeout: float | None = None) -> Frame | None:
-        """Next frame, or None on clean EOF. Raises TimeoutError on a stall of ``timeout`` seconds.
+    def recv_frame(self) -> Frame | None:
+        """Next frame, or None on clean EOF. Raises TimeoutError on a stall of the connection's timeout.
 
         The header is validated before any payload byte is read; the frame
         is then read into a fresh buffer of its exact size, which the decoded
         payload views.
         """
-        self.sock.settimeout(timeout)
         header = bytearray(HEADER_LEN)
         got = self._recv_into(memoryview(header), "frame")
         if got == 0:

@@ -112,7 +112,7 @@ class TrainingWorker:
         )
         for srank, (host, port) in enumerate(self.cfg.servers):
             sock = connect_with_retry(host, port, self.cfg.deadlock_timeout, lambda: self.crew.stopped)
-            conn = FrameConnection(sock, counters=self.counters, bucket=self._bucket)
+            conn = FrameConnection(sock, self.cfg.deadlock_timeout * 2, self.counters, self._bucket)
             self._conns.append(self.crew.closing(conn))
             conn.send_frame(hello)
             self.crew.spawn(f"recv-{srank}", self._receiver, conn)
@@ -155,7 +155,7 @@ class TrainingWorker:
     def _receiver(self, conn: FrameConnection) -> None:
         while True:
             try:
-                frame = conn.recv_frame(timeout=self.cfg.deadlock_timeout * 2)
+                frame = conn.recv_frame()
             except OSError:
                 if self._finished.is_set() or self.crew.stopped:
                     return

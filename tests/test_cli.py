@@ -13,7 +13,7 @@ from p3sync.cli import EXIT_PROTOCOL, EXIT_TIMEOUT, EXIT_USAGE, RunConfig, main,
 from p3sync.model import ProfileError, builtin_profile, profile_from_dict
 from p3sync.plan import make_plan
 from p3sync.proto import ProtocolError
-from p3sync.sim import ScenarioError, scenario_from_dict
+from p3sync.sim import ScenarioError, load_scenario, scenario_from_dict
 
 REPO = Path(__file__).resolve().parent.parent
 FIG4 = REPO / "scenarios" / "fig4.json"
@@ -115,6 +115,38 @@ def test_simulate_rejects_mistyped_field(tmp_path, capsys, path, value, field):
     code, _, err = run_cli(["simulate", str(scenario)], capsys)
     assert code == EXIT_USAGE
     assert field in err
+
+
+def drop(key, path=()):
+    def edit(obj):
+        target = obj
+        for step in path:
+            target = target[step]
+        del target[key]
+        return json.dumps(obj)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda obj: json.dumps({**obj, "stages": obj["stages"][:-1]}), "stages must align with profile layers"),
+        (lambda obj: json.dumps({**obj, "slice_ticks": 0}), "slice_ticks/num_iterations/per_slice_overhead out of range"),
+        (drop("stages"), "malformed scenario: 'stages'"),
+        (drop("down", ("stages", 1)), "'down'"),
+        (lambda obj: json.dumps(obj)[:-2], "not valid JSON"),
+    ],
+    ids=["stages-not-aligned", "slice-ticks-0", "no-stages", "stage-without-down", "not-json"],
+)
+def test_simulate_refuses_an_invalid_scenario(tmp_path, capsys, edit, message):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(edit(json.loads(FIG4.read_text())))
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        load_scenario(scenario)
+    code, out, err = run_cli(["simulate", str(scenario)], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -261,6 +293,17 @@ def test_bench_waits_for_ready_no_longer_than_its_timeout(tmp_path, capsys, spaw
     assert time.monotonic() - t0 < 4
     assert "READY" in err
     assert len(spawned) == 1 and spawned[0].poll() is not None
+
+
+def test_bench_watchdog_ends_a_run_that_outlives_its_timeout(tmp_path, capsys, spawned):
+    args = ["bench", "--profile", "toy3", "--iterations", "100000", "--timeout", "3"]
+    t0 = time.monotonic()
+    code, _, err = run_cli([*args, "--output-dir", str(tmp_path / "run")], capsys)
+    assert code == EXIT_TIMEOUT
+    assert 3.0 <= time.monotonic() - t0 < 6.0
+    assert "timeout: bench watchdog expired" in err
+    assert len(spawned) == 4  # two servers, two workers
+    assert [p.poll() is not None for p in spawned] == [True] * 4
 
 
 def big_layer_profile(tmp_path):
@@ -819,6 +862,32 @@ def test_push_with_a_payload_not_float32_fails_the_server(toy3_plan, children):
     assert "PUSH payload_len 5 not a float32 array" in server.communicate()[1]
 
 
+@pytest.mark.parametrize(
+    "said_hello, peer", [(False, "a worker before its HELLO"), (True, "rank 0")], ids=["silent", "silent-after-hello"]
+)
+def test_a_silent_worker_makes_the_server_exit_3(toy3_plan, children, said_hello, peer):
+    import socket
+
+    from p3sync.plan import plan_fingerprint
+    from p3sync.proto import Frame, MsgType, encode_frame
+    from p3sync.transport import parse_addr
+
+    plan, plan_path = toy3_plan
+    server = start(
+        children, "server", "--rank", "0", "--plan", str(plan_path), "--num-workers", "1",
+        "--deadlock-timeout", "0.5",
+    )
+    addr = server.stdout.readline().split()[1]  # "READY host:port"
+    hello = Frame(MsgType.HELLO, iteration=plan_fingerprint(plan), worker_rank=0)
+    with socket.create_connection(parse_addr(addr), timeout=5.0) as sock:
+        if said_hello:
+            sock.sendall(b"".join(encode_frame(hello)))
+        t0 = time.monotonic()
+        assert exit_codes([server]) == [EXIT_TIMEOUT]
+        assert time.monotonic() - t0 < 3.0
+    assert f"timeout: {peer}: receiving a frame timed out after 1.0s" in server.communicate()[1]
+
+
 # -- summarize_run's checks of a finished run ---------------------------------
 
 TOY3_RUN = dict(profile="toy3", num_workers=2, iterations=4, skip_iterations=1, timeout=120.0)
@@ -845,6 +914,15 @@ def test_summarize_untouched_run_passes(finished_toy3_run, tmp_path):
     summary = summarize_copy(finished_toy3_run, tmp_path, lambda outdir: None)
     assert summary["digest"] == (finished_toy3_run / "digest_worker0.txt").read_text().strip()
     assert not (finished_toy3_run / "params_worker0.bin").exists()
+
+
+def test_summarize_rejects_a_worker_digest_that_disagrees(finished_toy3_run, tmp_path):
+    def edit(outdir):
+        path = outdir / "digest_worker1.txt"
+        path.write_text(f"{int(path.read_text(), 16) ^ 1:016x}\n")
+
+    with pytest.raises(ProtocolError, match="worker digests disagree"):
+        summarize_copy(finished_toy3_run, tmp_path, edit)
 
 
 def edit_rows(process, edit):

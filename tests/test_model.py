@@ -1,8 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from p3sync.cli import main
 from p3sync.model import (
     BUILTIN_NAMES,
     LayerSpec,
@@ -71,6 +73,23 @@ def test_mistyped_layer_field_rejected(tmp_path, key, value, kind):
     p = write_profile(tmp_path, [layer(0), bad])
     with pytest.raises(ProfileError, match=rf"layers\[1\]\.{key} must be a JSON {kind}"):
         load_profile(p)
+
+
+@pytest.mark.parametrize(
+    "layers, message",
+    [
+        ([layer(0), layer(1, fwd=-1)], "layer 1 (L1): negative compute time"),
+        ([layer(0), layer(1, bwd=-1)], "layer 1 (L1): negative compute time"),
+        ([], "profile t: needs at least one layer"),
+    ],
+    ids=["negative-fwd-time", "negative-bwd-time", "no-layers"],
+)
+def test_profile_out_of_range_rejected(tmp_path, capsys, layers, message):
+    p = write_profile(tmp_path, layers)
+    with pytest.raises(ProfileError, match=re.escape(message)):
+        load_profile(p)
+    assert main(["plan", "--profile", str(p)]) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["L1", [1], 5])

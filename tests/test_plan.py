@@ -1,11 +1,13 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p3sync.model import BUILTIN_NAMES, LayerSpec, ModelProfile, builtin_profile
+from p3sync.cli import main
+from p3sync.model import BUILTIN_NAMES, LayerSpec, ModelProfile, builtin_profile, save_profile
 from p3sync.plan import (
     DEFAULT_MAX_SLICE,
     MAX_FRAME_PARAMS,
@@ -192,6 +194,40 @@ def test_validate_rejects_slice_of_unknown_layer():
     extra = replace(plan, slices=plan.slices + (Slice(SliceKey(9, 0), 0, 10, 0),))
     with pytest.raises(PlanError, match=r"layers \[9\]"):
         validate_plan(extra, toy3)
+
+
+def edit_slices(plan, edit):
+    """``plan`` with each slice replaced by ``edit(slice)``, dropped where that is None."""
+    return replace(plan, slices=tuple(e for e in map(edit, plan.slices) if e is not None))
+
+
+def edit_key(key, **changes):
+    return lambda s: replace(s, **changes) if s.key == key else s
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda s: None if s.key.layer_index == 1 else s, "layer 1 not covered"),
+        (edit_key(SliceKey(1, 1), offset=11), "layer 1: gap/overlap at offset 10"),
+        (edit_key(SliceKey(1, 1), offset=9), "layer 1: gap/overlap at offset 10"),
+        (edit_key(SliceKey(1, 2), length=0), "layer 1: empty slice SliceKey(layer_index=1, slice_index=2)"),
+        (edit_key(SliceKey(1, 1), server=1), "layer 1: bad server 1"),
+    ],
+    ids=["layer-without-slices", "gap", "overlap", "empty-slice", "server-outside-the-plan"],
+)
+def test_validate_refuses_a_plan_that_does_not_tile_its_layers(tmp_path, capsys, edit, message):
+    # layer 1's 25 params are slices (1,0), (1,1) and (1,2) at offsets 0, 10 and 20
+    prof = profile_of([10, 25])
+    plan = edit_slices(make_plan("p3", prof, 1, max_slice=10), edit)
+    with pytest.raises(PlanError, match=re.escape(message)):
+        validate_plan(plan, prof)
+    # a worker checks its plan before it connects to any server
+    save_plan(plan, tmp_path / "plan.csv")
+    save_profile(prof, tmp_path / "profile.json")
+    args = ["--profile", str(tmp_path / "profile.json"), "--plan", str(tmp_path / "plan.csv")]
+    assert main(["worker", "--rank", "0", "--servers", "127.0.0.1:1", "--iterations", "1", *args]) == 1
+    assert message in capsys.readouterr().err
 
 
 # -- csv interchange ---------------------------------------------------------

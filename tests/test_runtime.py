@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from p3sync.metrics import iteration_starts_from_csv, iterations_from_csv
+from p3sync.metrics import NetCounters, iteration_starts_from_csv, iterations_from_csv
 from p3sync.model import LayerSpec, ModelProfile, builtin_profile
 from p3sync.plan import BASELINE_MODE, P3_MODE, make_plan, plan_fingerprint
 from p3sync.proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
@@ -281,21 +281,26 @@ def serve(engine):
     return thread, errors
 
 
-def server_error(plan, num_workers, frames):
-    """The error a rank-0 server stops with after ``frames`` arrive on one raw connection.
+def server_error(plan, num_workers, *streams, poll_timeout=TIMEOUT):
+    """The error a rank-0 server stops with after each of ``streams``, a list of
+    frames, arrives in turn on a raw connection of its own.
 
     The server must stop within 5 s and leave no thread running.
     """
-    engine = ServerEngine("127.0.0.1", 0, 0, plan, num_workers, lr=0.1, poll_timeout=TIMEOUT)
+    engine = ServerEngine("127.0.0.1", 0, 0, plan, num_workers, lr=0.1, poll_timeout=poll_timeout)
     t0 = time.monotonic()
     server, errors = serve(engine)
-    conn = FrameConnection(socket.create_connection(engine.addr, timeout=5.0))
+    conns = []
     try:
-        for frame in frames:
-            conn.send_frame(frame)
+        for frames in streams:
+            sock = socket.create_connection(engine.addr, timeout=5.0)
+            conns.append(FrameConnection(sock, 5.0, NetCounters()))
+            for frame in frames:
+                conns[-1].send_frame(frame)
         server.join(timeout=5.0)
     finally:
-        conn.close()
+        for conn in conns:
+            conn.close()
     assert not server.is_alive(), "server did not stop"
     assert time.monotonic() - t0 < 5.0
     assert [t.name for t in engine.crew.threads if t.is_alive()] == []
@@ -344,6 +349,65 @@ def test_frame_under_another_rank_is_a_protocol_error(kind):
     error = server_error(plan, 2, [hello(plan, 0), frame])
     assert isinstance(error, ProtocolError)
     assert f"{kind} under rank 1 on rank 0's connection" in str(error)
+
+
+@pytest.mark.parametrize(
+    "streams, message",
+    [
+        (lambda plan: [[hello(plan, 2)]], "HELLO from out-of-range rank 2"),
+        (lambda plan: [[hello(plan, 0)], [hello(plan, 0)]], "duplicate HELLO from rank 0"),
+        (
+            lambda plan: [[hello(plan, 0), slice_frame(MsgType.PULL, plan.slices[0], 0, 0)]],
+            "pull for iteration 0 but shard at 0 (not yet updated)",
+        ),
+    ],
+    ids=["hello-rank-out-of-range", "second-hello-from-a-rank", "pull-before-update"],
+)
+def test_server_refuses_a_frame_out_of_turn(streams, message):
+    plan = make_plan(P3_MODE, small_profile(), 1, 1000, 2000, 0)
+    error = server_error(plan, 2, *streams(plan))
+    assert isinstance(error, ProtocolError) and message in str(error)
+
+
+@pytest.mark.parametrize(
+    "said_hello, peer", [(False, "a worker before its HELLO"), (True, "rank 0")], ids=["silent", "silent-after-hello"]
+)
+def test_a_silent_worker_times_the_server_out(said_hello, peer):
+    # the connection's timeout is twice the server's poll timeout
+    plan = make_plan(P3_MODE, small_profile(), 1, 1000, 2000, 0)
+    t0 = time.monotonic()
+    error = server_error(plan, 1, [hello(plan, 0)] if said_hello else [], poll_timeout=0.25)
+    assert isinstance(error, TimeoutError)
+    assert str(error) == f"{peer}: receiving a frame timed out after 0.5s"
+    assert 0.5 <= time.monotonic() - t0 < 1.5
+
+
+def bcast(sl, iteration, values=None):
+    values = np.zeros(sl.length, dtype=np.float32) if values is None else values
+    return slice_frame(MsgType.BCAST, sl, iteration, 0, pack_f32(values))
+
+
+@pytest.mark.parametrize(
+    "frames, message",
+    [
+        (lambda sl: [Frame(MsgType.BCAST, layer_index=9)], "BCAST for unknown key"),
+        (lambda sl: [bcast(sl, 1)], "layer 1: BCAST for iteration 1, worker holds parameters of iteration 0"),
+        (lambda sl: [bcast(sl, 0), bcast(sl, 0)], "duplicate BCAST slice"),
+        (lambda sl: [bcast(sl, 0, np.zeros(sl.length + 1, np.float32))], "holds 1001 values, expected 1000"),
+        (lambda sl: [push(sl, 0)], "worker got unexpected PUSH"),
+    ],
+    ids=["bcast-unknown-key", "bcast-wrong-iteration", "bcast-duplicate-slice", "bcast-wrong-length", "push"],
+)
+def test_worker_refuses_a_frame_it_cannot_apply(frames, message):
+    # layer 1 of small_profile is three slices, so one BCAST leaves it incomplete
+    profile = small_profile()
+    plan = make_plan(P3_MODE, profile, 1, 1000, 2000, 0)
+    worker = TrainingWorker(WorkerConfig(rank=0, servers=[("127.0.0.1", 1)], iterations=1), profile, plan)
+    *first, last = frames(plan.slices_of_layer(1)[0])
+    for frame in first:
+        worker._apply(frame)
+    with pytest.raises(ProtocolError, match=message):
+        worker._apply(last)
 
 
 def test_failed_connect_stops_every_worker_thread():
@@ -421,9 +485,8 @@ def test_a_stalled_send_times_out(tmp_path, monkeypatch, capsys):
     [engine] = made
     sock = socket.socket()
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-    conn = FrameConnection(sock)
+    conn = FrameConnection(sock, 5.0, NetCounters())
     try:
-        sock.settimeout(5.0)
         sock.connect(engine.addr)
         conn.send_frame(hello(plan, 0))
         t0 = time.monotonic()

@@ -89,8 +89,8 @@ def test_frame_connection_roundtrip_and_counters():
     c_sock, s_sock = loopback_pair()
     out_counters = NetCounters()
     in_counters = NetCounters()
-    sender = FrameConnection(c_sock, counters=out_counters)
-    receiver = FrameConnection(s_sock, counters=in_counters)
+    sender = FrameConnection(c_sock, 5.0, out_counters)
+    receiver = FrameConnection(s_sock, 5.0, in_counters)
     frames = [
         Frame(msg_type=MsgType.HELLO, worker_rank=1),
         Frame(
@@ -102,26 +102,26 @@ def test_frame_connection_roundtrip_and_counters():
     ]
     for f in frames:
         sender.send_frame(f)
-    got = [receiver.recv_frame(timeout=5) for _ in frames]
+    got = [receiver.recv_frame() for _ in frames]
     assert got == frames
     wire_bytes = sum(len(b"".join(encode_frame(f))) for f in frames)
     assert out_counters.totals() == (0, wire_bytes)
     # receiver counts exactly the bytes that arrived
     assert in_counters.totals()[0] == wire_bytes
     sender.close()
-    assert receiver.recv_frame(timeout=5) is None
+    assert receiver.recv_frame() is None
     receiver.close()
 
 
 def test_large_frame_chunked_send():
     c_sock, s_sock = loopback_pair()
-    sender = FrameConnection(c_sock)
-    receiver = FrameConnection(s_sock)
+    sender = FrameConnection(c_sock, 10.0, NetCounters())
+    receiver = FrameConnection(s_sock, 10.0, NetCounters())
     payload = pack_f32(np.random.RandomState(0).rand(200_000).astype(np.float32))
     f = Frame(msg_type=MsgType.BCAST, payload=payload)
     t = threading.Thread(target=sender.send_frame, args=(f,))
     t.start()
-    got = receiver.recv_frame(timeout=10)
+    got = receiver.recv_frame()
     t.join()
     assert got == f
     sender.close()
@@ -131,11 +131,11 @@ def test_large_frame_chunked_send():
 # -- receive path: one exact-size buffer per frame, over a real loopback pair
 
 
-def raw_sender_and_receiver():
+def raw_sender_and_receiver(timeout: float = 5.0):
     """A bare socket to write arbitrary bytes into, and a FrameConnection reading them."""
     c_sock, s_sock = loopback_pair()
     c_sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return c_sock, FrameConnection(s_sock)
+    return c_sock, FrameConnection(s_sock, timeout, NetCounters())
 
 
 def push_frame(n: int, layer: int = 2) -> Frame:
@@ -152,7 +152,7 @@ def test_eof_mid_header_names_undecoded_bytes():
     raw.sendall(b"".join(encode_frame(Frame(msg_type=MsgType.FIN)))[:10])
     raw.close()
     with pytest.raises(ConnectionError, match="EOF with 10 undecoded bytes"):
-        receiver.recv_frame(timeout=5)
+        receiver.recv_frame()
     receiver.close()
 
 
@@ -162,7 +162,7 @@ def test_eof_mid_payload_names_undecoded_bytes():
     raw.sendall(data[: HEADER_LEN + 30])
     raw.close()
     with pytest.raises(ConnectionError, match=f"EOF with {HEADER_LEN + 30} undecoded bytes"):
-        receiver.recv_frame(timeout=5)
+        receiver.recv_frame()
     receiver.close()
 
 
@@ -171,8 +171,8 @@ def test_clean_eof_between_frames_is_none():
     f = push_frame(10)
     raw.sendall(b"".join(encode_frame(f)))
     raw.close()
-    assert receiver.recv_frame(timeout=5) == f
-    assert receiver.recv_frame(timeout=5) is None
+    assert receiver.recv_frame() == f
+    assert receiver.recv_frame() is None
     receiver.close()
 
 
@@ -190,7 +190,7 @@ def test_bad_header_rejected_before_payload_is_read(header, match):
     trailer = b"\xab" * 8
     raw.sendall(header + trailer)
     with pytest.raises(ProtocolError, match=match):
-        receiver.recv_frame(timeout=5)
+        receiver.recv_frame()
     # every byte after the header is still in the socket
     receiver.sock.settimeout(5)
     got = b""
@@ -217,7 +217,7 @@ def test_frames_sent_in_tiny_pieces_decode_equal():
 
     t = threading.Thread(target=trickle)
     t.start()
-    got = [receiver.recv_frame(timeout=5) for _ in frames]
+    got = [receiver.recv_frame() for _ in frames]
     t.join()
     assert got == frames
     raw.close()
@@ -228,20 +228,21 @@ def test_push_then_hello_back_to_back_arrive_in_order():
     raw, receiver = raw_sender_and_receiver()
     frames = [push_frame(25), Frame(msg_type=MsgType.HELLO, iteration=2**64 - 1, worker_rank=1)]
     raw.sendall(b"".join(part for f in frames for part in encode_frame(f)))
-    assert [receiver.recv_frame(timeout=5) for _ in frames] == frames
+    assert [receiver.recv_frame() for _ in frames] == frames
     raw.close()
     receiver.close()
 
 
 def test_received_payloads_are_read_only_and_not_shared():
     c_sock, s_sock = loopback_pair()
-    sender, receiver = FrameConnection(c_sock), FrameConnection(s_sock)
+    sender = FrameConnection(c_sock, 5.0, NetCounters())
+    receiver = FrameConnection(s_sock, 5.0, NetCounters())
     first, second = push_frame(50, layer=1), push_frame(50, layer=7)
     sender.send_frame(first)
     sender.send_frame(second)
-    a = receiver.recv_frame(timeout=5)
+    a = receiver.recv_frame()
     kept = a.payload_f32()
-    b = receiver.recv_frame(timeout=5)
+    b = receiver.recv_frame()
     assert not kept.flags.writeable and isinstance(a.payload, memoryview)
     assert np.array_equal(kept, np.arange(50, dtype=np.float32) + 1)
     assert np.array_equal(b.payload_f32(), np.arange(50, dtype=np.float32) + 7)
@@ -274,17 +275,17 @@ def test_unshaped_send_is_one_write_shaped_send_pays_per_chunk():
     size = len(b"".join(encode_frame(f)))
     c_sock, s_sock = loopback_pair()
     counters, bucket = RecordingCounters(), RecordingBucket()
-    unshaped = FrameConnection(c_sock, counters=counters)
-    receiver = FrameConnection(s_sock)
+    unshaped = FrameConnection(c_sock, 5.0, counters)
+    receiver = FrameConnection(s_sock, 5.0, NetCounters())
     unshaped.send_frame(f)
     assert counters.calls == [(OUT, size)]
     counters.calls.clear()
-    shaped = FrameConnection(c_sock, counters=counters, bucket=bucket)
+    shaped = FrameConnection(c_sock, 5.0, counters, bucket)
     shaped.send_frame(f)
     chunks = [SEND_CHUNK, SEND_CHUNK, size - 2 * SEND_CHUNK]
     assert bucket.takes == chunks
     assert counters.calls == [(OUT, n) for n in chunks]
-    assert [receiver.recv_frame(timeout=5) for _ in range(2)] == [f, f]
+    assert [receiver.recv_frame() for _ in range(2)] == [f, f]
     unshaped.close()
     receiver.close()
 
@@ -293,13 +294,16 @@ def test_unshaped_send_is_one_write_shaped_send_pays_per_chunk():
 
 
 class CountingSocket(socket.socket):
-    """A socket that counts its sendmsg calls."""
+    """A socket that counts its sendmsg calls, and those that wrote less than they were given."""
 
     sendmsgs = 0
+    short_sendmsgs = 0
 
-    def sendmsg(self, *args):
+    def sendmsg(self, buffers, *args):
+        sent = super().sendmsg(buffers, *args)
         self.sendmsgs += 1
-        return super().sendmsg(*args)
+        self.short_sendmsgs += sent < sum(memoryview(b).nbytes for b in buffers)
+        return sent
 
 
 def small_buffer_pair():
@@ -339,14 +343,13 @@ def decode_all(data: bytes) -> list[Frame]:
 @pytest.mark.parametrize("shaped", [False, True], ids=["unshaped", "shaped"])
 def test_short_writes_deliver_every_frame_whole(shaped):
     # up to vgg19-like's largest slice, 715,000 values: far over the send buffer,
-    # so sendmsg returns short and the write goes on from where it stopped
+    # so sendmsg returns short and sendall writes the rest
     frames = [Frame(msg_type=MsgType.HELLO, worker_rank=3)]
     frames += [push_frame(n, layer=i) for i, n in enumerate([1, 4096, 50_000, 715_000])]
     sizes = [HEADER_LEN + len(f.payload) for f in frames]
     c_sock, s_sock = small_buffer_pair()
     counters, bucket = RecordingCounters(), RecordingBucket() if shaped else None
-    sender = FrameConnection(c_sock, counters=counters, bucket=bucket)
-    sender.sock.settimeout(10.0)
+    sender = FrameConnection(c_sock, 10.0, counters, bucket)
     got, stop = bytearray(), threading.Event()
     reader = threading.Thread(target=read_in_pieces, args=(s_sock, sum(sizes), got, stop))
     reader.start()
@@ -364,20 +367,20 @@ def test_short_writes_deliver_every_frame_whole(shaped):
         # a 16 KiB chunk mostly goes out whole, so only the chunks are checked
         assert bucket.takes == [n for _, n in counters.calls]
         assert sum(bucket.takes) == sum(sizes) and max(bucket.takes) == SEND_CHUNK
-        assert c_sock.sendmsgs >= len(bucket.takes)
+        assert c_sock.sendmsgs == len(bucket.takes)  # one per piece
     else:
         assert counters.calls == [(OUT, n) for n in sizes]
-        assert c_sock.sendmsgs > len(frames)  # some writes were short
+        assert c_sock.sendmsgs == len(frames)  # one per frame, the whole frame its one piece
+        assert c_sock.short_sendmsgs > 0  # so sendall wrote the rest
 
 
 def test_a_send_stalled_mid_frame_times_out_within_one_socket_timeout():
-    # the peer reads 4 KiB every 2 ms, so each short write makes progress, but the
-    # 2.86 MB frame needs well over a second: one deadline for the whole write,
-    # not one per short write, ends it after the 0.4 s socket timeout
+    # the peer reads 4 KiB every 2 ms, so the writes make progress, but the
+    # 2.86 MB frame needs well over a second: the sendall that finishes the short
+    # sendmsg has one deadline for its whole call, and ends after the 0.4 s timeout
     f = push_frame(715_000)
     c_sock, s_sock = small_buffer_pair()
-    sender = FrameConnection(c_sock)
-    sender.sock.settimeout(0.4)
+    sender = FrameConnection(c_sock, 0.4, NetCounters())
     got, stop = bytearray(), threading.Event()
     reader = threading.Thread(target=read_in_pieces, args=(s_sock, len(f.payload), got, stop, 0.002))
     reader.start()
@@ -392,17 +395,17 @@ def test_a_send_stalled_mid_frame_times_out_within_one_socket_timeout():
         sender.close()
         s_sock.close()
     assert 0.35 <= elapsed < 1.2
-    assert c_sock.sendmsgs > 1 and 0 < len(got) < len(f.payload)
+    assert c_sock.short_sendmsgs == 1 and 0 < len(got) < len(f.payload)
 
 
 def test_a_stalled_read_names_the_frame_and_the_timeout():
-    raw, receiver = raw_sender_and_receiver()
+    raw, receiver = raw_sender_and_receiver(timeout=0.1)
     try:
         with pytest.raises(TimeoutError, match=r"receiving a frame timed out after 0\.1s"):
-            receiver.recv_frame(timeout=0.1)
+            receiver.recv_frame()
         raw.sendall(b"".join(encode_frame(push_frame(100)))[: HEADER_LEN + 8])
         with pytest.raises(TimeoutError, match=r"receiving a PUSH frame timed out after 0\.1s"):
-            receiver.recv_frame(timeout=0.1)
+            receiver.recv_frame()
     finally:
         raw.close()
         receiver.close()
