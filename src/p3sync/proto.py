@@ -12,11 +12,15 @@ HELLO carries the worker's plan fingerprint in its iteration field, and the
 server refuses a worker whose fingerprint differs from its own.
 
 One decoder reads frames: ``FrameDecoder.header`` checks a header before its
-payload is read, and ``FrameDecoder.feed`` decodes one whole frame. It holds
-no partial frame between calls; the transport reads each frame whole, into a
-buffer of its own, before it decodes it. Decoding copies no payload: a decoded
-frame's payload is a read-only view of the buffer the frame was decoded from,
-so that buffer must not be reused.
+payload is read and returns it as a ``Header``, and ``FrameDecoder.feed``
+decodes one whole frame from its header and its payload, taken apart. It
+holds no partial frame between calls; the transport reads each payload whole,
+straight into the float32 array where the receiver wants it, before it
+decodes the frame. Decoding copies no payload: a decoded frame's payload is a
+byte view of the buffer it was decoded from, read-only if that buffer is, so
+that buffer must not be reused. A payload read into an array starts on the
+array's own alignment, never at the header's odd offset, so numpy works on
+it at full speed.
 
 Encoding copies no payload either. ``pack_f32`` views float32 values as
 little-endian bytes, and ``encode_frame`` returns the packed header and a
@@ -33,7 +37,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -65,6 +69,17 @@ class ProtocolError(Exception):
     """Corrupt or rule-violating traffic; fatal for the connection."""
 
 
+class Header(NamedTuple):
+    """A checked frame header, as ``FrameDecoder.header`` decodes it."""
+
+    msg_type: MsgType
+    iteration: int
+    worker_rank: int
+    layer_index: int
+    slice_index: int
+    payload_len: int
+
+
 @dataclass(frozen=True)
 class Frame:
     msg_type: MsgType
@@ -72,8 +87,8 @@ class Frame:
     worker_rank: int = 0
     layer_index: int = 0
     slice_index: int = 0
-    # bytes or a byte view (pack_f32) when built for sending; a read-only
-    # view of its buffer when decoded
+    # bytes or a byte view (pack_f32) when built for sending; a byte view of
+    # the array it was read into when decoded
     payload: bytes | memoryview = b""
 
     def payload_f32(self) -> np.ndarray:
@@ -131,8 +146,8 @@ class FrameDecoder:
     returns.
     """
 
-    def _fields(self, buf: bytes | bytearray | memoryview) -> tuple:
-        """The fields of the header at the start of ``buf`` after the magic, the type as MsgType."""
+    def header(self, buf: bytes | bytearray | memoryview) -> Header:
+        """Validate a frame's HEADER_LEN-byte header and decode it."""
         if len(buf) < HEADER_LEN:
             raise ProtocolError(f"truncated frame header: {HEADER_LEN - len(buf)} bytes missing")
         magic, raw_type, *fields, payload_len = _HEADER.unpack_from(buf)
@@ -148,19 +163,17 @@ class FrameDecoder:
             raise ProtocolError(f"{msg_type.name} frame with nonzero payload_len {payload_len}")
         if payload_len % 4 != 0:
             raise ProtocolError(f"{msg_type.name} payload_len {payload_len} not a float32 array")
-        return msg_type, *fields, payload_len
+        return Header(msg_type, *fields, payload_len)
 
-    def header(self, buf: bytes | bytearray | memoryview) -> int:
-        """Validate a frame's HEADER_LEN-byte header; the payload length it announces."""
-        return self._fields(buf)[-1]
-
-    def feed(self, buf: bytes | bytearray | memoryview) -> list[Frame]:
-        """The one frame that ``buf`` holds, as a list of it."""
-        view = memoryview(buf).toreadonly()
-        msg_type, iteration, rank, layer, sl, payload_len = self._fields(view)
-        end = HEADER_LEN + payload_len
-        if end > len(view):
-            raise ProtocolError(f"truncated {msg_type.name} frame: {end - len(view)} bytes missing")
-        if end < len(view):
-            raise ProtocolError(f"{len(view) - end} bytes after a {msg_type.name} frame")
-        return [Frame(msg_type, iteration, rank, layer, sl, view[HEADER_LEN:])]
+    def feed(self, header: bytes | bytearray | memoryview, payload: bytes | memoryview | np.ndarray) -> list[Frame]:
+        """The one frame of a HEADER_LEN-byte ``header`` and ``payload``, a
+        buffer that holds exactly its payload, as a list of it. The frame's
+        payload is a byte view of ``payload``."""
+        head = self.header(header)
+        view = memoryview(payload).cast("B")
+        name = head.msg_type.name
+        if len(view) < head.payload_len:
+            raise ProtocolError(f"truncated {name} frame: {head.payload_len - len(view)} bytes missing")
+        if len(view) > head.payload_len:
+            raise ProtocolError(f"{len(view) - head.payload_len} bytes after a {name} frame")
+        return [Frame(*head[:-1], view)]

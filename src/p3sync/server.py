@@ -22,6 +22,11 @@ handled most urgent first and completed updates are broadcast to every
 worker immediately; in baseline mode pushes are handled in arrival order and
 workers are notified, then pull.
 
+A PUSH lands where it is summed. Its payload is read from the socket
+straight into a new aligned array (``_destination``), which ``on_push``
+takes over, and ``aggregate_and_update`` sums every rank's gradients into
+the lowest rank's array in place, with no accumulator of its own.
+
 A BCAST's payload views its shard's ``params``, uncopied, from the outbox
 until ``send_frame`` has written it. That is safe because a shard is updated
 again only after every rank has pushed its next iteration, and a rank pushes
@@ -43,7 +48,7 @@ import numpy as np
 
 from .metrics import NetCounters, samples_to_csv, write_text
 from .plan import P3_MODE, SliceKey, Slice, SlicePlan, plan_fingerprint, slice_digests_csv
-from .proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
+from .proto import Frame, Header, MsgType, ProtocolError, pack_f32, slice_frame
 from .queues import FrameQueue
 from .transport import DEFAULT_DEADLOCK_TIMEOUT, Crew, FrameConnection, TokenBucket, listen, shut_and_close
 
@@ -60,7 +65,11 @@ class ShardState:
     pending: dict[int, np.ndarray] = field(default_factory=dict)
 
     def on_push(self, worker_rank: int, iteration: int, grad: np.ndarray) -> bool:
-        """Store one worker's gradient; True when all ranks have pushed."""
+        """Store one worker's gradient; True when all ranks have pushed.
+
+        The shard takes ownership of ``grad``, a writable float32 array:
+        ``aggregate_and_update`` may sum into it, so the caller must neither
+        reuse nor read it afterwards."""
         if iteration != self.iteration:
             raise ProtocolError(
                 f"key {self.key}: push for iteration {iteration}, shard at {self.iteration}"
@@ -84,8 +93,11 @@ class ShardState:
             raise ProtocolError(
                 f"key {self.key}: aggregate with {len(self.pending)}/{self.num_workers} pushes"
             )
-        acc = np.zeros(len(self.params), dtype=np.float32)
-        for rank in sorted(self.pending):
+        first, *rest = sorted(self.pending)
+        acc = self.pending[first]
+        # 0 + g, as a zeroed accumulator would start: -0.0 becomes +0.0
+        acc += np.float32(0)
+        for rank in rest:
             acc += self.pending[rank]
         # params -= lr * (acc / n), in place: the same float32 operations and roundings
         acc /= np.float32(self.num_workers)
@@ -192,7 +204,7 @@ class ServerEngine:
         fin_seen = False
         while True:
             try:
-                frame = conn.recv_frame()
+                frame = conn.recv_frame(self._destination)
             except TimeoutError as exc:
                 peer = "a worker before its HELLO" if rank is None else f"rank {rank}"
                 raise TimeoutError(f"{peer}: {exc}") from None
@@ -222,6 +234,15 @@ class ServerEngine:
                 fin_seen = True
             else:
                 raise ProtocolError(f"server got unexpected {kind.name}")
+
+    def _destination(self, head: Header) -> np.ndarray | None:
+        """Where a received payload goes: a PUSH of an owned slice with the
+        slice's length into a new array for its shard to own; anything else
+        into a read-only one (None), for ``_handle`` to refuse."""
+        sl = self.owned.get(SliceKey(head.layer_index, head.slice_index))
+        if head.msg_type != MsgType.PUSH or sl is None or head.payload_len != 4 * sl.length:
+            return None
+        return np.empty(sl.length, dtype="<f4")
 
     def _handle(self, frame: Frame) -> None:
         key = SliceKey(frame.layer_index, frame.slice_index)

@@ -85,9 +85,10 @@ class Scenario:
         if self.policy not in POLICIES:
             raise ScenarioError(f"unknown policy {self.policy!r}")
         if len(self.stages) != self.profile.num_layers:
-            raise ScenarioError("stages must align with profile layers")
-        if self.slice_ticks < 1 or self.num_iterations < 1 or self.per_slice_overhead < 0:
-            raise ScenarioError("slice_ticks/num_iterations/per_slice_overhead out of range")
+            raise ScenarioError(f"{len(self.stages)} stages for {self.profile.num_layers} profile layers")
+        for name, least in (("slice_ticks", 1), ("num_iterations", 1), ("per_slice_overhead", 0)):
+            if getattr(self, name) < least:
+                raise ScenarioError(f"{name} {getattr(self, name)} must be >= {least}")
         for layer, st in zip(self.profile.layers, self.stages):
             if min(st.up, st.update, st.down) < 0:
                 raise ScenarioError(f"layer {layer.index}: negative stage cost")

@@ -8,8 +8,10 @@ blow through the configured rate, and the whole frame when not; a shaped
 piece is paid for before it is written. Each piece is one ``sendmsg`` of
 views of the header and of the payload, straight from the frame's own buffer
 (``proto.encode_frame``); whatever a short write leaves, ``sendall`` finishes.
-A received frame is read into a buffer of its own exact size, which its
-decoded payload views. Each connection has one timeout, set on its socket
+A received frame's header is read first; its payload is read straight into
+the float32 array that the receiver names for it (``recv_frame``'s
+``destination``), or else into a new array of its own, which its decoded
+payload views. Each connection has one timeout, set on its socket
 when it is made, and a read or send that outlives it raises a TimeoutError
 that names it.
 """
@@ -25,7 +27,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from .metrics import IN, OUT, NetCounters
-from .proto import HEADER_LEN, Frame, FrameDecoder, MsgType, encode_frame
+from .proto import HEADER_LEN, Frame, FrameDecoder, Header, encode_frame
 
 DEFAULT_BURST_BYTES = 50 * 1024
 SEND_CHUNK = 16 * 1024
@@ -142,12 +144,14 @@ class FrameConnection:
             got += n
         return got
 
-    def recv_frame(self) -> Frame | None:
+    def recv_frame(self, destination: Callable[[Header], np.ndarray | None] | None = None) -> Frame | None:
         """Next frame, or None on clean EOF. Raises TimeoutError on a stall of the connection's timeout.
 
-        The header is validated before any payload byte is read; the frame
-        is then read into a fresh buffer of its exact size, which the decoded
-        payload views.
+        The header is validated before any payload byte is read. A payload is
+        then read into ``destination(header)``, a writable C-contiguous
+        float32 array of exactly the announced length that the frame's
+        payload views, or, if there is no destination or it returns None,
+        into a new array that the payload views read-only.
         """
         header = bytearray(HEADER_LEN)
         got = self._recv_into(memoryview(header), "frame")
@@ -155,16 +159,20 @@ class FrameConnection:
             return None
         if got < HEADER_LEN:
             raise ConnectionError(f"EOF with {got} undecoded bytes")
-        buf = header
-        size = self._decoder.header(header)
-        if size:
+        head = self._decoder.header(header)
+        payload = b""
+        if size := head.payload_len:
+            out = None if destination is None else destination(head)
             # np.empty: the payload is read over it at once, so zero-filling is waste
-            buf = memoryview(np.empty(HEADER_LEN + size, dtype=np.uint8))
-            buf[:HEADER_LEN] = header
-            got = self._recv_into(buf[HEADER_LEN:], f"{MsgType(header[4]).name} frame")
+            payload = memoryview(np.empty(size // 4, dtype="<f4") if out is None else out).cast("B")
+            if payload.nbytes != size:
+                raise ValueError(f"a destination of {payload.nbytes} bytes for a {size}-byte payload")
+            got = self._recv_into(payload, f"{head.msg_type.name} frame")
             if got < size:
                 raise ConnectionError(f"EOF with {HEADER_LEN + got} undecoded bytes")
-        [frame] = self._decoder.feed(buf)
+            if out is None:
+                payload = payload.toreadonly()
+        [frame] = self._decoder.feed(header, payload)
         return frame
 
     def close(self) -> None:

@@ -13,7 +13,9 @@ which a layer's slices enter atomically, so the most urgent slice goes next;
 in baseline mode it is FIFO, so frames go in generation order across all
 servers, and updated parameters are fetched with notify+pull. On the receive
 side one thread per server connection reads each frame, checks it and
-applies it: a BCAST is copied into place and a NOTIFY queues its PULL.
+applies it: a NOTIFY queues its PULL, and a BCAST lands in place, its
+payload read from the socket straight into its slice of ``params``
+(``_destination``), so applying it copies nothing.
 Priority only orders what is sent, so received frames are never reordered.
 Forward progress of each layer is gated on having received that layer's
 parameters for the current iteration, so the next forward pass overlaps with
@@ -35,7 +37,7 @@ from .hashing import digest64, gradient_block
 from .metrics import NetCounters, iterations_to_csv, samples_to_csv, write_text
 from .model import ModelProfile
 from .plan import P3_MODE, SliceKey, SlicePlan, plan_fingerprint, slice_digests_csv
-from .proto import MAX_WORKER_RANK, Frame, MsgType, ProtocolError, pack_f32, slice_frame
+from .proto import MAX_WORKER_RANK, Frame, Header, MsgType, ProtocolError, pack_f32, slice_frame
 from .queues import DeadlockError, FrameQueue
 from .transport import DEFAULT_DEADLOCK_TIMEOUT, Crew, FrameConnection, TokenBucket, connect_with_retry
 
@@ -155,7 +157,7 @@ class TrainingWorker:
     def _receiver(self, conn: FrameConnection) -> None:
         while True:
             try:
-                frame = conn.recv_frame()
+                frame = conn.recv_frame(self._destination)
             except OSError:
                 if self._finished.is_set() or self.crew.stopped:
                     return
@@ -165,6 +167,15 @@ class TrainingWorker:
                     raise ConnectionError("server hung up before the run finished")
                 return
             self._apply(frame)
+
+    def _destination(self, head: Header) -> np.ndarray | None:
+        """Where a received payload goes: a BCAST of a planned slice with the
+        slice's length goes into that slice of ``params``; anything else into
+        an array of its own (None), for ``_apply`` to refuse."""
+        sl = self.slice_info.get(SliceKey(head.layer_index, head.slice_index))
+        if head.msg_type != MsgType.BCAST or sl is None or head.payload_len != 4 * sl.length:
+            return None
+        return self.params[sl.key.layer_index][sl.offset : sl.offset + sl.length]
 
     def _apply(self, frame: Frame) -> None:
         if frame.msg_type == MsgType.BCAST:
@@ -183,6 +194,15 @@ class TrainingWorker:
         self.outbox.put(replace(frame, msg_type=MsgType.PULL))
 
     def on_bcast(self, frame: Frame) -> None:
+        """Check a BCAST and apply it; the layer is complete once all its slices are.
+
+        A BCAST that ``recv_frame`` read through ``_destination`` is already
+        in place, and the copy below then returns at once, its source and
+        destination being the same memory. Such a BCAST is written into
+        ``params`` before it is checked, so a refused one may have changed
+        them; but every refusal stops the run with a ProtocolError, on which
+        ``p3sync worker`` exits 2 before any digest is written.
+        """
         key = SliceKey(frame.layer_index, frame.slice_index)
         sl = self.slice_info.get(key)
         if sl is None:

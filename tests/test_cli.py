@@ -131,8 +131,8 @@ def drop(key, path=()):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda obj: json.dumps({**obj, "stages": obj["stages"][:-1]}), "stages must align with profile layers"),
-        (lambda obj: json.dumps({**obj, "slice_ticks": 0}), "slice_ticks/num_iterations/per_slice_overhead out of range"),
+        (lambda obj: json.dumps({**obj, "stages": obj["stages"][:-1]}), "2 stages for 3 profile layers"),
+        (lambda obj: json.dumps({**obj, "slice_ticks": 0}), "slice_ticks 0 must be >= 1"),
         (drop("stages"), "malformed scenario: 'stages'"),
         (drop("down", ("stages", 1)), "'down'"),
         (lambda obj: json.dumps(obj)[:-2], "not valid JSON"),

@@ -80,12 +80,17 @@ def test_field_offsets_little_endian():
 DECODER = FrameDecoder()
 
 
+def feed(data: bytes) -> list:
+    """Decode ``data``, one frame's wire bytes, taken apart at the header's end."""
+    return DECODER.feed(data[:HEADER_LEN], data[HEADER_LEN:])
+
+
 def refused(data: bytes, match: str) -> None:
     """Both the header check and the frame decode refuse ``data``."""
     with pytest.raises(ProtocolError, match=match):
         DECODER.header(data[:HEADER_LEN])
     with pytest.raises(ProtocolError, match=match):
-        DECODER.feed(data)
+        feed(data)
 
 
 def test_bad_magic():
@@ -124,8 +129,8 @@ def test_encode_rejects_payload_on_control_frame():
 @given(frame_strategy())
 def test_roundtrip(frame):
     data = b"".join(encode_frame(frame))
-    assert DECODER.header(data[:HEADER_LEN]) == len(data) - HEADER_LEN
-    assert DECODER.feed(data) == [frame]
+    assert DECODER.header(data[:HEADER_LEN]).payload_len == len(data) - HEADER_LEN
+    assert feed(data) == [frame]
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,7 +140,7 @@ def test_bytes_after_the_frame_are_refused(frame, extra):
     data = b"".join(encode_frame(frame))
     for tail in (extra, b"".join(encode_frame(frame))):
         with pytest.raises(ProtocolError, match=f"{len(tail)} bytes after a {frame.msg_type.name} frame"):
-            DECODER.feed(data + tail)
+            feed(data + tail)
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,19 +153,19 @@ def test_a_frame_cut_short_is_refused(frame, data):
     kept = len(encoded) - cut
     missing = HEADER_LEN - kept if kept < HEADER_LEN else cut
     with pytest.raises(ProtocolError, match=f"truncated .*: {missing} bytes missing"):
-        DECODER.feed(encoded[:-cut])
+        feed(encoded[:-cut])
 
 
 def test_truncated_header_reports_needed():
     data = b"".join(encode_frame(Frame(msg_type=MsgType.HELLO)))
     with pytest.raises(ProtocolError, match=f"truncated frame header: {HEADER_LEN - 10} bytes missing"):
-        DECODER.feed(data[:10])
+        feed(data[:10])
 
 
 def test_truncated_payload_reports_needed():
     data = b"".join(encode_frame(Frame(msg_type=MsgType.PUSH, payload=pack_f32(np.zeros(4, np.float32)))))
     with pytest.raises(ProtocolError, match="truncated PUSH frame: 3 bytes missing"):
-        DECODER.feed(data[:-3])
+        feed(data[:-3])
 
 
 def test_payload_f32_view():

@@ -11,9 +11,9 @@ import pytest
 from p3sync.metrics import NetCounters, iteration_starts_from_csv, iterations_from_csv
 from p3sync.model import LayerSpec, ModelProfile, builtin_profile
 from p3sync.plan import BASELINE_MODE, P3_MODE, make_plan, plan_fingerprint
-from p3sync.proto import Frame, MsgType, ProtocolError, pack_f32, slice_frame
+from p3sync.proto import Frame, MsgType, ProtocolError, encode_frame, pack_f32, slice_frame
 from p3sync.server import ServerEngine
-from p3sync.transport import FrameConnection
+from p3sync.transport import FrameConnection, listen
 from p3sync.worker import TrainingWorker, WorkerConfig
 
 TIMEOUT = 30.0
@@ -155,6 +155,14 @@ def test_cross_mode_equality_toy3_four_workers():
         assert len(ds) == 1
         digests[mode] = ds.pop()
     assert digests[P3_MODE] == digests[BASELINE_MODE]
+
+
+@pytest.mark.parametrize("mode", [P3_MODE, BASELINE_MODE])
+def test_trained_digest_is_pinned(mode):
+    # three ranks' gradients summed in float32 do not commute, so the digest
+    # also pins the ascending rank order of the server's in-place sum
+    workers, _ = run_topology(mode, builtin_profile("toy3"), 3, 2, iterations=3)
+    assert [f"{w.params_digest():016x}" for w in workers] == ["9f5b998a90bbcdf7"] * 3
 
 
 @pytest.mark.parametrize(
@@ -387,27 +395,82 @@ def bcast(sl, iteration, values=None):
     return slice_frame(MsgType.BCAST, sl, iteration, 0, pack_f32(values))
 
 
-@pytest.mark.parametrize(
-    "frames, message",
-    [
-        (lambda sl: [Frame(MsgType.BCAST, layer_index=9)], "BCAST for unknown key"),
-        (lambda sl: [bcast(sl, 1)], "layer 1: BCAST for iteration 1, worker holds parameters of iteration 0"),
-        (lambda sl: [bcast(sl, 0), bcast(sl, 0)], "duplicate BCAST slice"),
-        (lambda sl: [bcast(sl, 0, np.zeros(sl.length + 1, np.float32))], "holds 1001 values, expected 1000"),
-        (lambda sl: [push(sl, 0)], "worker got unexpected PUSH"),
-    ],
-    ids=["bcast-unknown-key", "bcast-wrong-iteration", "bcast-duplicate-slice", "bcast-wrong-length", "push"],
+WRONG_ITERATION = (
+    lambda sl: [bcast(sl, 1)], "layer 1: BCAST for iteration 1, worker holds parameters of iteration 0"
 )
-def test_worker_refuses_a_frame_it_cannot_apply(frames, message):
-    # layer 1 of small_profile is three slices, so one BCAST leaves it incomplete
+DUPLICATE = (lambda sl: [bcast(sl, 0), bcast(sl, 0)], "duplicate BCAST slice")
+WRONG_LENGTH = (lambda sl: [bcast(sl, 0, np.zeros(sl.length + 1, np.float32))], "holds 1001 values, expected 1000")
+
+
+@pytest.mark.parametrize(
+    "frames, message, path",
+    [
+        (lambda sl: [Frame(MsgType.BCAST, layer_index=9)], "BCAST for unknown key", "apply"),
+        (*WRONG_ITERATION, "apply"),
+        (*DUPLICATE, "apply"),
+        (*WRONG_LENGTH, "apply"),
+        (lambda sl: [push(sl, 0)], "worker got unexpected PUSH", "apply"),
+        (*WRONG_ITERATION, "socket"),
+        (*DUPLICATE, "socket"),
+        (*WRONG_LENGTH, "socket"),
+    ],
+    ids=[
+        "bcast-unknown-key", "bcast-wrong-iteration", "bcast-duplicate-slice", "bcast-wrong-length", "push",
+        "bcast-wrong-iteration-via-socket", "bcast-duplicate-slice-via-socket", "bcast-wrong-length-via-socket",
+    ],
+)
+def test_worker_refuses_a_frame_it_cannot_apply(frames, message, path):
+    # layer 1 of small_profile is three slices, so one BCAST leaves it incomplete;
+    # over a socket each frame is read as a receiver reads it, through _destination
     profile = small_profile()
     plan = make_plan(P3_MODE, profile, 1, 1000, 2000, 0)
     worker = TrainingWorker(WorkerConfig(rank=0, servers=[("127.0.0.1", 1)], iterations=1), profile, plan)
     *first, last = frames(plan.slices_of_layer(1)[0])
-    for frame in first:
-        worker._apply(frame)
-    with pytest.raises(ProtocolError, match=message):
-        worker._apply(last)
+    if path == "apply":
+        for frame in first:
+            worker._apply(frame)
+        with pytest.raises(ProtocolError, match=message):
+            worker._apply(last)
+    else:
+        raw, conn = raw_connection()
+        try:
+            raw.sendall(b"".join(part for f in [*first, last] for part in encode_frame(f)))
+            raw.close()
+            with pytest.raises(ProtocolError, match=message):
+                worker._receiver(conn)
+        finally:
+            raw.close()
+            conn.close()
+    assert worker.flags == [0, 0, 0]
+
+
+def raw_connection():
+    """A bare socket to write frames into, and the FrameConnection that reads them."""
+    srv = listen("127.0.0.1", 0)
+    raw = socket.create_connection(srv.getsockname())
+    conn = FrameConnection(srv.accept()[0], TIMEOUT, NetCounters())
+    srv.close()
+    return raw, conn
+
+
+def test_a_bcast_is_received_straight_into_params():
+    profile = small_profile()
+    plan = make_plan(P3_MODE, profile, 1, 1000, 2000, 0)
+    worker = TrainingWorker(WorkerConfig(rank=0, servers=[("127.0.0.1", 1)], iterations=1), profile, plan)
+    sl = plan.slices_of_layer(1)[1]
+    values = np.arange(sl.length, dtype=np.float32) + 0.5
+    raw, conn = raw_connection()
+    try:
+        raw.sendall(b"".join(encode_frame(bcast(sl, 0, values))))
+        frame = conn.recv_frame(worker._destination)
+    finally:
+        raw.close()
+        conn.close()
+    assert np.shares_memory(frame.payload_f32(), worker.params[1])
+    assert frame.payload_f32().flags.aligned
+    worker._apply(frame)
+    assert worker.params[1][sl.offset : sl.offset + sl.length].tobytes() == values.tobytes()
+    assert not worker.params[1][: sl.offset].any() and not worker.params[1][sl.offset + sl.length :].any()
 
 
 def test_failed_connect_stops_every_worker_thread():

@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def test_aggregate_matches_scalar_oracle():
         grads = {r: rng.uniform(-3, 3, n).astype(np.float32) for r in range(nw)}
         s = ShardState(SliceKey(1, 2), params.copy(), nw, lr)
         for r in range(nw):
-            s.on_push(r, 0, grads[r])
+            s.on_push(r, 0, grads[r].copy())
         got = s.aggregate_and_update()
         want = scalar_update_oracle(params, grads, lr)
         assert got.tobytes() == want.tobytes()
@@ -132,12 +133,29 @@ def test_in_place_update_equals_three_step_formula(num_workers):
         grads = {r: rng.choice(SPECIALS, 200) for r in range(num_workers)}
         s = ShardState(SliceKey(0, 0), params.copy(), num_workers, lr)
         for r in range(num_workers):
-            s.on_push(r, 0, grads[r])
+            s.on_push(r, 0, grads[r].copy())
         # overflow to inf and inf - inf are part of what is compared
         with np.errstate(over="ignore", invalid="ignore"):
             got = s.aggregate_and_update()
             want = three_step_update(params, grads, lr)
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def test_update_allocates_no_slice_sized_array():
+    # the gradients are summed into the lowest rank's array: no accumulator
+    n = 50_000
+    rng = np.random.RandomState(5)
+    s = ShardState(SliceKey(0, 0), rng.uniform(-1, 1, n).astype(np.float32), 3, 0.1)
+    for r in range(3):
+        s.on_push(r, 0, rng.uniform(-1, 1, n).astype(np.float32))
+    tracemalloc.start()
+    try:
+        s.aggregate_and_update()
+        snapshot = tracemalloc.take_snapshot()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n, [str(stat) for stat in snapshot.statistics("lineno")[:3]]
 
 
 def test_lr_zero_conserves_params():
@@ -165,7 +183,7 @@ def test_arrival_order_of_keys_never_changes_values():
         events = [(key, r) for key in grads for r in range(3)]
         np.random.RandomState(perm_seed).shuffle(events)
         for key, r in events:
-            ready = shards[key].on_push(r, 0, grads[key][r])
+            ready = shards[key].on_push(r, 0, grads[key][r].copy())
             if ready:
                 shards[key].aggregate_and_update()
         results.append(b"".join(shards[k].params.tobytes() for k in sorted(shards)))

@@ -128,7 +128,7 @@ def test_large_frame_chunked_send():
     receiver.close()
 
 
-# -- receive path: one exact-size buffer per frame, over a real loopback pair
+# -- receive path: each payload read into an array of its own or its receiver's, over a real loopback pair
 
 
 def raw_sender_and_receiver(timeout: float = 5.0):
@@ -250,6 +250,66 @@ def test_received_payloads_are_read_only_and_not_shared():
     receiver.close()
 
 
+@pytest.mark.parametrize("where", ["own-array", "destination"])
+def test_received_payloads_are_aligned(where):
+    # a payload starts on its array's alignment, never at the header's odd offset
+    landed = []
+
+    def destination(head):
+        # one value into its allocation, as a slice of a worker's params may be
+        landed.append(head)
+        return np.empty(head.payload_len // 4 + 1, dtype="<f4")[1:]
+
+    raw, receiver = raw_sender_and_receiver()
+    frames = [push_frame(n, layer=n) for n in (1, 7, 50_000)]
+    raw.sendall(b"".join(part for f in frames for part in encode_frame(f)))
+    try:
+        got = [receiver.recv_frame(destination if where == "destination" else None) for _ in frames]
+    finally:
+        raw.close()
+        receiver.close()
+    assert got == frames
+    assert all(f.payload_f32().flags.aligned for f in got)
+    assert [f.payload_f32().flags.writeable for f in got] == [where == "destination"] * 3
+    if where == "destination":
+        assert [(h.msg_type, h.layer_index, h.payload_len) for h in landed] == [
+            (MsgType.PUSH, f.layer_index, len(f.payload)) for f in frames
+        ]
+
+
+def test_a_destination_decides_where_each_payload_goes():
+    # a control frame asks nothing; a destination may decline a payload
+    raw, receiver = raw_sender_and_receiver()
+    frames = [push_frame(10, layer=1), Frame(msg_type=MsgType.FIN), push_frame(10, layer=2)]
+    raw.sendall(b"".join(part for f in frames for part in encode_frame(f)))
+    mine = np.zeros(10, dtype=np.float32)
+    asked = []
+
+    def destination(head):
+        asked.append(head.layer_index)
+        return mine if head.layer_index == 1 else None
+
+    try:
+        got = [receiver.recv_frame(destination) for _ in frames]
+    finally:
+        raw.close()
+        receiver.close()
+    assert got == frames and asked == [1, 2]
+    assert np.shares_memory(got[0].payload_f32(), mine) and mine.tobytes() == frames[0].payload
+    assert not got[2].payload_f32().flags.writeable
+
+
+def test_a_destination_of_the_wrong_size_is_refused():
+    raw, receiver = raw_sender_and_receiver()
+    raw.sendall(b"".join(encode_frame(push_frame(10))))
+    try:
+        with pytest.raises(ValueError, match="a destination of 36 bytes for a 40-byte payload"):
+            receiver.recv_frame(lambda head: np.empty(9, dtype="<f4"))
+    finally:
+        raw.close()
+        receiver.close()
+
+
 class RecordingCounters(NetCounters):
     def __init__(self) -> None:
         super().__init__()
@@ -334,8 +394,8 @@ def read_in_pieces(sock, total: int, got: bytearray, stop: threading.Event, paus
 def decode_all(data: bytes) -> list[Frame]:
     decoder, frames, pos = FrameDecoder(), [], 0
     while pos < len(data):
-        end = pos + HEADER_LEN + decoder.header(data[pos : pos + HEADER_LEN])
-        frames += decoder.feed(data[pos:end])
+        end = pos + HEADER_LEN + decoder.header(data[pos : pos + HEADER_LEN]).payload_len
+        frames += decoder.feed(data[pos : pos + HEADER_LEN], data[pos + HEADER_LEN : end])
         pos = end
     return frames
 
