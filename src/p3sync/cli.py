@@ -27,13 +27,12 @@ from .metrics import (
     samples_from_csv,
     write_text,
 )
-from .model import BUILTIN_NAMES, ModelProfile, ProfileError, resolve_profile, save_profile
+from .model import BUILTIN_NAMES, ModelProfile, resolve_profile, save_profile
 from .plan import (
     DEFAULT_BIG_THRESHOLD,
     DEFAULT_MAX_SLICE,
     MODES,
     P3_MODE,
-    PlanError,
     load_plan,
     make_plan,
     plan_to_csv,
@@ -41,9 +40,8 @@ from .plan import (
     validate_plan,
 )
 from .proto import ProtocolError
-from .queues import DeadlockError
 from .server import ServerEngine
-from .sim import POLICIES, ScenarioError, load_scenario, simulate
+from .sim import POLICIES, load_scenario, simulate
 from .transport import DEFAULT_DEADLOCK_TIMEOUT, parse_addr
 from .worker import TrainingWorker, WorkerConfig
 
@@ -156,7 +154,7 @@ def cmd_server(args) -> int:
         num_workers=args.num_workers,
         lr=args.lr,
         throttle_rate=args.throttle_rate or None,
-        poll_timeout=args.deadlock_timeout,
+        deadlock_timeout=args.deadlock_timeout,
     )
     print(f"READY {engine.addr[0]}:{engine.addr[1]}", flush=True)
     engine.run()
@@ -456,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     except ProtocolError as exc:
         print(f"protocol violation: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
-    except (DeadlockError, TimeoutError) as exc:
+    except TimeoutError as exc:  # a DeadlockError too
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
     except _ChildFailure as exc:
@@ -465,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConnectionError as exc:  # a peer hung up or reset the connection
         print(f"lost peer: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
-    except (ProfileError, PlanError, ScenarioError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ProfileError, PlanError and ScenarioError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,7 +11,8 @@ whoever reads a plan reads its rows, so a loaded plan means what it says.
 A slice's priority is not stored either: it is the order of its key, (layer,
 slice), so a layer nearer the input (0 = most urgent) goes first and a layer's
 slices go in offset order. Every priority queue of the runtime and the
-simulator orders by that key.
+simulator orders by that key. ``SliceKey`` is defined in ``proto`` and
+re-exported here: a frame carries its slice's key as the plan names it.
 
 ``chunk_layer`` is the one slicing rule of the package: the simulator cuts a
 layer's uplink cost with it too, so a scenario slices as a plan does.
@@ -28,7 +29,7 @@ import numpy as np
 
 from .hashing import digest64, splitmix64_stream
 from .model import ModelProfile
-from .proto import DEFAULT_MAX_PAYLOAD, pack_f32
+from .proto import DEFAULT_MAX_PAYLOAD, SliceKey, pack_f32
 
 P3_MODE = "p3"
 BASELINE_MODE = "baseline"
@@ -41,12 +42,6 @@ MAX_FRAME_PARAMS = DEFAULT_MAX_PAYLOAD // 4  # float32 params in the largest fra
 
 class PlanError(ValueError):
     pass
-
-
-@dataclass(frozen=True, order=True)
-class SliceKey:
-    layer_index: int
-    slice_index: int
 
 
 @dataclass(frozen=True)
@@ -167,7 +162,7 @@ def plan_to_csv(plan: SlicePlan) -> str:
     buf = io.StringIO()
     buf.write(_META_PREFIX + " ".join(f"{k}={getattr(plan, k)}" for k in _META_KEYS) + "\n")
     buf.write(PLAN_CSV_HEADER + "\n")
-    for s in sorted(plan.slices, key=lambda s: (s.key.layer_index, s.key.slice_index)):
+    for s in sorted(plan.slices, key=lambda s: s.key):
         buf.write(f"{s.key.layer_index},{s.key.slice_index},{s.offset},{s.length},{s.server}\n")
     return buf.getvalue()
 

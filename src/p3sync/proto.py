@@ -5,22 +5,24 @@ message type (1), iteration (8), sender rank (2), layer index (4), slice index
 (4) and payload length (4). PUSH and BCAST frames append a packed float32
 payload (gradients and updated parameters respectively).
 
-The header carries only what a receiver reads. A receiver takes a slice's
-offset, length and priority from its own plan, by the slice key (a slice's
-priority is its key's order, see ``plan``). That plan equals the sender's:
-HELLO carries the worker's plan fingerprint in its iteration field, and the
-server refuses a worker whose fingerprint differs from its own.
+The header carries only what a receiver reads. A frame names its slice by
+one ``SliceKey``, (layer index, slice index), defined here and re-exported by
+``plan``: it is the plan's key too, so a receiver looks up the slice's
+offset, length and priority in its own plan by the frame's ``key`` as it is
+(a slice's priority is its key's order, see ``plan``). That plan equals the
+sender's: HELLO carries the worker's plan fingerprint in its iteration field,
+and the server refuses a worker whose fingerprint differs from its own.
 
 One decoder reads frames: ``FrameDecoder.header`` checks a header before its
 payload is read and returns it as a ``Header``, and ``FrameDecoder.feed``
-decodes one whole frame from its header and its payload, taken apart. It
-holds no partial frame between calls; the transport reads each payload whole,
-straight into the float32 array where the receiver wants it, before it
-decodes the frame. Decoding copies no payload: a decoded frame's payload is a
-byte view of the buffer it was decoded from, read-only if that buffer is, so
-that buffer must not be reused. A payload read into an array starts on the
-array's own alignment, never at the header's odd offset, so numpy works on
-it at full speed.
+makes one whole frame of that ``Header`` and its payload, so each header is
+parsed once. It holds no partial frame between calls; the transport reads
+each payload whole, straight into the float32 array where the receiver wants
+it, before it decodes the frame. Decoding copies no payload: a decoded
+frame's payload is a byte view of the buffer it was decoded from, read-only
+if that buffer is, so that buffer must not be reused. A payload read into an
+array starts on the array's own alignment, never at the header's odd offset,
+so numpy works on it at full speed.
 
 Encoding copies no payload either. ``pack_f32`` views float32 values as
 little-endian bytes, and ``encode_frame`` returns the packed header and a
@@ -37,12 +39,9 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # plan imports this module for its frame size limit
-    from .plan import Slice
 
 MAGIC = b"P3W2"
 
@@ -69,14 +68,20 @@ class ProtocolError(Exception):
     """Corrupt or rule-violating traffic; fatal for the connection."""
 
 
+class SliceKey(NamedTuple):
+    """A slice's name, in a plan and on the wire; its order is the slice's priority."""
+
+    layer_index: int
+    slice_index: int
+
+
 class Header(NamedTuple):
     """A checked frame header, as ``FrameDecoder.header`` decodes it."""
 
     msg_type: MsgType
     iteration: int
     worker_rank: int
-    layer_index: int
-    slice_index: int
+    key: SliceKey
     payload_len: int
 
 
@@ -85,28 +90,13 @@ class Frame:
     msg_type: MsgType
     iteration: int = 0
     worker_rank: int = 0
-    layer_index: int = 0
-    slice_index: int = 0
+    key: SliceKey = SliceKey(0, 0)
     # bytes or a byte view (pack_f32) when built for sending; a byte view of
     # the array it was read into when decoded
     payload: bytes | memoryview = b""
 
     def payload_f32(self) -> np.ndarray:
         return np.frombuffer(self.payload, dtype="<f4")
-
-
-def slice_frame(
-    msg_type: MsgType, sl: Slice, iteration: int, worker_rank: int, payload: bytes | memoryview = b""
-) -> Frame:
-    """A frame about one slice, which the header names by its key."""
-    return Frame(
-        msg_type=msg_type,
-        iteration=iteration,
-        worker_rank=worker_rank,
-        layer_index=sl.key.layer_index,
-        slice_index=sl.key.slice_index,
-        payload=payload,
-    )
 
 
 def pack_f32(values: np.ndarray) -> memoryview:
@@ -129,8 +119,7 @@ def encode_frame(frame: Frame) -> tuple[bytes, memoryview]:
         int(frame.msg_type),
         frame.iteration,
         frame.worker_rank,
-        frame.layer_index,
-        frame.slice_index,
+        *frame.key,
         len(payload),
     )
     return header, payload
@@ -150,7 +139,7 @@ class FrameDecoder:
         """Validate a frame's HEADER_LEN-byte header and decode it."""
         if len(buf) < HEADER_LEN:
             raise ProtocolError(f"truncated frame header: {HEADER_LEN - len(buf)} bytes missing")
-        magic, raw_type, *fields, payload_len = _HEADER.unpack_from(buf)
+        magic, raw_type, iteration, rank, layer, index, payload_len = _HEADER.unpack_from(buf)
         if magic != MAGIC:
             raise ProtocolError(f"bad magic {bytes(magic)!r}")
         try:
@@ -163,13 +152,12 @@ class FrameDecoder:
             raise ProtocolError(f"{msg_type.name} frame with nonzero payload_len {payload_len}")
         if payload_len % 4 != 0:
             raise ProtocolError(f"{msg_type.name} payload_len {payload_len} not a float32 array")
-        return Header(msg_type, *fields, payload_len)
+        return Header(msg_type, iteration, rank, SliceKey(layer, index), payload_len)
 
-    def feed(self, header: bytes | bytearray | memoryview, payload: bytes | memoryview | np.ndarray) -> list[Frame]:
-        """The one frame of a HEADER_LEN-byte ``header`` and ``payload``, a
-        buffer that holds exactly its payload, as a list of it. The frame's
-        payload is a byte view of ``payload``."""
-        head = self.header(header)
+    def feed(self, head: Header, payload: bytes | memoryview | np.ndarray) -> list[Frame]:
+        """The one frame of ``head``, a header that ``header`` checked, and
+        ``payload``, a buffer that holds exactly its payload, as a list of it.
+        The frame's payload is a byte view of ``payload``."""
         view = memoryview(payload).cast("B")
         name = head.msg_type.name
         if len(view) < head.payload_len:

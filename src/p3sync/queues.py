@@ -11,13 +11,10 @@ import threading
 from .proto import Frame
 
 
-class DeadlockError(RuntimeError):
-    """A blocking wait exceeded its deadline; the protocol has stalled."""
+class DeadlockError(TimeoutError):
+    """A blocking wait exceeded its deadline; the protocol has stalled.
 
-
-def frame_order_key(frame: Frame) -> tuple[int, int]:
-    """The frame's slice key, whose order is the slice's priority."""
-    return (frame.layer_index, frame.slice_index)
+    A TimeoutError, so it exits 3 like every other stall (``cli.main``)."""
 
 
 class FrameQueue:
@@ -36,7 +33,7 @@ class FrameQueue:
         self._cond = threading.Condition()
 
     def _entry(self, frame: Frame) -> tuple[tuple, int, Frame]:
-        key = frame_order_key(frame) if self.priority_mode else ()
+        key = frame.key if self.priority_mode else ()
         entry = (key, self._seq, frame)
         self._seq += 1
         return entry

@@ -48,7 +48,7 @@ import numpy as np
 
 from .metrics import NetCounters, samples_to_csv, write_text
 from .plan import P3_MODE, SliceKey, Slice, SlicePlan, plan_fingerprint, slice_digests_csv
-from .proto import Frame, Header, MsgType, ProtocolError, pack_f32, slice_frame
+from .proto import Frame, Header, MsgType, ProtocolError, pack_f32
 from .queues import FrameQueue
 from .transport import DEFAULT_DEADLOCK_TIMEOUT, Crew, FrameConnection, TokenBucket, listen, shut_and_close
 
@@ -114,7 +114,7 @@ def bcast_frames(
     """One BCAST per worker, the slice's header on each, and each payload a view
     of ``params`` (see the module docstring for why it need not be copied)."""
     payload = pack_f32(params)
-    return [slice_frame(MsgType.BCAST, sl, iteration, rank, payload) for rank in worker_ranks]
+    return [Frame(MsgType.BCAST, iteration, rank, sl.key, payload) for rank in worker_ranks]
 
 
 class ServerEngine:
@@ -127,22 +127,22 @@ class ServerEngine:
         num_workers: int,
         lr: float,
         throttle_rate: float | None = None,
-        poll_timeout: float = DEFAULT_DEADLOCK_TIMEOUT,
+        deadlock_timeout: float = DEFAULT_DEADLOCK_TIMEOUT,
     ) -> None:
         # checked before the listener binds, so a refusal leaks no socket
         if num_workers < 1:
             raise ValueError(f"num_workers {num_workers} must be >= 1")
         if not 0 <= rank < plan.num_servers:
             raise ValueError(f"rank {rank} outside the plan's {plan.num_servers} servers")
-        if not (poll_timeout > 0 and math.isfinite(poll_timeout)):
-            raise ValueError(f"deadlock timeout {poll_timeout} must be positive and finite")
+        if not (deadlock_timeout > 0 and math.isfinite(deadlock_timeout)):
+            raise ValueError(f"deadlock timeout {deadlock_timeout} must be positive and finite")
         if not math.isfinite(lr):
             raise ValueError(f"lr {lr} must be finite")
         self.rank = rank
         self.p3 = plan.mode == P3_MODE
         self.plan_fingerprint = plan_fingerprint(plan)
         self.num_workers = num_workers
-        self.poll_timeout = poll_timeout
+        self.deadlock_timeout = deadlock_timeout
         self.owned: dict[SliceKey, Slice] = {
             s.key: s for s in plan.slices if s.server == rank
         }
@@ -239,13 +239,13 @@ class ServerEngine:
         """Where a received payload goes: a PUSH of an owned slice with the
         slice's length into a new array for its shard to own; anything else
         into a read-only one (None), for ``_handle`` to refuse."""
-        sl = self.owned.get(SliceKey(head.layer_index, head.slice_index))
+        sl = self.owned.get(head.key)
         if head.msg_type != MsgType.PUSH or sl is None or head.payload_len != 4 * sl.length:
             return None
         return np.empty(sl.length, dtype="<f4")
 
     def _handle(self, frame: Frame) -> None:
-        key = SliceKey(frame.layer_index, frame.slice_index)
+        key = frame.key
         sl = self.owned.get(key)
         if sl is None:
             raise ProtocolError(f"rank {self.rank} does not own key {key}")
@@ -259,7 +259,7 @@ class ServerEngine:
             if self.p3:
                 frames = bcast_frames(sl, answered, params, ranks)
             else:
-                frames = [slice_frame(MsgType.NOTIFY, sl, answered, rank) for rank in ranks]
+                frames = [Frame(MsgType.NOTIFY, answered, rank, key) for rank in ranks]
         else:  # PULL; the readers queue nothing else
             if shard.iteration != frame.iteration + 1:
                 raise ProtocolError(
@@ -277,7 +277,7 @@ class ServerEngine:
         try:
             for i in range(self.num_workers):
                 sock, _ = self._listener.accept()
-                conn = FrameConnection(sock, self.poll_timeout * 2, self.counters, self._bucket)
+                conn = FrameConnection(sock, self.deadlock_timeout * 2, self.counters, self._bucket)
                 self.crew.spawn(f"reader-{i}", self._reader, self.crew.closing(conn))
         except BaseException as exc:
             # a stop wakes accept() with an OSError, dropped as the stop's echo

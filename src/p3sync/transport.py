@@ -172,7 +172,7 @@ class FrameConnection:
                 raise ConnectionError(f"EOF with {HEADER_LEN + got} undecoded bytes")
             if out is None:
                 payload = payload.toreadonly()
-        [frame] = self._decoder.feed(header, payload)
+        [frame] = self._decoder.feed(head, payload)
         return frame
 
     def close(self) -> None:

@@ -37,7 +37,7 @@ from .hashing import digest64, gradient_block
 from .metrics import NetCounters, iterations_to_csv, samples_to_csv, write_text
 from .model import ModelProfile
 from .plan import P3_MODE, SliceKey, SlicePlan, plan_fingerprint, slice_digests_csv
-from .proto import MAX_WORKER_RANK, Frame, Header, MsgType, ProtocolError, pack_f32, slice_frame
+from .proto import MAX_WORKER_RANK, Frame, Header, MsgType, ProtocolError, pack_f32
 from .queues import DeadlockError, FrameQueue
 from .transport import DEFAULT_DEADLOCK_TIMEOUT, Crew, FrameConnection, TokenBucket, connect_with_retry
 
@@ -127,7 +127,7 @@ class TrainingWorker:
         # send time, into the sender's one reused buffer, so queued slices stay
         # cheap and a preempting slice never waits behind another slice's serialization
         slices = self.slices_by_layer[layer_index]
-        self.outbox.put_batch([slice_frame(MsgType.PUSH, sl, iteration, self.cfg.rank) for sl in slices])
+        self.outbox.put_batch([Frame(MsgType.PUSH, iteration, self.cfg.rank, sl.key) for sl in slices])
 
     def _sender(self) -> None:
         """Send the outbox until it closes; at a clean finish, end every connection with FIN."""
@@ -144,10 +144,10 @@ class TrainingWorker:
 
         The view is safe because ``send_frame`` has written every byte of it
         when it returns, and only the next push refills ``buf``."""
-        sl = self.slice_info[SliceKey(frame.layer_index, frame.slice_index)]
+        sl = self.slice_info[frame.key]
         if frame.msg_type == MsgType.PUSH:
             grads = gradient_block(
-                self.profile.seed, frame.iteration, frame.layer_index, sl.offset, sl.length, out=buf
+                self.profile.seed, frame.iteration, sl.key.layer_index, sl.offset, sl.length, out=buf
             )
             frame = replace(frame, payload=pack_f32(grads))
         self._conns[sl.server].send_frame(frame)
@@ -172,7 +172,7 @@ class TrainingWorker:
         """Where a received payload goes: a BCAST of a planned slice with the
         slice's length goes into that slice of ``params``; anything else into
         an array of its own (None), for ``_apply`` to refuse."""
-        sl = self.slice_info.get(SliceKey(head.layer_index, head.slice_index))
+        sl = self.slice_info.get(head.key)
         if head.msg_type != MsgType.BCAST or sl is None or head.payload_len != 4 * sl.length:
             return None
         return self.params[sl.key.layer_index][sl.offset : sl.offset + sl.length]
@@ -188,9 +188,8 @@ class TrainingWorker:
     def _on_notify(self, frame: Frame) -> None:
         # a NOTIFY carries this worker's rank and the slice header: the PULL
         # answering it is the same frame under another type
-        key = SliceKey(frame.layer_index, frame.slice_index)
-        if key not in self.slice_info:
-            raise ProtocolError(f"NOTIFY for unknown key {key}")
+        if frame.key not in self.slice_info:
+            raise ProtocolError(f"NOTIFY for unknown key {frame.key}")
         self.outbox.put(replace(frame, msg_type=MsgType.PULL))
 
     def on_bcast(self, frame: Frame) -> None:
@@ -203,7 +202,7 @@ class TrainingWorker:
         them; but every refusal stops the run with a ProtocolError, on which
         ``p3sync worker`` exits 2 before any digest is written.
         """
-        key = SliceKey(frame.layer_index, frame.slice_index)
+        key = frame.key
         sl = self.slice_info.get(key)
         if sl is None:
             raise ProtocolError(f"BCAST for unknown key {key}")

@@ -580,7 +580,7 @@ def test_notify_for_unknown_key_is_a_protocol_error(tmp_path, capsys):
     import threading
 
     from p3sync.plan import save_plan
-    from p3sync.proto import HEADER_LEN, Frame, MsgType, encode_frame
+    from p3sync.proto import HEADER_LEN, Frame, MsgType, SliceKey, encode_frame
 
     save_plan(make_plan("baseline", builtin_profile("toy3"), 1), tmp_path / "plan.csv")
     listener = socket.create_server(("127.0.0.1", 0))
@@ -591,7 +591,7 @@ def test_notify_for_unknown_key_is_a_protocol_error(tmp_path, capsys):
         with conn:
             conn.settimeout(10.0)
             conn.recv(HEADER_LEN, socket.MSG_WAITALL)  # the HELLO
-            conn.sendall(b"".join(encode_frame(Frame(MsgType.NOTIFY, worker_rank=0, layer_index=99))))
+            conn.sendall(b"".join(encode_frame(Frame(MsgType.NOTIFY, worker_rank=0, key=SliceKey(99, 0)))))
             try:
                 while conn.recv(1 << 16):  # until the worker hangs up
                     pass
@@ -822,7 +822,7 @@ def test_stream_cut_mid_push_fails_the_server(toy3_plan, children):
     import socket
 
     from p3sync.plan import plan_fingerprint
-    from p3sync.proto import Frame, MsgType, encode_frame, pack_f32, slice_frame
+    from p3sync.proto import Frame, MsgType, encode_frame, pack_f32
     from p3sync.transport import parse_addr
 
     plan, plan_path = toy3_plan
@@ -830,7 +830,7 @@ def test_stream_cut_mid_push_fails_the_server(toy3_plan, children):
     server, addr = start_server(children, plan_path, 1)
     sl = plan.slices[0]
     push = b"".join(
-        encode_frame(slice_frame(MsgType.PUSH, sl, 0, 0, pack_f32(np.zeros(sl.length, dtype=np.float32))))
+        encode_frame(Frame(MsgType.PUSH, 0, 0, sl.key, pack_f32(np.zeros(sl.length, dtype=np.float32))))
     )
     half = push[: len(push) // 2]
     with socket.create_connection(parse_addr(addr), timeout=5.0) as sock:

@@ -22,8 +22,7 @@ from p3sync.plan import (
     save_plan,
     validate_plan,
 )
-from p3sync.proto import MsgType, slice_frame
-from p3sync.queues import frame_order_key
+from p3sync.proto import Frame, FrameDecoder, MsgType, encode_frame
 
 
 def profile_of(counts, name="t", seed=0):
@@ -125,9 +124,24 @@ def test_slices_of_layer_sorted_and_covering():
 @given(st.permutations([SliceKey(l, s) for l in range(4) for s in range(3)]))
 def test_sort_unique_order(perm):
     # a slice's priority is its key's order: headers sort into SliceKey order
-    frames = [slice_frame(MsgType.PUSH, Slice(key, 0, 1, 0), 0, 0) for key in perm]
-    ordered = [SliceKey(f.layer_index, f.slice_index) for f in sorted(frames, key=frame_order_key)]
+    frames = [Frame(MsgType.PUSH, 0, 0, key) for key in perm]
+    ordered = [f.key for f in sorted(frames, key=lambda f: f.key)]
     assert ordered == [SliceKey(l, s) for l in range(4) for s in range(3)]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("mode", MODES)
+def test_a_key_survives_the_wire(name, mode):
+    # a frame carries the plan's key as it is: the decoded key equals the
+    # slice's and finds the same plan row
+    plan = make_plan(mode, builtin_profile(name), num_servers=2)
+    rows = {s.key: s for s in plan.slices}
+    decoder = FrameDecoder()
+    for sl in plan.slices:
+        header, payload = encode_frame(Frame(MsgType.PUSH, 3, 1, sl.key))
+        [frame] = decoder.feed(decoder.header(header), payload)
+        assert frame.key == sl.key
+        assert rows[frame.key] is sl
 
 
 # -- invariants over random profiles ----------------------------------------
@@ -151,11 +165,11 @@ def test_priority_monotone_across_layers(profile, num_servers):
     # a slice's priority is its key's order: headers sort into layer order,
     # and a layer's slices into offset order
     plan = make_plan("p3", profile, num_servers)
-    frames = [slice_frame(MsgType.PUSH, s, 0, 0) for s in reversed(plan.slices)]
-    ordered = sorted(frames, key=frame_order_key)
-    layer_seq = [f.layer_index for f in ordered]
+    frames = [Frame(MsgType.PUSH, 0, 0, s.key) for s in reversed(plan.slices)]
+    ordered = sorted(frames, key=lambda f: f.key)
+    layer_seq = [f.key.layer_index for f in ordered]
     assert layer_seq == sorted(layer_seq)
-    keys = [SliceKey(f.layer_index, f.slice_index) for f in ordered]
+    keys = [f.key for f in ordered]
     assert keys == sorted(s.key for s in plan.slices)
     offsets = {s.key: s.offset for s in plan.slices}
     for a, b in zip(keys, keys[1:]):

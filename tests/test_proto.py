@@ -13,6 +13,7 @@ from p3sync.proto import (
     FrameDecoder,
     MsgType,
     ProtocolError,
+    SliceKey,
     encode_frame,
     pack_f32,
 )
@@ -27,8 +28,7 @@ def frame_strategy():
     common = {
         "iteration": st.integers(0, 2**64 - 1),
         "worker_rank": st.integers(0, 2**16 - 1),
-        "layer_index": st.integers(0, 2**32 - 1),
-        "slice_index": st.integers(0, 2**32 - 1),
+        "key": st.builds(SliceKey, st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
     }
     with_payload = st.builds(
         Frame,
@@ -63,8 +63,7 @@ def test_field_offsets_little_endian():
         msg_type=MsgType.PUSH,
         iteration=0x1112131415161718,
         worker_rank=0x2122,
-        layer_index=0x31323334,
-        slice_index=0x41424344,
+        key=SliceKey(0x31323334, 0x41424344),
         payload=pack_f32(np.array([0.0], dtype=np.float32)),
     )
     data = b"".join(encode_frame(f))
@@ -82,7 +81,7 @@ DECODER = FrameDecoder()
 
 def feed(data: bytes) -> list:
     """Decode ``data``, one frame's wire bytes, taken apart at the header's end."""
-    return DECODER.feed(data[:HEADER_LEN], data[HEADER_LEN:])
+    return DECODER.feed(DECODER.header(data[:HEADER_LEN]), data[HEADER_LEN:])
 
 
 def refused(data: bytes, match: str) -> None:

@@ -5,33 +5,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p3sync.proto import Frame, MsgType
-from p3sync.queues import DeadlockError, FrameQueue, frame_order_key
+from p3sync.proto import Frame, MsgType, SliceKey
+from p3sync.queues import DeadlockError, FrameQueue
 
 
 def push(layer, sl=0, it=0):
-    return Frame(msg_type=MsgType.PUSH, iteration=it, layer_index=layer, slice_index=sl)
+    return Frame(msg_type=MsgType.PUSH, iteration=it, key=SliceKey(layer, sl))
 
 
 def test_priority_dequeue_order():
     q = FrameQueue(priority_mode=True)
     for layer in (2, 0, 1):
         q.put(push(layer))
-    assert [q.poll().layer_index for _ in range(3)] == [0, 1, 2]
+    assert [q.poll().key.layer_index for _ in range(3)] == [0, 1, 2]
 
 
 def test_tie_break_by_slice_index():
     q = FrameQueue(priority_mode=True)
     q.put(push(1, sl=1))
     q.put(push(1, sl=0))
-    assert [q.poll().slice_index for _ in range(2)] == [0, 1]
+    assert [q.poll().key.slice_index for _ in range(2)] == [0, 1]
 
 
 def test_fifo_mode_arrival_order():
     q = FrameQueue(priority_mode=False)
     for layer in (2, 0, 1):
         q.put(push(layer))
-    assert [q.poll().layer_index for _ in range(3)] == [2, 0, 1]
+    assert [q.poll().key.layer_index for _ in range(3)] == [2, 0, 1]
 
 
 def test_poll_blocks_until_put():
@@ -45,7 +45,7 @@ def test_poll_blocks_until_put():
     t.start()
     q.put(push(3))
     t.join(timeout=5)
-    assert out and out[0].layer_index == 3
+    assert out and out[0].key.layer_index == 3
 
 
 def test_poll_timeout_raises():
@@ -58,7 +58,7 @@ def test_close_drains_then_none():
     q = FrameQueue()
     q.put(push(5))
     q.close()
-    assert q.poll().layer_index == 5
+    assert q.poll().key.layer_index == 5
     assert q.poll() is None
     assert q.poll() is None
 
@@ -85,8 +85,8 @@ def test_sequential_linearization(ops):
             mirror.append(f)
         elif mirror:
             got = q.poll(timeout=1)
-            want = min(mirror, key=frame_order_key)
-            assert frame_order_key(got) == frame_order_key(want)
+            want = min(mirror, key=lambda f: f.key)
+            assert got.key == want.key
             mirror.remove(got)
     assert len(q) == len(mirror)
 
@@ -111,9 +111,9 @@ def test_concurrent_producers_drain_sorted():
     for t in threads:
         t.join()
     drained = [q.poll(timeout=1) for _ in range(n_producers * per_producer)]
-    keys = [frame_order_key(f) for f in drained]
+    keys = [f.key for f in drained]
     assert keys == sorted(keys)
-    assert sorted(map(frame_order_key, drained)) == sorted(map(frame_order_key, expected))
+    assert sorted(f.key for f in drained) == sorted(f.key for f in expected)
     assert len(q) == 0
 
 

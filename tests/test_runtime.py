@@ -11,7 +11,7 @@ import pytest
 from p3sync.metrics import NetCounters, iteration_starts_from_csv, iterations_from_csv
 from p3sync.model import LayerSpec, ModelProfile, builtin_profile
 from p3sync.plan import BASELINE_MODE, P3_MODE, make_plan, plan_fingerprint
-from p3sync.proto import Frame, MsgType, ProtocolError, encode_frame, pack_f32, slice_frame
+from p3sync.proto import Frame, MsgType, ProtocolError, SliceKey, encode_frame, pack_f32
 from p3sync.server import ServerEngine
 from p3sync.transport import FrameConnection, listen
 from p3sync.worker import TrainingWorker, WorkerConfig
@@ -45,7 +45,7 @@ def run_topology(
 ):
     plan = make_plan(mode, profile, num_servers, max_slice, big_threshold, seed)
     engines = [
-        ServerEngine("127.0.0.1", 0, rank, plan, num_workers, lr, poll_timeout=TIMEOUT)
+        ServerEngine("127.0.0.1", 0, rank, plan, num_workers, lr, deadlock_timeout=TIMEOUT)
         for rank in range(num_servers)
     ]
     server_threads = [threading.Thread(target=e.run, name=f"srv{e.rank}") for e in engines]
@@ -289,13 +289,13 @@ def serve(engine):
     return thread, errors
 
 
-def server_error(plan, num_workers, *streams, poll_timeout=TIMEOUT):
+def server_error(plan, num_workers, *streams, deadlock_timeout=TIMEOUT):
     """The error a rank-0 server stops with after each of ``streams``, a list of
     frames, arrives in turn on a raw connection of its own.
 
     The server must stop within 5 s and leave no thread running.
     """
-    engine = ServerEngine("127.0.0.1", 0, 0, plan, num_workers, lr=0.1, poll_timeout=poll_timeout)
+    engine = ServerEngine("127.0.0.1", 0, 0, plan, num_workers, lr=0.1, deadlock_timeout=deadlock_timeout)
     t0 = time.monotonic()
     server, errors = serve(engine)
     conns = []
@@ -321,7 +321,7 @@ def hello(plan, rank):
 
 
 def push(sl, rank):
-    return slice_frame(MsgType.PUSH, sl, 0, rank, pack_f32(np.zeros(sl.length, dtype=np.float32)))
+    return Frame(MsgType.PUSH, 0, rank, sl.key, pack_f32(np.zeros(sl.length, dtype=np.float32)))
 
 
 def test_push_for_key_of_another_server_is_a_protocol_error():
@@ -353,7 +353,7 @@ def test_frame_after_fin_is_a_protocol_error():
 def test_frame_under_another_rank_is_a_protocol_error(kind):
     plan = make_plan(P3_MODE, small_profile(), 1, 1000, 2000, 0)
     sl = plan.slices[0]
-    frame = push(sl, 1) if kind == "PUSH" else slice_frame(MsgType[kind], sl, 0, 1)
+    frame = push(sl, 1) if kind == "PUSH" else Frame(MsgType[kind], 0, 1, sl.key)
     error = server_error(plan, 2, [hello(plan, 0), frame])
     assert isinstance(error, ProtocolError)
     assert f"{kind} under rank 1 on rank 0's connection" in str(error)
@@ -365,7 +365,7 @@ def test_frame_under_another_rank_is_a_protocol_error(kind):
         (lambda plan: [[hello(plan, 2)]], "HELLO from out-of-range rank 2"),
         (lambda plan: [[hello(plan, 0)], [hello(plan, 0)]], "duplicate HELLO from rank 0"),
         (
-            lambda plan: [[hello(plan, 0), slice_frame(MsgType.PULL, plan.slices[0], 0, 0)]],
+            lambda plan: [[hello(plan, 0), Frame(MsgType.PULL, 0, 0, plan.slices[0].key)]],
             "pull for iteration 0 but shard at 0 (not yet updated)",
         ),
     ],
@@ -384,7 +384,7 @@ def test_a_silent_worker_times_the_server_out(said_hello, peer):
     # the connection's timeout is twice the server's poll timeout
     plan = make_plan(P3_MODE, small_profile(), 1, 1000, 2000, 0)
     t0 = time.monotonic()
-    error = server_error(plan, 1, [hello(plan, 0)] if said_hello else [], poll_timeout=0.25)
+    error = server_error(plan, 1, [hello(plan, 0)] if said_hello else [], deadlock_timeout=0.25)
     assert isinstance(error, TimeoutError)
     assert str(error) == f"{peer}: receiving a frame timed out after 0.5s"
     assert 0.5 <= time.monotonic() - t0 < 1.5
@@ -392,7 +392,7 @@ def test_a_silent_worker_times_the_server_out(said_hello, peer):
 
 def bcast(sl, iteration, values=None):
     values = np.zeros(sl.length, dtype=np.float32) if values is None else values
-    return slice_frame(MsgType.BCAST, sl, iteration, 0, pack_f32(values))
+    return Frame(MsgType.BCAST, iteration, 0, sl.key, pack_f32(values))
 
 
 WRONG_ITERATION = (
@@ -405,7 +405,7 @@ WRONG_LENGTH = (lambda sl: [bcast(sl, 0, np.zeros(sl.length + 1, np.float32))], 
 @pytest.mark.parametrize(
     "frames, message, path",
     [
-        (lambda sl: [Frame(MsgType.BCAST, layer_index=9)], "BCAST for unknown key", "apply"),
+        (lambda sl: [Frame(MsgType.BCAST, key=SliceKey(9, 0))], "BCAST for unknown key", "apply"),
         (*WRONG_ITERATION, "apply"),
         (*DUPLICATE, "apply"),
         (*WRONG_LENGTH, "apply"),
@@ -477,7 +477,7 @@ def test_failed_connect_stops_every_worker_thread():
     # the first server is live, the second address is dead: run() must fail at
     # the connect deadline, and the first server's receiver stops
     plan = make_plan(P3_MODE, small_profile(), 2, 1000, 2000, 0)
-    engine = ServerEngine("127.0.0.1", 0, 0, plan, num_workers=1, lr=0.1, poll_timeout=TIMEOUT)
+    engine = ServerEngine("127.0.0.1", 0, 0, plan, num_workers=1, lr=0.1, deadlock_timeout=TIMEOUT)
     server, errors = serve(engine)
     cfg = WorkerConfig(
         rank=0, servers=[engine.addr, ("127.0.0.1", 1)], iterations=1, deadlock_timeout=1.0
@@ -502,7 +502,7 @@ def test_worker_stops_connecting_once_a_server_refuses_it():
     profile = small_profile()
     plan = make_plan(P3_MODE, profile, 2, 1000, 2000, 0)
     other = make_plan(P3_MODE, profile, 2, 500, 2000, 0)
-    refusing = ServerEngine("127.0.0.1", 0, 0, other, num_workers=1, lr=0.1, poll_timeout=TIMEOUT)
+    refusing = ServerEngine("127.0.0.1", 0, 0, other, num_workers=1, lr=0.1, deadlock_timeout=TIMEOUT)
     server, errors = serve(refusing)
     dead = socket.socket()
     dead.bind(("127.0.0.1", 0))  # bound, not listening: connects are refused

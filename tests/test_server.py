@@ -200,7 +200,7 @@ def test_bcast_frames_shape():
     assert all(np.shares_memory(f.payload_f32(), params) for f in frames)
     for f in frames:
         assert f.msg_type == MsgType.BCAST
-        assert (f.layer_index, f.slice_index) == (2, 1)
+        assert (f.key.layer_index, f.key.slice_index) == (2, 1)
         assert f.iteration == 7
         assert np.array_equal(f.payload_f32(), params)
 
@@ -251,7 +251,7 @@ def test_serve_under_contention_handles_each_frame_once_on_one_thread():
         try:
             for r in range(rounds):
                 time.sleep(rng.uniform(0, 2e-3))
-                queue.put(Frame(msg_type=MsgType.PUSH, iteration=r, worker_rank=rank, layer_index=r % 7))
+                queue.put(Frame(msg_type=MsgType.PUSH, iteration=r, worker_rank=rank, key=SliceKey(r % 7, 0)))
                 ServerEngine._serve(queue, lock, handle)
                 barrier.wait(timeout=10)
         except BaseException as exc:  # noqa: BLE001

@@ -18,6 +18,7 @@ from p3sync.proto import (
     FrameDecoder,
     MsgType,
     ProtocolError,
+    SliceKey,
     encode_frame,
     pack_f32,
 )
@@ -95,7 +96,7 @@ def test_frame_connection_roundtrip_and_counters():
         Frame(msg_type=MsgType.HELLO, worker_rank=1),
         Frame(
             msg_type=MsgType.PUSH,
-            layer_index=3,
+            key=SliceKey(3, 0),
             payload=pack_f32(np.arange(100, dtype=np.float32)),
         ),
         Frame(msg_type=MsgType.FIN, worker_rank=1),
@@ -111,6 +112,28 @@ def test_frame_connection_roundtrip_and_counters():
     sender.close()
     assert receiver.recv_frame() is None
     receiver.close()
+
+
+def test_each_received_header_is_decoded_once(monkeypatch):
+    # recv_frame checks a header before it reads the payload, and feed makes
+    # the frame of that Header without parsing the bytes again
+    decoded = []
+    header = FrameDecoder.header
+    monkeypatch.setattr(FrameDecoder, "header", lambda self, buf: decoded.append(buf) or header(self, buf))
+    c_sock, s_sock = loopback_pair()
+    sender = FrameConnection(c_sock, 5.0, NetCounters())
+    receiver = FrameConnection(s_sock, 5.0, NetCounters())
+    frames = [Frame(msg_type=MsgType.HELLO, worker_rank=1), push_frame(10), push_frame(1000, layer=3)]
+    frames.append(Frame(msg_type=MsgType.FIN, worker_rank=1))
+    try:
+        for f in frames:
+            sender.send_frame(f)
+        got = [receiver.recv_frame() for _ in frames]
+    finally:
+        sender.close()
+        receiver.close()
+    assert got == frames
+    assert len(decoded) == len(frames)
 
 
 def test_large_frame_chunked_send():
@@ -140,7 +163,7 @@ def raw_sender_and_receiver(timeout: float = 5.0):
 
 def push_frame(n: int, layer: int = 2) -> Frame:
     payload = pack_f32(np.arange(n, dtype=np.float32) + layer)
-    return Frame(msg_type=MsgType.PUSH, iteration=4, layer_index=layer, payload=payload)
+    return Frame(msg_type=MsgType.PUSH, iteration=4, key=SliceKey(layer, 0), payload=payload)
 
 
 def raw_header(msg_type: MsgType, payload_len: int, magic: bytes = MAGIC) -> bytes:
@@ -272,8 +295,8 @@ def test_received_payloads_are_aligned(where):
     assert all(f.payload_f32().flags.aligned for f in got)
     assert [f.payload_f32().flags.writeable for f in got] == [where == "destination"] * 3
     if where == "destination":
-        assert [(h.msg_type, h.layer_index, h.payload_len) for h in landed] == [
-            (MsgType.PUSH, f.layer_index, len(f.payload)) for f in frames
+        assert [(h.msg_type, h.key.layer_index, h.payload_len) for h in landed] == [
+            (MsgType.PUSH, f.key.layer_index, len(f.payload)) for f in frames
         ]
 
 
@@ -286,8 +309,8 @@ def test_a_destination_decides_where_each_payload_goes():
     asked = []
 
     def destination(head):
-        asked.append(head.layer_index)
-        return mine if head.layer_index == 1 else None
+        asked.append(head.key.layer_index)
+        return mine if head.key.layer_index == 1 else None
 
     try:
         got = [receiver.recv_frame(destination) for _ in frames]
@@ -394,8 +417,9 @@ def read_in_pieces(sock, total: int, got: bytearray, stop: threading.Event, paus
 def decode_all(data: bytes) -> list[Frame]:
     decoder, frames, pos = FrameDecoder(), [], 0
     while pos < len(data):
-        end = pos + HEADER_LEN + decoder.header(data[pos : pos + HEADER_LEN]).payload_len
-        frames += decoder.feed(data[pos : pos + HEADER_LEN], data[pos + HEADER_LEN : end])
+        head = decoder.header(data[pos : pos + HEADER_LEN])
+        end = pos + HEADER_LEN + head.payload_len
+        frames += decoder.feed(head, data[pos + HEADER_LEN : end])
         pos = end
     return frames
 
