@@ -1,6 +1,13 @@
 """Command-line surface: plan, simulate, server, worker, bench, report.
 
 Exit codes: 0 success, 1 usage or data error, 2 protocol violation or lost peer, 3 timeout.
+
+Each process imports only the half it runs. ``plan``, ``simulate``, ``report``
+and ``bench`` load no numpy and no runtime module (``server``, ``worker``,
+``transport``): the simulator never touches an array, and numpy's import was
+most of what a ``p3sync simulate`` paid before it simulated. ``server`` and
+``worker`` import their engine inside their commands, so neither loads the
+other's.
 """
 
 from __future__ import annotations
@@ -40,10 +47,8 @@ from .plan import (
     validate_plan,
 )
 from .proto import ProtocolError
-from .server import ServerEngine
+from .queues import DEFAULT_DEADLOCK_TIMEOUT
 from .sim import POLICIES, load_scenario, simulate
-from .transport import DEFAULT_DEADLOCK_TIMEOUT, parse_addr
-from .worker import TrainingWorker, WorkerConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,6 +149,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_server(args) -> int:
+    from .server import ServerEngine
+    from .transport import parse_addr
+
     host, port = parse_addr(args.listen)
     plan = load_plan(args.plan)
     engine = ServerEngine(
@@ -167,6 +175,9 @@ def cmd_server(args) -> int:
 
 
 def cmd_worker(args) -> int:
+    from .transport import parse_addr
+    from .worker import TrainingWorker, WorkerConfig
+
     profile = resolve_profile(args.profile)
     plan = load_plan(args.plan)
     validate_plan(plan, profile)

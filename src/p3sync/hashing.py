@@ -8,13 +8,20 @@ scratch that each thread keeps, and can write into a caller's buffer
 ``digest64`` (64-bit BLAKE2b, in C) is the digest the runtime uses for
 parameters. ``fnv1a64`` is a pure-Python FNV-1a that the runtime does not
 call; ``perfbench/probes.py`` still wraps it by name.
+
+numpy is imported inside the functions that use it, never at the top: the
+simulator and the ``plan`` and ``simulate`` commands use only the pure
+functions here, and a process that never touches an array should not pay
+numpy's import (most of what starting the simulator cost).
 """
 
 from __future__ import annotations
 
 import threading
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -47,6 +54,8 @@ def splitmix64_stream(seed: int, index: int) -> int:
 
 def gradient_value(seed: int, iteration: int, layer_index: int, element_index: int) -> np.float32:
     """Synthetic gradient for one element, in [-1, 1), reproducible everywhere."""
+    import numpy as np
+
     x = seed
     x ^= (iteration * GRAD_ITER_MULT) & MASK64
     x ^= (layer_index * GRAD_LAYER_MULT) & MASK64
@@ -62,6 +71,8 @@ def _thread_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Built on first use, so importing this module stays cheap, and kept, since
     fresh pages for every block cost more than the mixing.
     """
+    import numpy as np
+
     arrays = getattr(_THREAD, "arrays", None)
     if arrays is None:
         steps = np.arange(CHUNK, dtype=np.uint64)
@@ -82,6 +93,8 @@ def gradient_block(
     allocates once, so it allocates nothing but the result, however long the
     block.
     """
+    import numpy as np
+
     base = seed
     base ^= (iteration * GRAD_ITER_MULT) & MASK64
     base ^= (layer_index * GRAD_LAYER_MULT) & MASK64

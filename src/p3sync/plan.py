@@ -24,12 +24,14 @@ import io
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .hashing import digest64, splitmix64_stream
 from .model import ModelProfile
 from .proto import DEFAULT_MAX_PAYLOAD, SliceKey, pack_f32
+
+if TYPE_CHECKING:
+    import numpy as np
 
 P3_MODE = "p3"
 BASELINE_MODE = "baseline"

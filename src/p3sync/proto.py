@@ -32,6 +32,11 @@ buffer must hold still until ``send_frame`` has returned: the sender's
 reused gradient buffer is refilled only by its next push, and a server's
 BCAST views a shard that changes only after every rank has received it (see
 ``server``).
+
+numpy is imported inside ``pack_f32`` and ``Frame.payload_f32``, the only
+code here that touches an array: ``plan``, and through it the simulator and
+the ``plan`` and ``simulate`` commands, import this module for its names and
+never load numpy or the runtime.
 """
 
 from __future__ import annotations
@@ -39,9 +44,10 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MAGIC = b"P3W2"
 
@@ -96,12 +102,16 @@ class Frame:
     payload: bytes | memoryview = b""
 
     def payload_f32(self) -> np.ndarray:
+        import numpy as np
+
         return np.frombuffer(self.payload, dtype="<f4")
 
 
 def pack_f32(values: np.ndarray) -> memoryview:
     """A read-only little-endian float32 byte view of ``values``; it copies only
     values that are not already contiguous little-endian float32."""
+    import numpy as np
+
     return memoryview(np.ascontiguousarray(values, dtype="<f4")).cast("B").toreadonly()
 
 

@@ -10,6 +10,9 @@ import threading
 
 from .proto import Frame
 
+# seconds a worker or server waits on a peer or a queue before it gives up
+DEFAULT_DEADLOCK_TIMEOUT = 60.0
+
 
 class DeadlockError(TimeoutError):
     """A blocking wait exceeded its deadline; the protocol has stalled.

@@ -49,8 +49,8 @@ import numpy as np
 from .metrics import NetCounters, samples_to_csv, write_text
 from .plan import P3_MODE, SliceKey, Slice, SlicePlan, plan_fingerprint, slice_digests_csv
 from .proto import Frame, Header, MsgType, ProtocolError, pack_f32
-from .queues import FrameQueue
-from .transport import DEFAULT_DEADLOCK_TIMEOUT, Crew, FrameConnection, TokenBucket, listen, shut_and_close
+from .queues import DEFAULT_DEADLOCK_TIMEOUT, FrameQueue
+from .transport import Crew, FrameConnection, TokenBucket, listen, shut_and_close
 
 
 @dataclass

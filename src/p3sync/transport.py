@@ -31,8 +31,6 @@ from .proto import HEADER_LEN, Frame, FrameDecoder, Header, encode_frame
 
 DEFAULT_BURST_BYTES = 50 * 1024
 SEND_CHUNK = 16 * 1024
-# seconds a worker or server waits on a peer or a queue before it gives up
-DEFAULT_DEADLOCK_TIMEOUT = 60.0
 
 
 class TokenBucket:
@@ -271,12 +269,14 @@ def connect_with_retry(host: str, port: int, timeout_s: float, stopped: Callable
     """A connection to ``host:port``, retried for ``timeout_s`` seconds.
 
     ``stopped()`` is asked before each attempt; once it is true the retries
-    end with ConnectionError.
+    end with ConnectionError. An attempt waits at most 5 s, and never past
+    the deadline, so an unanswered connect cannot outlast ``timeout_s``.
     """
     deadline = time.monotonic() + timeout_s
     while not stopped():
-        try:
-            return socket.create_connection((host, port), timeout=5.0)
+        left = deadline - time.monotonic()
+        try:  # a timeout of 0 would make the connect non-blocking
+            return socket.create_connection((host, port), timeout=min(5.0, max(left, 0.001)))
         except OSError as exc:
             if time.monotonic() >= deadline:
                 raise TimeoutError(f"{host}:{port} unreachable for {timeout_s}s: {exc}") from exc
@@ -285,9 +285,13 @@ def connect_with_retry(host: str, port: int, timeout_s: float, stopped: Callable
 
 
 def parse_addr(text: str) -> tuple[str, int]:
+    """``host:port`` as (host, port); the port is ASCII decimal digits only."""
     host, _, port = text.rpartition(":")
     if not host:
         raise ValueError(f"address {text!r} must be host:port")
+    # int() would also take ' 80', '+80', '8_0' and non-ASCII digits
+    if not (port.isascii() and port.isdigit()):
+        raise ValueError(f"address {text!r}: port {port!r} is not a decimal integer")
     if not 0 <= int(port) <= 65535:
         raise ValueError(f"address {text!r}: port {port} outside 0-65535")
     return host, int(port)

@@ -38,8 +38,8 @@ from .metrics import NetCounters, iterations_to_csv, samples_to_csv, write_text
 from .model import ModelProfile
 from .plan import P3_MODE, SliceKey, SlicePlan, plan_fingerprint, slice_digests_csv
 from .proto import MAX_WORKER_RANK, Frame, Header, MsgType, ProtocolError, pack_f32
-from .queues import DeadlockError, FrameQueue
-from .transport import DEFAULT_DEADLOCK_TIMEOUT, Crew, FrameConnection, TokenBucket, connect_with_retry
+from .queues import DEFAULT_DEADLOCK_TIMEOUT, DeadlockError, FrameQueue
+from .transport import Crew, FrameConnection, TokenBucket, connect_with_retry
 
 
 @dataclass

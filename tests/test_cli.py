@@ -511,13 +511,18 @@ def test_exit_code_mapping(monkeypatch, capsys):
         ("--deadlock-timeout", "nan", "deadlock timeout nan must be positive and finite"),
         ("--deadlock-timeout", "inf", "deadlock timeout inf must be positive and finite"),
         ("--listen", "127.0.0.1:70000", "port 70000 outside 0-65535"),
+        ("--listen", "127.0.0.1:abc", "address '127.0.0.1:abc': port 'abc' is not a decimal integer"),
+        ("--listen", "127.0.0.1:", "address '127.0.0.1:': port '' is not a decimal integer"),
+        ("--listen", "127.0.0.1: 80", "address '127.0.0.1: 80': port ' 80' is not a decimal integer"),
+        ("--listen", "127.0.0.1:8_0", "address '127.0.0.1:8_0': port '8_0' is not a decimal integer"),
         ("--lr", "nan", "lr nan must be finite"),
         ("--throttle-rate", "nan", "rate must be positive and finite, got nan"),
         ("--throttle-rate", "inf", "rate must be positive and finite, got inf"),
     ],
     ids=[
         "num-workers-0", "rank-3", "deadlock-timeout-0", "deadlock-timeout-nan", "deadlock-timeout-inf",
-        "listen-port-70000", "lr-nan", "throttle-rate-nan", "throttle-rate-inf",
+        "listen-port-70000", "listen-port-abc", "listen-port-empty", "listen-port-space",
+        "listen-port-underscore", "lr-nan", "throttle-rate-nan", "throttle-rate-inf",
     ],
 )
 def test_server_refuses_arguments_out_of_range(tmp_path, capsys, flag, value, message):
@@ -544,6 +549,9 @@ def test_server_refuses_arguments_out_of_range(tmp_path, capsys, flag, value, me
         ("--rank", "65536", "rank 65536 outside the frame header's 0-65535"),
         ("--servers", "127.0.0.1:70000", "port 70000 outside 0-65535"),
         ("--servers", "127.0.0.1:0", "no server listens on port 0"),
+        ("--servers", "127.0.0.1:abc", "address '127.0.0.1:abc': port 'abc' is not a decimal integer"),
+        ("--servers", "127.0.0.1:+80", "address '127.0.0.1:+80': port '+80' is not a decimal integer"),
+        ("--servers", "127.0.0.1:1,host:", "address 'host:': port '' is not a decimal integer"),
         ("--deadlock-timeout", "0", "deadlock timeout 0.0 must be positive"),
         ("--deadlock-timeout", "nan", "deadlock timeout nan must be positive and finite"),
         ("--deadlock-timeout", "inf", "deadlock timeout inf must be positive and finite"),
@@ -551,8 +559,9 @@ def test_server_refuses_arguments_out_of_range(tmp_path, capsys, flag, value, me
         ("--throttle-rate", "inf", "rate must be positive and finite, got inf"),
     ],
     ids=[
-        "rank--1", "rank-65536", "port-70000", "port-0", "deadlock-timeout-0", "deadlock-timeout-nan",
-        "deadlock-timeout-inf", "throttle-rate-nan", "throttle-rate-inf",
+        "rank--1", "rank-65536", "port-70000", "port-0", "port-abc", "port-plus", "port-empty",
+        "deadlock-timeout-0", "deadlock-timeout-nan", "deadlock-timeout-inf", "throttle-rate-nan",
+        "throttle-rate-inf",
     ],
 )
 def test_worker_refuses_arguments_out_of_range(tmp_path, capsys, flag, value, message):

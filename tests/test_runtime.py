@@ -537,7 +537,7 @@ def test_a_stalled_send_times_out(tmp_path, monkeypatch, capsys):
         made.append(ServerEngine(*args, **kwargs))
         return made[-1]
 
-    monkeypatch.setattr(cli, "ServerEngine", recorded)
+    monkeypatch.setattr("p3sync.server.ServerEngine", recorded)  # where cmd_server looks it up
     codes = []
     argv = ["server", "--rank", "0", "--num-workers", "1", "--plan", str(tmp_path / "plan.csv")]
     server = threading.Thread(target=lambda: codes.append(cli.main([*argv, "--deadlock-timeout", "0.5"])))
@@ -619,8 +619,9 @@ def cli_run(request, tmp_path_factory):
     common = ["--plan", str(outdir / "plan.csv"), "--deadlock-timeout", str(TIMEOUT)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(threading.Thread, "start", start)
-        mp.setattr(cli, "ServerEngine", recorded(ServerEngine))
-        mp.setattr(cli, "TrainingWorker", recorded(TrainingWorker))
+        # where cmd_server and cmd_worker look them up
+        mp.setattr("p3sync.server.ServerEngine", recorded(ServerEngine))
+        mp.setattr("p3sync.worker.TrainingWorker", recorded(TrainingWorker))
         threads = [
             process(
                 "server", "server", "--rank", "0", "--num-workers", "2", *common,

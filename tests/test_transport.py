@@ -22,13 +22,43 @@ from p3sync.proto import (
     encode_frame,
     pack_f32,
 )
-from p3sync.transport import SEND_CHUNK, Crew, FrameConnection, TokenBucket, listen, parse_addr
+from p3sync.transport import (
+    SEND_CHUNK,
+    Crew,
+    FrameConnection,
+    TokenBucket,
+    connect_with_retry,
+    listen,
+    parse_addr,
+)
 
 
 def test_parse_addr():
     assert parse_addr("127.0.0.1:88") == ("127.0.0.1", 88)
     with pytest.raises(ValueError):
         parse_addr("8080")
+
+
+@pytest.mark.parametrize("port", ["", "abc", " 80", "80 ", "+80", "-1", "8_0", "\u0668\u0660", "0x50"])
+def test_parse_addr_takes_only_ascii_decimal_ports(port):
+    # int() reads ' 80', '+80', '8_0' and Arabic-Indic digits as a port; none is one
+    with pytest.raises(ValueError) as refused:
+        parse_addr(f"host:{port}")
+    assert str(refused.value) == f"address {f'host:{port}'!r}: port {port!r} is not a decimal integer"
+
+
+def test_connect_with_retry_honours_a_timeout_under_5s():
+    # a listener whose one-slot backlog is full: a connect to it is never
+    # answered, so each attempt waits out its own timeout
+    with socket.socket() as srv:
+        srv.bind(("127.0.0.1", 0))
+        srv.listen(0)
+        host, port = srv.getsockname()
+        with socket.create_connection((host, port), timeout=5.0):
+            t0 = time.monotonic()
+            with pytest.raises(TimeoutError, match="unreachable for 0.5s"):
+                connect_with_retry(host, port, 0.5, lambda: False)
+            assert time.monotonic() - t0 < 0.5 + 0.5
 
 
 def test_bucket_rejects_bad_rate():
