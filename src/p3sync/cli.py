@@ -46,7 +46,7 @@ from .plan import (
     save_plan,
     validate_plan,
 )
-from .proto import ProtocolError
+from .proto import MAX_WORKER_RANK, ProtocolError
 from .queues import DEFAULT_DEADLOCK_TIMEOUT
 from .sim import POLICIES, load_scenario, simulate
 
@@ -92,6 +92,8 @@ class RunConfig:
             raise ValueError(f"throttle_rate {self.throttle_rate} must be >= 0 (0 disables shaping)")
         if self.num_workers < 1:
             raise ValueError(f"num_workers {self.num_workers} must be >= 1")
+        if self.num_workers > MAX_WORKER_RANK + 1:
+            raise ValueError(f"num_workers {self.num_workers} must be <= {MAX_WORKER_RANK + 1} (16-bit ranks)")
         if self.num_servers < 0:
             raise ValueError(f"num_servers {self.num_servers} must be >= 0 (0: one per worker)")
         if self.batch_size < 1:

@@ -69,10 +69,6 @@ class NetCounters:
             else:
                 raise ValueError(f"direction must be {IN!r} or {OUT!r}")
 
-    def totals(self) -> tuple[int, int]:
-        with self._lock:
-            return self._in, self._out
-
     def samples(self) -> list[Sample]:
         """The totals at each bin's end since ``t0``: ``0,0,0`` first, the current totals last."""
         now = time.monotonic()

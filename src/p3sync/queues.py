@@ -81,10 +81,6 @@ class FrameQueue:
             self._closed = True
             self._cond.notify_all()
 
-    def snapshot(self) -> list[Frame]:
-        with self._cond:
-            return [entry[2] for entry in sorted(self._heap)]
-
     def __len__(self) -> int:
         with self._cond:
             return len(self._heap)

@@ -1,26 +1,29 @@
 """Parameter server engine: aggregate pushed gradients, update, send parameters back.
 
-One server process owns the slice keys its rank was assigned in the plan and
+One server process owns the slices its rank was assigned in the plan and
 runs in the plan's mode. ``run()`` accepts the workers itself, and its only
-threads are one reader per worker. Its queues are built with it: one inbox,
-and one outbox per worker rank. A reader that has read a PUSH or PULL queues
-it in the inbox and then serves (``_serve``): it handles inbox frames for as
-long as it holds the handler lock, then, for each rank, sends that rank's
-outbox for as long as it holds the rank's send lock. No reader waits for
-either lock, and a holder looks at its queue again after it lets go, so a
-queued frame is never left without a reader to serve it. So one frame is
-handled at a time, and each rank's frames leave in outbox order. A reader
-that is serving reads nothing, so a backlog waits in its socket buffer,
-where TCP flow control bounds it, rather than in this process's heap.
+threads are one reader per worker. Its queues are built with it: one outbox
+per worker rank.
+
+Frames are handled one at a time, in arrival order, as the simulator's
+update stage assumes: a reader that has read a PUSH or PULL handles it
+itself under the handler lock, which it waits for, and which it holds for
+no I/O. It then serves the outboxes (``_serve``): for each rank, it sends
+that rank's outbox for as long as it holds the rank's send lock. No reader
+waits for a send lock, and a holder looks at its outbox again after it lets
+go, so a queued frame is never left without a reader to send it. So each
+rank's frames leave in outbox order. A reader that is handling or sending
+reads nothing, so a backlog waits in its socket buffer, where TCP flow
+control bounds it, rather than in this process's heap.
 
 The send locks are per rank so that two readers can send to two ranks at
 once: a ``sendall`` blocked on one worker's connection leaves the shared
 token bucket to the other ranks. One shared downlink sender read p3 at
 436-441 samples/s against 452-455 on shaped-vgg (3 pairs, seeds 7202-7204).
-The mode picks only the queues' order: in p3 mode incoming pushes are
-handled most urgent first and completed updates are broadcast to every
-worker immediately; in baseline mode pushes are handled in arrival order and
-workers are notified, then pull.
+The mode picks only the outboxes' order and what an update sends: in p3
+mode the most urgent slice leaves first and a completed update is broadcast
+to every worker at once; in baseline mode frames leave in the order they
+were queued, and workers are notified, then pull.
 
 A PUSH lands where it is summed. Its payload is read from the socket
 straight into a new aligned array (``_destination``), which ``on_push``
@@ -47,17 +50,17 @@ from types import SimpleNamespace
 import numpy as np
 
 from .metrics import NetCounters, samples_to_csv, write_text
-from .plan import P3_MODE, SliceKey, Slice, SlicePlan, plan_fingerprint, slice_digests_csv
-from .proto import Frame, Header, MsgType, ProtocolError, pack_f32
+from .plan import P3_MODE, Slice, SlicePlan, plan_fingerprint, slice_digests_csv
+from .proto import MAX_WORKER_RANK, Frame, Header, MsgType, ProtocolError, pack_f32
 from .queues import DEFAULT_DEADLOCK_TIMEOUT, FrameQueue
 from .transport import Crew, FrameConnection, TokenBucket, listen, shut_and_close
 
 
 @dataclass
 class ShardState:
-    """Authoritative state for one slice key."""
+    """Authoritative state for one slice."""
 
-    key: SliceKey
+    sl: Slice
     params: np.ndarray
     num_workers: int
     lr: float
@@ -72,17 +75,17 @@ class ShardState:
         reuse nor read it afterwards."""
         if iteration != self.iteration:
             raise ProtocolError(
-                f"key {self.key}: push for iteration {iteration}, shard at {self.iteration}"
+                f"key {self.sl.key}: push for iteration {iteration}, shard at {self.iteration}"
             )
         if not 0 <= worker_rank < self.num_workers:
-            raise ProtocolError(f"key {self.key}: push from unknown rank {worker_rank}")
+            raise ProtocolError(f"key {self.sl.key}: push from unknown rank {worker_rank}")
         if worker_rank in self.pending:
             raise ProtocolError(
-                f"key {self.key}: duplicate push from rank {worker_rank} at iteration {iteration}"
+                f"key {self.sl.key}: duplicate push from rank {worker_rank} at iteration {iteration}"
             )
         if len(grad) != len(self.params):
             raise ProtocolError(
-                f"key {self.key}: gradient length {len(grad)} != {len(self.params)}"
+                f"key {self.sl.key}: gradient length {len(grad)} != {len(self.params)}"
             )
         self.pending[worker_rank] = grad
         return len(self.pending) == self.num_workers
@@ -91,7 +94,7 @@ class ShardState:
         """Average pending gradients in ascending rank order and apply SGD."""
         if len(self.pending) != self.num_workers:
             raise ProtocolError(
-                f"key {self.key}: aggregate with {len(self.pending)}/{self.num_workers} pushes"
+                f"key {self.sl.key}: aggregate with {len(self.pending)}/{self.num_workers} pushes"
             )
         first, *rest = sorted(self.pending)
         acc = self.pending[first]
@@ -132,6 +135,8 @@ class ServerEngine:
         # checked before the listener binds, so a refusal leaks no socket
         if num_workers < 1:
             raise ValueError(f"num_workers {num_workers} must be >= 1")
+        if num_workers > MAX_WORKER_RANK + 1:
+            raise ValueError(f"num_workers {num_workers} must be <= {MAX_WORKER_RANK + 1} (16-bit ranks)")
         if not 0 <= rank < plan.num_servers:
             raise ValueError(f"rank {rank} outside the plan's {plan.num_servers} servers")
         if not (deadlock_timeout > 0 and math.isfinite(deadlock_timeout)):
@@ -143,23 +148,19 @@ class ServerEngine:
         self.plan_fingerprint = plan_fingerprint(plan)
         self.num_workers = num_workers
         self.deadlock_timeout = deadlock_timeout
-        self.owned: dict[SliceKey, Slice] = {
-            s.key: s for s in plan.slices if s.server == rank
-        }
         self.shards = {
-            key: ShardState(key, np.zeros(s.length, dtype=np.float32), num_workers, lr)
-            for key, s in self.owned.items()
+            s.key: ShardState(s, np.zeros(s.length, dtype=np.float32), num_workers, lr)
+            for s in plan.slices
+            if s.server == rank
         }
         self.counters = NetCounters()
         self._bucket = TokenBucket(throttle_rate) if throttle_rate else None
         self.crew = Crew()
-        self.inbox = FrameQueue(priority_mode=self.p3)
         self.outboxes = [FrameQueue(priority_mode=self.p3) for _ in range(num_workers)]
         self._handling = threading.Lock()
         self._sending = [threading.Lock() for _ in range(num_workers)]
         # conns[rank] is set by the rank's HELLO, before any frame for it is queued
         self._conns: list[FrameConnection | None] = [None] * num_workers
-        self._lock = threading.Lock()
         self._listener = listen(host, port)
         self.addr = self._listener.getsockname()
         # close() alone would not wake run() out of accept()
@@ -175,7 +176,7 @@ class ServerEngine:
             )
         if not 0 <= rank < self.num_workers:
             raise ProtocolError(f"HELLO from out-of-range rank {rank}")
-        with self._lock:
+        with self._handling:
             if self._conns[rank] is not None:
                 raise ProtocolError(f"duplicate HELLO from rank {rank}")
             self._conns[rank] = conn
@@ -199,7 +200,7 @@ class ServerEngine:
                 lock.release()
 
     def _reader(self, conn: FrameConnection) -> None:
-        """Queue and serve one worker's frames; its HELLO binds the connection to the rank it names."""
+        """Handle one worker's frames, then serve the outboxes; its HELLO binds the connection to its rank."""
         rank = None
         fin_seen = False
         while True:
@@ -225,8 +226,8 @@ class ServerEngine:
                     f"{kind.name} under rank {frame.worker_rank} on rank {rank}'s connection"
                 )
             elif kind in (MsgType.PUSH, MsgType.PULL):
-                self.inbox.put(frame)
-                self._serve(self.inbox, self._handling, self._handle)
+                with self._handling:
+                    self._handle(frame)
                 for outbox, sending, peer in zip(self.outboxes, self._sending, self._conns):
                     if peer is not None:
                         self._serve(outbox, sending, peer.send_frame)
@@ -239,17 +240,16 @@ class ServerEngine:
         """Where a received payload goes: a PUSH of an owned slice with the
         slice's length into a new array for its shard to own; anything else
         into a read-only one (None), for ``_handle`` to refuse."""
-        sl = self.owned.get(head.key)
-        if head.msg_type != MsgType.PUSH or sl is None or head.payload_len != 4 * sl.length:
+        shard = self.shards.get(head.key)
+        if head.msg_type != MsgType.PUSH or shard is None or head.payload_len != 4 * shard.sl.length:
             return None
-        return np.empty(sl.length, dtype="<f4")
+        return np.empty(shard.sl.length, dtype="<f4")
 
     def _handle(self, frame: Frame) -> None:
         key = frame.key
-        sl = self.owned.get(key)
-        if sl is None:
+        shard = self.shards.get(key)
+        if shard is None:
             raise ProtocolError(f"rank {self.rank} does not own key {key}")
-        shard = self.shards[key]
         if frame.msg_type == MsgType.PUSH:
             if not shard.on_push(frame.worker_rank, frame.iteration, frame.payload_f32()):
                 return
@@ -257,16 +257,16 @@ class ServerEngine:
             params = shard.aggregate_and_update()
             ranks = range(self.num_workers)
             if self.p3:
-                frames = bcast_frames(sl, answered, params, ranks)
+                frames = bcast_frames(shard.sl, answered, params, ranks)
             else:
                 frames = [Frame(MsgType.NOTIFY, answered, rank, key) for rank in ranks]
-        else:  # PULL; the readers queue nothing else
+        else:  # PULL; the readers handle nothing else
             if shard.iteration != frame.iteration + 1:
                 raise ProtocolError(
                     f"key {key}: pull for iteration {frame.iteration} but shard at "
                     f"{shard.iteration} (not yet updated)"
                 )
-            frames = bcast_frames(sl, frame.iteration, shard.params, [frame.worker_rank])
+            frames = bcast_frames(shard.sl, frame.iteration, shard.params, [frame.worker_rank])
         for f in frames:
             self.outboxes[f.worker_rank].put(f)
 
@@ -289,7 +289,7 @@ class ServerEngine:
             raise self.crew.error
 
     def digests_csv(self) -> str:
-        return slice_digests_csv((self.owned[k], shard.params) for k, shard in self.shards.items())
+        return slice_digests_csv((shard.sl, shard.params) for shard in self.shards.values())
 
     def write_outputs(self, outdir: str | Path) -> None:
         """Write ``net_util_server<rank>.csv`` and ``digest_server<rank>.csv``, a

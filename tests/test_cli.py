@@ -331,10 +331,25 @@ def test_bench_rejects_slice_larger_than_a_frame_before_spawning(tmp_path, capsy
     assert spawned == [] and not outdir.exists()
 
 
+def test_bench_refuses_more_workers_than_a_header_names(tmp_path, capsys, monkeypatch):
+    import p3sync.cli as cli
+
+    def popen(*args, **kwargs):
+        raise AssertionError("bench started a process")
+
+    monkeypatch.setattr(cli.subprocess, "Popen", popen)
+    outdir = tmp_path / "run"
+    code, _, err = run_cli(["bench", "--num-workers", "65537", "--output-dir", str(outdir)], capsys)
+    assert code == EXIT_USAGE
+    assert "num_workers 65537 must be <= 65536" in err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
         ("num_workers", 0),
+        ("num_workers", 65537),
         ("timeout", 0.0),
         ("skip_iterations", -1),
         ("batch_size", 0),
@@ -506,6 +521,7 @@ def test_exit_code_mapping(monkeypatch, capsys):
     "flag, value, message",
     [
         ("--num-workers", "0", "num_workers 0 must be >= 1"),
+        ("--num-workers", "65537", "num_workers 65537 must be <= 65536"),
         ("--rank", "3", "rank 3 outside the plan's 1 servers"),
         ("--deadlock-timeout", "0", "deadlock timeout 0.0 must be positive"),
         ("--deadlock-timeout", "nan", "deadlock timeout nan must be positive and finite"),
@@ -520,7 +536,8 @@ def test_exit_code_mapping(monkeypatch, capsys):
         ("--throttle-rate", "inf", "rate must be positive and finite, got inf"),
     ],
     ids=[
-        "num-workers-0", "rank-3", "deadlock-timeout-0", "deadlock-timeout-nan", "deadlock-timeout-inf",
+        "num-workers-0", "num-workers-65537", "rank-3", "deadlock-timeout-0", "deadlock-timeout-nan",
+        "deadlock-timeout-inf",
         "listen-port-70000", "listen-port-abc", "listen-port-empty", "listen-port-space",
         "listen-port-underscore", "lr-nan", "throttle-rate-nan", "throttle-rate-inf",
     ],

@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 
 import pytest
@@ -120,7 +121,9 @@ def test_concurrent_producers_drain_sorted():
 def test_batch_put_is_atomic_under_concurrency():
     # whenever any element of a batch has been popped, the rest of the batch
     # must already be queued (or popped): a consumer can never observe a
-    # partially inserted batch
+    # partially inserted batch. So once take() finds the queue empty, every
+    # batch the consumer has seen has been popped whole. The interpreter
+    # switches threads every 10 us, so a split batch would be seen.
     q = FrameQueue(priority_mode=True)
     n_batches, batch_size = 60, 8
     popped_by_batch: dict[int, int] = {}
@@ -134,16 +137,23 @@ def test_batch_put_is_atomic_under_concurrency():
     seen = 0
     errors = []
     p = threading.Thread(target=producer)
-    p.start()
-    while seen < total:
-        f = q.poll(timeout=5)
-        seen += 1
-        b = f.iteration
-        popped_by_batch[b] = popped_by_batch.get(b, 0) + 1
-        in_queue = sum(1 for g in q.snapshot() if g.iteration == b)
-        if popped_by_batch[b] + in_queue != batch_size:
-            errors.append((b, popped_by_batch[b], in_queue))
-    p.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        p.start()
+        while seen < total:
+            popped = [q.poll(timeout=5)]
+            while (g := q.take()) is not None:
+                popped.append(g)
+            seen += len(popped)
+            for g in popped:
+                popped_by_batch[g.iteration] = popped_by_batch.get(g.iteration, 0) + 1
+            for b in {g.iteration for g in popped}:
+                if popped_by_batch[b] != batch_size:
+                    errors.append((b, popped_by_batch[b]))
+        p.join()
+    finally:
+        sys.setswitchinterval(interval)
     assert not errors, f"partial batches observed: {errors[:5]}"
 
 

@@ -92,9 +92,9 @@ def run_topology(
 def merged_server_params(engines, profile):
     out = [np.zeros(l.param_count, dtype=np.float32) for l in profile.layers]
     for e in engines:
-        for key, shard in e.shards.items():
-            sl = e.owned[key]
-            out[key.layer_index][sl.offset : sl.offset + sl.length] = shard.params
+        for shard in e.shards.values():
+            sl = shard.sl
+            out[sl.key.layer_index][sl.offset : sl.offset + sl.length] = shard.params
     return out
 
 
@@ -267,7 +267,8 @@ def test_metrics_accounting_closure():
         + HEADER_LEN  # hello
         + HEADER_LEN  # fin
     )
-    b_in, b_out = w.counters.totals()
+    last = w.counters.samples()[-1]
+    b_in, b_out = last.bytes_in, last.bytes_out
     assert b_out == expected_out
     # inbound: one bcast per slice per iteration
     expected_in = push_payload + HEADER_LEN * n_slices * 2
@@ -678,7 +679,8 @@ def test_net_util_last_row_is_the_counters_totals(cli_run):
     for name, file in NET_UTIL.items():
         row = samples_from_csv((outdir / file).read_text())[-1]
         last[name] = (row.bytes_in, row.bytes_out)
-        assert last[name] == made[name].counters.totals()
+        now = made[name].counters.samples()[-1]
+        assert last[name] == (now.bytes_in, now.bytes_out)
     # on loopback every byte a worker sends reaches the server, and back
     assert last["server"] == (
         last["worker0"][1] + last["worker1"][1],

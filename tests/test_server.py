@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from p3sync.plan import Slice, SliceKey
+from p3sync.model import builtin_profile
+from p3sync.plan import Slice, SliceKey, make_plan
 from p3sync.proto import Frame, MsgType, ProtocolError
 from p3sync.queues import FrameQueue
 from p3sync.server import ServerEngine, ShardState, bcast_frames
@@ -15,7 +16,7 @@ from p3sync.server import ServerEngine, ShardState, bcast_frames
 
 def shard(n=4, num_workers=2, lr=0.1, params=None):
     p = np.zeros(n, dtype=np.float32) if params is None else np.asarray(params, np.float32)
-    return ShardState(SliceKey(0, 0), p, num_workers, lr)
+    return ShardState(Slice(SliceKey(0, 0), 0, n, 0), p, num_workers, lr)
 
 
 def scalar_update_oracle(params, grads_by_rank, lr):
@@ -99,7 +100,7 @@ def test_aggregate_matches_scalar_oracle():
         lr = float(rng.uniform(0.0, 1.0))
         params = rng.uniform(-5, 5, n).astype(np.float32)
         grads = {r: rng.uniform(-3, 3, n).astype(np.float32) for r in range(nw)}
-        s = ShardState(SliceKey(1, 2), params.copy(), nw, lr)
+        s = ShardState(Slice(SliceKey(1, 2), 0, n, 0), params.copy(), nw, lr)
         for r in range(nw):
             s.on_push(r, 0, grads[r].copy())
         got = s.aggregate_and_update()
@@ -131,7 +132,7 @@ def test_in_place_update_equals_three_step_formula(num_workers):
     for lr in (0.1, 1.0, 3.0, 1e-3):
         params = rng.choice(SPECIALS, 200)
         grads = {r: rng.choice(SPECIALS, 200) for r in range(num_workers)}
-        s = ShardState(SliceKey(0, 0), params.copy(), num_workers, lr)
+        s = ShardState(Slice(SliceKey(0, 0), 0, 200, 0), params.copy(), num_workers, lr)
         for r in range(num_workers):
             s.on_push(r, 0, grads[r].copy())
         # overflow to inf and inf - inf are part of what is compared
@@ -145,7 +146,7 @@ def test_update_allocates_no_slice_sized_array():
     # the gradients are summed into the lowest rank's array: no accumulator
     n = 50_000
     rng = np.random.RandomState(5)
-    s = ShardState(SliceKey(0, 0), rng.uniform(-1, 1, n).astype(np.float32), 3, 0.1)
+    s = ShardState(Slice(SliceKey(0, 0), 0, n, 0), rng.uniform(-1, 1, n).astype(np.float32), 3, 0.1)
     for r in range(3):
         s.on_push(r, 0, rng.uniform(-1, 1, n).astype(np.float32))
     tracemalloc.start()
@@ -161,7 +162,7 @@ def test_update_allocates_no_slice_sized_array():
 def test_lr_zero_conserves_params():
     rng = np.random.RandomState(3)
     params = rng.uniform(-2, 2, 16).astype(np.float32)
-    s = ShardState(SliceKey(0, 0), params.copy(), 2, lr=0.0)
+    s = ShardState(Slice(SliceKey(0, 0), 0, 16, 0), params.copy(), 2, lr=0.0)
     for k in range(3):
         s.on_push(0, k, rng.uniform(-1, 1, 16).astype(np.float32))
         s.on_push(1, k, rng.uniform(-1, 1, 16).astype(np.float32))
@@ -179,7 +180,7 @@ def test_arrival_order_of_keys_never_changes_values():
     }
     results = []
     for perm_seed in range(5):
-        shards = {key: ShardState(key, np.zeros(8, np.float32), 3, 0.1) for key in grads}
+        shards = {key: ShardState(Slice(key, 0, 8, 0), np.zeros(8, np.float32), 3, 0.1) for key in grads}
         events = [(key, r) for key in grads for r in range(3)]
         np.random.RandomState(perm_seed).shuffle(events)
         for key, r in events:
@@ -188,6 +189,19 @@ def test_arrival_order_of_keys_never_changes_values():
                 shards[key].aggregate_and_update()
         results.append(b"".join(shards[k].params.tobytes() for k in sorted(shards)))
     assert len(set(results)) == 1
+
+
+def test_engine_refuses_more_workers_than_a_header_names(monkeypatch):
+    # a rank is a 16-bit header field, so a 65537th worker could never say HELLO
+    import p3sync.server as server
+
+    def listen(*args):
+        raise AssertionError("the listener was bound")
+
+    monkeypatch.setattr(server, "listen", listen)
+    plan = make_plan("p3", builtin_profile("toy3"), 1)
+    with pytest.raises(ValueError, match="num_workers 65537 must be <= 65536"):
+        ServerEngine("127.0.0.1", 0, 0, plan, num_workers=65537, lr=0.1)
 
 
 def test_bcast_frames_shape():

@@ -136,9 +136,10 @@ def test_frame_connection_roundtrip_and_counters():
     got = [receiver.recv_frame() for _ in frames]
     assert got == frames
     wire_bytes = sum(len(b"".join(encode_frame(f))) for f in frames)
-    assert out_counters.totals() == (0, wire_bytes)
+    sent, received = out_counters.samples()[-1], in_counters.samples()[-1]
+    assert (sent.bytes_in, sent.bytes_out) == (0, wire_bytes)
     # receiver counts exactly the bytes that arrived
-    assert in_counters.totals()[0] == wire_bytes
+    assert received.bytes_in == wire_bytes
     sender.close()
     assert receiver.recv_frame() is None
     receiver.close()
