@@ -137,13 +137,7 @@ def cmd_simulate(args) -> int:
     if args.csv:
         write_text(args.csv, csv_text)
     sys.stdout.write(csv_text)
-    s = timeline.summary()
-    parts = [f"makespan={s['makespan']}"]
-    if "inter_iteration_delay" in s:
-        parts.append(f"inter_iteration_delay={s['inter_iteration_delay']}")
-    parts.append(f"uplink_utilization={s['uplink_utilization']}")
-    parts.append(f"downlink_utilization={s['downlink_utilization']}")
-    sys.stdout.write("# summary " + " ".join(parts) + "\n")
+    sys.stdout.write("# summary " + " ".join(f"{k}={v}" for k, v in timeline.summary().items()) + "\n")
     return EXIT_OK
 
 

@@ -71,11 +71,6 @@ class FrameQueue:
                 return heapq.heappop(self._heap)[2]
             return None
 
-    def drain(self, handle, timeout: float | None = None) -> None:
-        """Pass each polled frame to ``handle`` until the queue is closed and empty."""
-        while (frame := self.poll(timeout)) is not None:
-            handle(frame)
-
     def close(self) -> None:
         with self._cond:
             self._closed = True

@@ -28,17 +28,18 @@ queued slices. Forwards wait in a ready-set that whichever of their two
 conditions arrives last fills, so a run costs O(n log n) in its entries.
 
 Timeline entries are named tuples ``(start, end, resource, item)``, so their
-natural order is timeline order: ``simulate`` returns them sorted, and
-``Timeline.to_csv`` sorts them with no key. ``simulate`` builds each entry as a
-plain tuple, its item as a precomputed iteration prefix plus a precomputed
-``:L{l}:s{s}`` suffix, and converts the list to ``TimelineEntry`` in one pass
-after its one sort.
+natural order is timeline order. ``simulate`` builds each entry as a plain
+tuple, its item as a precomputed iteration prefix plus a precomputed
+``:L{l}:s{s}`` suffix, sorts the list once and converts it to ``TimelineEntry``
+in one pass. ``Timeline`` reads entries only in that form, so ``to_csv``
+writes them as they stand and ``summary`` reads each link in one pass.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
@@ -161,8 +162,10 @@ def scenario_from_plan(
     validate_plan(plan, profile)
     if plan.num_servers != 1:
         raise ScenarioError(f"plan has {plan.num_servers} servers; the simulator models one")
-    if link_bps <= 0 or num_workers < 1:
-        raise ScenarioError("link_bps must be positive and num_workers >= 1")
+    if not 0 < link_bps < math.inf:
+        raise ScenarioError(f"link_bps {link_bps} must be finite and positive")
+    if num_workers < 1:
+        raise ScenarioError(f"num_workers {num_workers} must be >= 1")
     layers = tuple(
         replace(l, fwd_time=round(l.fwd_time * link_bps / 32e6), bwd_time=round(l.bwd_time * link_bps / 32e6))
         for l in profile.layers
@@ -180,6 +183,7 @@ def scenario_from_plan(
         cut = [c.up for c in sc.slice_costs(l)]
         if rows != cut:
             raise ScenarioError(f"layer {l}: the plan's slices {rows} are not the {sc.policy} cut {cut}")
+    sc.validate()
     return sc
 
 
@@ -190,23 +194,6 @@ class TimelineEntry(NamedTuple):
     end: int
     resource: str
     item: str
-
-
-def _merge(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The union of non-empty (start, end) spans, as sorted disjoint spans."""
-    merged: list[tuple[int, int]] = []
-    if not spans:
-        return merged
-    spans = sorted(spans)
-    start, end = spans[0]  # the open span
-    for s, e in spans:
-        if s > end:
-            merged.append((start, end))
-            start, end = s, e
-        elif e > end:
-            end = e
-    merged.append((start, end))
-    return merged
 
 
 def _delays(layer0: dict[str, TimelineEntry]) -> list[int]:
@@ -221,45 +208,41 @@ def _delays(layer0: dict[str, TimelineEntry]) -> list[int]:
 
 @dataclass
 class Timeline:
+    """The entries of a run, as ``simulate`` returns them.
+
+    They are sorted in tuple order, each ``(resource, item)`` appears once, and
+    every uplink and downlink entry is non-empty, with no two on a link
+    overlapping: a link is dispatched only when it is not busy, and a
+    zero-cost slice never queues on it. The readers below assume all three.
+    """
+
     entries: list[TimelineEntry] = field(default_factory=list)
 
-    def busy_intervals(self, resource: str) -> list[tuple[int, int]]:
-        return _merge([(e.start, e.end) for e in self.entries if e.resource == resource and e.end > e.start])
-
-    def all_inter_iteration_delays(self) -> list[int]:
-        # reversed, so that the first entry of a repeated item wins
-        return _delays({e.item: e for e in reversed(self.entries) if e.resource == COMPUTE and e.item.endswith(":L0")})
-
     def to_csv(self) -> str:
-        rows = "".join([f"{r},{i},{s},{e}\n" for s, e, r, i in sorted(self.entries)])
+        rows = "".join([f"{r},{i},{s},{e}\n" for s, e, r, i in self.entries])
         return "resource,item,start,end\n" + rows
 
     def summary(self) -> dict:
         """Makespan, the last layer-0 delay and both links' utilization, from one walk."""
         makespan = 0
-        up: list[tuple[int, int]] = []
-        down: list[tuple[int, int]] = []
+        busy = {UPLINK: 0, DOWNLINK: 0}
+        first: dict[str, int] = {}
         layer0: dict[str, TimelineEntry] = {}
         for e in self.entries:
             s, end, r, item = e
             if end > makespan:
                 makespan = end
-            if r == UPLINK:
-                if end > s:
-                    up.append((s, end))
-            elif r == DOWNLINK:
-                if end > s:
-                    down.append((s, end))
+            if r in busy:
+                busy[r] += end - s
+                first.setdefault(r, s)
             elif r == COMPUTE and item.endswith(":L0"):
-                layer0.setdefault(item, e)
+                layer0[item] = e
         out = {"makespan": makespan}
         delays = _delays(layer0)
         if delays:
             out["inter_iteration_delay"] = delays[-1]
-        for link, spans in ((UPLINK, up), (DOWNLINK, down)):
-            merged = _merge(spans)
-            span = makespan - merged[0][0] if merged else 0
-            out[f"{link}_utilization"] = round(sum(e - s for s, e in merged) / span, 6) if span else 0.0
+        for link, ticks in busy.items():
+            out[f"{link}_utilization"] = round(ticks / (makespan - first[link]), 6) if link in first else 0.0
         return out
 
 

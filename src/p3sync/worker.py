@@ -132,7 +132,8 @@ class TrainingWorker:
     def _sender(self) -> None:
         """Send the outbox until it closes; at a clean finish, end every connection with FIN."""
         grads = np.empty(max(s.length for s in self.plan.slices), dtype="<f4")
-        self.outbox.drain(lambda frame: self._send(frame, grads), self.cfg.deadlock_timeout * 2)
+        while (frame := self.outbox.poll(self.cfg.deadlock_timeout * 2)) is not None:
+            self._send(frame, grads)
         if self._finished.is_set():
             for conn in self._conns:
                 conn.send_frame(Frame(msg_type=MsgType.FIN, worker_rank=self.cfg.rank))

@@ -80,6 +80,20 @@ def test_simulate_fig6_policies(capsys):
     assert summary_line(out)["makespan"] == "7"
 
 
+@pytest.mark.parametrize(
+    "scenario,line",
+    [
+        (FIG4, "# summary makespan=10 inter_iteration_delay=4 uplink_utilization=0.666667 downlink_utilization=0.0"),
+        (FIG6, "# summary makespan=10 inter_iteration_delay=7 uplink_utilization=0.5 downlink_utilization=0.625"),
+    ],
+    ids=["fig4", "fig6"],
+)
+def test_simulate_summary_line_is_pinned(scenario, line, capsys):
+    code, out, _ = run_cli(["simulate", str(scenario)], capsys)
+    assert code == 0
+    assert out.endswith("\n" + line + "\n")
+
+
 def test_simulate_writes_csv(tmp_path, capsys):
     target = tmp_path / "tl.csv"
     code, out, _ = run_cli(["simulate", str(FIG4), "--csv", str(target)], capsys)

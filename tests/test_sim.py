@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -95,6 +96,11 @@ def as_tuples(timeline):
     return [(e.resource, e.item, e.start, e.end) for e in timeline.entries]
 
 
+def link_spans(timeline, link):
+    """The (start, end) of each entry on ``link``, in timeline order."""
+    return [(e.start, e.end) for e in timeline.entries if e.resource == link]
+
+
 def test_fig4_aggressive_golden_timeline():
     tl = simulate(fig4(AGGRESSIVE_COARSE))
     got = [t for t in as_tuples(tl) if t[0] in (COMPUTE, UPLINK)]
@@ -103,7 +109,7 @@ def test_fig4_aggressive_golden_timeline():
     )
     assert tl.summary()["inter_iteration_delay"] == 4
     assert tl.summary()["makespan"] == 10
-    assert tl.busy_intervals(UPLINK) == [(1, 7)]
+    assert link_spans(tl, UPLINK) == [(1, 3), (3, 5), (5, 7)]
 
 
 def test_fig4_priority_golden_timeline():
@@ -113,7 +119,7 @@ def test_fig4_priority_golden_timeline():
         FIG4_PRIORITY_GOLDEN, key=lambda t: (t[2], t[3], t[0], t[1])
     )
     assert tl.summary()["inter_iteration_delay"] == 2
-    assert tl.busy_intervals(UPLINK) == [(1, 7)]
+    assert link_spans(tl, UPLINK) == [(t, t + 1) for t in range(1, 7)]
     fwd_spans = [(e.start, e.end) for e in tl.entries if e.item.startswith("fwd:1")]
     assert fwd_spans == [(5, 6), (6, 7), (7, 8)]
 
@@ -131,8 +137,7 @@ def test_fig6_makespans_and_final_downlink():
     assert coarse.summary()["makespan"] == 10
     assert sliced.summary()["makespan"] == 7
     # the closing stretch of the coarse run is downlink-only
-    spans = coarse.busy_intervals(DOWNLINK)
-    assert spans[-1][1] == 10 and spans[-1][0] <= 7
+    assert link_spans(coarse, DOWNLINK)[-2:] == [(6, 7), (7, 10)]
     assert (10 - 7) / 10 == pytest.approx(0.3)
 
 
@@ -341,7 +346,7 @@ def test_work_conservation_uplink(sc):
         elif e.resource == UPLINK:
             _, k, lname, s = e.item.split(":")
             starts[(int(k), int(lname[1:]), int(s[1:]))] = e.start
-    busy = tl.busy_intervals(UPLINK)
+    busy = link_spans(tl, UPLINK)
 
     def link_busy_at(t):
         return any(s <= t < e for s, e in busy)
@@ -439,10 +444,10 @@ def test_sweep_degenerate_single_slice_equals_coarse():
 
 def test_multi_iteration_delays():
     sc = replace(fig4(AGGRESSIVE_COARSE), num_iterations=3)
-    tl = simulate(sc)
-    delays = tl.all_inter_iteration_delays()
-    assert len(delays) == 3
-    assert all(d == 4 for d in delays)
+    layer0 = {e.item: e for e in simulate(sc).entries if e.resource == COMPUTE and e.item.endswith(":L0")}
+    delays = [layer0[f"fwd:{k + 1}:L0"].start - layer0[f"bwd:{k}:L0"].end for k in range(3)]
+    assert delays == [4, 4, 4]
+    assert "fwd:4:L0" not in layer0
 
 
 def test_timeline_csv_shape():
@@ -457,67 +462,15 @@ def test_empty_link_utilization():
     assert tl.summary()["downlink_utilization"] == 0.0
 
 
-def test_summary_of_a_hand_built_timeline():
-    tl = Timeline(
-        entries=[
-            TimelineEntry(resource=UPLINK, item="up:0:L0:s0", start=4, end=6),
-            TimelineEntry(resource=COMPUTE, item="fwd:1:L0", start=9, end=10),
-            TimelineEntry(resource=COMPUTE, item="bwd:0:L0", start=2, end=3),  # first in list order: wins
-            TimelineEntry(resource=UPLINK, item="up:0:L1:s0", start=1, end=3),
-            TimelineEntry(resource=COMPUTE, item="bwd:0:L0", start=0, end=1),
-            TimelineEntry(resource=UPLINK, item="up:0:L0:s1", start=6, end=6),  # empty span
-            TimelineEntry(resource=UPDATE, item="upd:0:L0:s0", start=6, end=12),
-        ]
-    )
-    # uplink busy [1, 3) and [4, 6): 4 ticks of the 11 from its first start to the makespan
-    assert list(tl.summary().items()) == [
-        ("makespan", 12),
-        ("inter_iteration_delay", 9 - 3),
-        ("uplink_utilization", 0.363636),
-        ("downlink_utilization", 0.0),
-    ]
-    assert tl.to_csv().splitlines()[1:3] == ["compute,bwd:0:L0,0,1", "uplink,up:0:L1:s0,1,3"]
+def test_summary_of_an_empty_timeline():
     assert Timeline().summary() == {"makespan": 0, "uplink_utilization": 0.0, "downlink_utilization": 0.0}
-
-
-hand_built_entries = st.lists(
-    st.builds(
-        lambda resource, item, start, length: TimelineEntry(start, start + length, resource, item),
-        st.sampled_from([COMPUTE, UPLINK, UPDATE, DOWNLINK]),
-        st.sampled_from([f"{op}:{k}:L{l}" for op in ("fwd", "bwd") for k in range(3) for l in range(2)]),
-        st.integers(0, 20),
-        st.integers(0, 5),
-    ),
-    max_size=30,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(hand_built_entries)
-def test_summary_agrees_with_the_per_resource_readers(entries):
-    # unsorted, overlapping, repeated and empty entries: the one walk of
-    # summary() must give what the readers of one resource give, and both
-    # must match busy ticks counted one by one, with no span merging
-    tl = Timeline(entries=entries)
-    out = tl.summary()
-    assert out["makespan"] == max((e.end for e in entries), default=0)
-    delays = tl.all_inter_iteration_delays()
-    assert out.get("inter_iteration_delay") == (delays[-1] if delays else None)
-    for link in (UPLINK, DOWNLINK):
-        ticks = {t for e in entries if e.resource == link for t in range(e.start, e.end)}
-        # the busy intervals are the maximal runs of consecutive busy ticks
-        busy = sorted(ticks)
-        starts = [t for t in busy if t - 1 not in ticks]
-        ends = [t + 1 for t in busy if t + 1 not in ticks]
-        assert tl.busy_intervals(link) == list(zip(starts, ends))
-        span = out["makespan"] - min(ticks) if ticks else 0
-        want = round(len(ticks) / span, 6) if span else 0.0
-        assert out[f"{link}_utilization"] == want
 
 
 @settings(max_examples=120, deadline=None)
 @given(random_scenarios(), st.integers(0, 2), st.randoms(use_true_random=False))
 def test_entries_sorted_unique_and_order_free(sc, overhead, rnd):
+    # summary() relies on them: sorted, unique entries, and non-empty link
+    # entries that never overlap, so busy ticks need no span merging
     tl = simulate(replace(sc, per_slice_overhead=overhead))
     assert all(type(e) is TimelineEntry for e in tl.entries)
     assert tl.entries == sorted(tl.entries)
@@ -525,11 +478,33 @@ def test_entries_sorted_unique_and_order_free(sc, overhead, rnd):
     # the priority heap's (layer, slice, iteration) key is unique
     keys = [(e.resource, e.item) for e in tl.entries]
     assert len(set(keys)) == len(keys)
+    for link in (UPLINK, DOWNLINK):
+        spans = link_spans(tl, link)
+        assert all(s < e for s, e in spans)
+        assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+    # the order is the entries' own: any order of them, sorted, is the same timeline
     shuffled = list(tl.entries)
     rnd.shuffle(shuffled)
-    other = Timeline(entries=shuffled)
+    other = Timeline(entries=sorted(shuffled))
     assert other.to_csv() == tl.to_csv()
     assert other.summary() == tl.summary()
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_scenarios(), st.integers(0, 2))
+def test_summary_agrees_with_the_per_resource_readers(sc, overhead):
+    # the one walk of summary() must give what reading each resource's
+    # entries on its own gives: busy ticks counted one by one per link
+    tl = simulate(replace(sc, per_slice_overhead=overhead))
+    out = tl.summary()
+    assert out["makespan"] == max((e.end for e in tl.entries), default=0)
+    layer0 = {e.item: e for e in tl.entries if e.resource == COMPUTE and e.item.endswith(":L0")}
+    k = sc.num_iterations - 1
+    assert out["inter_iteration_delay"] == layer0[f"fwd:{k + 1}:L0"].start - layer0[f"bwd:{k}:L0"].end
+    for link in (UPLINK, DOWNLINK):
+        ticks = {t for s, e in link_spans(tl, link) for t in range(s, e)}
+        want = round(len(ticks) / (out["makespan"] - min(ticks)), 6) if ticks else 0.0
+        assert out[f"{link}_utilization"] == want
 
 
 # -- golden timeline digests --------------------------------------------------
@@ -700,6 +675,13 @@ def test_scenario_from_plan_rejections():
     for bps, workers in ((0, 2), (-1e9, 2), (1e9, 0)):
         with pytest.raises(ScenarioError):
             scenario_from_plan(toy3, plan, bps, workers, 1)
+    # a rate that is not finite would overflow or fail inside round()
+    for bps in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ScenarioError, match=f"link_bps {bps} must be finite and positive"):
+            scenario_from_plan(toy3, plan, bps, 2, 1)
+    # simulate() would refuse it later; the scenario is refused where it is made
+    with pytest.raises(ScenarioError, match="num_iterations 0 must be >= 1"):
+        scenario_from_plan(toy3, plan, 1e9, 2, 0)
 
 
 @pytest.mark.parametrize("mode", MODES)
