@@ -56,6 +56,12 @@ EXIT_PROTOCOL = 2
 EXIT_TIMEOUT = 3
 
 
+# ``run_bench`` starts one interpreter per server and per worker, each some
+# 40 MB resident, so 1,024 children already ask for about 40 GB of memory and as
+# many process slots. A larger count is a mistyped flag, not a run to start.
+MAX_CHILDREN = 1024
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; usage errors are 1 here
         self.print_usage(sys.stderr)
@@ -96,6 +102,12 @@ class RunConfig:
             raise ValueError(f"num_workers {self.num_workers} must be <= {MAX_WORKER_RANK + 1} (16-bit ranks)")
         if self.num_servers < 0:
             raise ValueError(f"num_servers {self.num_servers} must be >= 0 (0: one per worker)")
+        children = self.resolved_servers() + self.num_workers
+        if children > MAX_CHILDREN:
+            raise ValueError(
+                f"num_servers {self.resolved_servers()} + num_workers {self.num_workers} is {children} "
+                f"child processes; a run starts at most {MAX_CHILDREN}"
+            )
         if self.batch_size < 1:
             raise ValueError(f"batch_size {self.batch_size} must be >= 1")
         if not 0 <= self.skip_iterations < self.iterations:

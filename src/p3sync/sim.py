@@ -1,4 +1,4 @@
-"""Deterministic discrete-event simulator of one worker/server synchronization pipeline.
+"""Deterministic simulator of one worker/server synchronization pipeline.
 
 Four resources are modeled: an emulated compute device (forward/backward
 chains), a serial uplink, an update stage, a per-slice delay, and a serial
@@ -19,13 +19,26 @@ of a stage cost x, so the slices sum exactly to the layer's cost.
 ``scenario_from_plan`` builds the scenario of a runtime plan; there one tick
 is the time one float32 parameter takes on the link.
 
-Tie-breaks on a serial link: the FIFO policies serve by arrival; priority-sliced
-serves the smallest (layer, slice, iteration), since a slice's priority is its
-key's order, as in ``plan``. A slice enters each link once, so that heap key
-is unique and needs no arrival counter. Each link keeps a deque (FIFO) or a
-heap (priority), so a link pick costs O(1) or O(log n) in the number of
-queued slices. Forwards wait in a ready-set that whichever of their two
-conditions arrives last fills, so a run costs O(n log n) in its entries.
+Iteration k's traffic drains before iteration k+1's starts. Every forward
+(k+1, l) waits for all of layer l's iteration-k downloads, and backward k+1
+follows the last forward of k+1, so all of iteration k's link work has ended
+before any slice of iteration k+1 reaches the uplink. So ``simulate`` runs
+each iteration k as five passes, in order: the backward chain of k, the
+uplink, the update (a pure delay), the downlink, and the forward chain of k+1.
+A serial link is one loop: a slice starts at the later of the link's free
+tick and its arrival. The FIFO policies serve in arrival order;
+priority-sliced serves, from a heap, the arrived slice with the smallest
+(layer, slice), since a slice's priority is its key's order, as in ``plan``.
+A zero-cost slice skips the link. The downlink's arrival sort and the
+priority heap make a run cost O(S log S) per iteration over its S slices.
+
+Ties within a tick follow a causal sub-step rule. Every event has a position
+(tick t, step j); the run starts at (0, 1). A zero-tick step that an event
+causes lands at (t, j+1), and a step of d > 0 ticks ends at (t+d, 1). A
+compute starts at the later of its causes: a forward at the later of the
+compute before it and its layer's last download. A FIFO link orders
+arrivals of one tick by (step, layer, slice); a priority link picks among all
+slices that have arrived by the tick at which it is free.
 
 Timeline entries are named tuples ``(start, end, resource, item)``, so their
 natural order is timeline order. ``simulate`` builds each entry as a plain
@@ -96,11 +109,15 @@ class Scenario:
 
     def slice_costs(self, layer_index: int) -> list[StageCost]:
         """The layer's per-slice costs, in slice order; they sum to its stage cost."""
+        return [StageCost(*cost) for cost in self._slice_costs(layer_index)]
+
+    def _slice_costs(self, layer_index: int) -> list[tuple[int, int, int]]:
+        """``slice_costs`` as plain ``(up, update, down)`` tuples, as ``simulate`` reads them."""
         st = self.stages[layer_index]
         if self.policy == AGGRESSIVE_COARSE or st.up == 0:
-            return [st]
+            return [(st.up, st.update, st.down)]
         return [
-            StageCost(
+            (
                 length,
                 st.update * (start + length) // st.up - st.update * start // st.up,
                 st.down * (start + length) // st.up - st.down * start // st.up,
@@ -246,129 +263,94 @@ class Timeline:
         return out
 
 
-# event kinds, in within-tick processing order
-_BOOT, _FWD_DONE, _BWD_DONE, _UP_DONE, _UPDATE_DONE, _DOWN_DONE = range(6)
+def _serve(arrivals, cost, free, priority, resource, prefix, suffix, append):
+    """Serve ``arrivals`` on one serial link that is free from tick ``free``.
+
+    ``arrivals`` are positions ``(tick, step, slice)`` in sorted order, a slice
+    being its index in ``(layer, slice)`` order. Each slice starts at the later
+    of the link's free tick and its arrival; FIFO serves in arrival order,
+    priority the arrived slice of smallest index. A zero-cost slice skips the
+    link and is done one step after it arrives. Returns each slice's done
+    position, by index, and the link's new free tick.
+    """
+    done = [None] * len(cost)
+    if priority:
+        queue: list[int] = []
+        push, pop = heapq.heappush, heapq.heappop
+    else:
+        queue = deque()
+        push, pop = deque.append, deque.popleft
+    # every queued slice has arrived by ``free``, where the next pick starts;
+    # a last arrival at tick inf drains the queue
+    for t, j, g in arrivals + [(math.inf, 0, -1)]:
+        while queue and free < t:
+            q = pop(queue)
+            end = free + cost[q]
+            append((free, end, resource, prefix + suffix[q]))
+            done[q] = (end, 1, q)
+            free = end
+        if g < 0:
+            break
+        if cost[g] == 0:
+            done[g] = (t, j + 1, g)
+            continue
+        if free < t:
+            free = t  # the link idles until this arrival
+        push(queue, g)
+    return done, free
 
 
 def simulate(scenario: Scenario) -> Timeline:
     scenario.validate()
     L = scenario.profile.num_layers
-    n_iter = scenario.num_iterations
     fwd_time = [l.fwd_time for l in scenario.profile.layers]
     bwd_time = [l.bwd_time for l in scenario.profile.layers]
-    costs = [scenario.slice_costs(i) for i in range(L)]
-    n_slices = [len(cs) for cs in costs]
+    costs = [scenario._slice_costs(i) for i in range(L)]
+    # slices are numbered in (layer, slice) order, which is their priority order
+    first = [0]
+    for cs in costs:
+        first.append(first[-1] + len(cs))
     ovh = scenario.per_slice_overhead
-    up_cost = [[c.up + ovh if c.up > 0 else 0 for c in cs] for cs in costs]
-    update_cost = [[c.update for c in cs] for cs in costs]
-    down_cost = [[c.down + ovh if c.down > 0 else 0 for c in cs] for cs in costs]
+    up_cost = [up + ovh if up > 0 else 0 for cs in costs for up, _, _ in cs]
+    update_cost = [update for cs in costs for _, update, _ in cs]
+    down_cost = [down + ovh if down > 0 else 0 for cs in costs for _, _, down in cs]
     # a link entry's item is its iteration's prefix plus its slice's suffix
-    suffix = [[f":L{l}:s{s}" for s in range(n)] for l, n in enumerate(n_slices)]
-    up_item = [f"up:{k}" for k in range(n_iter)]
-    upd_item = [f"upd:{k}" for k in range(n_iter)]
-    down_item = [f"down:{k}" for k in range(n_iter)]
-
-    # each serial link queues (layer, slice, iteration); a key enters a link
-    # at most once, so the priority heap needs no arrival tie-break
-    if scenario.policy == PRIORITY_SLICED:
-        up_q, down_q = [], []
-        push, pop = heapq.heappush, heapq.heappop
-    else:
-        up_q, down_q = deque(), deque()
-        push, pop = deque.append, deque.popleft
-    up_busy = down_busy = False
+    suffix = [f":L{l}:s{s}" for l, cs in enumerate(costs) for s in range(len(cs))]
+    priority = scenario.policy == PRIORITY_SLICED
 
     entries: list[tuple[int, int, str, str]] = []  # TimelineEntry fields, as plain tuples
     append = entries.append
-    events: list[tuple[int, int, int, int, int]] = [(0, _BOOT, 0, 0, 0)]  # (tick, kind, iteration, layer, slice)
-    heappush, heappop = heapq.heappush, heapq.heappop
-
-    bwd_ready: set[tuple[int, int]] = set()
-    # a forward (k, l) needs forward (k, l-1) or backward (k-1, 0) done (its
-    # chain) and every slice of (k-1, l) downloaded (its params); each arrives
-    # once, the first parks the key in fwd_half and the second moves it to fwd_ready
-    fwd_half: set[tuple[int, int]] = set()
-    fwd_ready: set[tuple[int, int]] = set()
-    down_remaining = [list(n_slices) for _ in range(n_iter)]
-
-    # per tick: handle every queued event of t, start the computes that made
-    # ready, repeat while that left events at t; then dispatch each link once
-    # (the FIFO links' arrival order depends on this batching)
-    while events:
-        t = events[0][0]
-        while events and events[0][0] == t:
-            batch = []
-            while events and events[0][0] == t:
-                batch.append(heappop(events))
-            for _, kind, k, l, s in batch:
-                if kind == _UP_DONE:
-                    if up_cost[l][s] > 0:
-                        up_busy = False
-                    cost = update_cost[l][s]
-                    if cost == 0:
-                        heappush(events, (t, _UPDATE_DONE, k, l, s))
-                    else:
-                        append((t, t + cost, UPDATE, upd_item[k] + suffix[l][s]))
-                        heappush(events, (t + cost, _UPDATE_DONE, k, l, s))
-                elif kind == _UPDATE_DONE:
-                    if down_cost[l][s] == 0:
-                        heappush(events, (t, _DOWN_DONE, k, l, s))
-                    else:
-                        push(down_q, (l, s, k))
-                elif kind == _DOWN_DONE:
-                    if down_cost[l][s] > 0:
-                        down_busy = False
-                    down_remaining[k][l] -= 1
-                    if down_remaining[k][l] == 0:
-                        key = (k + 1, l)
-                        (fwd_ready if key in fwd_half else fwd_half).add(key)
-                elif kind == _BWD_DONE:
-                    for sl in range(n_slices[l]):
-                        if up_cost[l][sl] == 0:
-                            heappush(events, (t, _UP_DONE, k, l, sl))
-                        else:
-                            push(up_q, (l, sl, k))
-                    if l > 0:
-                        bwd_ready.add((k, l - 1))
-                    else:
-                        key = (k + 1, 0)
-                        (fwd_ready if key in fwd_half else fwd_half).add(key)
-                elif kind == _FWD_DONE:
-                    if l < L - 1:
-                        key = (k, l + 1)
-                        (fwd_ready if key in fwd_half else fwd_half).add(key)
-                    elif k < n_iter:
-                        bwd_ready.add((k, L - 1))
-                else:  # _BOOT
-                    bwd_ready.add((0, L - 1))
-            # start ready computes
-            while bwd_ready:
-                k, l = key = min(bwd_ready)
-                bwd_ready.discard(key)
-                end = t + bwd_time[l]
-                append((t, end, COMPUTE, f"bwd:{k}:L{l}"))
-                heappush(events, (end, _BWD_DONE, k, l, 0))
-                if end > t:
-                    break  # completion arrives later; chain resumes then
-            if fwd_ready:
-                for k, l in sorted(fwd_ready):
-                    end = t + fwd_time[l]
-                    append((t, end, COMPUTE, f"fwd:{k}:L{l}"))
-                    heappush(events, (end, _FWD_DONE, k, l, 0))
-                fwd_ready.clear()
-        # dispatch the links
-        if not up_busy and up_q:
-            l, s, k = pop(up_q)
-            up_busy = True
-            end = t + up_cost[l][s]
-            append((t, end, UPLINK, up_item[k] + suffix[l][s]))
-            heappush(events, (end, _UP_DONE, k, l, s))
-        if not down_busy and down_q:
-            l, s, k = pop(down_q)
-            down_busy = True
-            end = t + down_cost[l][s]
-            append((t, end, DOWNLINK, down_item[k] + suffix[l][s]))
-            heappush(events, (end, _DOWN_DONE, k, l, s))
+    at = (0, 1)  # the compute chain's position: where its next compute may start
+    up_free = down_free = 0
+    for k in range(scenario.num_iterations):
+        # backward chain of k; each layer's slices reach the uplink as it ends
+        arrivals = []
+        for l in range(L - 1, -1, -1):
+            t, j = at
+            end = t + bwd_time[l]
+            append((t, end, COMPUTE, f"bwd:{k}:L{l}"))
+            t, j = at = (end, 1) if end > t else (t, j + 1)
+            arrivals += [(t, j, g) for g in range(first[l], first[l + 1])]
+        up_done, up_free = _serve(arrivals, up_cost, up_free, priority, UPLINK, f"up:{k}", suffix, append)
+        # the update, a pure delay; its ends are the downlink's arrivals
+        arrivals = []
+        upd_item = f"upd:{k}"
+        for t, j, g in up_done:
+            c = update_cost[g]
+            if c:
+                append((t, t + c, UPDATE, upd_item + suffix[g]))
+                arrivals.append((t + c, 1, g))
+            else:
+                arrivals.append((t, j + 1, g))
+        arrivals.sort()
+        down_done, down_free = _serve(arrivals, down_cost, down_free, priority, DOWNLINK, f"down:{k}", suffix, append)
+        # forward chain of k + 1; a layer's forward also waits for its parameters
+        for l in range(L):
+            t, j, _ = max(down_done[first[l]:first[l + 1]])
+            t, j = at = max(at, (t, j))
+            end = t + fwd_time[l]
+            append((t, end, COMPUTE, f"fwd:{k + 1}:L{l}"))
+            at = (end, 1) if end > t else (t, j + 1)
 
     entries.sort()
     return Timeline(entries=list(map(tuple.__new__, repeat(TimelineEntry), entries)))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from p3sync.cli import EXIT_PROTOCOL, EXIT_TIMEOUT, EXIT_USAGE, RunConfig, main, run_bench, summarize_run
+from p3sync.cli import EXIT_PROTOCOL, EXIT_TIMEOUT, EXIT_USAGE, MAX_CHILDREN, RunConfig, main, run_bench, summarize_run
 from p3sync.model import ProfileError, builtin_profile, profile_from_dict
 from p3sync.plan import make_plan
 from p3sync.proto import ProtocolError
@@ -359,6 +359,31 @@ def test_bench_refuses_more_workers_than_a_header_names(tmp_path, capsys, monkey
     assert not outdir.exists()
 
 
+def test_bench_refuses_more_children_than_it_starts(tmp_path, capsys, monkeypatch):
+    import p3sync.cli as cli
+
+    def popen(*args, **kwargs):
+        raise AssertionError("bench started a process")
+
+    monkeypatch.setattr(cli.subprocess, "Popen", popen)
+    outdir = tmp_path / "run"
+    argv = ["bench", "--num-workers", "2", "--num-servers", "1000000", "--output-dir", str(outdir)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE
+    assert f"num_servers 1000000 + num_workers 2 is 1000002 child processes; a run starts at most {MAX_CHILDREN}" in err
+    assert not outdir.exists()
+
+
+def test_run_config_child_cap_counts_servers_and_workers():
+    RunConfig(num_workers=2, num_servers=MAX_CHILDREN - 2).validate()
+    with pytest.raises(ValueError, match=f"is {MAX_CHILDREN + 1} child processes"):
+        RunConfig(num_workers=2, num_servers=MAX_CHILDREN - 1).validate()
+    # 0 servers means one per worker
+    RunConfig(num_workers=MAX_CHILDREN // 2).validate()
+    with pytest.raises(ValueError, match=f"num_servers {MAX_CHILDREN // 2 + 1} \\+ num_workers"):
+        RunConfig(num_workers=MAX_CHILDREN // 2 + 1).validate()
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -368,6 +393,7 @@ def test_bench_refuses_more_workers_than_a_header_names(tmp_path, capsys, monkey
         ("skip_iterations", -1),
         ("batch_size", 0),
         ("num_servers", -1),
+        ("num_servers", 1_000_000),
     ],
 )
 def test_run_config_rejects_out_of_range(field, value):

@@ -232,6 +232,27 @@ def test_remainder_slice_is_last():
     assert one_layer(StageCost(3, 0, 0), 2, AGGRESSIVE_COARSE).slice_costs(0) == [StageCost(3, 0, 0)]
 
 
+def test_fifo_orders_same_tick_arrivals_by_step_before_layer():
+    # zero compute and zero uplink and update: L1's backward ends at (0, 2), its
+    # slice leaves the update at (0, 4); L0's backward ends at (0, 3), its slice
+    # leaves the update at (0, 5). So the FIFO downlink takes L1 first, though
+    # L0 has the smaller layer index, and both forwards wait for L0 at tick 3.
+    sc = Scenario(
+        profile=tick_profile(0, 0, 2),
+        stages=(StageCost(0, 0, 2), StageCost(0, 0, 1)),
+        policy=AGGRESSIVE_SLICED,
+        num_iterations=1,
+    )
+    assert as_tuples(simulate(sc)) == [
+        (COMPUTE, "bwd:0:L0", 0, 0),
+        (COMPUTE, "bwd:0:L1", 0, 0),
+        (DOWNLINK, "down:0:L1:s0", 0, 1),
+        (DOWNLINK, "down:0:L0:s0", 1, 3),
+        (COMPUTE, "fwd:1:L0", 3, 3),
+        (COMPUTE, "fwd:1:L1", 3, 3),
+    ]
+
+
 def test_uneven_costs_split_cumulatively():
     # slice s covers uplink ticks [s, s + 1) of 4, so it gets 2 * (s + 1) // 4 - 2 * s // 4
     sc = one_layer(StageCost(4, 2, 0), slice_ticks=1)
@@ -474,8 +495,7 @@ def test_entries_sorted_unique_and_order_free(sc, overhead, rnd):
     tl = simulate(replace(sc, per_slice_overhead=overhead))
     assert all(type(e) is TimelineEntry for e in tl.entries)
     assert tl.entries == sorted(tl.entries)
-    # each (resource, item) appears once: a slice enters each link once, so
-    # the priority heap's (layer, slice, iteration) key is unique
+    # each (resource, item) appears once: a slice enters each link once
     keys = [(e.resource, e.item) for e in tl.entries]
     assert len(set(keys)) == len(keys)
     for link in (UPLINK, DOWNLINK):
@@ -488,6 +508,22 @@ def test_entries_sorted_unique_and_order_free(sc, overhead, rnd):
     other = Timeline(entries=sorted(shuffled))
     assert other.to_csv() == tl.to_csv()
     assert other.summary() == tl.summary()
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_scenarios(), st.integers(0, 2), st.integers(2, 3))
+def test_each_iterations_link_work_ends_before_the_next_ones_starts(sc, overhead, iterations):
+    # simulate() runs each iteration's links as passes of their own, which
+    # relies on this: every link entry of iteration k ends at or before the
+    # start of every link entry of iteration k + 1
+    tl = simulate(replace(sc, per_slice_overhead=overhead, num_iterations=iterations))
+    spans: dict[int, list[TimelineEntry]] = {}
+    for e in tl.entries:
+        if e.resource in (UPLINK, DOWNLINK):
+            spans.setdefault(int(e.item.split(":")[1]), []).append(e)
+    for k in range(iterations - 1):
+        if k in spans and k + 1 in spans:
+            assert max(e.end for e in spans[k]) <= min(e.start for e in spans[k + 1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -602,7 +638,8 @@ def test_linkbound_summary_golden(name):
 
 def test_priority_sliced_61k_entries_within_wall_bound():
     # 44 link-bound iterations give about 61k entries: over 30 s when every
-    # pick scans the queued slices, under a second with per-link heaps
+    # pick scans the queued slices, well under a second when each pass over an
+    # iteration's slices picks from a heap
     sc = linkbound_scenario(PRIORITY_SLICED, 44)
     t0 = time.perf_counter()
     tl = simulate(sc)
