@@ -251,6 +251,10 @@ def run_bench(cfg: RunConfig) -> dict:
     num_servers = cfg.resolved_servers()
     plan = make_plan(cfg.mode, profile, num_servers, cfg.max_slice, cfg.big_threshold, cfg.seed)
     validate_plan(plan, profile)  # a plan no child could run stops here, before anything is written
+    if num_servers > len(plan.slices):
+        raise ValueError(
+            f"num_servers {num_servers} exceeds the plan's {len(plan.slices)} slices; a server would own none"
+        )
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     profile_path = outdir / "profile.json"

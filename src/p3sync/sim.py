@@ -40,12 +40,11 @@ compute before it and its layer's last download. A FIFO link orders
 arrivals of one tick by (step, layer, slice); a priority link picks among all
 slices that have arrived by the tick at which it is free.
 
-Timeline entries are named tuples ``(start, end, resource, item)``, so their
-natural order is timeline order. ``simulate`` builds each entry as a plain
-tuple, its item as a precomputed iteration prefix plus a precomputed
-``:L{l}:s{s}`` suffix, sorts the list once and converts it to ``TimelineEntry``
-in one pass. ``Timeline`` reads entries only in that form, so ``to_csv``
-writes them as they stand and ``summary`` reads each link in one pass.
+A timeline entry is a plain tuple ``(start, end, resource, item)``, so its
+natural order is timeline order. ``simulate`` builds each entry's item as a
+precomputed iteration prefix plus a precomputed ``:L{l}:s{s}`` suffix, sorts
+the list once and returns it as it stands: ``to_csv`` writes the entries in
+that order and ``summary`` reads each link in one pass.
 """
 
 from __future__ import annotations
@@ -55,9 +54,7 @@ import json
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
-from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple
 
 from .model import ModelProfile, profile_from_dict, typed_fields
 from .plan import P3_MODE, SlicePlan, chunk_layer, validate_plan
@@ -204,21 +201,12 @@ def scenario_from_plan(
     return sc
 
 
-class TimelineEntry(NamedTuple):
-    """One busy span of a resource; tuple order is timeline order."""
-
-    start: int
-    end: int
-    resource: str
-    item: str
-
-
-def _delays(layer0: dict[str, TimelineEntry]) -> list[int]:
+def _delays(layer0: dict[str, tuple[int, int]]) -> list[int]:
     """fwd:k+1:L0 start - bwd:k:L0 end for k = 0, 1, ... while both exist."""
     delays = []
     k = 0
     while f"bwd:{k}:L0" in layer0 and f"fwd:{k + 1}:L0" in layer0:
-        delays.append(layer0[f"fwd:{k + 1}:L0"].start - layer0[f"bwd:{k}:L0"].end)
+        delays.append(layer0[f"fwd:{k + 1}:L0"][0] - layer0[f"bwd:{k}:L0"][1])
         k += 1
     return delays
 
@@ -227,13 +215,15 @@ def _delays(layer0: dict[str, TimelineEntry]) -> list[int]:
 class Timeline:
     """The entries of a run, as ``simulate`` returns them.
 
-    They are sorted in tuple order, each ``(resource, item)`` appears once, and
-    every uplink and downlink entry is non-empty, with no two on a link
-    overlapping: a link is dispatched only when it is not busy, and a
-    zero-cost slice never queues on it. The readers below assume all three.
+    Each entry is a plain tuple ``(start, end, resource, item)``, one busy
+    span of a resource. The entries are sorted in tuple order, each
+    ``(resource, item)`` appears once, and every uplink and downlink entry is
+    non-empty, with no two on a link overlapping: a link is dispatched only
+    when it is not busy, and a zero-cost slice never queues on it. The readers
+    below assume all three.
     """
 
-    entries: list[TimelineEntry] = field(default_factory=list)
+    entries: list[tuple[int, int, str, str]] = field(default_factory=list)
 
     def to_csv(self) -> str:
         rows = "".join([f"{r},{i},{s},{e}\n" for s, e, r, i in self.entries])
@@ -244,16 +234,15 @@ class Timeline:
         makespan = 0
         busy = {UPLINK: 0, DOWNLINK: 0}
         first: dict[str, int] = {}
-        layer0: dict[str, TimelineEntry] = {}
-        for e in self.entries:
-            s, end, r, item = e
+        layer0: dict[str, tuple[int, int]] = {}
+        for s, end, r, item in self.entries:
             if end > makespan:
                 makespan = end
             if r in busy:
                 busy[r] += end - s
                 first.setdefault(r, s)
             elif r == COMPUTE and item.endswith(":L0"):
-                layer0[item] = e
+                layer0[item] = (s, end)
         out = {"makespan": makespan}
         delays = _delays(layer0)
         if delays:
@@ -318,7 +307,7 @@ def simulate(scenario: Scenario) -> Timeline:
     suffix = [f":L{l}:s{s}" for l, cs in enumerate(costs) for s in range(len(cs))]
     priority = scenario.policy == PRIORITY_SLICED
 
-    entries: list[tuple[int, int, str, str]] = []  # TimelineEntry fields, as plain tuples
+    entries: list[tuple[int, int, str, str]] = []
     append = entries.append
     at = (0, 1)  # the compute chain's position: where its next compute may start
     up_free = down_free = 0
@@ -353,4 +342,4 @@ def simulate(scenario: Scenario) -> Timeline:
             at = (end, 1) if end > t else (t, j + 1)
 
     entries.sort()
-    return Timeline(entries=list(map(tuple.__new__, repeat(TimelineEntry), entries)))
+    return Timeline(entries=entries)

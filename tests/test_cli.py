@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shutil
@@ -14,6 +15,8 @@ from p3sync.model import ProfileError, builtin_profile, profile_from_dict
 from p3sync.plan import make_plan
 from p3sync.proto import ProtocolError
 from p3sync.sim import ScenarioError, load_scenario, scenario_from_dict
+
+from test_sim import TIMELINE_DIGESTS
 
 REPO = Path(__file__).resolve().parent.parent
 FIG4 = REPO / "scenarios" / "fig4.json"
@@ -101,6 +104,10 @@ def test_simulate_writes_csv(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0] == "resource,item,start,end"
     assert len(lines) > 5
+    # the file holds exactly the CSV that stdout prints before the summary line
+    written = target.read_bytes()
+    assert written == out[: out.index("# summary ")].encode()
+    assert hashlib.sha256(written).hexdigest() == TIMELINE_DIGESTS["fig4-coarse-serial0-ovh0"]
 
 
 def test_simulate_missing_scenario(capsys):
@@ -371,6 +378,22 @@ def test_bench_refuses_more_children_than_it_starts(tmp_path, capsys, monkeypatc
     code, _, err = run_cli(argv, capsys)
     assert code == EXIT_USAGE
     assert f"num_servers 1000000 + num_workers 2 is 1000002 child processes; a run starts at most {MAX_CHILDREN}" in err
+    assert not outdir.exists()
+
+
+def test_bench_refuses_more_servers_than_slices(tmp_path, capsys, monkeypatch):
+    import p3sync.cli as cli
+
+    def popen(*args, **kwargs):
+        raise AssertionError("bench started a process")
+
+    monkeypatch.setattr(cli.subprocess, "Popen", popen)
+    outdir = tmp_path / "run"
+    # toy3's p3 plan has 3 slices; 1,022 servers would leave 1,019 of them idle
+    argv = ["bench", "--profile", "toy3", "--num-workers", "2", "--num-servers", "1022", "--output-dir", str(outdir)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE
+    assert "num_servers 1022 exceeds the plan's 3 slices" in err
     assert not outdir.exists()
 
 

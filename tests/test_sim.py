@@ -4,6 +4,7 @@ import math
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from p3sync.sim import (
     ScenarioError,
     StageCost,
     Timeline,
-    TimelineEntry,
     UPDATE,
     UPLINK,
     load_scenario,
@@ -92,13 +92,27 @@ FIG4_PRIORITY_GOLDEN = [
 ]
 
 
+class Entry(NamedTuple):
+    """A timeline entry ``(start, end, resource, item)`` with its fields named."""
+
+    start: int
+    end: int
+    resource: str
+    item: str
+
+
+def named(timeline):
+    """``timeline``'s entries as ``Entry``, so that an assertion can read ``e.start``."""
+    return [Entry(*e) for e in timeline.entries]
+
+
 def as_tuples(timeline):
-    return [(e.resource, e.item, e.start, e.end) for e in timeline.entries]
+    return [(e.resource, e.item, e.start, e.end) for e in named(timeline)]
 
 
 def link_spans(timeline, link):
     """The (start, end) of each entry on ``link``, in timeline order."""
-    return [(e.start, e.end) for e in timeline.entries if e.resource == link]
+    return [(e.start, e.end) for e in named(timeline) if e.resource == link]
 
 
 def test_fig4_aggressive_golden_timeline():
@@ -120,7 +134,7 @@ def test_fig4_priority_golden_timeline():
     )
     assert tl.summary()["inter_iteration_delay"] == 2
     assert link_spans(tl, UPLINK) == [(t, t + 1) for t in range(1, 7)]
-    fwd_spans = [(e.start, e.end) for e in tl.entries if e.item.startswith("fwd:1")]
+    fwd_spans = [(e.start, e.end) for e in named(tl) if e.item.startswith("fwd:1")]
     assert fwd_spans == [(5, 6), (6, 7), (7, 8)]
 
 
@@ -144,7 +158,7 @@ def test_fig6_makespans_and_final_downlink():
 def test_fig6_update_overlap():
     # the heavy middle layer's update overlaps the light first layer's update
     coarse = simulate(fig6(AGGRESSIVE_COARSE))
-    upd = {e.item: (e.start, e.end) for e in coarse.entries if e.resource == UPDATE}
+    upd = {e.item: (e.start, e.end) for e in named(coarse) if e.resource == UPDATE}
     assert upd["upd:0:L1:s0"] == (4, 7)
     assert upd["upd:0:L0:s0"] == (5, 6)
 
@@ -257,7 +271,7 @@ def test_uneven_costs_split_cumulatively():
     # slice s covers uplink ticks [s, s + 1) of 4, so it gets 2 * (s + 1) // 4 - 2 * s // 4
     sc = one_layer(StageCost(4, 2, 0), slice_ticks=1)
     assert [c.update for c in sc.slice_costs(0)] == [0, 1, 0, 1]
-    upd = [(e.item, e.start, e.end) for e in simulate(sc).entries if e.resource == UPDATE]
+    upd = [(e.item, e.start, e.end) for e in named(simulate(sc)) if e.resource == UPDATE]
     assert upd == [("upd:0:L0:s1", 2, 3), ("upd:0:L0:s3", 4, 5)]
 
 
@@ -308,31 +322,17 @@ def test_slices_follow_chunk_layer_and_sum_to_the_stage(sc):
             assert [c.up for c in costs] == [n for _, n in chunk_layer(stage.up, sc.slice_ticks)]
 
 
-def intervals_disjoint(spans):
-    spans = sorted(spans)
-    return all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
-
-
-@settings(max_examples=120, deadline=None)
-@given(random_scenarios())
-def test_serial_links_never_overlap(sc):
-    tl = simulate(sc)
-    for link in (UPLINK, DOWNLINK):
-        spans = [(e.start, e.end) for e in tl.entries if e.resource == link and e.end > e.start]
-        assert intervals_disjoint(spans)
-
-
 @settings(max_examples=120, deadline=None)
 @given(random_scenarios())
 def test_causality(sc):
-    tl = simulate(sc)
-    by_item = {e.item: e for e in tl.entries}
+    entries = named(simulate(sc))
+    by_item = {e.item: e for e in entries}
     bwd_end = {}
-    for e in tl.entries:
+    for e in entries:
         if e.resource == COMPUTE and e.item.startswith("bwd:"):
             _, k, lname = e.item.split(":")
             bwd_end[(int(k), int(lname[1:]))] = e.end
-    for e in tl.entries:
+    for e in entries:
         if e.resource == UPLINK:
             _, k, lname, s = e.item.split(":")
             assert e.start >= bwd_end[(int(k), int(lname[1:]))]
@@ -360,7 +360,7 @@ def test_work_conservation_uplink(sc):
     # must never sit idle across a tick where an unserved slice was available
     bwd_end = {}
     starts = {}
-    for e in tl.entries:
+    for e in named(tl):
         if e.resource == COMPUTE and e.item.startswith("bwd:"):
             _, k, lname = e.item.split(":")
             bwd_end[(int(k), int(lname[1:]))] = e.end
@@ -465,7 +465,7 @@ def test_sweep_degenerate_single_slice_equals_coarse():
 
 def test_multi_iteration_delays():
     sc = replace(fig4(AGGRESSIVE_COARSE), num_iterations=3)
-    layer0 = {e.item: e for e in simulate(sc).entries if e.resource == COMPUTE and e.item.endswith(":L0")}
+    layer0 = {e.item: e for e in named(simulate(sc)) if e.resource == COMPUTE and e.item.endswith(":L0")}
     delays = [layer0[f"fwd:{k + 1}:L0"].start - layer0[f"bwd:{k}:L0"].end for k in range(3)]
     assert delays == [4, 4, 4]
     assert "fwd:4:L0" not in layer0
@@ -493,10 +493,10 @@ def test_entries_sorted_unique_and_order_free(sc, overhead, rnd):
     # summary() relies on them: sorted, unique entries, and non-empty link
     # entries that never overlap, so busy ticks need no span merging
     tl = simulate(replace(sc, per_slice_overhead=overhead))
-    assert all(type(e) is TimelineEntry for e in tl.entries)
+    assert all(type(e) is tuple and tuple(map(type, e)) == (int, int, str, str) for e in tl.entries)
     assert tl.entries == sorted(tl.entries)
     # each (resource, item) appears once: a slice enters each link once
-    keys = [(e.resource, e.item) for e in tl.entries]
+    keys = [(e.resource, e.item) for e in named(tl)]
     assert len(set(keys)) == len(keys)
     for link in (UPLINK, DOWNLINK):
         spans = link_spans(tl, link)
@@ -517,8 +517,8 @@ def test_each_iterations_link_work_ends_before_the_next_ones_starts(sc, overhead
     # relies on this: every link entry of iteration k ends at or before the
     # start of every link entry of iteration k + 1
     tl = simulate(replace(sc, per_slice_overhead=overhead, num_iterations=iterations))
-    spans: dict[int, list[TimelineEntry]] = {}
-    for e in tl.entries:
+    spans: dict[int, list[Entry]] = {}
+    for e in named(tl):
         if e.resource in (UPLINK, DOWNLINK):
             spans.setdefault(int(e.item.split(":")[1]), []).append(e)
     for k in range(iterations - 1):
@@ -533,8 +533,8 @@ def test_summary_agrees_with_the_per_resource_readers(sc, overhead):
     # entries on its own gives: busy ticks counted one by one per link
     tl = simulate(replace(sc, per_slice_overhead=overhead))
     out = tl.summary()
-    assert out["makespan"] == max((e.end for e in tl.entries), default=0)
-    layer0 = {e.item: e for e in tl.entries if e.resource == COMPUTE and e.item.endswith(":L0")}
+    assert out["makespan"] == max((e.end for e in named(tl)), default=0)
+    layer0 = {e.item: e for e in named(tl) if e.resource == COMPUTE and e.item.endswith(":L0")}
     k = sc.num_iterations - 1
     assert out["inter_iteration_delay"] == layer0[f"fwd:{k + 1}:L0"].start - layer0[f"bwd:{k}:L0"].end
     for link in (UPLINK, DOWNLINK):
@@ -678,7 +678,7 @@ def test_scenario_from_plan_toy3_p3_golden():
     # ticks and 2 * 512 down ticks (2 workers). The downlink takes L2 s0 at 1512,
     # then always the most urgent slice that is ready.
     tl = toy3_timeline(P3_MODE)
-    assert [(e.item, e.start, e.end) for e in tl.entries if e.resource == DOWNLINK] == [
+    assert [(e.item, e.start, e.end) for e in named(tl) if e.resource == DOWNLINK] == [
         ("down:0:L2:s0", 1512, 2536),
         ("down:0:L1:s0", 2536, 3560),
         ("down:0:L0:s0", 3560, 4584),
@@ -686,7 +686,7 @@ def test_scenario_from_plan_toy3_p3_golden():
         ("down:0:L1:s1", 5608, 6632),
         ("down:0:L2:s1", 6632, 7656),
     ]
-    fwd = {e.item: e.start for e in tl.entries if e.resource == COMPUTE}
+    fwd = {e.item: e.start for e in named(tl) if e.resource == COMPUTE}
     assert fwd["fwd:1:L0"] == 5608
     assert tl.summary()["inter_iteration_delay"] == 5608 - 3000
 
@@ -694,7 +694,7 @@ def test_scenario_from_plan_toy3_p3_golden():
 def test_scenario_from_plan_toy3_baseline_golden():
     # whole layers: up 1024 ticks each from 1000, down 2048 each behind them
     tl = toy3_timeline(BASELINE_MODE)
-    assert [(e.item, e.start, e.end) for e in tl.entries if e.resource == DOWNLINK] == [
+    assert [(e.item, e.start, e.end) for e in named(tl) if e.resource == DOWNLINK] == [
         ("down:0:L2:s0", 2024, 4072),
         ("down:0:L1:s0", 4072, 6120),
         ("down:0:L0:s0", 6120, 8168),
@@ -746,7 +746,7 @@ def layer0_period_ms(name, mode, link_bps, num_workers, iterations=6):
     """Mean period between the starts of fwd:k:L0, k >= 1, in milliseconds."""
     profile = builtin_profile(name)
     tl = simulate(scenario_from_plan(profile, make_plan(mode, profile, 1), link_bps, num_workers, iterations))
-    starts = {e.item: e.start for e in tl.entries if e.resource == COMPUTE}
+    starts = {e.item: e.start for e in named(tl) if e.resource == COMPUTE}
     first, last = starts["fwd:1:L0"], starts[f"fwd:{iterations}:L0"]
     return (last - first) / (iterations - 1) * 32 / link_bps * 1e3
 
