@@ -251,9 +251,11 @@ def run_bench(cfg: RunConfig) -> dict:
     num_servers = cfg.resolved_servers()
     plan = make_plan(cfg.mode, profile, num_servers, cfg.max_slice, cfg.big_threshold, cfg.seed)
     validate_plan(plan, profile)  # a plan no child could run stops here, before anything is written
-    if num_servers > len(plan.slices):
+    idle = sorted(set(range(num_servers)) - {s.server for s in plan.slices})
+    if idle:
         raise ValueError(
-            f"num_servers {num_servers} exceeds the plan's {len(plan.slices)} slices; a server would own none"
+            f"{len(idle)} of the plan's {num_servers} servers would own no slice, server {idle[0]} first; "
+            "use fewer servers or another --seed"
         )
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -14,6 +14,10 @@ slices go in offset order. Every priority queue of the runtime and the
 simulator orders by that key. ``SliceKey`` is defined in ``proto`` and
 re-exported here: a frame carries its slice's key as the plan names it.
 
+A plan's slices are in strictly increasing key order. ``make_plan`` builds
+them so and ``plan_from_csv`` refuses any other order, a repeated key
+included; every reader walks the rows as they stand and sorts nothing.
+
 ``chunk_layer`` is the one slicing rule of the package: the simulator cuts a
 layer's uplink cost with it too, so a scenario slices as a plan does.
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 import io
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -56,18 +61,15 @@ class Slice:
 
 @dataclass(frozen=True)
 class SlicePlan:
+    """A mode, a server count and the slices, in strictly increasing key order."""
+
     mode: str
     slices: tuple[Slice, ...]
     num_servers: int
 
-    def slices_of_layer(self, layer_index: int) -> list[Slice]:
-        found = sorted(
-            (s for s in self.slices if s.key.layer_index == layer_index),
-            key=lambda s: s.key.slice_index,
-        )
-        if not found:
-            raise PlanError(f"no layer {layer_index} in plan")
-        return found
+    def by_layer(self) -> dict[int, list[Slice]]:
+        """Each layer's slices in slice order, the layers in index order."""
+        return {layer: list(group) for layer, group in groupby(self.slices, lambda s: s.key.layer_index)}
 
 
 def chunk_layer(param_count: int, chunk: int) -> list[tuple[int, int]]:
@@ -117,14 +119,13 @@ def make_plan(
 
 def validate_plan(plan: SlicePlan, profile: ModelProfile) -> None:
     """Check full, non-overlapping coverage of every layer, no others, in slices a frame can carry."""
-    by_layer: dict[int, list[Slice]] = {}
-    for s in plan.slices:
-        by_layer.setdefault(s.key.layer_index, []).append(s)
-    unknown = sorted(set(by_layer) - {layer.index for layer in profile.layers})
+    by_layer = plan.by_layer()
+    known = {layer.index for layer in profile.layers}
+    unknown = [l for l in by_layer if l not in known]
     if unknown:
         raise PlanError(f"slices for layers {unknown} that profile {profile.name} does not have")
     for layer in profile.layers:
-        slices = sorted(by_layer.get(layer.index, []), key=lambda s: s.key.slice_index)
+        slices = by_layer.get(layer.index)
         if not slices:
             raise PlanError(f"layer {layer.index} not covered")
         cursor = 0
@@ -152,10 +153,11 @@ PLAN_CSV_HEADER = "layer,slice,offset,len,server"
 
 def slice_digests_csv(slices: Iterable[tuple[Slice, np.ndarray]]) -> str:
     """The one result format of workers and servers: a row per (slice, its float32
-    values), in key order, with the slice's place in its layer and digest64 of its values."""
+    values), in the order given, which is key order as in a plan, with the slice's
+    place in its layer and digest64 of its values."""
     rows = [
         f"{s.key.layer_index},{s.key.slice_index},{s.offset},{s.length},{digest64(pack_f32(v)):016x}\n"
-        for s, v in sorted(slices, key=lambda pair: pair[0].key)
+        for s, v in slices
     ]
     return "layer,slice,offset,len,digest\n" + "".join(rows)
 
@@ -164,7 +166,7 @@ def plan_to_csv(plan: SlicePlan) -> str:
     buf = io.StringIO()
     buf.write(_META_PREFIX + " ".join(f"{k}={getattr(plan, k)}" for k in _META_KEYS) + "\n")
     buf.write(PLAN_CSV_HEADER + "\n")
-    for s in sorted(plan.slices, key=lambda s: s.key):
+    for s in plan.slices:
         buf.write(f"{s.key.layer_index},{s.key.slice_index},{s.offset},{s.length},{s.server}\n")
     return buf.getvalue()
 
@@ -175,7 +177,7 @@ def plan_fingerprint(plan: SlicePlan) -> int:
 
 
 def plan_from_csv(text: str) -> SlicePlan:
-    """Parse ``plan_to_csv`` output; a missing or malformed part raises PlanError."""
+    """Parse ``plan_to_csv`` output; a bad or missing part, or a row out of key order, is a PlanError."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(_META_PREFIX):
         raise PlanError("missing plan metadata line")
@@ -191,17 +193,17 @@ def plan_from_csv(text: str) -> SlicePlan:
         raise PlanError(f"bad plan metadata: {lines[0]!r}") from None
     if len(lines) < 2 or lines[1] != PLAN_CSV_HEADER:
         raise PlanError(f"plan header line must be {PLAN_CSV_HEADER!r}")
-    slices: dict[SliceKey, Slice] = {}
+    slices: list[Slice] = []
     for ln in lines[2:]:
         try:
             layer, sl, offset, length, server = (int(x) for x in ln.split(","))
         except ValueError:
             raise PlanError(f"bad plan row {ln!r}: want {PLAN_CSV_HEADER}") from None
         key = SliceKey(layer, sl)
-        if key in slices:  # frames name a slice by its key alone
-            raise PlanError(f"plan row {ln!r} repeats slice key {key}")
-        slices[key] = Slice(key, offset, length, server)
-    return SlicePlan(meta["mode"], tuple(slices.values()), num_servers)
+        if slices and key <= slices[-1].key:  # frames name a slice by its key alone
+            raise PlanError(f"plan row {ln!r} repeats slice key {slices[-1].key} or comes before it")
+        slices.append(Slice(key, offset, length, server))
+    return SlicePlan(meta["mode"], tuple(slices), num_servers)
 
 
 def load_plan(path: str | Path) -> SlicePlan:

@@ -96,11 +96,11 @@ class ShardState:
             raise ProtocolError(
                 f"key {self.sl.key}: aggregate with {len(self.pending)}/{self.num_workers} pushes"
             )
-        first, *rest = sorted(self.pending)
-        acc = self.pending[first]
+        # on_push admitted each of the ranks 0..n-1 once
+        acc = self.pending[0]
         # 0 + g, as a zeroed accumulator would start: -0.0 becomes +0.0
         acc += np.float32(0)
-        for rank in rest:
+        for rank in range(1, self.num_workers):
             acc += self.pending[rank]
         # params -= lr * (acc / n), in place: the same float32 operations and roundings
         acc /= np.float32(self.num_workers)

@@ -104,12 +104,8 @@ class Scenario:
             if min(st.up, st.update, st.down) < 0:
                 raise ScenarioError(f"layer {layer.index}: negative stage cost")
 
-    def slice_costs(self, layer_index: int) -> list[StageCost]:
-        """The layer's per-slice costs, in slice order; they sum to its stage cost."""
-        return [StageCost(*cost) for cost in self._slice_costs(layer_index)]
-
-    def _slice_costs(self, layer_index: int) -> list[tuple[int, int, int]]:
-        """``slice_costs`` as plain ``(up, update, down)`` tuples, as ``simulate`` reads them."""
+    def slice_costs(self, layer_index: int) -> list[tuple[int, int, int]]:
+        """The layer's per-slice ``(up, update, down)`` costs, in slice order; they sum to its stage cost."""
         st = self.stages[layer_index]
         if self.policy == AGGRESSIVE_COARSE or st.up == 0:
             return [(st.up, st.update, st.down)]
@@ -192,9 +188,9 @@ def scenario_from_plan(
         num_iterations=num_iterations,
         name=f"{profile.name}-{plan.mode}",
     )
-    for l in range(profile.num_layers):
-        rows = [s.length for s in plan.slices_of_layer(l)]
-        cut = [c.up for c in sc.slice_costs(l)]
+    for l, slices in plan.by_layer().items():
+        rows = [s.length for s in slices]
+        cut = [up for up, _, _ in sc.slice_costs(l)]
         if rows != cut:
             raise ScenarioError(f"layer {l}: the plan's slices {rows} are not the {sc.policy} cut {cut}")
     sc.validate()
@@ -294,7 +290,7 @@ def simulate(scenario: Scenario) -> Timeline:
     L = scenario.profile.num_layers
     fwd_time = [l.fwd_time for l in scenario.profile.layers]
     bwd_time = [l.bwd_time for l in scenario.profile.layers]
-    costs = [scenario._slice_costs(i) for i in range(L)]
+    costs = [scenario.slice_costs(i) for i in range(L)]
     # slices are numbered in (layer, slice) order, which is their priority order
     first = [0]
     for cs in costs:

@@ -80,9 +80,7 @@ class TrainingWorker:
         self.flags = [0] * self.num_layers
         self._flag_cond = threading.Condition()
         self.slice_info = {s.key: s for s in plan.slices}
-        self.slices_by_layer = {
-            l.index: plan.slices_of_layer(l.index) for l in profile.layers
-        }
+        self.slices_by_layer = plan.by_layer()
         self._recv_seen: dict[int, set[SliceKey]] = {l: set() for l in range(self.num_layers)}
         # when the last layer of the latest iteration finished syncing
         self.last_sync_end: float | None = None

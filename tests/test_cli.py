@@ -352,13 +352,18 @@ def test_bench_rejects_slice_larger_than_a_frame_before_spawning(tmp_path, capsy
     assert spawned == [] and not outdir.exists()
 
 
-def test_bench_refuses_more_workers_than_a_header_names(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def no_popen(monkeypatch):
+    """Fail the test if run_bench starts a process."""
     import p3sync.cli as cli
 
     def popen(*args, **kwargs):
         raise AssertionError("bench started a process")
 
     monkeypatch.setattr(cli.subprocess, "Popen", popen)
+
+
+def test_bench_refuses_more_workers_than_a_header_names(tmp_path, capsys, no_popen):
     outdir = tmp_path / "run"
     code, _, err = run_cli(["bench", "--num-workers", "65537", "--output-dir", str(outdir)], capsys)
     assert code == EXIT_USAGE
@@ -366,13 +371,7 @@ def test_bench_refuses_more_workers_than_a_header_names(tmp_path, capsys, monkey
     assert not outdir.exists()
 
 
-def test_bench_refuses_more_children_than_it_starts(tmp_path, capsys, monkeypatch):
-    import p3sync.cli as cli
-
-    def popen(*args, **kwargs):
-        raise AssertionError("bench started a process")
-
-    monkeypatch.setattr(cli.subprocess, "Popen", popen)
+def test_bench_refuses_more_children_than_it_starts(tmp_path, capsys, no_popen):
     outdir = tmp_path / "run"
     argv = ["bench", "--num-workers", "2", "--num-servers", "1000000", "--output-dir", str(outdir)]
     code, _, err = run_cli(argv, capsys)
@@ -381,19 +380,24 @@ def test_bench_refuses_more_children_than_it_starts(tmp_path, capsys, monkeypatc
     assert not outdir.exists()
 
 
-def test_bench_refuses_more_servers_than_slices(tmp_path, capsys, monkeypatch):
-    import p3sync.cli as cli
-
-    def popen(*args, **kwargs):
-        raise AssertionError("bench started a process")
-
-    monkeypatch.setattr(cli.subprocess, "Popen", popen)
+def test_bench_refuses_more_servers_than_slices(tmp_path, capsys, no_popen):
     outdir = tmp_path / "run"
-    # toy3's p3 plan has 3 slices; 1,022 servers would leave 1,019 of them idle
+    # toy3's p3 plan has 3 slices, on servers 0-2; 1,022 servers would leave 1,019 of them idle
     argv = ["bench", "--profile", "toy3", "--num-workers", "2", "--num-servers", "1022", "--output-dir", str(outdir)]
     code, _, err = run_cli(argv, capsys)
     assert code == EXIT_USAGE
-    assert "num_servers 1022 exceeds the plan's 3 slices" in err
+    assert "1019 of the plan's 1022 servers would own no slice, server 3 first" in err
+    assert "fewer servers or another --seed" in err
+    assert not outdir.exists()
+
+
+def test_bench_refuses_a_baseline_plan_with_an_idle_server(tmp_path, capsys, no_popen):
+    outdir = tmp_path / "run"
+    # at seed 0 baseline puts toy3's 3 whole layers on servers 1, 0 and 1: server 2 owns none
+    argv = ["bench", "--mode", "baseline", "--profile", "toy3", "--num-servers", "3", "--output-dir", str(outdir)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE
+    assert "1 of the plan's 3 servers would own no slice, server 2 first" in err
     assert not outdir.exists()
 
 
@@ -728,14 +732,24 @@ def test_server_rejects_malformed_plan(tmp_path):
     assert "plan metadata lacks num_servers" in proc.stderr
 
 
-@pytest.mark.parametrize("role", ["worker", "server"])
-def test_plan_with_a_repeated_slice_key_is_refused(tmp_path, role):
-    # toy3's p3 plan with layer 0 cut in two halves under one key
+# toy3's p3 plan with layer 0 cut in two halves under one key, and with its
+# first two rows swapped: either way a row's key is not above the one before
+REPEATED_KEY = ("0,0,0,1024,0\n", "0,0,0,512,0\n0,0,512,512,0\n")
+SWAPPED_ROWS = ("0,0,0,1024,0\n1,0,0,1024,0\n", "1,0,0,1024,0\n0,0,0,1024,0\n")
+
+
+@pytest.mark.parametrize(
+    "role, edit",
+    [("worker", REPEATED_KEY), ("server", REPEATED_KEY), ("worker", SWAPPED_ROWS), ("server", SWAPPED_ROWS)],
+    ids=["worker", "server", "worker-swapped-rows", "server-swapped-rows"],
+)
+def test_plan_with_a_repeated_slice_key_is_refused(tmp_path, role, edit):
     from p3sync.plan import plan_to_csv
 
     text = plan_to_csv(make_plan("p3", builtin_profile("toy3"), 1))
+    assert edit[0] in text
     plan_path = tmp_path / "plan.csv"
-    plan_path.write_text(text.replace("0,0,0,1024,0\n", "0,0,0,512,0\n0,0,512,512,0\n"))
+    plan_path.write_text(text.replace(*edit))
     args = {
         "worker": ["--servers", "127.0.0.1:1", "--profile", "toy3", "--iterations", "1"],
         "server": ["--num-workers", "1"],

@@ -102,20 +102,20 @@ def test_baseline_split_remainder_to_last():
 def test_baseline_threshold_boundary():
     # exactly at the threshold counts as big
     plan = make_plan("baseline", profile_of([1_000_000, 5]), num_servers=2)
-    assert len(plan.slices_of_layer(0)) == 2
-    assert len(plan.slices_of_layer(1)) == 1
+    assert [len(slices) for slices in plan.by_layer().values()] == [2, 1]
 
 
-# -- slices_of_layer ---------------------------------------------------------
+# -- by_layer ----------------------------------------------------------------
 
 
-def test_slices_of_layer_sorted_and_covering():
+def test_by_layer_sorted_and_covering():
     plan = make_plan("p3", profile_of([120_000, 7]), num_servers=3, max_slice=50_000)
-    slices = plan.slices_of_layer(0)
-    assert [s.key.slice_index for s in slices] == [0, 1, 2]
-    assert sum(s.length for s in slices) == 120_000
-    with pytest.raises(PlanError):
-        plan.slices_of_layer(9)
+    by_layer = plan.by_layer()
+    assert list(by_layer) == [0, 1]
+    assert [s.key.slice_index for s in by_layer[0]] == [0, 1, 2]
+    assert sum(s.length for s in by_layer[0]) == 120_000
+    assert [s.length for s in by_layer[1]] == [7]
+    assert [s for slices in by_layer.values() for s in slices] == list(plan.slices)
 
 
 # -- priority order ----------------------------------------------------------
@@ -188,7 +188,7 @@ def test_builtin_coverage(name, mode):
         plan = make_plan("baseline", prof, 4, seed=3)
     validate_plan(plan, prof)
     for layer in prof.layers:
-        assert sum(s.length for s in plan.slices_of_layer(layer.index)) == layer.param_count
+        assert sum(s.length for s in plan.by_layer()[layer.index]) == layer.param_count
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -307,6 +307,17 @@ def test_plan_csv_rejects_a_repeated_slice_key():
     text = f"{META}\n{HEADER}\n0,0,0,512,0\n0,0,512,512,0\n1,0,0,1024,0\n"
     with pytest.raises(PlanError, match=r"'0,0,512,512,0' repeats .*\(layer_index=0, slice_index=0\)"):
         plan_from_csv(text)
+
+
+def test_plan_csv_rejects_rows_out_of_key_order():
+    # toy3's plan with its first two rows swapped: every layer is still covered,
+    # but a plan's rows are its slices in key order, and readers trust that
+    rows = plan_to_csv(make_plan("p3", builtin_profile("toy3"), 1)).splitlines(keepends=True)
+    rows[2], rows[3] = rows[3], rows[2]
+    with pytest.raises(
+        PlanError, match=r"'0,0,0,1024,0' repeats slice key .*\(layer_index=1, slice_index=0\) or comes before it"
+    ):
+        plan_from_csv("".join(rows))
 
 
 # -- golden plan rows -----------------------------------------------------------

@@ -426,7 +426,7 @@ def test_worker_refuses_a_frame_it_cannot_apply(frames, message, path):
     profile = small_profile()
     plan = make_plan(P3_MODE, profile, 1, 1000, 2000, 0)
     worker = TrainingWorker(WorkerConfig(rank=0, servers=[("127.0.0.1", 1)], iterations=1), profile, plan)
-    *first, last = frames(plan.slices_of_layer(1)[0])
+    *first, last = frames(plan.by_layer()[1][0])
     if path == "apply":
         for frame in first:
             worker._apply(frame)
@@ -458,7 +458,7 @@ def test_a_bcast_is_received_straight_into_params():
     profile = small_profile()
     plan = make_plan(P3_MODE, profile, 1, 1000, 2000, 0)
     worker = TrainingWorker(WorkerConfig(rank=0, servers=[("127.0.0.1", 1)], iterations=1), profile, plan)
-    sl = plan.slices_of_layer(1)[1]
+    sl = plan.by_layer()[1][1]
     values = np.arange(sl.length, dtype=np.float32) + 0.5
     raw, conn = raw_connection()
     try:

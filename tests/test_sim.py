@@ -236,14 +236,14 @@ def one_layer(stage, slice_ticks, policy=AGGRESSIVE_SLICED):
 def test_remainder_slice_is_last():
     # 3 uplink ticks in slices of 2: a full slice, then the 1-tick remainder
     sc = one_layer(StageCost(3, 0, 0), slice_ticks=2)
-    assert sc.slice_costs(0) == [StageCost(2, 0, 0), StageCost(1, 0, 0)]
+    assert sc.slice_costs(0) == [(2, 0, 0), (1, 0, 0)]
     assert as_tuples(simulate(sc)) == [
         (COMPUTE, "bwd:0:L0", 0, 0),
         (UPLINK, "up:0:L0:s0", 0, 2),
         (UPLINK, "up:0:L0:s1", 2, 3),
         (COMPUTE, "fwd:1:L0", 3, 3),
     ]
-    assert one_layer(StageCost(3, 0, 0), 2, AGGRESSIVE_COARSE).slice_costs(0) == [StageCost(3, 0, 0)]
+    assert one_layer(StageCost(3, 0, 0), 2, AGGRESSIVE_COARSE).slice_costs(0) == [(3, 0, 0)]
 
 
 def test_fifo_orders_same_tick_arrivals_by_step_before_layer():
@@ -270,7 +270,7 @@ def test_fifo_orders_same_tick_arrivals_by_step_before_layer():
 def test_uneven_costs_split_cumulatively():
     # slice s covers uplink ticks [s, s + 1) of 4, so it gets 2 * (s + 1) // 4 - 2 * s // 4
     sc = one_layer(StageCost(4, 2, 0), slice_ticks=1)
-    assert [c.update for c in sc.slice_costs(0)] == [0, 1, 0, 1]
+    assert [update for _, update, _ in sc.slice_costs(0)] == [0, 1, 0, 1]
     upd = [(e.item, e.start, e.end) for e in named(simulate(sc)) if e.resource == UPDATE]
     assert upd == [("upd:0:L0:s1", 2, 3), ("upd:0:L0:s3", 4, 5)]
 
@@ -316,10 +316,10 @@ def random_scenarios(policies=(AGGRESSIVE_COARSE, AGGRESSIVE_SLICED, PRIORITY_SL
 def test_slices_follow_chunk_layer_and_sum_to_the_stage(sc):
     for layer, stage in enumerate(sc.stages):
         costs = sc.slice_costs(layer)
-        totals = [sum(getattr(c, f) for c in costs) for f in ("up", "update", "down")]
+        totals = [sum(column) for column in zip(*costs)]
         assert StageCost(*totals) == stage
         if sc.policy != AGGRESSIVE_COARSE and stage.up > 0:
-            assert [c.up for c in costs] == [n for _, n in chunk_layer(stage.up, sc.slice_ticks)]
+            assert [up for up, _, _ in costs] == [n for _, n in chunk_layer(stage.up, sc.slice_ticks)]
 
 
 @settings(max_examples=120, deadline=None)
@@ -660,11 +660,11 @@ def test_scenario_from_plan_slices_like_the_plan(name, mode):
     plan = make_plan(mode, profile, 1)
     sc = scenario_from_plan(profile, plan, 500e6, 2, 1)
     for layer in profile.layers:
-        costs = sc.slice_costs(layer.index)
-        lengths = [s.length for s in plan.slices_of_layer(layer.index)]
-        assert [c.up for c in costs] == lengths
-        assert [c.down for c in costs] == [2 * n for n in lengths]
-        assert all(c.update == 0 for c in costs)
+        ups, updates, downs = zip(*sc.slice_costs(layer.index))
+        lengths = [s.length for s in plan.by_layer()[layer.index]]
+        assert list(ups) == lengths
+        assert list(downs) == [2 * n for n in lengths]
+        assert all(update == 0 for update in updates)
 
 
 def toy3_timeline(mode):
