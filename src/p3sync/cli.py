@@ -132,7 +132,6 @@ def cmd_plan(args) -> int:
     plan = make_plan(
         args.mode, profile, args.num_servers, args.max_slice, args.big_threshold, args.seed
     )
-    validate_plan(plan, profile)
     sys.stdout.write(plan_to_csv(plan))
     return EXIT_OK
 
@@ -249,8 +248,8 @@ def run_bench(cfg: RunConfig) -> dict:
     cfg.validate()
     profile = resolve_profile(cfg.profile)
     num_servers = cfg.resolved_servers()
+    # a plan no child could run stops here, before anything is written
     plan = make_plan(cfg.mode, profile, num_servers, cfg.max_slice, cfg.big_threshold, cfg.seed)
-    validate_plan(plan, profile)  # a plan no child could run stops here, before anything is written
     idle = sorted(set(range(num_servers)) - {s.server for s in plan.slices})
     if idle:
         raise ValueError(

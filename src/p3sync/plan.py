@@ -14,9 +14,10 @@ slices go in offset order. Every priority queue of the runtime and the
 simulator orders by that key. ``SliceKey`` is defined in ``proto`` and
 re-exported here: a frame carries its slice's key as the plan names it.
 
-A plan's slices are in strictly increasing key order. ``make_plan`` builds
-them so and ``plan_from_csv`` refuses any other order, a repeated key
-included; every reader walks the rows as they stand and sorts nothing.
+Whoever builds a ``SlicePlan``, it refuses rows out of strictly increasing key
+order, rows that do not number and tile a layer from slice 0 and offset 0, and
+slices over one frame or off the plan's servers. So every reader, a server too,
+trusts the rows as they stand, and ``validate_plan`` checks only what needs a profile.
 
 ``chunk_layer`` is the one slicing rule of the package: the simulator cuts a
 layer's uplink cost with it too, so a scenario slices as a plan does.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import io
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, zip_longest
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -67,6 +68,29 @@ class SlicePlan:
     slices: tuple[Slice, ...]
     num_servers: int
 
+    def __post_init__(self) -> None:
+        if self.mode not in MODES or self.num_servers < 1:
+            raise PlanError(f"need a mode of {MODES} and num_servers >= 1, not {self.mode!r} and {self.num_servers}")
+        for prev, s in zip((None,) + self.slices, self.slices):
+            layer = s.key.layer_index
+            if prev and s.key <= prev.key:  # frames name a slice by its key alone
+                raise PlanError(f"slice {s.key} repeats slice key {prev.key} or comes before it")
+            same = prev and prev.key.layer_index == layer
+            if s.key.slice_index != (prev.key.slice_index + 1 if same else 0):  # so it fits a header's 32-bit field
+                raise PlanError(f"layer {layer}: slice {s.key} breaks its layer's count of slices from 0")
+            cursor = prev.offset + prev.length if same else 0
+            if s.offset != cursor:
+                raise PlanError(f"layer {layer}: gap/overlap at offset {cursor}")
+            if s.length < 1:
+                raise PlanError(f"layer {layer}: empty slice {s.key}")
+            if s.length > MAX_FRAME_PARAMS:
+                raise PlanError(
+                    f"layer {layer}: slice {s.key} holds {s.length} params, "
+                    f"more than the {MAX_FRAME_PARAMS} one frame carries"
+                )
+            if not 0 <= s.server < self.num_servers:
+                raise PlanError(f"layer {layer}: bad server {s.server}")
+
     def by_layer(self) -> dict[int, list[Slice]]:
         """Each layer's slices in slice order, the layers in index order."""
         return {layer: list(group) for layer, group in groupby(self.slices, lambda s: s.key.layer_index)}
@@ -93,11 +117,12 @@ def make_plan(
     seed: int = 0,
 ) -> SlicePlan:
     """The plan of ``mode``; p3 reads only ``max_slice``, baseline the other two."""
-    if mode not in MODES or num_servers < 1 or (mode == P3_MODE and max_slice < 1):
-        raise PlanError(
-            f"no {mode!r} plan with num_servers={num_servers}, max_slice={max_slice}: "
-            f"need a mode of {MODES}, num_servers >= 1 and, for p3, max_slice >= 1"
-        )
+    SlicePlan(mode, (), num_servers)  # the plan's own check of its mode and server count, before any cut
+    if mode == P3_MODE and max_slice < 1:
+        raise PlanError(f"no p3 plan with max_slice={max_slice}: need max_slice >= 1")
+    for layer in profile.layers:  # before the loop below cuts num_servers parts of a big layer
+        if mode == BASELINE_MODE and big_threshold <= layer.param_count < num_servers:
+            raise PlanError(f"layer {layer.index}: {layer.param_count} params cannot split over {num_servers} servers")
     slices: list[Slice] = []
     for layer in profile.layers:
         n = layer.param_count
@@ -118,32 +143,18 @@ def make_plan(
 
 
 def validate_plan(plan: SlicePlan, profile: ModelProfile) -> None:
-    """Check full, non-overlapping coverage of every layer, no others, in slices a frame can carry."""
-    by_layer = plan.by_layer()
+    """Check that the plan's rows cover every layer of ``profile`` and no other; the plan checked the rest."""
+    ends = {s.key.layer_index: s.offset + s.length for s in plan.slices}  # the rows tile each layer up to here
     known = {layer.index for layer in profile.layers}
-    unknown = [l for l in by_layer if l not in known]
+    unknown = [l for l in ends if l not in known]
     if unknown:
         raise PlanError(f"slices for layers {unknown} that profile {profile.name} does not have")
     for layer in profile.layers:
-        slices = by_layer.get(layer.index)
-        if not slices:
+        end = ends.get(layer.index)
+        if end is None:
             raise PlanError(f"layer {layer.index} not covered")
-        cursor = 0
-        for s in slices:
-            if s.offset != cursor:
-                raise PlanError(f"layer {layer.index}: gap/overlap at offset {cursor}")
-            if s.length < 1:
-                raise PlanError(f"layer {layer.index}: empty slice {s.key}")
-            if s.length > MAX_FRAME_PARAMS:
-                raise PlanError(
-                    f"layer {layer.index}: slice {s.key} holds {s.length} params, "
-                    f"more than the {MAX_FRAME_PARAMS} one frame carries"
-                )
-            if not (0 <= s.server < plan.num_servers):
-                raise PlanError(f"layer {layer.index}: bad server {s.server}")
-            cursor += s.length
-        if cursor != layer.param_count:
-            raise PlanError(f"layer {layer.index}: covers {cursor} of {layer.param_count}")
+        if end != layer.param_count:
+            raise PlanError(f"layer {layer.index}: covers {end} of {layer.param_count}")
 
 
 _META_PREFIX = "# p3sync-plan "
@@ -177,33 +188,30 @@ def plan_fingerprint(plan: SlicePlan) -> int:
 
 
 def plan_from_csv(text: str) -> SlicePlan:
-    """Parse ``plan_to_csv`` output; a bad or missing part, or a row out of key order, is a PlanError."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """The plan whose ``plan_to_csv`` is ``text``, byte for byte; any other text is a PlanError."""
+    lines = text.splitlines(keepends=True)
     if not lines or not lines[0].startswith(_META_PREFIX):
         raise PlanError("missing plan metadata line")
     meta = dict(kv.partition("=")[::2] for kv in lines[0][len(_META_PREFIX):].split())
     missing = [k for k in _META_KEYS if k not in meta]
     if missing:
         raise PlanError(f"plan metadata lacks {', '.join(missing)}")
-    if meta["mode"] not in MODES:
-        raise PlanError(f"plan mode {meta['mode']!r} is not one of {MODES}")
     try:
         num_servers = int(meta["num_servers"])
     except ValueError:
         raise PlanError(f"bad plan metadata: {lines[0]!r}") from None
-    if len(lines) < 2 or lines[1] != PLAN_CSV_HEADER:
-        raise PlanError(f"plan header line must be {PLAN_CSV_HEADER!r}")
     slices: list[Slice] = []
     for ln in lines[2:]:
         try:
             layer, sl, offset, length, server = (int(x) for x in ln.split(","))
         except ValueError:
             raise PlanError(f"bad plan row {ln!r}: want {PLAN_CSV_HEADER}") from None
-        key = SliceKey(layer, sl)
-        if slices and key <= slices[-1].key:  # frames name a slice by its key alone
-            raise PlanError(f"plan row {ln!r} repeats slice key {slices[-1].key} or comes before it")
-        slices.append(Slice(key, offset, length, server))
-    return SlicePlan(meta["mode"], tuple(slices), num_servers)
+        slices.append(Slice(SliceKey(layer, sl), offset, length, server))
+    plan = SlicePlan(meta["mode"], tuple(slices), num_servers)
+    for n, (got, want) in enumerate(zip_longest(lines, plan_to_csv(plan).splitlines(keepends=True), fillvalue=""), 1):
+        if got != want:  # a missing header, another key, a blank line, "1_024" or " 7"
+            raise PlanError(f"plan line {n} is {got!r}, where plan_to_csv writes {want!r}")
+    return plan
 
 
 def load_plan(path: str | Path) -> SlicePlan:

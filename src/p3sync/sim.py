@@ -197,16 +197,6 @@ def scenario_from_plan(
     return sc
 
 
-def _delays(layer0: dict[str, tuple[int, int]]) -> list[int]:
-    """fwd:k+1:L0 start - bwd:k:L0 end for k = 0, 1, ... while both exist."""
-    delays = []
-    k = 0
-    while f"bwd:{k}:L0" in layer0 and f"fwd:{k + 1}:L0" in layer0:
-        delays.append(layer0[f"fwd:{k + 1}:L0"][0] - layer0[f"bwd:{k}:L0"][1])
-        k += 1
-    return delays
-
-
 @dataclass
 class Timeline:
     """The entries of a run, as ``simulate`` returns them.
@@ -216,7 +206,10 @@ class Timeline:
     ``(resource, item)`` appears once, and every uplink and downlink entry is
     non-empty, with no two on a link overlapping: a link is dispatched only
     when it is not busy, and a zero-cost slice never queues on it. The readers
-    below assume all three.
+    below assume all three. ``summary`` also relies on a run ending with
+    forward N after backward N-1, and on a layer's forwards lasting alike, as
+    its backwards do: entries that tie on start tie on end, so the last layer-0
+    ones in entry order have the times of forward N and backward N-1.
     """
 
     entries: list[tuple[int, int, str, str]] = field(default_factory=list)
@@ -230,7 +223,7 @@ class Timeline:
         makespan = 0
         busy = {UPLINK: 0, DOWNLINK: 0}
         first: dict[str, int] = {}
-        layer0: dict[str, tuple[int, int]] = {}
+        last0: dict[str, tuple[int, int]] = {}  # "fwd" and "bwd": the last layer-0 entry of each
         for s, end, r, item in self.entries:
             if end > makespan:
                 makespan = end
@@ -238,11 +231,10 @@ class Timeline:
                 busy[r] += end - s
                 first.setdefault(r, s)
             elif r == COMPUTE and item.endswith(":L0"):
-                layer0[item] = (s, end)
+                last0[item[:3]] = (s, end)
         out = {"makespan": makespan}
-        delays = _delays(layer0)
-        if delays:
-            out["inter_iteration_delay"] = delays[-1]
+        if len(last0) == 2:
+            out["inter_iteration_delay"] = last0["fwd"][0] - last0["bwd"][1]
         for link, ticks in busy.items():
             out[f"{link}_utilization"] = round(ticks / (makespan - first[link]), 6) if link in first else 0.0
         return out

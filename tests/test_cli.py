@@ -773,6 +773,46 @@ def test_plan_with_a_repeated_slice_key_is_refused(tmp_path, role, edit):
     assert "repeats slice key" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0,0,0,1000000000000,0\n", "holds 1000000000000 params, more than the 4194304 one frame carries"),
+        ("0,0,0,-5,0\n", "layer 0: empty slice SliceKey(layer_index=0, slice_index=0)"),
+        ("0,4294967296,0,1024,0\n", "slice_index=4294967296) breaks its layer's count of slices from 0"),
+    ],
+    ids=["larger-than-a-frame", "negative-length", "slice-index-beyond-a-header"],
+)
+def test_server_refuses_a_row_no_process_can_run(tmp_path, row, message):
+    # a server has no profile, but the plan it loads checks each row before any array is made
+    from p3sync.plan import plan_to_csv
+
+    text = plan_to_csv(make_plan("p3", builtin_profile("toy3"), 1))
+    plan_path = tmp_path / "plan.csv"
+    plan_path.write_text(text.replace("0,0,0,1024,0\n", row))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "p3sync", "server", "--rank", "0", "--plan", str(plan_path), "--num-workers", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert time.monotonic() - t0 < 5
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+def test_plan_refuses_a_baseline_split_over_more_servers_than_params(capsys):
+    # refused before any part is cut: a billion parts of toy3's layer 0 would not fit in memory
+    t0 = time.monotonic()
+    argv = ["plan", "--profile", "toy3", "--mode", "baseline", "--big-threshold", "1", "--num-servers", "1000000000"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE
+    assert time.monotonic() - t0 < 5
+    assert out == ""
+    assert "layer 0: 1024 params cannot split over 1000000000 servers" in err
+
+
 def test_worker_with_another_plan_fails_fast(tmp_path):
     # two toy3 plans that differ only in --max-slice: the server must refuse
     # the worker's HELLO at once, not stall until the deadlock timeout

@@ -193,11 +193,10 @@ def test_builtin_coverage(name, mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_validate_rejects_slice_larger_than_a_frame(mode):
-    # one 4.2M-param layer on one server: 16.8 MB, over the 16 MiB frame payload
-    prof = profile_of([4_200_000])
-    plan = make_plan(mode, prof, 1, max_slice=4_200_000)
+    # one 4.2M-param layer on one server: 16.8 MB, over the 16 MiB frame payload,
+    # so the plan refuses the slice as make_plan builds it
     with pytest.raises(PlanError, match=r"SliceKey\(layer_index=0, slice_index=0\).*4194304"):
-        validate_plan(plan, prof)
+        make_plan(mode, profile_of([4_200_000]), 1, max_slice=4_200_000)
     fits = profile_of([MAX_FRAME_PARAMS])
     validate_plan(make_plan(mode, fits, 1, max_slice=MAX_FRAME_PARAMS), fits)
 
@@ -210,13 +209,14 @@ def test_validate_rejects_slice_of_unknown_layer():
         validate_plan(extra, toy3)
 
 
-def edit_slices(plan, edit):
-    """``plan`` with each slice replaced by ``edit(slice)``, dropped where that is None."""
-    return replace(plan, slices=tuple(e for e in map(edit, plan.slices) if e is not None))
+def rows_csv(mode, num_servers, slices):
+    """The text ``plan_to_csv`` would write for ``slices``, which no SlicePlan need hold."""
+    rows = "".join(f"{s.key.layer_index},{s.key.slice_index},{s.offset},{s.length},{s.server}\n" for s in slices)
+    return f"# p3sync-plan mode={mode} num_servers={num_servers}\n{HEADER}\n{rows}"
 
 
-def edit_key(key, **changes):
-    return lambda s: replace(s, **changes) if s.key == key else s
+def edit_key(target, **changes):
+    return lambda s: replace(s, **changes) if s.key == target else s
 
 
 @pytest.mark.parametrize(
@@ -227,21 +227,29 @@ def edit_key(key, **changes):
         (edit_key(SliceKey(1, 1), offset=9), "layer 1: gap/overlap at offset 10"),
         (edit_key(SliceKey(1, 2), length=0), "layer 1: empty slice SliceKey(layer_index=1, slice_index=2)"),
         (edit_key(SliceKey(1, 1), server=1), "layer 1: bad server 1"),
+        (edit_key(SliceKey(1, 2), key=SliceKey(1, 3)), "layer 1: slice SliceKey(layer_index=1, slice_index=3) breaks"),
     ],
-    ids=["layer-without-slices", "gap", "overlap", "empty-slice", "server-outside-the-plan"],
+    ids=["layer-without-slices", "gap", "overlap", "empty-slice", "server-outside-the-plan", "slice-index-skipped"],
 )
 def test_validate_refuses_a_plan_that_does_not_tile_its_layers(tmp_path, capsys, edit, message):
     # layer 1's 25 params are slices (1,0), (1,1) and (1,2) at offsets 0, 10 and 20
     prof = profile_of([10, 25])
-    plan = edit_slices(make_plan("p3", prof, 1, max_slice=10), edit)
-    with pytest.raises(PlanError, match=re.escape(message)):
-        validate_plan(plan, prof)
+    plan = make_plan("p3", prof, 1, max_slice=10)
+    rows = tuple(e for e in map(edit, plan.slices) if e is not None)
     # a worker checks its plan before it connects to any server
-    save_plan(plan, tmp_path / "plan.csv")
+    roles = {"worker": ["--servers", "127.0.0.1:1", "--profile", str(tmp_path / "profile.json"), "--iterations", "1"]}
+    if message.endswith("not covered"):  # rows that tile what they hold: only a profile sees the gap
+        with pytest.raises(PlanError, match=re.escape(message)):
+            validate_plan(replace(plan, slices=rows), prof)
+    else:  # the plan refuses the rows as it is built, so a server, with no profile, refuses them too
+        with pytest.raises(PlanError, match=re.escape(message)):
+            replace(plan, slices=rows)
+        roles["server"] = ["--num-workers", "1"]
+    (tmp_path / "plan.csv").write_text(rows_csv("p3", 1, rows))
     save_profile(prof, tmp_path / "profile.json")
-    args = ["--profile", str(tmp_path / "profile.json"), "--plan", str(tmp_path / "plan.csv")]
-    assert main(["worker", "--rank", "0", "--servers", "127.0.0.1:1", "--iterations", "1", *args]) == 1
-    assert message in capsys.readouterr().err
+    for role, args in roles.items():
+        assert main([role, "--rank", "0", "--plan", str(tmp_path / "plan.csv"), *args]) == 1
+        assert message in capsys.readouterr().err
 
 
 # -- csv interchange ---------------------------------------------------------
@@ -266,9 +274,10 @@ HEADER = "layer,slice,offset,len,server"
 def test_plan_csv_metadata_is_mode_and_servers():
     plan = make_plan("p3", profile_of([10]), 1)
     assert plan_to_csv(plan) == f"{META}\n{HEADER}\n0,0,0,10,0\n"
-    # other keys, such as the build settings older files carry, are ignored
+    # any other key, such as a build setting, is refused: a plan file is what plan_to_csv writes
     old = f"{META} max_slice=50000 big_threshold=1000000 rng_seed=0\n{HEADER}\n0,0,0,10,0\n"
-    assert plan_from_csv(old) == plan
+    with pytest.raises(PlanError, match=f"plan line 1 is '{META} max_slice=50000 .*', where plan_to_csv writes"):
+        plan_from_csv(old)
 
 
 @pytest.mark.parametrize(
@@ -283,6 +292,16 @@ def test_plan_csv_metadata_is_mode_and_servers():
         f"{META}\nlayer,slice,offset,len,priority,server\n0,0,0,10,0,0\n",
         f"{META}\n{HEADER}\n0,0,0,10\n",
         f"{META}\n{HEADER}\n0,0,0,ten,0\n",
+        # each of these parses, but plan_to_csv would write it otherwise
+        f"{META} num_servers=2\n{HEADER}\n0,0,0,10,0\n",
+        f"{META.replace('num_servers=1', 'num_servers=1_0')}\n{HEADER}\n0,0,0,10,0\n",
+        f"{META} max_slice=7\n{HEADER}\n0,0,0,10,0\n",
+        f"{META}\n{HEADER}\n0,0,0,1_024,0\n",
+        f"{META}\n{HEADER}\n0,0,0, +1024,0\n",
+        f"{META}\n{HEADER}\n0,0,\u0660,1024,0\n",
+        f"{META}\n{HEADER}\n0,0,0,10,0\n\n1,0,0,10,0\n",
+        f"{META}\n{HEADER}\n0,0,0,10,0 \n",
+        f"{META}\n{HEADER}\n0,0,0,10,0",
     ],
     ids=[
         "empty",
@@ -294,6 +313,15 @@ def test_plan_csv_metadata_is_mode_and_servers():
         "priority-column",
         "short-row",
         "non-integer-row",
+        "repeated-metadata-key",
+        "underscore-in-metadata",
+        "unknown-metadata-key",
+        "underscore-in-row",
+        "space-and-sign-in-row",
+        "arabic-indic-digit-in-row",
+        "blank-line-between-rows",
+        "trailing-space",
+        "no-final-newline",
     ],
 )
 def test_plan_csv_rejects_malformed(text):
@@ -301,11 +329,36 @@ def test_plan_csv_rejects_malformed(text):
         plan_from_csv(text)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (
+            f"{HEADER}\n0,0,0,10,0\n1,0,0,1_024,0\n",
+            r"line 4 is '1,0,0,1_024,0\n', where plan_to_csv writes '1,0,0,1024,0\n'",
+        ),
+        (f"{HEADER}\n0,0,0,10,0", r"line 3 is '0,0,0,10,0', where plan_to_csv writes '0,0,0,10,0\n'"),
+        ("0,0,0,10,0\n", f"line 2 is '0,0,0,10,0\\n', where plan_to_csv writes '{HEADER}\\n'"),
+    ],
+    ids=["underscore", "no-final-newline", "no-header-line"],
+)
+def test_plan_csv_names_the_first_line_plan_to_csv_writes_otherwise(body, message):
+    with pytest.raises(PlanError, match=re.escape(f"plan {message}")):
+        plan_from_csv(f"{META}\n{body}")
+
+
+def test_baseline_refuses_a_big_layer_with_fewer_params_than_servers():
+    # 2,000 servers cannot each own a part of a 1,024-param layer
+    with pytest.raises(PlanError, match="layer 1: 1024 params cannot split over 2000 servers"):
+        make_plan("baseline", profile_of([5, 1024]), 2000, big_threshold=1000)
+    assert len(make_plan("baseline", profile_of([5, 1024]), 1024, big_threshold=1000).slices) == 1025
+
+
 def test_plan_csv_rejects_a_repeated_slice_key():
     # two rows under key (0, 0) cover layer 0 between them, so no coverage check
     # sees it; a frame names a slice by its key alone
     text = f"{META}\n{HEADER}\n0,0,0,512,0\n0,0,512,512,0\n1,0,0,1024,0\n"
-    with pytest.raises(PlanError, match=r"'0,0,512,512,0' repeats .*\(layer_index=0, slice_index=0\)"):
+    key = r"SliceKey\(layer_index=0, slice_index=0\)"
+    with pytest.raises(PlanError, match=f"slice {key} repeats slice key {key}"):
         plan_from_csv(text)
 
 
@@ -314,9 +367,8 @@ def test_plan_csv_rejects_rows_out_of_key_order():
     # but a plan's rows are its slices in key order, and readers trust that
     rows = plan_to_csv(make_plan("p3", builtin_profile("toy3"), 1)).splitlines(keepends=True)
     rows[2], rows[3] = rows[3], rows[2]
-    with pytest.raises(
-        PlanError, match=r"'0,0,0,1024,0' repeats slice key .*\(layer_index=1, slice_index=0\) or comes before it"
-    ):
+    first, second = (re.escape(repr(SliceKey(l, 0))) for l in (1, 0))
+    with pytest.raises(PlanError, match=f"slice {second} repeats slice key {first} or comes before it"):
         plan_from_csv("".join(rows))
 
 

@@ -527,11 +527,13 @@ def test_each_iterations_link_work_ends_before_the_next_ones_starts(sc, overhead
 
 
 @settings(max_examples=200, deadline=None)
-@given(random_scenarios(), st.integers(0, 2))
-def test_summary_agrees_with_the_per_resource_readers(sc, overhead):
+@given(random_scenarios(), st.integers(0, 2), st.one_of(st.none(), st.integers(10, 12)))
+def test_summary_agrees_with_the_per_resource_readers(sc, overhead, iterations):
     # the one walk of summary() must give what reading each resource's
-    # entries on its own gives: busy ticks counted one by one per link
-    tl = simulate(replace(sc, per_slice_overhead=overhead))
+    # entries on its own gives: busy ticks counted one by one per link. Ten
+    # iterations or more put fwd:10:L0 before fwd:9:L0 in item order.
+    sc = replace(sc, per_slice_overhead=overhead, num_iterations=iterations or sc.num_iterations)
+    tl = simulate(sc)
     out = tl.summary()
     assert out["makespan"] == max((e.end for e in named(tl)), default=0)
     layer0 = {e.item: e for e in named(tl) if e.resource == COMPUTE and e.item.endswith(":L0")}
