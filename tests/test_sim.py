@@ -511,7 +511,7 @@ def test_entries_sorted_unique_and_order_free(sc, overhead, rnd):
 
 
 @settings(max_examples=120, deadline=None)
-@given(random_scenarios(), st.integers(0, 2), st.integers(2, 3))
+@given(random_scenarios(), st.integers(0, 2), st.integers(2, 6))
 def test_each_iterations_link_work_ends_before_the_next_ones_starts(sc, overhead, iterations):
     # simulate() runs each iteration's links as passes of their own, which
     # relies on this: every link entry of iteration k ends at or before the
@@ -524,6 +524,32 @@ def test_each_iterations_link_work_ends_before_the_next_ones_starts(sc, overhead
     for k in range(iterations - 1):
         if k in spans and k + 1 in spans:
             assert max(e.end for e in spans[k]) <= min(e.start for e in spans[k + 1])
+
+
+def iteration_entries(tl, k, shift=0):
+    """Iteration k's entries, its ``bwd/up/upd/down:k`` and ``fwd:k+1``, moved
+    ``shift`` ticks earlier, each item as its label's kind and its tail."""
+    out = []
+    for e in named(tl):
+        kind, it, tail = e.item.split(":", 2)
+        if int(it) == (k + 1 if kind == "fwd" else k):
+            out.append((e.start - shift, e.end - shift, e.resource, kind, tail))
+    return sorted(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_scenarios(), st.integers(0, 2), st.integers(2, 6))
+def test_every_iteration_is_iteration_0_shifted(sc, overhead, iterations):
+    # iteration k starts where its first backward, bwd:k:L{n-1}, starts. With
+    # zero compute, iterations start at different sub-steps of their start
+    # ticks (fig6: 1, 3, 3, ...), and their schedules are still alike
+    sc = replace(sc, per_slice_overhead=overhead, num_iterations=iterations)
+    tl = simulate(sc)
+    last = sc.profile.num_layers - 1
+    start = {e.item: e.start for e in named(tl) if e.resource == COMPUTE}
+    first = iteration_entries(tl, 0)
+    for k in range(1, iterations):
+        assert iteration_entries(tl, k, start[f"bwd:{k}:L{last}"]) == first
 
 
 @settings(max_examples=200, deadline=None)
@@ -586,6 +612,16 @@ TIMELINE_DIGESTS = {
     "resnet50-linkbound-coarse": "101fa37a50a8d52438318f78ec9ef500b238e77ab27c7a2058c64b8227093fb0",
     "resnet50-linkbound-priority": "594df0ae634211e4251b7c466c44409c59692b39a6434d6abeaec23ff8e79464",
     "resnet50-linkbound-sliced": "b9007efff8e674c6261041b6a0622a0c146b908f19425468d8f5d4ef742c0746",
+    # six iterations: the benchmark's link-bound size; fig6, whose iteration 0
+    # starts at another sub-step than the rest; and one zero-cost layer, whose
+    # every iteration starts at a sub-step of its own
+    "resnet50-linkbound-coarse-6iter": "8cef815df0941d61ce62b765b831df4c5945768c24fc3f37812055bf3ff26895",
+    "resnet50-linkbound-priority-6iter": "7945f4da6d2dc2792db7f52482eeaa4fabb312357df7014adc9ab5b092ecde89",
+    "resnet50-linkbound-sliced-6iter": "5e4b65a259a459132ed031c8c45a4f8297a5f700f2b5d22f221347154d58a405",
+    "fig6-coarse-6iter": "83bfdc05d7c6a89a77c09536e1e067e00740ac9fb05d0849d611a158229d88f0",
+    "fig6-priority-6iter": "768c0aff1822297fa659d96f30868f4d7faf1cf1eef83590dacb402a1150d1fe",
+    "fig6-sliced-6iter": "24e11dfc45c4c9787f3dc57d904b148adc879ff809106158264b552acc36db87",
+    "zero-cost-layer-6iter": "ec1294c8322900b85d63455a173201e689a7785fa5553aa819e3f72d838b68aa",
 }
 
 # Timeline.summary() of the link-bound digest cases: the digests pin to_csv only
@@ -608,6 +644,24 @@ LINKBOUND_SUMMARIES = {
         "uplink_utilization": 0.824663,
         "downlink_utilization": 0.825657,
     },
+    "resnet50-linkbound-coarse-6iter": {
+        "makespan": 14268,
+        "inter_iteration_delay": 1473,
+        "uplink_utilization": 0.72064,
+        "downlink_utilization": 0.736133,
+    },
+    "resnet50-linkbound-priority-6iter": {
+        "makespan": 10440,
+        "inter_iteration_delay": 22,
+        "uplink_utilization": 0.985229,
+        "downlink_utilization": 0.985702,
+    },
+    "resnet50-linkbound-sliced-6iter": {
+        "makespan": 12498,
+        "inter_iteration_delay": 1178,
+        "uplink_utilization": 0.822813,
+        "downlink_utilization": 0.823143,
+    },
 }
 
 POLICY_NAMES = {AGGRESSIVE_COARSE: "coarse", AGGRESSIVE_SLICED: "sliced", PRIORITY_SLICED: "priority"}
@@ -622,6 +676,9 @@ def digest_cases():
                 yield name, replace(make(policy), per_slice_overhead=ovh)
     for policy in (AGGRESSIVE_COARSE, AGGRESSIVE_SLICED, PRIORITY_SLICED):
         yield f"resnet50-linkbound-{POLICY_NAMES[policy]}", linkbound_scenario(policy, 2)
+        yield f"resnet50-linkbound-{POLICY_NAMES[policy]}-6iter", linkbound_scenario(policy, 6)
+        yield f"fig6-{POLICY_NAMES[policy]}-6iter", replace(fig6(policy), num_iterations=6)
+    yield "zero-cost-layer-6iter", replace(one_layer(StageCost(0, 0, 0), 1), num_iterations=6)
 
 
 DIGEST_CASES = dict(digest_cases())
