@@ -22,15 +22,13 @@ is the time one float32 parameter takes on the link.
 Iteration k's traffic drains before iteration k+1's starts. Every forward
 (k+1, l) waits for all of layer l's iteration-k downloads, and backward k+1
 follows the last forward of k+1, so all of iteration k's link work has ended
-before any slice of iteration k+1 reaches the uplink. So ``simulate`` runs
-each iteration k as five passes, in order: the backward chain of k, the
-uplink, the update (a pure delay), the downlink, and the forward chain of k+1.
-A serial link is one loop: a slice starts at the later of the link's free
-tick and its arrival. The FIFO policies serve in arrival order;
-priority-sliced serves, from a heap, the arrived slice with the smallest
-(layer, slice), since a slice's priority is its key's order, as in ``plan``.
-A zero-cost slice skips the link. The downlink's arrival sort and the
-priority heap make a run cost O(S log S) per iteration over its S slices.
+before any slice of iteration k+1 reaches the uplink. One iteration is five
+passes, in order: the backward chain of k, the uplink, the update (a pure
+delay), the downlink, and the forward chain of k+1. A serial link is one loop:
+a slice starts at the later of the link's free tick and its arrival. The FIFO
+policies serve in arrival order; priority-sliced serves, from a heap, the
+arrived slice with the smallest (layer, slice), since a slice's priority is
+its key's order, as in ``plan``. A zero-cost slice skips the link.
 
 Ties within a tick follow a causal sub-step rule. Every event has a position
 (tick t, step j); the run starts at (0, 1). A zero-tick step that an event
@@ -40,11 +38,32 @@ compute before it and its layer's last download. A FIFO link orders
 arrivals of one tick by (step, layer, slice); a priority link picks among all
 slices that have arrived by the tick at which it is free.
 
+So every iteration has the same schedule, shifted to its start tick, and
+``simulate`` runs the five passes once, from (0, 1) with both links free. The
+run's period is the tick at which its last forward ends, where the next
+backward starts; iteration k is the run shifted by k periods and relabelled:
+  1. the links are drained: the free ticks an iteration inherits are at or
+     before its first arrival on each link, so they never delay it;
+  2. costs are tick differences, so a schedule that starts at tick t is the
+     one that starts at tick 0, shifted by t;
+  3. ties depend only on steps compared within one tick: at the start tick
+     every step is the start step plus what the sub-step rule adds, and every
+     later tick begins again at step 1. So the start step orders nothing, and
+     an iteration that starts at (t, 3), as fig6's second one does, runs as
+     one that starts at (t, 1).
+The passes cost O(S log S) over the S slices of one iteration, for the
+downlink's arrival sort and the priority heap, and the replay O(S) per
+iteration.
+
 A timeline entry is a plain tuple ``(start, end, resource, item)``, so its
-natural order is timeline order. ``simulate`` builds each entry's item as a
-precomputed iteration prefix plus a precomputed ``:L{l}:s{s}`` suffix, sorts
-the list once and returns it as it stands: ``to_csv`` writes the entries in
-that order and ``summary`` reads each link in one pass.
+natural order is timeline order. The run holds ``(start, end, resource, slot,
+tail)``, sorted: ``slot`` 0 to 4 picks the iteration's label, ``bwd:k``,
+``up:k``, ``upd:k``, ``down:k`` or ``fwd:k+1``, and ``tail`` is the ``:L{l}``
+or ``:L{l}:s{s}`` after it. The one resource with two labels, compute, has
+``bwd`` before ``fwd`` in both orders, so each replayed iteration is a sorted
+run of entries, and the one sort of the whole list merges them. ``simulate``
+returns the list as it stands: ``to_csv`` writes the entries in that order
+and ``summary`` reads each link in one pass.
 """
 
 from __future__ import annotations
@@ -240,15 +259,15 @@ class Timeline:
         return out
 
 
-def _serve(arrivals, cost, free, priority, resource, prefix, suffix, append):
-    """Serve ``arrivals`` on one serial link that is free from tick ``free``.
+def _serve(arrivals, cost, priority, resource, slot, suffix, append):
+    """Serve ``arrivals`` on one serial link that is free from tick 0.
 
     ``arrivals`` are positions ``(tick, step, slice)`` in sorted order, a slice
     being its index in ``(layer, slice)`` order. Each slice starts at the later
     of the link's free tick and its arrival; FIFO serves in arrival order,
     priority the arrived slice of smallest index. A zero-cost slice skips the
     link and is done one step after it arrives. Returns each slice's done
-    position, by index, and the link's new free tick.
+    position, by index.
     """
     done = [None] * len(cost)
     if priority:
@@ -257,13 +276,14 @@ def _serve(arrivals, cost, free, priority, resource, prefix, suffix, append):
     else:
         queue = deque()
         push, pop = deque.append, deque.popleft
+    free = 0
     # every queued slice has arrived by ``free``, where the next pick starts;
     # a last arrival at tick inf drains the queue
     for t, j, g in arrivals + [(math.inf, 0, -1)]:
         while queue and free < t:
             q = pop(queue)
             end = free + cost[q]
-            append((free, end, resource, prefix + suffix[q]))
+            append((free, end, resource, slot, suffix[q]))
             done[q] = (end, 1, q)
             free = end
         if g < 0:
@@ -274,7 +294,7 @@ def _serve(arrivals, cost, free, priority, resource, prefix, suffix, append):
         if free < t:
             free = t  # the link idles until this arrival
         push(queue, g)
-    return done, free
+    return done
 
 
 def simulate(scenario: Scenario) -> Timeline:
@@ -291,43 +311,50 @@ def simulate(scenario: Scenario) -> Timeline:
     up_cost = [up + ovh if up > 0 else 0 for cs in costs for up, _, _ in cs]
     update_cost = [update for cs in costs for _, update, _ in cs]
     down_cost = [down + ovh if down > 0 else 0 for cs in costs for _, _, down in cs]
-    # a link entry's item is its iteration's prefix plus its slice's suffix
+    # a slice's tail in the items of its link and update entries
     suffix = [f":L{l}:s{s}" for l, cs in enumerate(costs) for s in range(len(cs))]
     priority = scenario.policy == PRIORITY_SLICED
 
-    entries: list[tuple[int, int, str, str]] = []
-    append = entries.append
+    # one iteration as (start, end, resource, slot, tail), from (0, 1) with both links free
+    run: list[tuple[int, int, str, int, str]] = []
+    append = run.append
     at = (0, 1)  # the compute chain's position: where its next compute may start
-    up_free = down_free = 0
+    # backward chain; each layer's slices reach the uplink as it ends
+    arrivals = []
+    for l in range(L - 1, -1, -1):
+        t, j = at
+        end = t + bwd_time[l]
+        append((t, end, COMPUTE, 0, f":L{l}"))
+        t, j = at = (end, 1) if end > t else (t, j + 1)
+        arrivals += [(t, j, g) for g in range(first[l], first[l + 1])]
+    up_done = _serve(arrivals, up_cost, priority, UPLINK, 1, suffix, append)
+    # the update, a pure delay; its ends are the downlink's arrivals
+    arrivals = []
+    for t, j, g in up_done:
+        c = update_cost[g]
+        if c:
+            append((t, t + c, UPDATE, 2, suffix[g]))
+            arrivals.append((t + c, 1, g))
+        else:
+            arrivals.append((t, j + 1, g))
+    arrivals.sort()
+    down_done = _serve(arrivals, down_cost, priority, DOWNLINK, 3, suffix, append)
+    # the next forward chain; a layer's forward also waits for its parameters
+    for l in range(L):
+        t, j, _ = max(down_done[first[l]:first[l + 1]])
+        t, j = at = max(at, (t, j))
+        end = t + fwd_time[l]
+        append((t, end, COMPUTE, 4, f":L{l}"))
+        at = (end, 1) if end > t else (t, j + 1)
+    run.sort()
+    period = at[0]
+
+    # iteration k is that run, shifted to tick k * period and relabelled
+    entries: list[tuple[int, int, str, str]] = []
     for k in range(scenario.num_iterations):
-        # backward chain of k; each layer's slices reach the uplink as it ends
-        arrivals = []
-        for l in range(L - 1, -1, -1):
-            t, j = at
-            end = t + bwd_time[l]
-            append((t, end, COMPUTE, f"bwd:{k}:L{l}"))
-            t, j = at = (end, 1) if end > t else (t, j + 1)
-            arrivals += [(t, j, g) for g in range(first[l], first[l + 1])]
-        up_done, up_free = _serve(arrivals, up_cost, up_free, priority, UPLINK, f"up:{k}", suffix, append)
-        # the update, a pure delay; its ends are the downlink's arrivals
-        arrivals = []
-        upd_item = f"upd:{k}"
-        for t, j, g in up_done:
-            c = update_cost[g]
-            if c:
-                append((t, t + c, UPDATE, upd_item + suffix[g]))
-                arrivals.append((t + c, 1, g))
-            else:
-                arrivals.append((t, j + 1, g))
-        arrivals.sort()
-        down_done, down_free = _serve(arrivals, down_cost, down_free, priority, DOWNLINK, f"down:{k}", suffix, append)
-        # forward chain of k + 1; a layer's forward also waits for its parameters
-        for l in range(L):
-            t, j, _ = max(down_done[first[l]:first[l + 1]])
-            t, j = at = max(at, (t, j))
-            end = t + fwd_time[l]
-            append((t, end, COMPUTE, f"fwd:{k + 1}:L{l}"))
-            at = (end, 1) if end > t else (t, j + 1)
+        t = k * period
+        labels = (f"bwd:{k}", f"up:{k}", f"upd:{k}", f"down:{k}", f"fwd:{k + 1}")
+        entries += [(s + t, e + t, r, labels[slot] + tail) for s, e, r, slot, tail in run]
 
     entries.sort()
     return Timeline(entries=entries)

@@ -513,9 +513,10 @@ def test_entries_sorted_unique_and_order_free(sc, overhead, rnd):
 @settings(max_examples=120, deadline=None)
 @given(random_scenarios(), st.integers(0, 2), st.integers(2, 6))
 def test_each_iterations_link_work_ends_before_the_next_ones_starts(sc, overhead, iterations):
-    # simulate() runs each iteration's links as passes of their own, which
-    # relies on this: every link entry of iteration k ends at or before the
-    # start of every link entry of iteration k + 1
+    # simulate() replays one iteration's run for every iteration, with no
+    # link's free tick carried over, which relies on this: every link entry
+    # of iteration k ends at or before the start of every link entry of
+    # iteration k + 1. Were it false, the replayed entries would overlap here
     tl = simulate(replace(sc, per_slice_overhead=overhead, num_iterations=iterations))
     spans: dict[int, list[Entry]] = {}
     for e in named(tl):
@@ -697,8 +698,8 @@ def test_linkbound_summary_golden(name):
 
 def test_priority_sliced_61k_entries_within_wall_bound():
     # 44 link-bound iterations give about 61k entries: over 30 s when every
-    # pick scans the queued slices, well under a second when each pass over an
-    # iteration's slices picks from a heap
+    # pick scans the queued slices, well under a second when one iteration's
+    # passes pick from a heap and every iteration replays that one
     sc = linkbound_scenario(PRIORITY_SLICED, 44)
     t0 = time.perf_counter()
     tl = simulate(sc)
