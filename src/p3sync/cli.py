@@ -68,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     mode: str = P3_MODE
     profile: str = "toy3"
@@ -88,7 +88,7 @@ class RunConfig:
     def resolved_servers(self) -> int:
         return self.num_servers if self.num_servers > 0 else self.num_workers
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Reject what no child process could run; ``make_plan`` checks the plan's settings."""
         for name in ("lr", "throttle_rate", "timeout"):
             value = getattr(self, name)
@@ -245,7 +245,6 @@ def _read_ready(proc: subprocess.Popen, timeout: float, log_name: str) -> str:
 
 
 def run_bench(cfg: RunConfig) -> dict:
-    cfg.validate()
     profile = resolve_profile(cfg.profile)
     num_servers = cfg.resolved_servers()
     # a plan no child could run stops here, before anything is written

@@ -6,12 +6,16 @@ attached to a layer; compute is represented purely by its declared duration.
 
 A profile file is the JSON of ``ModelProfile``'s fields (``dataclasses.asdict``),
 and ``profile_from_dict`` reads it back, refusing any key the dataclasses lack.
+
+A ``LayerSpec`` and a ``ModelProfile`` check themselves when they are built, as
+a plan does, ``dataclasses.replace`` included: no unchecked one exists, so no
+reader checks one again.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 
@@ -27,7 +31,7 @@ class LayerSpec:
     fwd_time: int
     bwd_time: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.param_count < 1:
             raise ProfileError(f"layer {self.index} ({self.name}): param_count must be >= 1")
         if self.fwd_time < 0 or self.bwd_time < 0:
@@ -38,13 +42,14 @@ class LayerSpec:
 class ModelProfile:
     name: str
     seed: int
-    layers: tuple[LayerSpec, ...] = field(default_factory=tuple)
+    layers: tuple[LayerSpec, ...]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        if not 0 <= self.seed < 2**64:  # gradient_block mixes it as a uint64
+            raise ProfileError(f"profile {self.name}: seed {self.seed} must be in 0..2**64-1")
         if not self.layers:
             raise ProfileError(f"profile {self.name}: needs at least one layer")
         for pos, layer in enumerate(self.layers):
-            layer.validate()
             if layer.index != pos:
                 raise ProfileError(
                     f"profile {self.name}: layer {layer.name!r} has index {layer.index}, "
@@ -85,11 +90,9 @@ def profile_from_dict(obj: dict, where: str = "") -> ModelProfile:
             LayerSpec(**typed_fields(l, _LAYER_KINDS, ProfileError, f"{where}layers[{pos}]."))
             for pos, l in enumerate(top["layers"])
         )
-        profile = ModelProfile(top["name"], top["seed"], layers)
+        return ModelProfile(top["name"], top["seed"], layers)
     except (KeyError, TypeError) as exc:
         raise ProfileError(f"malformed profile object: {exc}") from exc
-    profile.validate()
-    return profile
 
 
 def load_profile(path: str | Path) -> ModelProfile:
@@ -162,9 +165,7 @@ def builtin_profile(name: str) -> ModelProfile:
         factory = _BUILTINS[name]
     except KeyError:
         raise ProfileError(f"unknown builtin profile {name!r}; have {', '.join(BUILTIN_NAMES)}") from None
-    profile = factory()
-    profile.validate()
-    return profile
+    return factory()
 
 
 def resolve_profile(name_or_path: str | Path) -> ModelProfile:

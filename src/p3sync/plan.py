@@ -14,10 +14,11 @@ slices go in offset order. Every priority queue of the runtime and the
 simulator orders by that key. ``SliceKey`` is defined in ``proto`` and
 re-exported here: a frame carries its slice's key as the plan names it.
 
-Whoever builds a ``SlicePlan``, it refuses rows out of strictly increasing key
-order, rows that do not number and tile a layer from slice 0 and offset 0, and
-slices over one frame or off the plan's servers. So every reader, a server too,
-trusts the rows as they stand, and ``validate_plan`` checks only what needs a profile.
+Whoever builds a ``SlicePlan``, it refuses more than ``MAX_PLAN_SLICES`` rows,
+rows out of strictly increasing key order, rows that do not number and tile a
+layer from slice 0 and offset 0, and slices over one frame or off the plan's
+servers. So every reader, a server too, trusts the rows as they stand, and
+``validate_plan`` checks only what needs a profile.
 
 ``chunk_layer`` is the one slicing rule of the package: the simulator cuts a
 layer's uplink cost with it too, so a scenario slices as a plan does.
@@ -46,6 +47,12 @@ MODES = (P3_MODE, BASELINE_MODE)
 DEFAULT_MAX_SLICE = 50_000
 DEFAULT_BIG_THRESHOLD = 1_000_000
 MAX_FRAME_PARAMS = DEFAULT_MAX_PAYLOAD // 4  # float32 params in the largest frame payload
+# Every process of a run holds each slice of its plan, and every plan file a row
+# per slice, so a plan of one slice per param (``--max-slice 1``) is a mistyped
+# flag, not a plan to build. A paper-scale VGG-19 fits: its 143,667,240 params in
+# 38 weight and bias arrays, cut at 2,000 params (the finest slice size a
+# slice-size sweep tries), make 71,855 slices.
+MAX_PLAN_SLICES = 131_072  # 2**17
 
 
 class PlanError(ValueError):
@@ -71,6 +78,8 @@ class SlicePlan:
     def __post_init__(self) -> None:
         if self.mode not in MODES or self.num_servers < 1:
             raise PlanError(f"need a mode of {MODES} and num_servers >= 1, not {self.mode!r} and {self.num_servers}")
+        if len(self.slices) > MAX_PLAN_SLICES:
+            raise PlanError(f"{len(self.slices)} slices; a plan holds at most {MAX_PLAN_SLICES}")
         for prev, s in zip((None,) + self.slices, self.slices):
             layer = s.key.layer_index
             if prev and s.key <= prev.key:  # frames name a slice by its key alone
@@ -120,9 +129,19 @@ def make_plan(
     SlicePlan(mode, (), num_servers)  # the plan's own check of its mode and server count, before any cut
     if mode == P3_MODE and max_slice < 1:
         raise PlanError(f"no p3 plan with max_slice={max_slice}: need max_slice >= 1")
-    for layer in profile.layers:  # before the loop below cuts num_servers parts of a big layer
-        if mode == BASELINE_MODE and big_threshold <= layer.param_count < num_servers:
-            raise PlanError(f"layer {layer.index}: {layer.param_count} params cannot split over {num_servers} servers")
+    count = 0  # the slices the loop below would cut, counted before it cuts any
+    for layer in profile.layers:
+        n = layer.param_count
+        if mode == P3_MODE:
+            count += -(-n // max_slice)
+        elif n < big_threshold:
+            count += 1
+        elif n < num_servers:
+            raise PlanError(f"layer {layer.index}: {n} params cannot split over {num_servers} servers")
+        else:
+            count += num_servers
+    if count > MAX_PLAN_SLICES:
+        raise PlanError(f"profile {profile.name} cuts into {count} slices; a plan holds at most {MAX_PLAN_SLICES}")
     slices: list[Slice] = []
     for layer in profile.layers:
         n = layer.param_count
@@ -190,6 +209,8 @@ def plan_fingerprint(plan: SlicePlan) -> int:
 def plan_from_csv(text: str) -> SlicePlan:
     """The plan whose ``plan_to_csv`` is ``text``, byte for byte; any other text is a PlanError."""
     lines = text.splitlines(keepends=True)
+    if len(lines) > MAX_PLAN_SLICES + 2:  # the metadata line, the header and a row per slice
+        raise PlanError(f"plan text of {len(lines)} lines; a plan holds at most {MAX_PLAN_SLICES} slices")
     if not lines or not lines[0].startswith(_META_PREFIX):
         raise PlanError("missing plan metadata line")
     meta = dict(kv.partition("=")[::2] for kv in lines[0][len(_META_PREFIX):].split())

@@ -64,6 +64,10 @@ or ``:L{l}:s{s}`` after it. The one resource with two labels, compute, has
 run of entries, and the one sort of the whole list merges them. ``simulate``
 returns the list as it stands: ``to_csv`` writes the entries in that order
 and ``summary`` reads each link in one pass.
+
+``simulate`` trusts its scenario: a ``Scenario`` checks itself when it is
+built, its profile having checked itself before it, so none reaches
+``simulate`` unchecked.
 """
 
 from __future__ import annotations
@@ -102,6 +106,8 @@ class StageCost:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A profile, one stage cost per layer and a policy; checked when built, as a plan is."""
+
     profile: ModelProfile
     stages: tuple[StageCost, ...]
     policy: str
@@ -110,8 +116,10 @@ class Scenario:
     per_slice_overhead: int = 0
     name: str = ""
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        self.profile.validate()
         if self.policy not in POLICIES:
             raise ScenarioError(f"unknown policy {self.policy!r}")
         if len(self.stages) != self.profile.num_layers:
@@ -152,11 +160,9 @@ def scenario_from_dict(obj: dict) -> Scenario:
             StageCost(**typed_fields(s, _STAGE_KINDS, ScenarioError, f"stages[{pos}]."))
             for pos, s in enumerate(top["stages"])
         )
-        sc = Scenario(**{**top, "profile": profile_from_dict(top["profile"], "profile."), "stages": stages})
+        return Scenario(**{**top, "profile": profile_from_dict(top["profile"], "profile."), "stages": stages})
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
-    sc.validate()
-    return sc
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -212,7 +218,6 @@ def scenario_from_plan(
         cut = [up for up, _, _ in sc.slice_costs(l)]
         if rows != cut:
             raise ScenarioError(f"layer {l}: the plan's slices {rows} are not the {sc.policy} cut {cut}")
-    sc.validate()
     return sc
 
 
@@ -298,7 +303,6 @@ def _serve(arrivals, cost, priority, resource, slot, suffix, append):
 
 
 def simulate(scenario: Scenario) -> Timeline:
-    scenario.validate()
     L = scenario.profile.num_layers
     fwd_time = [l.fwd_time for l in scenario.profile.layers]
     bwd_time = [l.bwd_time for l in scenario.profile.layers]

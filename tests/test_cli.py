@@ -12,7 +12,7 @@ import pytest
 
 from p3sync.cli import EXIT_PROTOCOL, EXIT_TIMEOUT, EXIT_USAGE, MAX_CHILDREN, RunConfig, main, run_bench, summarize_run
 from p3sync.model import ProfileError, builtin_profile, profile_from_dict
-from p3sync.plan import make_plan
+from p3sync.plan import MAX_PLAN_SLICES, make_plan
 from p3sync.proto import ProtocolError
 from p3sync.sim import ScenarioError, load_scenario, scenario_from_dict
 
@@ -50,6 +50,22 @@ def test_plan_vgg_row_count(capsys):
     assert len(heavy_rows) == 15  # 715000 / 50000
     servers = [int(r.split(",")[-1]) for r in rows]
     assert servers == [i % 4 for i in range(len(rows))]
+
+
+def test_plan_refuses_one_slice_per_param_of_vgg19_like():
+    # 1,000,000 slices, over the cap: refused from the count, before any is cut
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "p3sync", "plan", "--profile", "vgg19-like", "--max-slice", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert time.monotonic() - t0 < 5
+    assert proc.stdout == ""
+    assert f"profile vgg19-like cuts into 1000000 slices; a plan holds at most {MAX_PLAN_SLICES}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_plan_missing_profile(capsys):
@@ -371,6 +387,20 @@ def test_bench_refuses_more_workers_than_a_header_names(tmp_path, capsys, no_pop
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_bench_refuses_a_seed_outside_uint64_before_writing(tmp_path, capsys, no_popen, seed):
+    # a worker mixes the seed as a uint64 at its first push, so the run is refused before it starts
+    profile = json.loads(TOY3.read_text())
+    profile["seed"] = seed
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(profile))
+    outdir = tmp_path / "run"
+    code, _, err = run_cli(["bench", "--profile", str(path), "--iterations", "6", "--output-dir", str(outdir)], capsys)
+    assert code == EXIT_USAGE
+    assert f"profile toy3: seed {seed} must be in 0..2**64-1" in err
+    assert not outdir.exists()
+
+
 def test_bench_refuses_more_children_than_it_starts(tmp_path, capsys, no_popen):
     outdir = tmp_path / "run"
     argv = ["bench", "--num-workers", "2", "--num-servers", "1000000", "--output-dir", str(outdir)]
@@ -402,13 +432,13 @@ def test_bench_refuses_a_baseline_plan_with_an_idle_server(tmp_path, capsys, no_
 
 
 def test_run_config_child_cap_counts_servers_and_workers():
-    RunConfig(num_workers=2, num_servers=MAX_CHILDREN - 2).validate()
+    RunConfig(num_workers=2, num_servers=MAX_CHILDREN - 2)
     with pytest.raises(ValueError, match=f"is {MAX_CHILDREN + 1} child processes"):
-        RunConfig(num_workers=2, num_servers=MAX_CHILDREN - 1).validate()
+        RunConfig(num_workers=2, num_servers=MAX_CHILDREN - 1)
     # 0 servers means one per worker
-    RunConfig(num_workers=MAX_CHILDREN // 2).validate()
+    RunConfig(num_workers=MAX_CHILDREN // 2)
     with pytest.raises(ValueError, match=f"num_servers {MAX_CHILDREN // 2 + 1} \\+ num_workers"):
-        RunConfig(num_workers=MAX_CHILDREN // 2 + 1).validate()
+        RunConfig(num_workers=MAX_CHILDREN // 2 + 1)
 
 
 @pytest.mark.parametrize(
@@ -425,14 +455,14 @@ def test_run_config_child_cap_counts_servers_and_workers():
 )
 def test_run_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
-        RunConfig(**{field: value}).validate()
+        RunConfig(**{field: value})
 
 
 def test_server_that_exits_before_ready_is_a_child_failure(tmp_path, monkeypatch, spawned):
     from p3sync.cli import _ChildFailure
 
     # let the bad rate through to the server, which rejects it and exits 1
-    monkeypatch.setattr(RunConfig, "validate", lambda self: None)
+    monkeypatch.setattr(RunConfig, "__post_init__", lambda self: None)
     cfg = RunConfig(profile="toy3", num_workers=1, throttle_rate=-1.0, output_dir=str(tmp_path))
     with pytest.raises(_ChildFailure, match="server0.log") as info:
         run_bench(cfg)

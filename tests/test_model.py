@@ -1,10 +1,12 @@
 import json
+import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from p3sync.cli import main
+from p3sync.cli import RunConfig, main
 from p3sync.model import (
     BUILTIN_NAMES,
     LayerSpec,
@@ -16,7 +18,7 @@ from p3sync.model import (
     resolve_profile,
     save_profile,
 )
-from p3sync.sim import load_scenario, save_scenario
+from p3sync.sim import PRIORITY_SLICED, Scenario, ScenarioError, StageCost, load_scenario, save_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -76,20 +78,73 @@ def test_mistyped_layer_field_rejected(tmp_path, key, value, kind):
 
 
 @pytest.mark.parametrize(
-    "layers, message",
+    "layers, seed, message",
     [
-        ([layer(0), layer(1, fwd=-1)], "layer 1 (L1): negative compute time"),
-        ([layer(0), layer(1, bwd=-1)], "layer 1 (L1): negative compute time"),
-        ([], "profile t: needs at least one layer"),
+        ([layer(0), layer(1, fwd=-1)], 1, "layer 1 (L1): negative compute time"),
+        ([layer(0), layer(1, bwd=-1)], 1, "layer 1 (L1): negative compute time"),
+        ([], 1, "profile t: needs at least one layer"),
+        # gradient_block mixes the seed as a uint64: refused here, not at a worker's first push
+        ([layer(0)], -1, "profile t: seed -1 must be in 0..2**64-1"),
+        ([layer(0)], 2**64, f"profile t: seed {2**64} must be in 0..2**64-1"),
     ],
-    ids=["negative-fwd-time", "negative-bwd-time", "no-layers"],
+    ids=["negative-fwd-time", "negative-bwd-time", "no-layers", "negative-seed", "seed-over-uint64"],
 )
-def test_profile_out_of_range_rejected(tmp_path, capsys, layers, message):
-    p = write_profile(tmp_path, layers)
+def test_profile_out_of_range_rejected(tmp_path, capsys, layers, seed, message):
+    p = write_profile(tmp_path, layers, seed=seed)
     with pytest.raises(ProfileError, match=re.escape(message)):
         load_profile(p)
     assert main(["plan", "--profile", str(p)]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_seed_bounds_accepted(tmp_path):
+    for seed in (0, 2**64 - 1):
+        assert load_profile(write_profile(tmp_path, [layer(0)], seed=seed)).seed == seed
+
+
+TOY = ModelProfile("toy", 1, tuple(LayerSpec(i, f"L{i}", 10, 1, 1) for i in range(3)))
+SCENARIO = Scenario(TOY, (StageCost(2, 1, 2),) * 3, PRIORITY_SLICED)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: replace(TOY.layers[0], param_count=0), ProfileError, "layer 0 (L0): param_count must be >= 1"),
+        (lambda: replace(TOY.layers[1], fwd_time=-1), ProfileError, "layer 1 (L1): negative compute time"),
+        (lambda: replace(TOY, layers=()), ProfileError, "profile toy: needs at least one layer"),
+        (
+            lambda: replace(TOY, layers=(TOY.layers[0], replace(TOY.layers[2], index=2))),
+            ProfileError,
+            "profile toy: layer 'L2' has index 2, expected 1",
+        ),
+        (lambda: replace(TOY, seed=-1), ProfileError, "profile toy: seed -1 must be in 0..2**64-1"),
+        (lambda: replace(SCENARIO, policy="x"), ScenarioError, "unknown policy 'x'"),
+        (lambda: replace(SCENARIO, num_iterations=0), ScenarioError, "num_iterations 0 must be >= 1"),
+        (lambda: replace(SCENARIO, slice_ticks=0), ScenarioError, "slice_ticks 0 must be >= 1"),
+        (lambda: replace(SCENARIO, stages=SCENARIO.stages[:2]), ScenarioError, "2 stages for 3 profile layers"),
+        (
+            lambda: replace(SCENARIO, stages=(StageCost(2, -1, 2),) + SCENARIO.stages[1:]),
+            ScenarioError,
+            "layer 0: negative stage cost",
+        ),
+        (
+            lambda: replace(RunConfig(), skip_iterations=RunConfig().iterations),
+            ValueError,
+            "need 0 <= skip_iterations (10) < iterations (10)",
+        ),
+        (lambda: replace(RunConfig(), num_workers=0), ValueError, "num_workers 0 must be >= 1"),
+        (lambda: replace(RunConfig(), lr=math.inf), ValueError, "lr inf must be finite"),
+    ],
+    ids=[
+        "layer-no-params", "layer-negative-fwd", "profile-no-layers", "profile-index-skipped", "profile-seed",
+        "scenario-policy", "scenario-iterations", "scenario-slice-ticks", "scenario-stage-count",
+        "scenario-negative-stage", "config-skip-all", "config-no-workers", "config-lr-inf",
+    ],
+)
+def test_a_value_is_refused_where_it_is_built(build, error, message):
+    # dataclasses.replace builds through __init__, so it checks what it builds too
+    with pytest.raises(error, match=re.escape(message)):
+        build()
 
 
 @pytest.mark.parametrize("value", ["L1", [1], 5])
@@ -114,7 +169,6 @@ def test_not_json(tmp_path):
 
 def test_total_params_single_layer():
     prof = ModelProfile("one", 0, (LayerSpec(0, "big", 1_000_000, 0, 0),))
-    prof.validate()
     assert sum(l.param_count for l in prof.layers) == 1_000_000
 
 
@@ -129,7 +183,6 @@ def test_roundtrip(tmp_path):
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_invariants(name):
     prof = builtin_profile(name)
-    prof.validate()
     assert [l.index for l in prof.layers] == list(range(prof.num_layers))
 
 

@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import p3sync.plan as plan_module
 from p3sync.cli import main
 from p3sync.model import BUILTIN_NAMES, LayerSpec, ModelProfile, builtin_profile, save_profile
 from p3sync.plan import (
     DEFAULT_MAX_SLICE,
     MAX_FRAME_PARAMS,
+    MAX_PLAN_SLICES,
     MODES,
+    P3_MODE,
     PlanError,
     Slice,
     SliceKey,
+    SlicePlan,
     load_plan,
     make_plan,
     plan_from_csv,
@@ -351,6 +355,35 @@ def test_baseline_refuses_a_big_layer_with_fewer_params_than_servers():
     with pytest.raises(PlanError, match="layer 1: 1024 params cannot split over 2000 servers"):
         make_plan("baseline", profile_of([5, 1024]), 2000, big_threshold=1000)
     assert len(make_plan("baseline", profile_of([5, 1024]), 1024, big_threshold=1000).slices) == 1025
+
+
+def test_a_plan_at_the_slice_cap_builds_and_one_over_it_is_refused():
+    assert len(make_plan("p3", profile_of([MAX_PLAN_SLICES]), 1, max_slice=1).slices) == MAX_PLAN_SLICES
+    # refused from the count, before a slice is cut
+    over = f"profile t cuts into {MAX_PLAN_SLICES + 1} slices; a plan holds at most {MAX_PLAN_SLICES}"
+    with pytest.raises(PlanError, match=over):
+        make_plan("p3", profile_of([MAX_PLAN_SLICES, 1]), 1, max_slice=1)
+
+
+def test_baseline_counts_a_big_layer_as_one_slice_per_server(monkeypatch):
+    monkeypatch.setattr(plan_module, "MAX_PLAN_SLICES", 4)
+    prof = profile_of([10, 2_000_000])  # one whole layer and one split over every server
+    assert len(make_plan("baseline", prof, 3).slices) == 4
+    with pytest.raises(PlanError, match="profile t cuts into 5 slices; a plan holds at most 4"):
+        make_plan("baseline", prof, 4)
+
+
+def test_a_loaded_plan_over_the_slice_cap_is_refused(monkeypatch):
+    plan = make_plan("p3", profile_of([5]), 1, max_slice=1)
+    text = plan_to_csv(plan)  # 7 lines: metadata, header and 5 rows
+    monkeypatch.setattr(plan_module, "MAX_PLAN_SLICES", 5)
+    assert plan_from_csv(text) == plan
+    # counted before any row is parsed, so a bad last row is not what is named
+    with pytest.raises(PlanError, match="plan text of 8 lines; a plan holds at most 5 slices"):
+        plan_from_csv(text + "not,a,row\n")
+    monkeypatch.setattr(plan_module, "MAX_PLAN_SLICES", 4)
+    with pytest.raises(PlanError, match="5 slices; a plan holds at most 4"):
+        SlicePlan(P3_MODE, plan.slices, 1)
 
 
 def test_plan_csv_rejects_a_repeated_slice_key():

@@ -222,9 +222,9 @@ def test_scenario_fields_are_type_checked(key, value):
 
 def test_scenario_validation_errors():
     with pytest.raises(ScenarioError, match="policy"):
-        fig4("whatever").validate()
+        fig4("whatever")
     with pytest.raises(ScenarioError, match="negative"):
-        replace(fig4(AGGRESSIVE_SLICED), stages=(StageCost(2, -1, 0),) * 3).validate()
+        replace(fig4(AGGRESSIVE_SLICED), stages=(StageCost(2, -1, 0),) * 3)
 
 
 def one_layer(stage, slice_ticks, policy=AGGRESSIVE_SLICED):
