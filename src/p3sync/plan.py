@@ -29,7 +29,7 @@ from __future__ import annotations
 import io
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import groupby, zip_longest
+from itertools import groupby, islice, zip_longest
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -208,9 +208,17 @@ def plan_fingerprint(plan: SlicePlan) -> int:
 
 def plan_from_csv(text: str) -> SlicePlan:
     """The plan whose ``plan_to_csv`` is ``text``, byte for byte; any other text is a PlanError."""
-    lines = text.splitlines(keepends=True)
-    if len(lines) > MAX_PLAN_SLICES + 2:  # the metadata line, the header and a row per slice
-        raise PlanError(f"plan text of {len(lines)} lines; a plan holds at most {MAX_PLAN_SLICES} slices")
+    return _plan_from_lines(io.StringIO(text))
+
+
+def _plan_from_lines(text_lines: Iterable[str]) -> SlicePlan:
+    # the metadata line, the header and a row per slice: one line past them is
+    # read, and refused, before any row is parsed, however long the text
+    lines = list(islice(text_lines, MAX_PLAN_SLICES + 3))
+    if len(lines) > MAX_PLAN_SLICES + 2:
+        raise PlanError(
+            f"plan text of more than {MAX_PLAN_SLICES + 2} lines; a plan holds at most {MAX_PLAN_SLICES} slices"
+        )
     if not lines or not lines[0].startswith(_META_PREFIX):
         raise PlanError("missing plan metadata line")
     meta = dict(kv.partition("=")[::2] for kv in lines[0][len(_META_PREFIX):].split())
@@ -236,7 +244,8 @@ def plan_from_csv(text: str) -> SlicePlan:
 
 
 def load_plan(path: str | Path) -> SlicePlan:
-    return plan_from_csv(Path(path).read_text())
+    with open(path) as f:
+        return _plan_from_lines(f)
 
 
 def save_plan(plan: SlicePlan, path: str | Path) -> None:

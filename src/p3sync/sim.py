@@ -51,19 +51,25 @@ backward starts; iteration k is the run shifted by k periods and relabelled:
      later tick begins again at step 1. So the start step orders nothing, and
      an iteration that starts at (t, 3), as fig6's second one does, runs as
      one that starts at (t, 1).
-The passes cost O(S log S) over the S slices of one iteration, for the
-downlink's arrival sort and the priority heap, and the replay O(S) per
-iteration.
 
-A timeline entry is a plain tuple ``(start, end, resource, item)``, so its
-natural order is timeline order. The run holds ``(start, end, resource, slot,
+A ``Timeline`` is that run, its period and the number of iterations; nothing
+is replayed until it is read. The run holds ``(start, end, resource, slot,
 tail)``, sorted: ``slot`` 0 to 4 picks the iteration's label, ``bwd:k``,
 ``up:k``, ``upd:k``, ``down:k`` or ``fwd:k+1``, and ``tail`` is the ``:L{l}``
-or ``:L{l}:s{s}`` after it. The one resource with two labels, compute, has
-``bwd`` before ``fwd`` in both orders, so each replayed iteration is a sorted
-run of entries, and the one sort of the whole list merges them. ``simulate``
-returns the list as it stands: ``to_csv`` writes the entries in that order
-and ``summary`` reads each link in one pass.
+or ``:L{l}:s{s}`` after it. A timeline entry is a plain tuple ``(start, end,
+resource, item)``, so its natural order is timeline order; ``entries`` builds
+and sorts them all. ``to_csv`` writes them in that order straight from the
+run, iteration after iteration, since every row lies within its iteration's
+period and the run's order is each iteration's entry order, compute's ``bwd``
+sorting before its ``fwd`` in both. Rows of two iterations can tie only at
+the tick between them, and only when the run's first row spans (0, 0) and its
+last (period, period); then items decide, as strings, and ``to_csv`` writes
+the sorted entries. ``summary`` reads the run once: the makespan is N-1
+periods past its last end, a link's busy ticks are N times the run's, and its
+first start and the layer-0 delay are the run's, so every value, its
+rounding too, is that of the entries. The passes cost O(S log S) over the S
+slices of one iteration, for the downlink's arrival sort, the priority heap
+and the run's sort; ``summary`` O(S); ``to_csv`` O(S) per iteration.
 
 ``simulate`` trusts its scenario: a ``Scenario`` checks itself when it is
 built, its profile having checked itself before it, so none reaches
@@ -76,7 +82,7 @@ import heapq
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .model import ModelProfile, profile_from_dict, typed_fields
@@ -221,46 +227,99 @@ def scenario_from_plan(
     return sc
 
 
-@dataclass
-class Timeline:
-    """The entries of a run, as ``simulate`` returns them.
+def _labels(k: int) -> tuple[str, ...]:
+    """Iteration k's label of each slot of the run."""
+    return f"bwd:{k}", f"up:{k}", f"upd:{k}", f"down:{k}", f"fwd:{k + 1}"
 
-    Each entry is a plain tuple ``(start, end, resource, item)``, one busy
-    span of a resource. The entries are sorted in tuple order, each
-    ``(resource, item)`` appears once, and every uplink and downlink entry is
-    non-empty, with no two on a link overlapping: a link is dispatched only
-    when it is not busy, and a zero-cost slice never queues on it. The readers
-    below assume all three. ``summary`` also relies on a run ending with
-    forward N after backward N-1, and on a layer's forwards lasting alike, as
-    its backwards do: entries that tie on start tie on end, so the last layer-0
-    ones in entry order have the times of forward N and backward N-1.
+
+@dataclass(frozen=True)
+class Timeline:
+    """One iteration's run, its period and the number of iterations.
+
+    ``run`` holds ``(start, end, resource, slot, tail)`` in sorted order, with
+    every start at or after tick 0 and every end at or before ``period``.
+    Iteration k is the run shifted by ``k * period``, each row labelled with
+    iteration k's label of its slot; ``entries`` lists every iteration's rows
+    as ``(start, end, resource, item)`` tuples, sorted. Each ``(resource,
+    item)`` appears once, and every uplink and downlink row is non-empty, with
+    no two on a link overlapping: a link is dispatched only when it is not
+    busy, and a zero-cost slice never queues on it. The readers below assume
+    all of this of the run, and ``summary`` also that it holds one layer-0
+    backward and one layer-0 forward.
+
+    ``to_csv`` writes iteration after iteration straight from the run, which
+    is the sorted order of the entries unless two iterations tie at a
+    boundary, as shown there. ``summary`` reads the run once. Neither builds
+    ``entries``.
     """
 
-    entries: list[tuple[int, int, str, str]] = field(default_factory=list)
+    run: list[tuple[int, int, str, int, str]]
+    period: int
+    num_iterations: int
+
+    @property
+    def entries(self) -> list[tuple[int, int, str, str]]:
+        entries: list[tuple[int, int, str, str]] = []
+        for k in range(self.num_iterations):
+            t, labels = k * self.period, _labels(k)
+            entries += [(s + t, e + t, r, labels[slot] + tail) for s, e, r, slot, tail in self.run]
+        entries.sort()
+        return entries
 
     def to_csv(self) -> str:
-        rows = "".join([f"{r},{i},{s},{e}\n" for s, e, r, i in self.entries])
-        return "resource,item,start,end\n" + rows
+        """The entries as CSV rows, in entry order.
+
+        Within one iteration, the run's order is the entries' order: rows of
+        one resource carry one label, so they compare by tail in both, and
+        compute's two labels, ``bwd:k`` and ``fwd:k+1``, are ordered as their
+        slots 0 and 4. Iteration k's rows start in [kP, (k+1)P] and end by
+        (k+1)P, P being the period, so each of them sorts at or before each of
+        iteration k+1's, which start at (k+1)P or later. The one tie left is a
+        row of k that starts and ends at (k+1)P against a row of k+1 that
+        starts and ends there. The run has the first only if its last row
+        spans (P, P), the largest span a row can have, and the second only if
+        its first row spans (0, 0), the smallest. Two such rows compare by
+        resource and item, and items of two iterations compare as strings
+        (``fwd:10`` before ``fwd:9``), so then the rows are the sorted entries.
+        A period of 0 is such a case, as is zero-time compute at both ends.
+        """
+        run, period = self.run, self.period
+        if run and run[0][:2] == (0, 0) and run[-1][:2] == (period, period):
+            rows = [f"{r},{i},{s},{e}\n" for s, e, r, i in self.entries]
+        else:
+            rows = []
+            for k in range(self.num_iterations):
+                t, labels = k * period, _labels(k)
+                rows += [f"{r},{labels[slot]}{tail},{s + t},{e + t}\n" for s, e, r, slot, tail in run]
+        return "resource,item,start,end\n" + "".join(rows)
 
     def summary(self) -> dict:
-        """Makespan, the last layer-0 delay and both links' utilization, from one walk."""
-        makespan = 0
+        """Makespan, the last layer-0 delay and both links' utilization, from one walk of the run.
+
+        Iteration k adds k periods to each of its times, so the makespan is
+        (N-1) periods past the run's last end, each link is busy N times the
+        run's ticks and first busy at the run's first start on it, and the
+        delay between backward N-1 and forward N on layer 0 is the run's.
+        """
+        last_end = 0
         busy = {UPLINK: 0, DOWNLINK: 0}
         first: dict[str, int] = {}
-        last0: dict[str, tuple[int, int]] = {}  # "fwd" and "bwd": the last layer-0 entry of each
-        for s, end, r, item in self.entries:
-            if end > makespan:
-                makespan = end
+        layer0: dict[int, tuple[int, int]] = {}  # slot 0 (backward) and 4 (forward)
+        for s, end, r, slot, tail in self.run:
+            if end > last_end:
+                last_end = end
             if r in busy:
                 busy[r] += end - s
                 first.setdefault(r, s)
-            elif r == COMPUTE and item.endswith(":L0"):
-                last0[item[:3]] = (s, end)
+            elif r == COMPUTE and tail == ":L0":
+                layer0[slot] = (s, end)
+        n = self.num_iterations
+        makespan = (n - 1) * self.period + last_end
         out = {"makespan": makespan}
-        if len(last0) == 2:
-            out["inter_iteration_delay"] = last0["fwd"][0] - last0["bwd"][1]
+        if len(layer0) == 2:
+            out["inter_iteration_delay"] = layer0[4][0] - layer0[0][1]
         for link, ticks in busy.items():
-            out[f"{link}_utilization"] = round(ticks / (makespan - first[link]), 6) if link in first else 0.0
+            out[f"{link}_utilization"] = round(n * ticks / (makespan - first[link]), 6) if link in first else 0.0
         return out
 
 
@@ -351,14 +410,4 @@ def simulate(scenario: Scenario) -> Timeline:
         append((t, end, COMPUTE, 4, f":L{l}"))
         at = (end, 1) if end > t else (t, j + 1)
     run.sort()
-    period = at[0]
-
-    # iteration k is that run, shifted to tick k * period and relabelled
-    entries: list[tuple[int, int, str, str]] = []
-    for k in range(scenario.num_iterations):
-        t = k * period
-        labels = (f"bwd:{k}", f"up:{k}", f"upd:{k}", f"down:{k}", f"fwd:{k + 1}")
-        entries += [(s + t, e + t, r, labels[slot] + tail) for s, e, r, slot, tail in run]
-
-    entries.sort()
-    return Timeline(entries=entries)
+    return Timeline(run, at[0], scenario.num_iterations)

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -379,11 +380,29 @@ def test_a_loaded_plan_over_the_slice_cap_is_refused(monkeypatch):
     monkeypatch.setattr(plan_module, "MAX_PLAN_SLICES", 5)
     assert plan_from_csv(text) == plan
     # counted before any row is parsed, so a bad last row is not what is named
-    with pytest.raises(PlanError, match="plan text of 8 lines; a plan holds at most 5 slices"):
+    with pytest.raises(PlanError, match="plan text of more than 7 lines; a plan holds at most 5 slices"):
         plan_from_csv(text + "not,a,row\n")
     monkeypatch.setattr(plan_module, "MAX_PLAN_SLICES", 4)
     with pytest.raises(PlanError, match="5 slices; a plan holds at most 4"):
         SlicePlan(P3_MODE, plan.slices, 1)
+
+
+def test_a_plan_file_over_the_slice_cap_is_refused_before_it_is_read(monkeypatch, tmp_path):
+    # a million lines, about 10 MB: load_plan reads a line past the cap and no more
+    path = tmp_path / "plan.csv"
+    with open(path, "w") as f:
+        f.write(f"{META}\n{HEADER}\n")
+        for _ in range(100):
+            f.write("0,0,0,1,0\n" * 10_000)
+    monkeypatch.setattr(plan_module, "MAX_PLAN_SLICES", 5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PlanError, match="plan text of more than 7 lines; a plan holds at most 5 slices"):
+            load_plan(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_plan_csv_rejects_a_repeated_slice_key():

@@ -115,6 +115,45 @@ def link_spans(timeline, link):
     return [(e.start, e.end) for e in named(timeline) if e.resource == link]
 
 
+def replayed_entries(tl):
+    """Every iteration's rows of ``tl.run``, shifted by its start, relabelled
+    and sorted: the reference that ``Timeline``'s readers are checked against."""
+    entries = []
+    for k in range(tl.num_iterations):
+        t = k * tl.period
+        labels = (f"bwd:{k}", f"up:{k}", f"upd:{k}", f"down:{k}", f"fwd:{k + 1}")
+        entries += [(s + t, e + t, r, labels[slot] + tail) for s, e, r, slot, tail in tl.run]
+    entries.sort()
+    return entries
+
+
+def entries_csv(entries):
+    """The CSV of sorted ``entries``, one row each, in their order."""
+    return "resource,item,start,end\n" + "".join([f"{r},{i},{s},{e}\n" for s, e, r, i in entries])
+
+
+def entries_summary(entries):
+    """``Timeline.summary`` of sorted ``entries``, from one walk over all of them."""
+    makespan = 0
+    busy = {UPLINK: 0, DOWNLINK: 0}
+    first = {}
+    last0 = {}  # "fwd" and "bwd": the last layer-0 entry of each
+    for s, end, r, item in entries:
+        if end > makespan:
+            makespan = end
+        if r in busy:
+            busy[r] += end - s
+            first.setdefault(r, s)
+        elif r == COMPUTE and item.endswith(":L0"):
+            last0[item[:3]] = (s, end)
+    out = {"makespan": makespan}
+    if len(last0) == 2:
+        out["inter_iteration_delay"] = last0["fwd"][0] - last0["bwd"][1]
+    for link, ticks in busy.items():
+        out[f"{link}_utilization"] = round(ticks / (makespan - first[link]), 6) if link in first else 0.0
+    return out
+
+
 def test_fig4_aggressive_golden_timeline():
     tl = simulate(fig4(AGGRESSIVE_COARSE))
     got = [t for t in as_tuples(tl) if t[0] in (COMPUTE, UPLINK)]
@@ -484,7 +523,7 @@ def test_empty_link_utilization():
 
 
 def test_summary_of_an_empty_timeline():
-    assert Timeline().summary() == {"makespan": 0, "uplink_utilization": 0.0, "downlink_utilization": 0.0}
+    assert Timeline([], 0, 1).summary() == {"makespan": 0, "uplink_utilization": 0.0, "downlink_utilization": 0.0}
 
 
 @settings(max_examples=120, deadline=None)
@@ -502,12 +541,15 @@ def test_entries_sorted_unique_and_order_free(sc, overhead, rnd):
         spans = link_spans(tl, link)
         assert all(s < e for s, e in spans)
         assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
-    # the order is the entries' own: any order of them, sorted, is the same timeline
+    # the order is the rows' own: the run's rows in any order, sorted, give the
+    # CSV and summary of the entries in any order, sorted
+    run = list(tl.run)
+    rnd.shuffle(run)
+    other = Timeline(sorted(run), tl.period, tl.num_iterations)
     shuffled = list(tl.entries)
     rnd.shuffle(shuffled)
-    other = Timeline(entries=sorted(shuffled))
-    assert other.to_csv() == tl.to_csv()
-    assert other.summary() == tl.summary()
+    assert other.to_csv() == entries_csv(sorted(shuffled))
+    assert other.summary() == entries_summary(sorted(shuffled))
 
 
 @settings(max_examples=120, deadline=None)
@@ -570,6 +612,53 @@ def test_summary_agrees_with_the_per_resource_readers(sc, overhead, iterations):
         ticks = {t for s, e in link_spans(tl, link) for t in range(s, e)}
         want = round(len(ticks) / (out["makespan"] - min(ticks)), 6) if ticks else 0.0
         assert out[f"{link}_utilization"] == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_scenarios(), st.integers(0, 3), st.integers(1, 6))
+def test_readers_of_the_run_agree_with_the_replayed_entries(sc, overhead, iterations):
+    # to_csv and summary read the one run; replaying it, relabelling and
+    # sorting every entry must give the same CSV and the same summary
+    sc = replace(sc, per_slice_overhead=overhead, num_iterations=iterations)
+    tl = simulate(sc)
+    entries = replayed_entries(tl)
+    assert tl.entries == entries
+    assert tl.to_csv() == entries_csv(entries)
+    assert tl.summary() == entries_summary(entries)
+    # the period is the gap between iterations' layer-0 forwards, and one iteration's makespan
+    fwd0 = {e.item: e.start for e in named(tl) if e.item.startswith("fwd:") and e.item.endswith(":L0")}
+    assert all(fwd0[f"fwd:{k + 1}:L0"] - fwd0[f"fwd:{k}:L0"] == tl.period for k in range(1, iterations))
+    assert simulate(replace(sc, num_iterations=1)).summary()["makespan"] == tl.period
+
+
+def test_rows_that_tie_between_iterations_are_written_in_entry_order():
+    # layer 1 computes in zero time, so the run starts with its backward at
+    # (0, 0) and ends with its forward at (3, 3), its period: at tick 3,
+    # iteration 0's fwd:1:L1 and iteration 1's bwd:1:L1 tie on times and
+    # sort by item, bwd before fwd
+    sc = Scenario(
+        profile=ModelProfile("t", 0, (LayerSpec(0, "L0", 1, 1, 1), LayerSpec(1, "L1", 1, 0, 0))),
+        stages=(StageCost(1, 0, 0), StageCost(1, 0, 0)),
+        policy=AGGRESSIVE_COARSE,
+        num_iterations=2,
+    )
+    tl = simulate(sc)
+    assert (tl.run[0][:2], tl.run[-1][:2], tl.period) == ((0, 0), (3, 3), 3)
+    assert tl.to_csv() == (
+        "resource,item,start,end\n"
+        "compute,bwd:0:L1,0,0\n"
+        "compute,bwd:0:L0,0,1\n"
+        "uplink,up:0:L1:s0,0,1\n"
+        "uplink,up:0:L0:s0,1,2\n"
+        "compute,fwd:1:L0,2,3\n"
+        "compute,bwd:1:L1,3,3\n"
+        "compute,fwd:1:L1,3,3\n"
+        "compute,bwd:1:L0,3,4\n"
+        "uplink,up:1:L1:s0,3,4\n"
+        "uplink,up:1:L0:s0,4,5\n"
+        "compute,fwd:2:L0,5,6\n"
+        "compute,fwd:2:L1,6,6\n"
+    )
 
 
 # -- golden timeline digests --------------------------------------------------
